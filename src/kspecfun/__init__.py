@@ -10,7 +10,6 @@ misprinted formulas.
 __version__ = "0.1.0"
 
 from .beta import (
-    BetaExpansionTerms,
     beta_expansion_55,
     beta_k,
     beta_k_cosh_form,
@@ -28,7 +27,6 @@ from .errors import (
     QuadratureError,
 )
 from .furdui import (
-    FurduiMethodResult,
     furdui_method,
     furdui_oracle,
     logsin_moment,
@@ -48,7 +46,6 @@ from .hadamard import (
     superadditivity_check_43,
 )
 from .kcore import (
-    KScale,
     gamma_k,
     ln_gamma_k,
     psi_k,

@@ -10,15 +10,13 @@ complete the set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .kcore import k_value, psi_k, psi_k_m
 from .oracles import QuadratureResult, adaptive_quad
-from .scalar import CONSTANTS, SeriesValue, _alt_recip_sum, _require_finite, zeta_int
+from .scalar import _EPS, CONSTANTS, SeriesValue, _alt_recip_sum, _require_finite, zeta_int
 
 __all__ = [
-    "BetaExpansionTerms",
     "beta_k",
     "beta_k_series",
     "beta_k_integral",
@@ -29,19 +27,6 @@ __all__ = [
     "beta_expansion_55",
     "telescope_51",
 ]
-
-_EPS = 2.220446049250313e-16
-
-
-@dataclass(frozen=True)
-class BetaExpansionTerms:
-    """Coefficients of a beta_k power expansion around ``center``."""
-
-    center: float
-    coefficients: tuple[float, ...]
-    radius: float
-    truncation_order: int
-
 
 def beta_k(k, x: float) -> float:
     """beta_k(x) = (psi_k((x+k)/2) - psi_k(x/2)) / 2 for x > 0."""
@@ -117,8 +102,8 @@ def beta_k_cosh_form(k, x: float, tol: float = 1e-9) -> QuadratureResult:
     return QuadratureResult(q.value + tail, q.error_estimate + tail_err, q.subdivisions)
 
 
-def beta_k_deriv_n(k, order: int, x: float) -> float:
-    """order-th derivative of beta_k via exact k-polygamma differences."""
+def beta_k_deriv(k, order: int, x: float) -> float:
+    """order-th derivative of beta_k, order >= 0 (exact k-polygamma differences)."""
     k = k_value(k)
     if not isinstance(order, int) or order < 0:
         raise DomainError(f"derivative order must be an integer >= 0, got {order!r}")
@@ -131,15 +116,8 @@ def beta_k_deriv_n(k, order: int, x: float) -> float:
     return scale * (psi_k_m(k, order, 0.5 * (x + k)) - psi_k_m(k, order, 0.5 * x))
 
 
-def beta_k_deriv(k, order: int, x: float) -> float:
-    """First or second derivative of beta_k (exact, no finite differences)."""
-    if order not in (1, 2):
-        raise DomainError(f"beta_k_deriv supports order 1 or 2, got {order!r}")
-    return beta_k_deriv_n(k, order, x)
-
-
-def beta_taylor_terms(k, order: int) -> BetaExpansionTerms:
-    """Coefficients of beta_k(x + k) = ln2/k + sum_m c_m x^m, |x| < k."""
+def beta_taylor_terms(k, order: int) -> tuple[float, ...]:
+    """Coefficients (c_0, ..., c_order) of beta_k(x + k) = sum_m c_m x^m, |x| < k."""
     k = k_value(k)
     if not isinstance(order, int) or order < 0:
         raise DomainError(f"order must be an integer >= 0, got {order!r}")
@@ -150,7 +128,7 @@ def beta_taylor_terms(k, order: int) -> BetaExpansionTerms:
         coeffs.append(sign * (1.0 - 0.5**m) * zeta_int(m + 1) / kp)
         sign = -sign
         kp *= k
-    return BetaExpansionTerms(k, tuple(coeffs), k, order)
+    return tuple(coeffs)
 
 
 def beta_taylor_54(k, x: float, order: int, tol: float = 1e-9) -> SeriesValue:
@@ -165,10 +143,9 @@ def beta_taylor_54(k, x: float, order: int, tol: float = 1e-9) -> SeriesValue:
     x = _require_finite("x", x)
     if abs(x) >= k:
         raise DomainError(f"beta_taylor_54 requires |x| < k, got x={x}, k={k}")
-    terms = beta_taylor_terms(k, order)
     total = 0.0
     xp = 1.0
-    for c in terms.coefficients:
+    for c in beta_taylor_terms(k, order):
         total += c * xp
         xp *= x
     # first omitted term (order + 1), inflated by the geometric factor

@@ -232,8 +232,8 @@ def _cmd_furdui(args) -> int:
     for method in methods:
         res = furdui_method(method, args.k, args.m, n=args.n)
         gap = res.value - reference
-        print(f"{res.method_id:<16} {res.value:>18.10f} {res.error_estimate:>12.3e} "
-              f"{res.terms_or_subdivisions:>12d}   vs oracle {gap:+.3e}")
+        print(f"{method:<16} {res.value:>18.10f} {res.error_estimate:>12.3e} "
+              f"{res.terms_used:>12d}   vs oracle {gap:+.3e}")
     return 0
 
 
@@ -299,3 +299,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

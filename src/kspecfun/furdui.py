@@ -9,24 +9,22 @@ the remainder converges geometrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .kcore import k_value, ln_gamma_k, psi_k, psi_k_m
 from .oracles import QuadratureResult, adaptive_quad
 from .scalar import (
+    _EPS,
     CONSTANTS,
     SeriesValue,
     digamma,
-    digamma_plus_recip,
     gauss_2f1,
     zeta_minus_1,
     zeta_tail,
 )
 
 __all__ = [
-    "FurduiMethodResult",
     "FURDUI_METHOD_IDS",
     "furdui_oracle",
     "furdui_method",
@@ -37,8 +35,6 @@ __all__ = [
     "thm34_recursion",
 ]
 
-_EPS = 2.220446049250313e-16
-
 FURDUI_METHOD_IDS = (
     "oracle",
     "thm31",
@@ -47,24 +43,7 @@ FURDUI_METHOD_IDS = (
     "thm33_printed",
     "thm33_variant",
     "thm34",
-    "eq310",
 )
-
-
-@dataclass(frozen=True)
-class FurduiMethodResult:
-    """One method's value for I(k, m), with its error estimate."""
-
-    method_id: str
-    value: float
-    error_estimate: float
-    terms_or_subdivisions: int
-
-    def __post_init__(self):
-        if self.method_id not in FURDUI_METHOD_IDS:
-            raise ValueError(f"unknown method_id {self.method_id!r}")
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be >= 0")
 
 
 def _check_m(m: int):
@@ -76,7 +55,7 @@ def _check_m(m: int):
 def _oracle_cached(k: float, m: int, tol: float) -> QuadratureResult:
     lnk = math.log(k)
     # x^m (psi_k(x) + 1/x) = x^m (ln k + psi(x/k + 1)) / k, smooth through 0
-    f = lambda x: x**m * (lnk + digamma_plus_recip(x / k)) / k
+    f = lambda x: x**m * (lnk + digamma(x / k + 1.0)) / k
     q = adaptive_quad(f, 0.0, k, tol)
     return QuadratureResult(q.value - k**m / m, q.error_estimate, q.subdivisions)
 
@@ -101,6 +80,22 @@ def _beta_digamma(z: float) -> float:
     return 0.5 * (digamma(0.5 * (z + 1.0)) - digamma(0.5 * z))
 
 
+def _zeta_remainder(sign: float, denom, limit: float, name: str):
+    # sum_{s>=2} sign (-1)^s (zeta(s) - 1)/denom(s), stopped once the bound
+    # 2^(1-s)/denom(s) on the next term drops below limit; (sum, bound, s)
+    rem = 0.0
+    s = 2
+    while True:
+        rem += sign * zeta_minus_1(s) / denom(s)
+        sign = -sign
+        s += 1
+        bound = 2.0 * 2.0 ** (-s) / denom(s)
+        if bound < limit:
+            return rem, bound, s
+        if s > 400:
+            raise ConvergenceError(f"{name} zeta tail stalled", value=rem)
+
+
 def thm31_series(k, m: int, tol: float = 1e-10) -> SeriesValue:
     """Series route k^m (ln k - g)/(m+1) - k^m/m + k^m sum (-1)^s zeta(s)/(m+s)."""
     k = k_value(k)
@@ -108,19 +103,7 @@ def thm31_series(k, m: int, tol: float = 1e-10) -> SeriesValue:
     km = k**m
     prefix = km * (math.log(k) - CONSTANTS.euler_gamma) / (m + 1) - km / m
     closed = _beta_digamma(float(m + 2))  # sum_{s>=2} (-1)^s /(m+s)
-    rem = 0.0
-    s = 2
-    sign = 1.0
-    while True:
-        t = sign * zeta_minus_1(s) / (m + s)
-        rem += t
-        sign = -sign
-        s += 1
-        bound = 2.0 * 2.0 ** (-s) / (m + s)
-        if bound < 0.05 * tol / km:
-            break
-        if s > 400:
-            raise ConvergenceError("thm31_series zeta tail stalled", value=rem)
+    rem, bound, s = _zeta_remainder(1.0, lambda s: m + s, 0.05 * tol / km, "thm31_series")
     err = km * bound * 2.0 + 16.0 * _EPS * (abs(prefix) + km)
     value = prefix + km * (closed + rem)
     return SeriesValue(value, err, s, err <= tol)
@@ -143,18 +126,9 @@ def thm32_series(k, m: int, tol: float = 1e-10, variant: str = "sign_variant") -
     prefix = km * ((lnk - mg) if variant == "as_printed" else (lnk + mg)) / (m + 1) - km / m
     # sum_{s>=2} (-1)^{s+1} zeta(s)/(s(m+s)), zeta = 1 + (zeta - 1)
     closed = (CONSTANTS.ln2 - 1.0 + _beta_digamma(float(m + 2))) / m
-    rem = 0.0
-    s = 2
-    sign = -1.0
-    while True:
-        rem += sign * zeta_minus_1(s) / (s * (m + s))
-        sign = -sign
-        s += 1
-        bound = 2.0 * 2.0 ** (-s) / (s * (m + s))
-        if bound < 0.05 * tol / (m * km):
-            break
-        if s > 400:
-            raise ConvergenceError("thm32_series zeta tail stalled", value=rem)
+    rem, bound, s = _zeta_remainder(
+        -1.0, lambda s: s * (m + s), 0.05 * tol / (m * km), "thm32_series"
+    )
     value = prefix + m * km * (closed + rem)
     err = m * km * bound * 2.0 + 16.0 * _EPS * (abs(prefix) + m * km)
     return SeriesValue(value, err, s, err <= tol)
@@ -257,12 +231,11 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> SeriesValue:
         terms += sv.terms_used
     # tail: F expands in powers of -1/i; sum_{i>I} i^-(n+1+j) is a zeta tail
     a = m + n + 1.0
-    cj = 1.0
     j = 0
     tail = 0.0
+    bound = zeta_tail(n + 1.0, i_direct + 1)  # c_j times its zeta tail, c_0 = 1
     while True:
-        contrib = cj * (-1.0) ** j * zeta_tail(n + 1.0 + j, i_direct + 1)
-        tail += contrib
+        tail += (-1.0) ** j * bound
         j += 1
         # c_j = (n+1)_j / j! * a/(a+j) from the hypergeometric coefficients
         cj = _rising(n + 1.0, j) / math.factorial(j) * a / (a + j)
@@ -278,27 +251,24 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> SeriesValue:
     return SeriesValue(total, err, terms + j, err <= tol)
 
 
-def furdui_method(method_id: str, k, m: int, n: int = 1, tol: float = 1e-9) -> FurduiMethodResult:
-    """Evaluate I(k, m) by one named method (CLI comparison tables)."""
-    k = k_value(k)
-    _check_m(m)
+def furdui_method(method_id: str, k, m: int, n: int = 1, tol: float = 1e-9) -> SeriesValue:
+    """Evaluate I(k, m) by one named method (CLI comparison tables).
+
+    The oracle's panel count is reported as ``terms_used``.
+    """
     if method_id == "oracle":
         q = furdui_oracle(k, m, min(tol, 1e-10))
-        return FurduiMethodResult("oracle", q.value, q.error_estimate, q.subdivisions)
+        return SeriesValue(q.value, q.error_estimate, q.subdivisions, True)
     if method_id == "thm31":
-        s = thm31_series(k, m, tol)
-    elif method_id == "thm32_printed":
-        s = thm32_series(k, m, tol, variant="as_printed")
-    elif method_id == "thm32_variant":
-        s = thm32_series(k, m, tol, variant="sign_variant")
-    elif method_id == "thm33_printed":
-        s = thm33_series(k, m, tol, variant="as_printed")
-    elif method_id == "thm33_variant":
-        s = thm33_series(k, m, tol, variant="lnGamma_audit")
-    elif method_id == "thm34":
-        s = thm34_recursion(k, m, n, tol)
-    elif method_id == "eq310":
-        s = thm34_recursion(k, m, 1, tol)
-    else:
-        raise DomainError(f"unknown furdui method {method_id!r}")
-    return FurduiMethodResult(method_id, s.value, s.error_estimate, s.terms_used)
+        return thm31_series(k, m, tol)
+    if method_id == "thm32_printed":
+        return thm32_series(k, m, tol, variant="as_printed")
+    if method_id == "thm32_variant":
+        return thm32_series(k, m, tol, variant="sign_variant")
+    if method_id == "thm33_printed":
+        return thm33_series(k, m, tol, variant="as_printed")
+    if method_id == "thm33_variant":
+        return thm33_series(k, m, tol, variant="lnGamma_audit")
+    if method_id == "thm34":
+        return thm34_recursion(k, m, n, tol)
+    raise DomainError(f"unknown furdui method {method_id!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .beta import beta_k
 from .errors import BracketError, DomainError, PoleError
-from .kcore import k_value, ln_gamma_k, rgamma_k
+from .kcore import gamma_k, k_value, ln_gamma_k, rgamma_k
 from .reports import IdentityReport
 from .scalar import _require_finite, _sinpi, lerch_alt, lerch_one_diff
 
@@ -163,8 +163,6 @@ def representation_48(k, x: float) -> tuple[float, float]:
     beta_k(x) / pi; at k = 1 it reduces to the classical identity and the
     two entries must agree, while for k != 1 the harness fits the ratio.
     """
-    from .kcore import gamma_k
-
     k = k_value(k)
     x = _require_finite("x", x)
     if x <= 0.0:
@@ -176,8 +174,6 @@ def representation_48(k, x: float) -> tuple[float, float]:
 
 def representation_48_corrected_rhs(k, x: float) -> float:
     """Scaling-consistent variant: Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))."""
-    from .kcore import gamma_k
-
     k = k_value(k)
     x = _require_finite("x", x)
     if x <= 0.0:

@@ -8,14 +8,14 @@ with direct series routes kept alongside as cross-check oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .scalar import (
+    _EPS,
     CONSTANTS,
     SeriesValue,
+    _em_power_tail,
     _require_finite,
-    _sinpi,
     digamma,
     ln_gamma,
     polygamma,
@@ -23,7 +23,6 @@ from .scalar import (
 )
 
 __all__ = [
-    "KScale",
     "gamma_k",
     "ln_gamma_k",
     "rgamma_k",
@@ -34,28 +33,11 @@ __all__ = [
     "psi_k_duplication_rhs",
 ]
 
-_EPS = 2.220446049250313e-16
-
 POLE_GUARD = 1e-8  # relative (in units of k) pole exclusion radius
 
 
-@dataclass(frozen=True)
-class KScale:
-    """Validated deformation parameter k > 0."""
-
-    k: float
-
-    def __post_init__(self):
-        k = float(self.k)
-        if not math.isfinite(k) or k <= 0.0:
-            raise DomainError(f"k must be finite and > 0, got {self.k!r}")
-        object.__setattr__(self, "k", k)
-
-
 def k_value(k) -> float:
-    """Accept a KScale or a bare number; return the validated float k."""
-    if isinstance(k, KScale):
-        return k.k
+    """Return k as a float after checking that it is finite and > 0."""
     k = float(k)
     if not math.isfinite(k) or k <= 0.0:
         raise DomainError(f"k must be finite and > 0, got {k!r}")
@@ -171,18 +153,6 @@ def psi_k_m(k, m: int, x: float) -> float:
     return polygamma(m, x / k) / k ** (m + 1)
 
 
-def _em_tail_power(a: float, k: float, p: float, n0: int) -> tuple[float, float]:
-    """sum_{n>=n0} (a + n k)^(-p) for p >= 2, via Euler-Maclaurin."""
-    u = a + n0 * k
-    integral = u ** (1.0 - p) / (k * (p - 1.0))
-    g0 = u ** (-p)
-    g1 = -p * k * u ** (-p - 1.0)
-    g3 = -p * (p + 1.0) * (p + 2.0) * k**3 * u ** (-p - 3.0)
-    g5 = -p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) * k**5 * u ** (-p - 5.0)
-    tail = integral + 0.5 * g0 - g1 / 12.0 + g3 / 720.0 - g5 / 30240.0
-    return tail, abs(g5) / 30240.0
-
-
 def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> SeriesValue:
     """Direct series route for psi_k^(m) (cross-check oracle).
 
@@ -197,26 +167,25 @@ def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> SeriesValue:
         raise DomainError(f"psi_k_m_series requires x > 0, got {x}")
     mf = float(math.factorial(m))
     sign = 1.0 if m % 2 == 1 else -1.0
+    # with the tail starting at x + 64k the Euler-Maclaurin bound stays
+    # below the rounding term for every m whose m! is finite
     n_direct = 64
-    while True:
-        s = 0.0
-        for n in range(n_direct - 1, -1, -1):
-            s += (n * k + x) ** (-(m + 1))
-        tail, tail_err = _em_tail_power(x, k, m + 1.0, n_direct)
-        value = sign * mf * (s + tail)
-        err = mf * tail_err + 8.0 * _EPS * abs(value)
-        # tolerance is absolute for O(1) values and relative for the huge
-        # magnitudes reached near x = 0 at high m
-        if err <= tol * max(1.0, abs(value)):
-            return SeriesValue(value, err, n_direct, True)
-        if n_direct >= 1 << 15:
-            raise ConvergenceError(
-                f"psi_k_m_series stalled at error {err:.3e} for tol {tol:.3e}",
-                value=value,
-                error_estimate=err,
-                terms_used=n_direct,
-            )
-        n_direct *= 2
+    s = 0.0
+    for n in range(n_direct - 1, -1, -1):
+        s += (n * k + x) ** (-(m + 1))
+    tail, tail_err = _em_power_tail(x, k, m + 1.0, n_direct)
+    value = sign * mf * (s + tail)
+    err = mf * tail_err + 8.0 * _EPS * abs(value)
+    # tolerance is absolute for O(1) values and relative for the huge
+    # magnitudes reached near x = 0 at high m
+    if err > tol * max(1.0, abs(value)):
+        raise ConvergenceError(
+            f"psi_k_m_series error {err:.3e} exceeds tol {tol:.3e}",
+            value=value,
+            error_estimate=err,
+            terms_used=n_direct,
+        )
+    return SeriesValue(value, err, n_direct, True)
 
 
 def psi_k_duplication_rhs(k, x: float) -> float:
@@ -229,11 +198,3 @@ def psi_k_duplication_rhs(k, x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"psi_k_duplication_rhs requires x > 0, got {x}")
     return 2.0 * psi_k(k, 2.0 * k * x) - psi_k(k, k * x) - 2.0 * CONSTANTS.ln2 / k
-
-
-# re-export for callers that need the reflection audit product
-def reflection_product(k, x: float) -> float:
-    """Gamma_k(x) * Gamma_k(k - x) * sin(pi x / k); constant in x for fixed k."""
-    k = k_value(k)
-    x = _require_finite("x", x)
-    return gamma_k(k, x) * gamma_k(k, k - x) * _sinpi(x / k)

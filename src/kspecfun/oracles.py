@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, QuadratureError
-from .scalar import DEFAULT_TERM_CAP, SeriesValue
+from .scalar import _EPS, DEFAULT_TERM_CAP, SeriesValue
 
 __all__ = [
     "QuadratureResult",
@@ -25,8 +25,6 @@ __all__ = [
     "cm_probe",
     "fit_discrepancy",
 ]
-
-_EPS = 2.220446049250313e-16
 
 # 15-point Kronrod nodes (positive half) and weights, with the embedded
 # 7-point Gauss weights, as tabulated in QUADPACK's dqk15.

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -51,12 +51,11 @@ __all__ = [
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid: k values, unit x values (scaled by k where the
-    identity's natural variable is x/k), integer parameter lists and the
-    pole exclusion radius."""
+    identity's natural variable is x/k) and the pole exclusion radius; m
+    and n always run over ``_M_VALUES`` and ``_N_VALUES``."""
 
     k_values: tuple = (0.5, 1.0, 2.0, math.pi)
     x_values: tuple = (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)
-    integer_params: dict = field(default_factory=lambda: {"m": (1, 2, 3, 4, 5, 6), "n": (1, 2, 3)})
     exclusion_radius: float = 1e-3
 
     def __post_init__(self):
@@ -65,11 +64,9 @@ class GridSpec:
         if self.exclusion_radius < 0:
             raise DomainError("exclusion_radius must be >= 0")
 
-    def ms(self):
-        return self.integer_params.get("m", (1, 2, 3, 4, 5, 6))
 
-    def ns(self):
-        return self.integer_params.get("n", (1, 2, 3))
+_M_VALUES = (1, 2, 3, 4, 5, 6)
+_N_VALUES = (1, 2, 3)
 
 
 def default_grid() -> GridSpec:
@@ -135,7 +132,6 @@ class ScanTable:
     first_violation: tuple | None  # (x_prev, x, g_prev, g)
 
 
-_EPS = 2.220446049250313e-16
 LN_PI = math.log(math.pi)
 TWO_GAMMA = 2.0 * _scalar.CONSTANTS.euler_gamma
 
@@ -164,7 +160,7 @@ def _k_points(grid: GridSpec):
 
 def _k_m_points(grid: GridSpec):
     for k in grid.k_values:
-        for m in grid.ms():
+        for m in _M_VALUES:
             yield {"k": k, "m": m}
 
 
@@ -200,7 +196,7 @@ def _build_entries() -> list[IdentityEntry]:
         tol=1e-10,
         expectation="PASS",
         points=lambda g: ({"k": k, "m": m, "x": u * k}
-                          for k in g.k_values for m in g.ms() for u in (0.1, 0.7, 2.5)),
+                          for k in g.k_values for m in _M_VALUES for u in (0.1, 0.7, 2.5)),
         evaluate=lambda p: (_kcore.psi_k_m(p["k"], p["m"], p["x"]),
                             _kcore.psi_k_m_series(p["k"], p["m"], p["x"], 1e-11).value),
     ))
@@ -401,7 +397,7 @@ def _build_entries() -> list[IdentityEntry]:
     def _thm34_points(grid):
         for k in grid.k_values:
             for m in (1, 2, 3):
-                for n in grid.ns():
+                for n in _N_VALUES:
                     yield {"k": k, "m": m, "n": n}
 
     add(IdentityEntry(
@@ -618,7 +614,7 @@ def _build_entries() -> list[IdentityEntry]:
     def _thm51_points(grid):
         for k in grid.k_values:
             for u in (0.3, 0.7, 1.3):
-                for n in grid.ns():
+                for n in _N_VALUES:
                     yield {"k": k, "x": u, "n": n}
 
     add(IdentityEntry(
@@ -1036,7 +1032,7 @@ def _scan_derivative(k: float, j: int, x: float) -> float:
     # f(x) = x beta_k(x):  f^(j) = x beta_k^(j) + j beta_k^(j-1)
     if j == 0:
         return x * _beta.beta_k(k, x)
-    return x * _beta.beta_k_deriv_n(k, j, x) + j * _beta.beta_k_deriv_n(k, j - 1, x)
+    return x * _beta.beta_k_deriv(k, j, x) + j * _beta.beta_k_deriv(k, j - 1, x)
 
 
 def openproblem_scan(k, n_max: int, grid: GridSpec | None = None) -> list[ScanTable]:

@@ -86,15 +86,18 @@ def test_beta_k_deriv_values():
     assert beta_k_deriv(1.0, 2, 1.0) == pytest.approx(3.0 * ZETA3 / 2.0, rel=1e-12)
     # scaling: beta_k'(x) = beta'(x/k)/k^2
     assert beta_k_deriv(2.0, 1, 2.0) == pytest.approx(-PI**2 / 48.0, rel=1e-12)
+    # any order >= 0: the third derivative at 1 is -6 eta(4) = -7 pi^4/120,
+    # and order 0 is beta_k itself
+    assert beta_k_deriv(1.0, 3, 1.0) == pytest.approx(-7.0 * PI**4 / 120.0, rel=1e-12)
+    assert beta_k_deriv(2.0, 0, 1.5) == beta_k(2.0, 1.5)
     with pytest.raises(DomainError):
-        beta_k_deriv(1.0, 3, 1.0)
+        beta_k_deriv(1.0, -1, 1.0)
 
 
 # ---------------------------------------------------------------- expansions
 def test_taylor_terms_alternate_and_decrease():
-    terms = beta_taylor_terms(1.0, 40)
-    coeffs = terms.coefficients
-    assert terms.center == 1.0 and terms.radius == 1.0
+    coeffs = beta_taylor_terms(1.0, 40)
+    assert len(coeffs) == 41 and coeffs[0] == pytest.approx(LN2, abs=1e-15)
     for m in range(1, 39):
         assert coeffs[m] * coeffs[m + 1] < 0.0
     x = 0.8  # inside the radius: term magnitudes must decrease

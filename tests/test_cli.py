@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import kspecfun
 from kspecfun.cli import run_cli
 
 
@@ -128,6 +131,21 @@ def test_verify_no_file_written_on_usage_error(tmp_path, capsys):
     assert not any(name.startswith(".ksf-") for name in os.listdir(tmp_path))
 
 
+def test_python_m_entry_point():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(kspecfun.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def ksf(*argv):
+        return subprocess.run([sys.executable, "-m", "kspecfun.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = ksf("verify", "--id", "EQ1.1")
+    assert ok.returncode == 0
+    assert "OVERALL: ok" in ok.stdout
+    assert ksf("verify", "--id", "NOPE").returncode == 2
+
+
 # ---------------------------------------------------------------- furdui
 def test_furdui_table(capsys):
     code, out, _ = run(capsys, "furdui", "--k", "1", "--m", "2",
@@ -144,6 +162,8 @@ def test_furdui_table(capsys):
 def test_furdui_unknown_method(capsys):
     code, _, err = run(capsys, "furdui", "--k", "1", "--m", "1", "--methods", "oracle,bogus")
     assert code == 2 and "bogus" in err
+    code, _, err = run(capsys, "furdui", "--k", "1", "--m", "2", "--methods", "eq310")
+    assert code == 2 and "eq310" in err
 
 
 # ---------------------------------------------------------------- alpha0 / scan

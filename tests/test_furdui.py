@@ -160,10 +160,11 @@ def test_thm34_validation():
 # ---------------------------------------------------------------- method table
 def test_furdui_method_dispatch():
     o = furdui_method("oracle", 1.0, 2)
-    e310 = furdui_method("eq310", 1.0, 2)
     t34 = furdui_method("thm34", 1.0, 2, n=1)
-    assert o.method_id == "oracle"
-    assert abs(e310.value - t34.value) < 1e-12
-    assert abs(o.value - e310.value) < 1e-7
-    with pytest.raises(DomainError):
-        furdui_method("nope", 1.0, 2)
+    q = furdui_oracle(1.0, 2, 1e-10)
+    assert (o.value, o.error_estimate, o.terms_used) == (q.value, q.error_estimate, q.subdivisions)
+    assert t34 == thm34_recursion(1.0, 2, 1, 1e-9)
+    assert abs(o.value - t34.value) < 1e-7
+    for gone in ("nope", "eq310"):
+        with pytest.raises(DomainError):
+            furdui_method(gone, 1.0, 2)

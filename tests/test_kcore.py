@@ -6,7 +6,6 @@ import pytest
 
 from kspecfun import (
     DomainError,
-    KScale,
     PoleError,
     digamma,
     gamma_k,
@@ -18,7 +17,6 @@ from kspecfun import (
     psi_k_series,
     rgamma_k,
 )
-from kspecfun.kcore import reflection_product
 from kspecfun.scalar import CONSTANTS
 
 GAMMA = CONSTANTS.euler_gamma
@@ -28,13 +26,11 @@ K_GRID = (0.5, 1.0, 2.0, math.pi)
 X_UNITS = (0.1, 0.7, 1.0, 2.5, 8.0)
 
 
-def test_kscale_validation():
-    assert KScale(2.0).k == 2.0
+def test_k_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
-            KScale(bad)
-    # functions accept KScale and bare floats interchangeably
-    assert gamma_k(KScale(2.0), 1.0) == gamma_k(2.0, 1.0)
+            gamma_k(bad, 1.0)
+    assert gamma_k(2, 1.0) == gamma_k(2.0, 1.0)
 
 
 # ---------------------------------------------------------------- gamma_k
@@ -153,15 +149,6 @@ def test_duplication_rhs_values():
     assert psi_k_duplication_rhs(2.0, 2.0) == pytest.approx(psi_k(2.0, 5.0), abs=1e-12)
     assert psi_k_duplication_rhs(2.0, 1.0) == pytest.approx(psi_k(2.0, 3.0), abs=1e-12)
     assert psi_k_duplication_rhs(0.5, 2.0) == pytest.approx(psi_k(0.5, 1.25), abs=1e-12)
-
-
-@pytest.mark.parametrize("k", K_GRID)
-def test_reflection_product_is_constant_in_x(k):
-    # the reflection product depends on k only; whether it equals pi is
-    # decided by the registry fit, not assumed here
-    values = [reflection_product(k, u * k) for u in (0.15, 0.33, 0.52, 0.71)]
-    for v in values[1:]:
-        assert v == pytest.approx(values[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("k", K_GRID)

@@ -20,6 +20,7 @@ from kspecfun import (
     psi_k,
     zeta_int,
 )
+from kspecfun.scalar import zeta_minus_1, zeta_tail
 
 mp.dps = 30
 
@@ -45,6 +46,25 @@ def test_polygamma_vs_mpmath(m, x):
 @pytest.mark.parametrize("s", [2, 3, 7, 19, 50, 255, 300])
 def test_zeta_vs_mpmath(s):
     assert zeta_int(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-14)
+
+
+def test_zeta_minus_1_vs_mpmath():
+    # zeta(300) - 1 is about 5e-91, so the reference needs far more than 91 digits
+    with mp.workdps(120):
+        refs = {s: mpmath.zeta(s) - 1 for s in range(2, 301)}
+    errors = {s: float(abs((zeta_minus_1(s) - ref) / ref)) for s, ref in refs.items()}
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= 1e-14, (worst, errors[worst])
+
+
+@pytest.mark.parametrize("a", [10, 25, 50, 100])
+def test_zeta_tail_vs_mpmath(a):
+    # at 50 digits mpmath's Hurwitz zeta(30, 100) is already wrong in the 12th digit
+    with mp.workdps(80):
+        refs = {s: mpmath.zeta(s, a) for s in range(2, a // 2 + 1)}
+    errors = {s: float(abs((zeta_tail(float(s), a) - ref) / ref)) for s, ref in refs.items()}
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= 1e-14, (worst, errors[worst])
 
 
 @pytest.mark.parametrize(
