@@ -173,16 +173,17 @@ def _cmd_verify(args) -> int:
         ok = n_fail == 0 if entry.expectation == "PASS" else True
         entries = None
 
+    if args.format == "json":
+        body = reports_to_json(reports)
+    elif args.format == "csv":
+        body = reports_to_csv(reports)
+    else:
+        body = _verify_text(reports, entries, ok)
     if args.out:
-        if args.format == "json":
-            _atomic_write(args.out, reports_to_json(reports))
-        elif args.format == "csv":
-            _atomic_write(args.out, reports_to_csv(reports))
-        else:
-            _atomic_write(args.out, _verify_text(reports, entries, ok))
+        _atomic_write(args.out, body)
         print(f"report written to {args.out}")
     if args.format == "text" or not args.out:
-        sys.stdout.write(_verify_text(reports, entries, ok))
+        sys.stdout.write(body)
     return 0 if ok else 1
 
 

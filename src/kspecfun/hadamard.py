@@ -1,15 +1,23 @@
 """Hadamard k-gamma function H_k: a pole-free interpolation of Gamma_k.
 
 Below the seam x = k the beta_k-difference form applies directly (all
-psi_k arguments stay positive); above it the value is built up by the
-functional equation H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x) from a base
-point in [0, k).  The module also houses the superadditivity threshold
-solver and the Lerch-sum identity audit.
+psi_k arguments stay positive).  Above it H_k comes in O(1) from the
+corrected representation (4.8), H_k(x) = Gamma_k(x) (1 - (k/pi)
+sin(pi x/k) beta_k(x)); there |k beta_k(x)| <= ln 2, so the bracket lies
+in [1 - ln2/pi, 1 + ln2/pi] and never cancels.  Against mpmath the far
+field stays within 1e-12 relative for k in [0.01, 10] and x/k in
+[1, 150].  A value beyond binary64 raises OverflowError; one below it
+underflows to 0.0; nan and inf are never returned.  The functional
+equation H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x) is kept only as the
+independent cross-check route (:func:`recursion_47`).  The module also
+houses the superadditivity threshold solver and the Lerch-sum identity
+audit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .beta import beta_k
@@ -32,6 +40,10 @@ __all__ = [
 ]
 
 SUPERADD_SLACK = 1e-12
+_MIN_NORMAL = sys.float_info.min
+_LN_MAX = math.log(sys.float_info.max)
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+_STIRLING_U = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -46,31 +58,74 @@ class RootResult:
     sign_changes: int = 1
 
 
+def _exp_or_raise(log_value: float, k: float, x: float) -> float:
+    # H_k beyond the binary64 range raises; below it underflows to 0.0
+    if not log_value <= _LN_MAX:
+        raise OverflowError(f"H_k({x}) overflows binary64 (k={k})")
+    return math.exp(log_value)
+
+
+def _ln_gamma_k_stirling(k: float, x: float) -> float:
+    # ln Gamma_k(x) for x/k >= 2^53, where the O(k/x) Stirling terms are
+    # below rounding: (x/k - 1/2) ln x - x/k - (ln k)/2 + ln(2 pi)/2,
+    # arranged so that x/k may overflow
+    ln_x = math.log(x)
+    return (x / k) * (ln_x - 1.0) - 0.5 * (ln_x + math.log(k)) + _HALF_LN_2PI
+
+
 def _h_base(k: float, x: float) -> float:
-    # valid for x < k: H_k(x) = beta_k(k - x) / Gamma_k(k - x)
-    return beta_k(k, k - x) * math.exp(-ln_gamma_k(k, k - x))
+    # valid for x < k: H_k(x) = beta_k(k - x) / Gamma_k(k - x), beta_k > 0 there
+    z = k - x
+    if z >= _STIRLING_U * k:
+        # beta_k(z) = 1/(2z) to rounding
+        return _exp_or_raise(-math.log(2.0) - math.log(z) - _ln_gamma_k_stirling(k, z), k, x)
+    b = beta_k(k, z)
+    lg = ln_gamma_k(k, z)
+    if lg > -_LN_MAX:
+        h = b * math.exp(-lg)
+        if h < math.inf:
+            return h
+    return _exp_or_raise(math.log(b) - lg, k, x)
+
+
+def _h_far(k: float, x: float) -> float:
+    # valid for x >= k: Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))
+    if x >= _STIRLING_U * k:
+        # k beta_k(x) ~ k/(2x) is below rounding here, so H_k = Gamma_k
+        return _exp_or_raise(_ln_gamma_k_stirling(k, x), k, x)
+    u = x / k
+    bracket = 1.0 - k * _sinpi(u) * beta_k(k, x) / math.pi
+    if u < 171.0:
+        # the product form is more accurate than exp(lgamma) while both
+        # factors stay normal binary64 numbers
+        try:
+            scale = k ** (u - 1.0)
+        except OverflowError:
+            scale = math.inf
+        h = scale * math.gamma(u) * bracket
+        if _MIN_NORMAL <= scale and _MIN_NORMAL <= h < math.inf:
+            return h
+    return _exp_or_raise((u - 1.0) * math.log(k) + math.lgamma(u) + math.log(bracket), k, x)
 
 
 def hadamard_k(k, x: float) -> float:
     """H_k(x) for any finite real x (total function, no poles).
 
-    x < k uses the beta_k-difference form; x >= k walks the functional
-    equation up from the base point x - n*k in [0, k).
+    x < k uses the beta_k-difference form beta_k(k - x) / Gamma_k(k - x).
+    x >= k uses the corrected representation (4.8) in O(1):
+    Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x)), with Gamma_k(x) as
+    k^(x/k - 1) Gamma(x/k) while both factors are normal numbers and in
+    log space otherwise.  Against mpmath the relative error stays below
+    1e-12 for k in [0.01, 10] and x/k in [1, 150] (the accuracy map in
+    the tests; worst seen 5.2e-14).  A value beyond the binary64 range
+    raises OverflowError (never inf or nan); one below it underflows to
+    0.0.  The cost is O(1) on both sides of the seam.
     """
     k = k_value(k)
     x = _require_finite("x", x)
     if x < k:
         return _h_base(k, x)
-    n = int(math.floor((x - k) / k)) + 1
-    base = x - n * k
-    if base < 0.0:  # floating slop at exact multiples
-        base = 0.0
-    h = _h_base(k, base)
-    y = base
-    for _ in range(n):
-        h = y * h + rgamma_k(k, k - y)
-        y += k
-    return h
+    return _h_far(k, x)
 
 
 def _beta_continued(k: float, z: float, depth: int = 0) -> float:
@@ -111,7 +166,12 @@ def functional_eq_41(k, x: float) -> tuple[float, float]:
 
 
 def recursion_47(k, x: float, n: int) -> float:
-    """H_k(x + nk) by n explicit applications of the functional equation."""
+    """H_k(x + nk) by n explicit applications of the functional equation.
+
+    This walk is the cross-check route for the O(1) far field of
+    :func:`hadamard_k`.  Started from a base point x < k, it shares no
+    far-field code with it.
+    """
     k = k_value(k)
     x = _require_finite("x", x)
     if not isinstance(n, int) or not 1 <= n <= 50:

@@ -72,10 +72,10 @@ def gamma_k(k, x: float) -> float:
     x = _require_finite("x", x)
     _check_pole(k, x)
     if x > 0.0:
-        lg = ln_gamma_k(k, x)
-        if lg > 709.0:
-            raise OverflowError(f"Gamma_k({x}) overflows binary64 (k={k})")
-        return math.exp(lg)
+        try:
+            return math.exp(ln_gamma_k(k, x))
+        except OverflowError:
+            raise OverflowError(f"Gamma_k({x}) overflows binary64 (k={k})") from None
     rg = rgamma(x / k)
     if rg == 0.0:
         raise PoleError(f"Gamma_k pole at x = {x} (k={k})")

@@ -123,6 +123,15 @@ def test_verify_csv_output(tmp_path, capsys):
     assert all(line.split(",")[0] == "EQ5.11" for line in lines[1:])
 
 
+def test_verify_format_without_out_goes_to_stdout(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "ALL", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 1324
+    code, out, _ = run(capsys, "verify", "--id", "EQ5.11", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0].startswith("id,")
+
+
 def test_verify_no_file_written_on_usage_error(tmp_path, capsys):
     path = tmp_path / "never.json"
     code, _, _ = run(capsys, "verify", "--id", "NOPE", "--format", "json", "--out", str(path))

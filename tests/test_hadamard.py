@@ -62,6 +62,42 @@ def test_h_seam_continuity(k):
     assert avg == pytest.approx(hadamard_k(k, k), abs=1e-9)
 
 
+# ---------------------------------------------------------------- range and overflow
+def test_h_underflows_to_zero():
+    # the true value is about 1e-432, below the binary64 range
+    assert hadamard_k(1e-3, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("k,x", [(1e-3, 5.0), (1.0, 200.0), (1.0, 1e6), (1.0, 1e300)])
+def test_h_overflow_raises(k, x):
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        hadamard_k(k, x)
+
+
+def test_h_finite_near_top_of_range():
+    # H(171.3) is about 3.4e307: past Gamma's u < 171 product route, still finite
+    value = hadamard_k(1.0, 171.3)
+    assert math.isfinite(value)
+    assert value == pytest.approx(2.0**170.3 * hadamard_k(0.5, 85.65), rel=1e-12)
+
+
+_EXTREME = (0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, math.e, 10.0, 40.5, 171.3, 300.0,
+            1e6, 1e15, 1e16, 1e100, 1e300, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("k", (1e-3, 0.01, 0.5, 1.0, 3.0, 10.0, 1e3))
+def test_h_never_nan_or_inf(k):
+    xs = [s * m for m in _EXTREME for s in (1.0, -1.0)]
+    xs += [u * k for u in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.5, -3.5, 170.5, 171.5, 2.0**53, -2.0**53)]
+    for x in xs:
+        try:
+            value = hadamard_k(k, x)
+        except OverflowError as exc:
+            assert "overflows binary64" in str(exc), f"k={k}, x={x}: {exc}"
+            continue
+        assert math.isfinite(value), f"k={k}, x={x}: {value}"
+
+
 # ---------------------------------------------------------------- functional equation
 def test_functional_eq_values():
     lhs, rhs = functional_eq_41(1.0, 0.5)

@@ -58,6 +58,13 @@ def test_gamma_k_negative_argument_reflection():
     assert gamma_k(2.0, -1.0) == pytest.approx(2.0 ** (-1.5) * math.gamma(-0.5), rel=1e-12)
 
 
+def test_gamma_k_overflow_only_beyond_binary64():
+    # ln Gamma(171.5) = 709.16 > 709, yet Gamma(171.5) = 9.5e307 is finite
+    assert math.isfinite(gamma_k(1.0, 171.5))
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        gamma_k(1.0, 172.0)
+
+
 def test_gamma_k_pole_guard():
     for x in (0.0, -1.0, -2.0):
         with pytest.raises(PoleError):

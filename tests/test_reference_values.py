@@ -1,6 +1,7 @@
 """Cross-checks against mpmath, a fully independent implementation."""
 
 import math
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from kspecfun import (
     ln_gamma,
     polygamma,
     psi_k,
+    recursion_47,
     zeta_int,
 )
 from kspecfun.scalar import CONSTANTS, zeta_minus_1, zeta_tail
@@ -113,6 +115,48 @@ def test_hadamard_vs_mpmath(x):
         return (t - 1) * h_ref(t - 1) + mpmath.rgamma(2 - t)
 
     assert hadamard_k(1.0, x) == pytest.approx(float(h_ref(x)), rel=1e-11)
+
+
+def _h_ref(k, x):
+    # H_k(x) = k^(u-1) rgamma(1-u) (psi(1-u/2) - psi((1-u)/2)) / 2, u = x/k
+    k = mpmath.mpf(k)
+    u = mpmath.mpf(x) / k
+    return k ** (u - 1) * mpmath.rgamma(1 - u) * (
+        mpmath.digamma(1 - u / 2) - mpmath.digamma((1 - u) / 2)) / 2
+
+
+_H_MAP_K = (0.01, 0.5, 1.0, 2.0, math.pi, 10.0)
+_H_MAP_U = tuple(1.013 + 0.5 * i for i in range(298))  # 1.013 .. 149.513, off the integers
+
+
+@pytest.mark.parametrize("k", _H_MAP_K)
+def test_hadamard_far_field_accuracy_map(k):
+    worst = 0.0
+    with mpmath.workdps(40):
+        for u in _H_MAP_U:
+            ref = _h_ref(k, u * k)
+            if abs(ref) > sys.float_info.max:
+                with pytest.raises(OverflowError):
+                    hadamard_k(k, u * k)
+                continue
+            worst = max(worst, float(abs(hadamard_k(k, u * k) - ref) / abs(ref)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("k", _H_MAP_K)
+def test_hadamard_far_field_matches_walk(k):
+    # the O(1) far field against the functional-equation walk from [0, k)
+    for u in _H_MAP_U[:99]:  # u in [1, 50]
+        x = u * k
+        n = math.floor(u - 1.0) + 1
+        walk = recursion_47(k, x - n * k, n)
+        assert hadamard_k(k, x) == pytest.approx(walk, rel=1e-12), f"u={u}"
+
+
+def test_gamma_k_near_overflow_vs_mpmath():
+    with mpmath.workdps(40):
+        ref = mpmath.gamma(mpmath.mpf(171.5))
+    assert gamma_k(1.0, 171.5) == pytest.approx(float(ref), rel=1e-13)
 
 
 @pytest.mark.parametrize("k,m", [(1.0, 1), (1.0, 2), (2.0, 1), (0.5, 3)])
