@@ -34,7 +34,8 @@ def beta_k(k, x: float) -> float:
     x = _require_finite("x", x)
     if x <= 0.0:
         raise DomainError(f"beta_k requires x > 0, got {x}")
-    return 0.5 * (psi_k(k, 0.5 * (x + k)) - psi_k(k, 0.5 * x))
+    # halve before adding, so that x + k cannot overflow; halving is exact
+    return 0.5 * (psi_k(k, 0.5 * x + 0.5 * k) - psi_k(k, 0.5 * x))
 
 
 def beta_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:

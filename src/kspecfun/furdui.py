@@ -200,13 +200,34 @@ def _rising(a: float, j: int) -> float:
     return p
 
 
+_THM34_DIRECT = 24
+
+
+@lru_cache(maxsize=64)
+def _thm34_direct_sum(m: int, n: int) -> tuple[float, float, int]:
+    # sum_{i <= 24} F(n+1, m+n+1; m+n+2; -1/i)/i^(n+1) does not depend on k;
+    # (sum, summed 2F1 error estimates, summed 2F1 terms)
+    isum = 0.0
+    f_err = 0.0
+    terms = 0
+    for i in range(1, _THM34_DIRECT + 1):
+        sv = gauss_2f1(n + 1.0, m + n + 1.0, m + n + 2.0, -1.0 / i, tol=1e-14)
+        isum += sv.value / float(i) ** (n + 1)
+        f_err += sv.error_estimate / float(i) ** (n + 1)
+        terms += sv.terms_used
+    return isum, f_err, terms
+
+
 def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> SeriesValue:
     """Integration-by-parts recursion with the hypergeometric remainder sum.
 
     The psi_k-derivative prefix uses the exact values at x = k; the sum
     over i of F(n+1, m+n+1; m+n+2; -1/i)/i^(n+1) is taken directly (via
     the Pfaff route) up to i = 24 and closed with the hypergeometric
-    tail interchange, whose zeta-tail terms decay geometrically.
+    tail interchange, whose zeta-tail terms decay geometrically.  The
+    direct part does not depend on k, so it is computed once per (m, n)
+    and cached for the life of the process; the prefix and the tail,
+    whose stopping rule depends on k^m, are evaluated on every call.
     """
     k = k_value(k)
     _check_m(m)
@@ -220,26 +241,18 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> SeriesValue:
         total += (-1.0) ** (j - 1) * k ** (m + j) * psi_k_m(k, j - 1, k) / _rising(m + 1.0, j)
     total -= math.factorial(n) * km / (m * _rising(m + 1.0, n))
 
-    i_direct = 24
-    isum = 0.0
-    f_err = 0.0
-    terms = 0
-    for i in range(1, i_direct + 1):
-        sv = gauss_2f1(n + 1.0, m + n + 1.0, m + n + 2.0, -1.0 / i, tol=1e-14)
-        isum += sv.value / float(i) ** (n + 1)
-        f_err += sv.error_estimate / float(i) ** (n + 1)
-        terms += sv.terms_used
+    isum, f_err, terms = _thm34_direct_sum(m, n)
     # tail: F expands in powers of -1/i; sum_{i>I} i^-(n+1+j) is a zeta tail
     a = m + n + 1.0
     j = 0
     tail = 0.0
-    bound = zeta_tail(n + 1.0, i_direct + 1)  # c_j times its zeta tail, c_0 = 1
+    bound = zeta_tail(n + 1.0, _THM34_DIRECT + 1)  # c_j times its zeta tail, c_0 = 1
     while True:
         tail += (-1.0) ** j * bound
         j += 1
         # c_j = (n+1)_j / j! * a/(a+j) from the hypergeometric coefficients
         cj = _rising(n + 1.0, j) / math.factorial(j) * a / (a + j)
-        bound = cj * zeta_tail(n + 1.0 + j, i_direct + 1)
+        bound = cj * zeta_tail(n + 1.0 + j, _THM34_DIRECT + 1)
         if bound < 0.02 * tol * _rising(m + 1.0, n + 1) / (math.factorial(n) * km):
             break
         if j > 200:

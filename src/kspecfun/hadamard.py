@@ -242,13 +242,45 @@ def representation_48_corrected_rhs(k, x: float) -> float:
     return g * (1.0 - k * _sinpi(x / k) * beta_k(k, x) / math.pi)
 
 
+def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi: float) -> int:
+    # Sign changes of g between consecutive nodes of the lattice lo,
+    # lo + step, ... (accumulated, the last node clamped to hi); a zero at
+    # the left node of a pair counts as a change.  g is evaluated on every
+    # tenth node, and a coarse cell [a, b] is walked node by node only
+    # when g may cross inside it: min(|g(a)|, |g(b)|) <= |g(b) - g(a)|,
+    # which also holds whenever the ends differ in sign or one is zero.
+    ts = [lo]
+    while ts[-1] < hi:
+        ts.append(min(ts[-1] + step, hi))
+    last = len(ts) - 1
+    changes = 0
+    a, ga = 0, g_lo
+    while a < last:
+        b = min(a + 10, last)
+        gb = g_hi if b == last else g(ts[b])
+        if min(abs(ga), abs(gb)) <= abs(gb - ga):
+            prev = ga
+            for j in range(a + 1, b + 1):
+                cur = gb if j == b else g(ts[j])
+                if prev == 0.0 or prev * cur < 0.0:
+                    changes += 1
+                prev = cur
+        a, ga = b, gb
+    return changes
+
+
 def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     """Solve H_k(2t) = 2 k^(t/k) H_k(t) on [1.5k, inf).
 
     Bisection down to a 1e-6*k bracket followed by secant polish; the
     initial bracket [1.5k, 5k] grows by doubling until a sign change
-    appears.  A 0.01k-resolution scan counts sign changes so that a
-    non-unique crossing would be reported via ``sign_changes``.
+    appears.  ``sign_changes`` is the number of sign changes of the
+    threshold function g between consecutive nodes of the 0.01k lattice
+    on the bracket (at least 1), so a non-unique crossing shows as a
+    value above 1.  The count evaluates g on every tenth node (a 0.1k
+    coarse pass) and walks a coarse cell [a, b] on the 0.01k lattice
+    only when g may cross inside it, that is when min(|g(a)|, |g(b)|)
+    <= |g(b) - g(a)| (in particular when the ends differ in sign).
     """
     k = k_value(k)
     if tol <= 0:
@@ -267,18 +299,7 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
             raise BracketError(f"no sign change of the threshold equation below {hi}")
         ghi = g(hi)
     bracket_lo, bracket_hi = lo, hi
-
-    changes = 0
-    t = lo
-    prev = glo
-    while t < hi:
-        t_next = min(t + 0.01 * k, hi)
-        cur = g(t_next)
-        if prev == 0.0 or prev * cur < 0.0:
-            changes += 1
-        prev = cur
-        t = t_next
-    changes = max(changes, 1)
+    changes = max(_count_sign_changes(g, lo, hi, 0.01 * k, glo, ghi), 1)
 
     iterations = 0
     a, b, ga, gb = lo, hi, glo, ghi

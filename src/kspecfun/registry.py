@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable
 
 from . import beta as _beta
@@ -998,20 +998,70 @@ def run_all(grid: GridSpec | None = None) -> RunSummary:
     return RunSummary(tuple(summaries), tuple(all_reports), overall)
 
 
+def _json_scalar(value) -> str:
+    # the text json.dumps(..., allow_nan=False) gives a scalar value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(
+                "Out of range float values are not JSON compliant: " + repr(value))
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_params(params: dict) -> str:
+    if not params:
+        return "{}"
+    items = ",\n".join(f"      {encode_basestring_ascii(name)}: {_json_scalar(value)}"
+                       for name, value in params.items())
+    return "{\n" + items + "\n    }"
+
+
+_JSON_REPORT = (
+    '  {{\n'
+    '    "identity_id": {},\n'
+    '    "params": {},\n'
+    '    "lhs": {},\n'
+    '    "rhs": {},\n'
+    '    "abs_diff": {},\n'
+    '    "rel_diff": {},\n'
+    '    "verdict": {},\n'
+    '    "note": {}\n'
+    '  }}'
+)
+
+
 def reports_to_json(reports) -> str:
-    payload = []
-    for r in reports:
-        payload.append({
-            "identity_id": r.identity_id,
-            "params": r.params,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "abs_diff": r.abs_diff,
-            "rel_diff": r.rel_diff,
-            "verdict": r.verdict,
-            "note": r.note,
-        })
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The reports as a JSON array, byte for byte what
+    ``json.dumps(payload, indent=2, allow_nan=False) + "\\n"`` gives for
+    the list of report dicts (field order as in IdentityReport), without
+    the pure-Python encoder that ``indent`` forces.  A non-finite float
+    raises ValueError."""
+    items = [
+        _JSON_REPORT.format(
+            encode_basestring_ascii(r.identity_id),
+            _json_params(r.params),
+            _json_scalar(r.lhs),
+            _json_scalar(r.rhs),
+            _json_scalar(r.abs_diff),
+            _json_scalar(r.rel_diff),
+            encode_basestring_ascii(r.verdict),
+            encode_basestring_ascii(r.note),
+        )
+        for r in reports
+    ]
+    if not items:
+        return "[]\n"
+    return "[\n" + ",\n".join(items) + "\n]\n"
 
 
 def _csv_cell(value):

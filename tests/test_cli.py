@@ -183,6 +183,18 @@ def test_alpha0_command(capsys):
     assert 1.5 < root < 3.0
 
 
+def test_alpha0_command_output_pinned(capsys):
+    code, out, _ = run(capsys, "alpha0", "--k", "1")
+    assert code == 0
+    assert out == (
+        "root         1.503176092\n"
+        "residual     -5.049e-13\n"
+        "bracket      [1.5, 5]\n"
+        "iterations   23\n"
+        "sign_changes 1\n"
+    )
+
+
 def test_scan_command(capsys):
     code, out, _ = run(capsys, "scan", "--k", "1", "--n", "1",
                        "--x-lo", "0.5", "--x-hi", "5", "--points", "8")

@@ -14,9 +14,10 @@ from kspecfun import (
     thm33_series,
     thm34_recursion,
 )
-from kspecfun.kcore import psi_k
+from kspecfun import furdui, run_identity
+from kspecfun.kcore import psi_k, psi_k_m
 from kspecfun.oracles import adaptive_quad
-from kspecfun.scalar import CONSTANTS
+from kspecfun.scalar import _EPS, CONSTANTS, gauss_2f1, zeta_tail
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
@@ -148,6 +149,67 @@ def test_thm34_values():
     assert thm34_recursion(1.0, 2, 1, 1e-8).value == pytest.approx(
         2.0 * LOG_A - LN_SQRT_2PI, abs=1e-7
     )
+
+
+def _thm34_uncached(k, m, n, tol):
+    # the recursion written out with the direct 2F1 sum inside the call
+    def rising(a, j):
+        p = 1.0
+        for i in range(j):
+            p *= a + i
+        return p
+
+    km = k**m
+    total = k ** (m + 1) * psi_k(k, k) / (m + 1)
+    for j in range(2, n + 1):
+        total += (-1.0) ** (j - 1) * k ** (m + j) * psi_k_m(k, j - 1, k) / rising(m + 1.0, j)
+    total -= math.factorial(n) * km / (m * rising(m + 1.0, n))
+    isum = f_err = 0.0
+    terms = 0
+    for i in range(1, 25):
+        sv = gauss_2f1(n + 1.0, m + n + 1.0, m + n + 2.0, -1.0 / i, tol=1e-14)
+        isum += sv.value / float(i) ** (n + 1)
+        f_err += sv.error_estimate / float(i) ** (n + 1)
+        terms += sv.terms_used
+    a = m + n + 1.0
+    j = 0
+    tail = 0.0
+    bound = zeta_tail(n + 1.0, 25)
+    while True:
+        tail += (-1.0) ** j * bound
+        j += 1
+        cj = rising(n + 1.0, j) / math.factorial(j) * a / (a + j)
+        bound = cj * zeta_tail(n + 1.0 + j, 25)
+        if bound < 0.02 * tol * rising(m + 1.0, n + 1) / (math.factorial(n) * km):
+            break
+    isum += tail
+    scale = math.factorial(n) * km / rising(m + 1.0, n + 1)
+    total -= scale * isum
+    err = scale * (f_err + 2.0 * bound) + 32.0 * _EPS * (abs(total) + km)
+    return total, err, terms + j
+
+
+@pytest.mark.parametrize("k", (0.5, math.pi))
+@pytest.mark.parametrize("m", (1, 3))
+@pytest.mark.parametrize("n", (1, 3))
+def test_thm34_cached_direct_sum_is_bit_identical(k, m, n):
+    for tol in (1e-8, 1e-9):
+        s = thm34_recursion(k, m, n, tol)
+        assert (s.value, s.error_estimate, s.terms_used) == _thm34_uncached(k, m, n, tol)
+
+
+def test_thm34_entries_sum_each_m_n_once(monkeypatch):
+    calls = []
+
+    def counting_2f1(*args, **kwargs):
+        calls.append(args)
+        return gauss_2f1(*args, **kwargs)
+
+    furdui._thm34_direct_sum.cache_clear()
+    monkeypatch.setattr(furdui, "gauss_2f1", counting_2f1)
+    for identity_id in ("THM3.4-corrected", "THM3.4-printed"):
+        assert run_identity(identity_id)
+    assert len(calls) == 9 * 24  # m in {1, 2, 3}, n in {1, 2, 3}, i <= 24
 
 
 def test_thm34_validation():

@@ -17,7 +17,11 @@ from kspecfun import (
     rgamma_k,
     superadditivity_check_43,
 )
-from kspecfun.hadamard import recursion_47_closed_form, representation_48_corrected_rhs
+from kspecfun.hadamard import (
+    _count_sign_changes,
+    recursion_47_closed_form,
+    representation_48_corrected_rhs,
+)
 
 LN2 = math.log(2.0)
 PI = math.pi
@@ -205,6 +209,57 @@ def test_alpha0_scaling():
     r1 = alpha0_solve(1.0, 1e-10).root
     r2 = alpha0_solve(2.0, 1e-10).root
     assert r2 == pytest.approx(2.0 * r1, abs=1e-8)
+
+
+def _lattice_sign_changes(g, lo, hi, step):
+    # reference: g at every node of the 0.01k lattice
+    changes = 0
+    t = lo
+    prev = g(lo)
+    while t < hi:
+        t = min(t + step, hi)
+        cur = g(t)
+        if prev == 0.0 or prev * cur < 0.0:
+            changes += 1
+        prev = cur
+    return changes
+
+
+@pytest.mark.parametrize("k", (0.5, 2.0, PI) + tuple(10.0 ** (e / 4) for e in range(-8, 9)))
+def test_alpha0_sign_changes_match_full_lattice(k):
+    def g(t):
+        return hadamard_k(k, 2.0 * t) - 2.0 * k ** (t / k) * hadamard_k(k, t)
+
+    res = alpha0_solve(k, 1e-10)
+    lo, hi = res.bracket_lo, res.bracket_hi
+    ref = _lattice_sign_changes(g, lo, hi, 0.01 * k)
+    assert _count_sign_changes(g, lo, hi, 0.01 * k, g(lo), g(hi)) == ref
+    assert res.sign_changes == max(ref, 1)
+
+
+def test_sign_changes_refine_a_cell_with_same_sign_ends():
+    # two roots 0.03 apart inside the coarse cell [2.0, 2.1], g > 0 at both ends
+    def g(t):
+        return (t - 2.025) * (t - 2.055)
+
+    lo, hi = 1.5, 5.0
+    assert g(2.0) > 0.0 and g(2.1) > 0.0
+    assert _count_sign_changes(g, lo, hi, 0.01, g(lo), g(hi)) == 2
+    assert _lattice_sign_changes(g, lo, hi, 0.01) == 2
+
+
+def test_sign_changes_count_zeros_and_skip_flat_cells():
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return 1.0 - 0.5 * (t - 1.5) / 3.5  # linear, positive on [1.5, 5]
+
+    assert _count_sign_changes(g, 1.5, 5.0, 0.01, g(1.5), g(5.0)) == 0
+    # the two ends, then every tenth of the 351 accumulated lattice steps
+    assert len(calls) == 2 + 35
+    # a zero at a lattice node counts once, as in the full lattice walk
+    assert _count_sign_changes(lambda t: t - 2.0, 1.5, 5.0, 0.5, -0.5, 3.0) == 1
 
 
 def test_superadditivity_reports():

@@ -153,6 +153,22 @@ def test_hadamard_far_field_matches_walk(k):
         assert hadamard_k(k, x) == pytest.approx(walk, rel=1e-12), f"u={u}"
 
 
+def test_beta_k_and_hadamard_at_huge_k_vs_mpmath():
+    # beta_k halves x and k before adding them, so x + k cannot overflow
+    def beta_ref(k, x):
+        k, x = mpmath.mpf(k), mpmath.mpf(x)
+        return (mpmath.digamma((x + k) / (2 * k)) - mpmath.digamma(x / (2 * k))) / (2 * k)
+
+    with mpmath.workdps(40):
+        b_ref = beta_ref(1e308, 5e307)
+        # H_k(x) = beta_k(k - x) / Gamma_k(k - x) below the seam
+        k, z = mpmath.mpf(1.7e308), mpmath.mpf(1.7e308) - 1
+        h_ref = beta_ref(k, z) / (k ** (z / k - 1) * mpmath.gamma(z / k))
+    assert beta_k(1e308, 5e307) == pytest.approx(float(b_ref), rel=1e-13)
+    assert hadamard_k(1.7e308, 1.0) == pytest.approx(float(h_ref), rel=1e-12)
+    assert float(h_ref) == pytest.approx(4.07733635623e-309, rel=1e-11)
+
+
 def test_gamma_k_near_overflow_vs_mpmath():
     with mpmath.workdps(40):
         ref = mpmath.gamma(mpmath.mpf(171.5))

@@ -1,6 +1,8 @@
 """Tests for the identity registry, runner and scanner."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from kspecfun import (
 )
 from kspecfun.beta import beta_k, beta_k_deriv
 from kspecfun.oracles import finite_diff
+from kspecfun.reports import IdentityReport
 
 AUDIT_IDS = (
     "EQ2.2", "EQ5.5", "THM3.2", "THM3.3", "THM4.4", "THM5.1", "EQ4.8",
@@ -131,9 +134,41 @@ def test_serialisation_deterministic(summary):
     assert len(csv1.splitlines()) == len(summary.reports) + 1
 
 
-def test_json_fields(summary):
-    import json
+def _json_dumps_reports(reports):
+    # reference: the json module's encoder on the list of report dicts
+    payload = [{"identity_id": r.identity_id, "params": r.params, "lhs": r.lhs,
+                "rhs": r.rhs, "abs_diff": r.abs_diff, "rel_diff": r.rel_diff,
+                "verdict": r.verdict, "note": r.note} for r in reports]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
+
+def test_json_bytes_match_json_dumps(summary):
+    skip = IdentityReport("EQ2.2-corrected", {"k": 1.0, "x": 0.1}, None, None, None, None,
+                          "SKIP", "pole exclusion")
+    mixed = IdentityReport("FURDUI-ANCHOR-printed", {"method": "thm34", "m": 2, "n": 3},
+                           -0.25, 1e-300, 5e-324, 0.0, "FAIL", 'k\u2212gamma "printed"')
+    no_params = IdentityReport("X", {}, -0.0, 1.7976931348623157e308, 1e16, 0.1, "PASS", "")
+    cases = (list(summary.reports), [], [skip], [mixed], [no_params], [skip, mixed, no_params])
+    for reports in cases:
+        assert reports_to_json(reports) == _json_dumps_reports(reports)
+    bad = IdentityReport("X", {"k": 1.0}, math.nan, 1.0, 0.0, 0.0, "PASS", "")
+    with pytest.raises(ValueError):
+        reports_to_json([bad])
+    with pytest.raises(ValueError):
+        reports_to_json([IdentityReport("X", {"k": math.inf}, 1.0, 1.0, 0.0, 0.0, "PASS", "")])
+
+
+def test_verdicts_match_benchmark_table(summary):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected_verdicts.json"
+    table = json.loads(path.read_text())["verdicts"]
+    got = {}
+    for r in summary.reports:
+        got[r.identity_id] = got.get(r.identity_id, "") + r.verdict[0]
+    assert list(table) == registry_ids()
+    assert got == table
+
+
+def test_json_fields(summary):
     payload = json.loads(reports_to_json(summary.reports))
     assert isinstance(payload, list) and payload
     record = payload[0]
