@@ -17,14 +17,13 @@ audit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .beta import beta_k
 from .errors import BracketError, DomainError, PoleError
 from .kcore import gamma_k, k_value, ln_gamma_k, rgamma_k
 from .reports import IdentityReport
-from .scalar import _require_finite, _sinpi, lerch_alt, lerch_one_diff
+from .scalar import _MAX_NORMAL, _MIN_NORMAL, _require_finite, _sinpi, lerch_alt, lerch_one_diff
 
 __all__ = [
     "RootResult",
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 SUPERADD_SLACK = 1e-12
-_MIN_NORMAL = sys.float_info.min
-_LN_MAX = math.log(sys.float_info.max)
+_LN_MAX = math.log(_MAX_NORMAL)
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLING_U = 2.0**53
 

@@ -12,9 +12,12 @@ import math
 from .errors import ConvergenceError, DomainError, PoleError
 from .scalar import (
     _EPS,
+    _MAX_NORMAL,
+    _MIN_NORMAL,
     CONSTANTS,
     SeriesValue,
     _em_power_tail,
+    _polygamma_scaled,
     _require_finite,
     digamma,
     ln_gamma,
@@ -143,14 +146,35 @@ def psi_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
 
 
 def psi_k_m(k, m: int, x: float) -> float:
-    """k-polygamma psi_k^(m)(x) = psi^(m)(x/k) / k^(m+1), m >= 1, x > 0."""
+    """k-polygamma psi_k^(m)(x) = psi^(m)(x/k) / k^(m+1), 1 <= m <= 150, x > 0.
+
+    When x/k, psi^(m)(x/k) or k^(m+1) leaves the normal binary64 range,
+    every power is split into mantissa and exponent instead
+    (:func:`scalar._polygamma_scaled`).  Values below binary64 underflow
+    to 0.0; values beyond it raise OverflowError.
+    """
     k = k_value(k)
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"psi_k_m requires integer m >= 1, got {m!r}")
     x = _require_finite("x", x)
     if x <= 0.0:
         raise DomainError(f"psi_k_m requires x > 0, got {x}")
-    return polygamma(m, x / k) / k ** (m + 1)
+    u = x / k
+    if _MIN_NORMAL <= u <= _MAX_NORMAL:
+        try:
+            p = polygamma(m, u)
+            kp = k ** (m + 1)
+        except OverflowError:
+            pass
+        else:
+            if abs(p) >= _MIN_NORMAL and kp >= _MIN_NORMAL:
+                value = p / kp
+                if abs(value) <= _MAX_NORMAL:
+                    return value
+    value = _polygamma_scaled(m, k, x, u)
+    if abs(value) > _MAX_NORMAL:
+        raise OverflowError(f"psi_k^({m})({x}) overflows binary64 (k={k})")
+    return value
 
 
 def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> SeriesValue:

@@ -139,9 +139,32 @@ def test_psi_k_m_series_route_equivalence(k, m, x):
     assert sv.value == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("k,m,x", [(1.0, 3, 1e-100), (1e-100, 3, 1e-98), (5e-324, 1, 1.0)])
+def test_psi_k_m_beyond_binary64_raises(k, m, x):
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        psi_k_m(k, m, x)
+
+
+def test_psi_k_m_returns_a_value_or_the_documented_overflow():
+    # no raw pow error, ZeroDivisionError or DomainError, no inf or nan
+    grid = [10.0 ** (e / 2) for e in range(-646, 617, 15)] + [5e-324, 1.7976931348623157e308]
+    for m in (1, 2, 3, 6, 12):
+        for k in grid:
+            for x in grid:
+                try:
+                    value = psi_k_m(k, m, x)
+                except OverflowError as exc:
+                    assert "overflows binary64" in str(exc), (k, m, x)
+                else:
+                    assert math.isfinite(value), (k, m, x)
+
+
 def test_psi_k_m_domain():
     with pytest.raises(DomainError):
         psi_k_m(1.0, 0, 1.0)
+    for k, x in ((1.0, 1.0), (1e-300, 1e10)):  # through polygamma and the scaled route
+        with pytest.raises(DomainError, match="above 150"):
+            psi_k_m(k, 151, x)
     with pytest.raises(DomainError):
         psi_k_m(1.0, 1, -1.0)
     with pytest.raises(DomainError):

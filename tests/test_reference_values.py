@@ -1,13 +1,16 @@
 """Cross-checks against mpmath, a fully independent implementation."""
 
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
+import kspecfun
 from kspecfun import (
     beta_k,
     digamma,
@@ -19,6 +22,7 @@ from kspecfun import (
     ln_gamma,
     polygamma,
     psi_k,
+    psi_k_m,
     recursion_47,
     zeta_int,
 )
@@ -43,6 +47,69 @@ def test_digamma_vs_mpmath(x):
 def test_polygamma_vs_mpmath(m, x):
     ref = float(mpmath.polygamma(m, x))
     assert polygamma(m, x) == pytest.approx(ref, rel=1e-11)
+
+
+def test_digamma_accuracy_map():
+    # the bound stated in digamma's docstring
+    with mpmath.workdps(40):
+        for e in range(-64, 241):  # x in [1e-8, 1e30]
+            x = 10 ** (e / 8)
+            ref = mpmath.digamma(x)
+            err = float(abs(digamma(x) - ref) / max(1, abs(ref)))
+            assert err <= 1e-15, (x, err)
+
+
+_POLYGAMMA_MAP_X = tuple(10 ** (e / 8) for e in range(-64, 241)) + tuple(
+    10.0**e for e in range(31, 301))  # [1e-8, 1e300]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_polygamma_accuracy_map(m):
+    # the bound stated in polygamma's docstring; past x ~ 1e22 (m = 12) to
+    # 1e102 (m = 1) the powers of x leave binary64 and the scaled sums run
+    tiny = mpmath.mpf(sys.float_info.min)
+    with mpmath.workdps(30):
+        for x in _POLYGAMMA_MAP_X:
+            ref = mpmath.polygamma(m, x)
+            err = float(abs(polygamma(m, x) - ref) / max(abs(ref), tiny))
+            assert err <= 1e-15, (x, err)
+
+
+# x^(m+2) overflows at each point, the value does not or underflows; at
+# (39, 3.4e7) the Bernoulli terms still add 1.2e-13
+@pytest.mark.parametrize("m,x", [(1, 1e160), (6, 1e40), (12, 1e30), (3, 1.7e308), (39, 3.4e7)])
+def test_polygamma_large_x_vs_mpmath(m, x):
+    ref = mpmath.polygamma(m, x)
+    assert abs(polygamma(m, x) - ref) <= 1e-15 * max(abs(ref), sys.float_info.min)
+
+
+def _psi_k_m_ref(k, m, x):
+    k = mpmath.mpf(k)
+    return mpmath.polygamma(m, mpmath.mpf(x) / k) / k ** (m + 1)
+
+
+@pytest.mark.parametrize("k,m,x", [
+    (1e-200, 3, 1.0),  # x/k = 1e200, k^4 underflows
+    (1e-300, 1, 1e10),  # x/k overflows
+    (1e300, 1, 1e-10),  # x/k underflows to 0.0
+    (1e100, 1, 1e-60),  # psi'(x/k) overflows, k^2 does not
+    (1e-80, 3, 1e-70),  # k^4 is subnormal
+    (1e-154, 1, 1.05e-153),  # u = 10.5 < 10 + m, k^2 is subnormal
+    (1e200, 2, 5e199),  # u = 1/2, k^3 overflows
+    (1e-3, 12, 1e-3),
+])
+def test_psi_k_m_scaled_vs_mpmath(k, m, x):
+    with mpmath.workdps(50):
+        ref = _psi_k_m_ref(k, m, x)
+    assert psi_k_m(k, m, x) == pytest.approx(float(ref), rel=1e-15)
+
+
+def test_psi_k_m_underflow_vs_mpmath():
+    with mpmath.workdps(50):
+        ref = _psi_k_m_ref(1e100, 6, 1e100)
+    assert mpmath.mpf("-1e-697") < ref < 0  # -7.26e-698, far below binary64
+    value = psi_k_m(1e100, 6, 1e100)  # k^7 overflows
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
 @pytest.mark.parametrize("s", [2, 3, 7, 19, 50, 255, 300])
@@ -193,3 +260,27 @@ def test_glaisher_anchor_vs_mpmath():
         integral = mpmath.quad(lambda x: x**2 * mpmath.digamma(x), [0, 0.5, 1])
     anchor = 2.0 * math.log(CONSTANTS.glaisher_A) - 0.5 * math.log(2.0 * math.pi)
     assert abs(float(integral) - anchor) <= 1e-14
+
+
+def _perfbench_inputs():
+    # the benchmark's own generator, loaded read-only from its file
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["eval-near", "eval-far"])
+def test_eval_workload_calls_match_mpmath(workload):
+    # the benchmark's correctness check (relative 1e-11 with its floor), so a
+    # kernel change that would fail the benchmark fails here first
+    inputs = _perfbench_inputs()
+    calls = inputs.generate(workload, 101)
+    assert calls
+    for name, args, ref, floor in calls:
+        try:
+            got = getattr(kspecfun, name)(*args)
+        except Exception as exc:  # a raised error is a result the check rejects
+            got = exc
+        assert not inputs.mismatch(got, ref, floor), (name, args, got, ref)

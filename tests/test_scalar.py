@@ -17,7 +17,7 @@ from kspecfun import (
     zeta_int,
 )
 from kspecfun.oracles import adaptive_quad, alt_series_sum, finite_diff
-from kspecfun.scalar import CONSTANTS
+from kspecfun.scalar import CONSTANTS, _polygamma_coeffs
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
@@ -118,6 +118,79 @@ def test_polygamma_high_order():
         polygamma(0, 1.0)
     with pytest.raises(DomainError):
         polygamma(1, -1.0)
+
+
+_B2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798,
+        -174611 / 330)  # Bernoulli numbers B_2 .. B_20
+
+
+def _polygamma_per_call_loop(m, x):
+    # the evaluation as it was before the per-order table: every constant
+    # recomputed on each call, same operations in the same order
+    mf = float(math.factorial(m))
+    sign = 1.0 if m % 2 == 1 else -1.0
+    shift = 0.0
+    threshold = 10.0 + m
+    while x < threshold:
+        shift += mf / x ** (m + 1)
+        x += 1.0
+    fm1 = float(math.factorial(m - 1))
+    core = fm1 / x**m + mf / (2.0 * x ** (m + 1))
+    xp = x ** (m + 2)
+    x2 = x * x
+    for j, b2j in enumerate(_B2J, start=1):
+        coeff = b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
+        core += coeff / xp
+        xp *= x2
+    return sign * (core + shift)
+
+
+_TABLE_XS = tuple(10 ** (-8 + 28 * i / 599) for i in range(600))  # [1e-8, 1e20]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_polygamma_table_is_bit_identical_to_per_call_loop(m):
+    for x in _TABLE_XS:
+        assert polygamma(m, x) == _polygamma_per_call_loop(m, x), x
+
+
+def test_polygamma_table_needs_no_factorials_once_warm(monkeypatch):
+    orders = range(1, 13)
+    for m in orders:
+        polygamma(m, 1.5)
+    calls = []
+    real = math.factorial
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(math, "factorial", counting)
+    for i in range(1000):
+        polygamma(orders[i % len(orders)], 0.37 + i)
+    assert calls == []
+
+
+def test_polygamma_table_is_keyed_on_order_only():
+    _polygamma_coeffs.cache_clear()
+    orders = (1, 2, 6)
+    for m in orders:
+        for x in _TABLE_XS[::20]:
+            polygamma(m, x)
+    assert _polygamma_coeffs.cache_info().currsize <= len(orders)
+
+
+@pytest.mark.parametrize("m,x", [(1, 1e-160), (1, 1e-200), (3, 1e-100), (12, 1e-30)])
+def test_polygamma_beyond_binary64_raises(m, x):
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        polygamma(m, x)
+
+
+def test_polygamma_order_limit():
+    assert math.isfinite(polygamma(150, 1.0))
+    for x in (1.0, 1e300):
+        with pytest.raises(DomainError, match="above 150"):
+            polygamma(151, x)
 
 
 # ---------------------------------------------------------------- zeta
