@@ -17,7 +17,7 @@ audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .beta import beta_k
 from .errors import BracketError, DomainError, PoleError
@@ -44,16 +44,22 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLING_U = 2.0**53
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(
+    namedtuple(
+        "RootResult",
+        "root residual bracket_lo bracket_hi iterations sign_changes",
+        defaults=(1,),
+    )
+):
     """Root of a scalar equation with its bracket and solver diagnostics."""
 
+    __slots__ = ()
     root: float
     residual: float
     bracket_lo: float
     bracket_hi: float
     iterations: int
-    sign_changes: int = 1
+    sign_changes: int
 
 
 def _exp_or_raise(log_value: float, k: float, x: float) -> float:

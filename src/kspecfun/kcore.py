@@ -101,7 +101,11 @@ def psi_k(k, x: float) -> float:
     x = _require_finite("x", x)
     if x <= 0.0:
         raise DomainError(f"psi_k requires x > 0, got {x}")
-    return (math.log(k) + digamma(x / k)) / k
+    u = x / k
+    if u < _MIN_NORMAL:
+        # digamma(u) would form -1/u beyond binary64; psi(u) = psi(u + 1) - 1/u
+        return (math.log(k) + digamma(u + 1.0)) / k - 1.0 / x
+    return (math.log(k) + digamma(u)) / k
 
 
 def psi_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, QuadratureError
-from .scalar import _EPS, DEFAULT_TERM_CAP, SeriesValue
+from .scalar import _EPS, SeriesValue
 
 __all__ = [
     "QuadratureResult",
@@ -56,33 +56,37 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate subdivisions")):
     """Value, conservative error estimate and panel count of an integral."""
 
+    __slots__ = ()
     value: float
     error_estimate: float
     subdivisions: int
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class DiscrepancyFit:
+class DiscrepancyFit(namedtuple("DiscrepancyFit", "mode constant residual_rms n_points")):
     """Constant fitted to lhs = c * rhs (ratio) or lhs = rhs + c (offset)."""
 
+    __slots__ = ()
     mode: str
     constant: float
     residual_rms: float
     n_points: int
 
 
-@dataclass(frozen=True)
-class CmProbeResult:
+class CmProbeResult(
+    namedtuple("CmProbeResult", "passed max_order h points_checked first_violation")
+):
     """Outcome of a finite-difference complete-monotonicity probe."""
 
+    __slots__ = ()
     passed: bool
     max_order: int
     h: float
@@ -173,7 +177,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
     return QuadratureResult(total, total_err, panels)
 
 
-def alt_series_sum(term, tol: float, cap: int = DEFAULT_TERM_CAP) -> SeriesValue:
+def alt_series_sum(term, tol: float, cap: int = 10**6) -> SeriesValue:
     """Sum an alternating series by pairing consecutive terms.
 
     ``term(n)`` must eventually decrease monotonically to 0 in magnitude

@@ -15,10 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable
 
 from . import beta as _beta
 from . import furdui as _furdui
@@ -48,21 +48,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(
+    namedtuple(
+        "GridSpec",
+        "k_values x_values exclusion_radius",
+        defaults=((0.5, 1.0, 2.0, math.pi), (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0), 1e-3),
+    )
+):
     """Evaluation grid: k values, unit x values (scaled by k where the
     identity's natural variable is x/k) and the pole exclusion radius; m
     and n always run over ``_M_VALUES`` and ``_N_VALUES``."""
 
-    k_values: tuple = (0.5, 1.0, 2.0, math.pi)
-    x_values: tuple = (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)
-    exclusion_radius: float = 1e-3
+    __slots__ = ()
+    k_values: tuple
+    x_values: tuple
+    exclusion_radius: float
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(k <= 0 for k in self.k_values):
             raise DomainError("all grid k values must be > 0")
         if self.exclusion_radius < 0:
             raise DomainError("exclusion_radius must be >= 0")
+        return self
 
 
 _M_VALUES = (1, 2, 3, 4, 5, 6)
@@ -73,10 +81,10 @@ def default_grid() -> GridSpec:
     return GridSpec()
 
 
-@dataclass(frozen=True)
-class FitPlan:
+class FitPlan(namedtuple("FitPlan", "mode group_by transform expected description")):
     """How to fit a discrepancy constant from an entry's reports."""
 
+    __slots__ = ()
     mode: str  # 'ratio' | 'offset'
     group_by: str | None  # param name to group on, or None for one global fit
     transform: Callable  # IdentityReport -> (lhs, rhs) pair for the fit
@@ -84,15 +92,21 @@ class FitPlan:
     description: str
 
 
-@dataclass(frozen=True)
-class FitRecord:
+class FitRecord(namedtuple("FitRecord", "label fit expected")):
+    __slots__ = ()
     label: str
     fit: DiscrepancyFit
     expected: float | None
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
+class IdentityEntry(
+    namedtuple(
+        "IdentityEntry",
+        "id anchor comparison tol expectation points evaluate skip fit",
+        defaults=(None, None),
+    )
+):
+    __slots__ = ()
     id: str
     anchor: str
     comparison: str  # 'abs' | 'rel' | 'le' | 'lt' | 'ge'
@@ -100,12 +114,17 @@ class IdentityEntry:
     expectation: str  # 'PASS' | 'FAIL'
     points: Callable[[GridSpec], Iterable[dict]]
     evaluate: Callable[[dict], tuple]
-    skip: Callable | None = None
-    fit: FitPlan | None = None
+    skip: Callable | None
+    fit: FitPlan | None
 
 
-@dataclass(frozen=True)
-class EntrySummary:
+class EntrySummary(
+    namedtuple(
+        "EntrySummary",
+        "identity_id expectation n_pass n_fail n_skip worst_abs_diff worst_rel_diff fits satisfied",
+    )
+):
+    __slots__ = ()
     identity_id: str
     expectation: str
     n_pass: int
@@ -117,15 +136,15 @@ class EntrySummary:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(namedtuple("RunSummary", "entries reports overall_ok")):
+    __slots__ = ()
     entries: tuple
     reports: tuple
     overall_ok: bool
 
 
-@dataclass(frozen=True)
-class ScanTable:
+class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):
+    __slots__ = ()
     n: int
     rows: tuple  # ((x, value_or_None), ...)
     verdict: str  # 'strictly increasing' | 'strictly decreasing' | 'neither' | 'insufficient data'

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True, eq=True)
-class IdentityReport:
+class IdentityReport(
+    namedtuple(
+        "IdentityReport",
+        "identity_id params lhs rhs abs_diff rel_diff verdict note",
+        defaults=("",),
+    )
+):
     """Verdict for one identity at one grid point.
 
     ``lhs``/``rhs`` and the diffs are None for SKIP verdicts (pole or
     domain exclusions).  Instances are not hashable (params is a dict).
     """
 
+    __slots__ = ()
     identity_id: str
     params: dict
     lhs: float | None
@@ -20,6 +26,6 @@ class IdentityReport:
     abs_diff: float | None
     rel_diff: float | None
     verdict: str  # PASS | FAIL | SKIP
-    note: str = ""
+    note: str
 
     __hash__ = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -21,7 +21,6 @@ __all__ = [
     "CONSTANTS",
     "Constants",
     "SeriesValue",
-    "DEFAULT_TERM_CAP",
     "ln_gamma",
     "rgamma",
     "digamma",
@@ -32,32 +31,35 @@ __all__ = [
     "lerch_one_diff",
 ]
 
-DEFAULT_TERM_CAP = 10**6
-
 _EPS = 2.220446049250313e-16
 _MIN_NORMAL = sys.float_info.min
 _MAX_NORMAL = sys.float_info.max
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(
+    namedtuple(
+        "Constants",
+        "euler_gamma ln2 pi glaisher_A",
+        defaults=(0.5772156649015329, 0.6931471805599453, 3.141592653589793, 1.2824271291006226),
+    )
+):
     """Mathematical constants used throughout the package.
 
     ``glaisher_A`` (the Glaisher-Kinkelin constant) is reserved for
     acceptance-style checks; no evaluator depends on it.
     """
 
-    euler_gamma: float = 0.5772156649015329
-    ln2: float = 0.6931471805599453
-    pi: float = 3.141592653589793
-    glaisher_A: float = 1.2824271291006226
+    __slots__ = ()
+    euler_gamma: float
+    ln2: float
+    pi: float
+    glaisher_A: float
 
 
 CONSTANTS = Constants()
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(namedtuple("SeriesValue", "value error_estimate terms_used converged")):
     """Numeric result of an infinite-sum evaluation.
 
     ``converged`` is only set when ``error_estimate`` met the tolerance
@@ -65,16 +67,19 @@ class SeriesValue:
     conservative) truncation bound plus a rounding allowance.
     """
 
+    __slots__ = ()
     value: float
     error_estimate: float
     terms_used: int
     converged: bool
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be >= 0")
         if self.terms_used < 0:
             raise ValueError("terms_used must be >= 0")
+        return self
 
 
 def _require_finite(name: str, x: float) -> float:

@@ -236,6 +236,28 @@ def test_beta_k_and_hadamard_at_huge_k_vs_mpmath():
     assert float(h_ref) == pytest.approx(4.07733635623e-309, rel=1e-11)
 
 
+def _psi_k_ref(k, x):
+    k, x = mpmath.mpf(k), mpmath.mpf(x)
+    return (mpmath.log(k) + mpmath.digamma(x / k)) / k
+
+
+@pytest.mark.parametrize("name,k,x", [
+    ("psi_k", 1.7e308, 0.5),
+    ("psi_k", 1e300, 1e-10),
+    ("psi_k", 1e200, 1e-110),
+    ("beta_k", 1.7e308, 1.0),
+    ("beta_k", 1e300, 1e-9),
+])
+def test_psi_beta_subnormal_x_over_k_vs_mpmath(name, k, x):
+    # x/k below the normal range: digamma(x/k) alone would form -1/(x/k) = -inf
+    with mpmath.workdps(50):
+        if name == "psi_k":
+            ref = _psi_k_ref(k, x)
+        else:
+            ref = (_psi_k_ref(k, (mpmath.mpf(x) + k) / 2) - _psi_k_ref(k, mpmath.mpf(x) / 2)) / 2
+    assert getattr(kspecfun, name)(k, x) == pytest.approx(float(ref), rel=1e-15)
+
+
 def test_gamma_k_near_overflow_vs_mpmath():
     with mpmath.workdps(40):
         ref = mpmath.gamma(mpmath.mpf(171.5))
