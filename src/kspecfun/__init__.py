@@ -43,7 +43,7 @@ from .hadamard import (
     lerch_identity_410,
     recursion_47,
     representation_48,
-    superadditivity_check_43,
+    superadditivity_43,
 )
 from .kcore import (
     gamma_k,
@@ -60,7 +60,6 @@ from .oracles import (
     DiscrepancyFit,
     QuadratureResult,
     adaptive_quad,
-    alt_series_sum,
     cm_probe,
     finite_diff,
     fit_discrepancy,
@@ -68,6 +67,7 @@ from .oracles import (
 from .registry import (
     GridSpec,
     IdentityEntry,
+    IdentityReport,
     RunSummary,
     default_grid,
     openproblem_scan,
@@ -77,7 +77,6 @@ from .registry import (
     run_all,
     run_identity,
 )
-from .reports import IdentityReport
 from .scalar import (
     CONSTANTS,
     Constants,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .beta import beta_k
@@ -135,6 +134,8 @@ def _parse_float_list(text: str, what: str):
 
 
 def _atomic_write(path: str, content: str):
+    import tempfile  # here, not at module level: no other ksf command needs it
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ksf-", suffix=".tmp")
     try:

@@ -21,8 +21,7 @@ from collections import namedtuple
 
 from .beta import beta_k
 from .errors import BracketError, DomainError, PoleError
-from .kcore import gamma_k, k_value, ln_gamma_k, rgamma_k
-from .reports import IdentityReport
+from .kcore import _STIRLING_U, _ln_gamma_k_stirling, gamma_k, k_value, ln_gamma_k, rgamma_k
 from .scalar import _MAX_NORMAL, _MIN_NORMAL, _require_finite, _sinpi, lerch_alt, lerch_one_diff
 
 __all__ = [
@@ -34,14 +33,11 @@ __all__ = [
     "representation_48",
     "representation_48_corrected_rhs",
     "alpha0_solve",
-    "superadditivity_check_43",
+    "superadditivity_43",
     "lerch_identity_410",
 ]
 
-SUPERADD_SLACK = 1e-12
 _LN_MAX = math.log(_MAX_NORMAL)
-_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
-_STIRLING_U = 2.0**53
 
 
 class RootResult(
@@ -67,14 +63,6 @@ def _exp_or_raise(log_value: float, k: float, x: float) -> float:
     if not log_value <= _LN_MAX:
         raise OverflowError(f"H_k({x}) overflows binary64 (k={k})")
     return math.exp(log_value)
-
-
-def _ln_gamma_k_stirling(k: float, x: float) -> float:
-    # ln Gamma_k(x) for x/k >= 2^53, where the O(k/x) Stirling terms are
-    # below rounding: (x/k - 1/2) ln x - x/k - (ln k)/2 + ln(2 pi)/2,
-    # arranged so that x/k may overflow
-    ln_x = math.log(x)
-    return (x / k) * (ln_x - 1.0) - 0.5 * (ln_x + math.log(k)) + _HALF_LN_2PI
 
 
 def _h_base(k: float, x: float) -> float:
@@ -335,28 +323,15 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     return RootResult(root, fr, bracket_lo, bracket_hi, iterations, changes)
 
 
-def superadditivity_check_43(k, x: float, y: float) -> IdentityReport:
-    """Check k^(y/k) H_k(x) + k^(x/k) H_k(y) <= H_k(x + y) at one point."""
+def superadditivity_43(k, x: float, y: float) -> tuple[float, float]:
+    """Both sides of k^(y/k) H_k(x) + k^(x/k) H_k(y) <= H_k(x + y), x, y > 0."""
     k = k_value(k)
     x = _require_finite("x", x)
     y = _require_finite("y", y)
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"superadditivity check requires x, y > 0, got {x}, {y}")
     lhs = k ** (y / k) * hadamard_k(k, x) + k ** (x / k) * hadamard_k(k, y)
-    rhs = hadamard_k(k, x + y)
-    diff = lhs - rhs
-    denom = max(abs(lhs), abs(rhs))
-    verdict = "PASS" if lhs <= rhs + SUPERADD_SLACK else "FAIL"
-    return IdentityReport(
-        identity_id="THM4.3",
-        params={"k": k, "x": x, "y": y},
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=abs(diff),
-        rel_diff=abs(diff) / denom if denom else 0.0,
-        verdict=verdict,
-        note="superadditivity of H_k (scaled)",
-    )
+    return lhs, hadamard_k(k, x + y)
 
 
 def lerch_identity_410(x: float, variant: str = "corrected") -> tuple[float, float]:

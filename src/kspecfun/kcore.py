@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 POLE_GUARD = 1e-8  # relative (in units of k) pole exclusion radius
+_STIRLING_U = 2.0**53
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def k_value(k) -> float:
@@ -55,13 +57,33 @@ def _check_pole(k: float, x: float):
         raise PoleError(f"Gamma_k pole at x = {nearest * k} (k={k}, x={x})")
 
 
+def _ln_gamma_k_stirling(k: float, x: float) -> float:
+    # ln Gamma_k(x) for x/k >= 2^53, where the O(k/x) Stirling terms are
+    # below rounding: (x/k - 1/2) ln x - x/k - (ln k)/2 + ln(2 pi)/2, with
+    # x (ln x - 1)/k in place of x/k where that overflows; +-inf beyond
+    # binary64
+    ln_x = math.log(x)
+    u = x / k
+    lead = u * (ln_x - 1.0) if u < math.inf else x * (ln_x - 1.0) / k
+    return lead - 0.5 * (ln_x + math.log(k)) + _HALF_LN_2PI
+
+
 def ln_gamma_k(k, x: float) -> float:
-    """ln Gamma_k(x) for x > 0."""
+    """ln Gamma_k(x) for x > 0.
+
+    For x/k >= 2^53 the Stirling form is used, without forming x/k where
+    that overflows.  A value beyond binary64 raises OverflowError.
+    """
     k = k_value(k)
     x = _require_finite("x", x)
     if x <= 0.0:
         raise DomainError(f"ln_gamma_k requires x > 0, got {x}")
-    return (x / k - 1.0) * math.log(k) + ln_gamma(x / k)
+    if x < _STIRLING_U * k:
+        return (x / k - 1.0) * math.log(k) + ln_gamma(x / k)
+    value = _ln_gamma_k_stirling(k, x)
+    if abs(value) > _MAX_NORMAL:
+        raise OverflowError(f"ln Gamma_k({x}) overflows binary64 (k={k})")
+    return value
 
 
 def gamma_k(k, x: float) -> float:
@@ -78,7 +100,9 @@ def gamma_k(k, x: float) -> float:
         try:
             return math.exp(ln_gamma_k(k, x))
         except OverflowError:
-            raise OverflowError(f"Gamma_k({x}) overflows binary64 (k={k})") from None
+            if x < _STIRLING_U * k or _ln_gamma_k_stirling(k, x) > 0.0:
+                raise OverflowError(f"Gamma_k({x}) overflows binary64 (k={k})") from None
+            return 0.0  # ln Gamma_k(x) is below -_MAX_NORMAL
     rg = rgamma(x / k)
     if rg == 0.0:
         raise PoleError(f"Gamma_k pole at x = {x} (k={k})")
@@ -96,7 +120,10 @@ def rgamma_k(k, x: float) -> float:
 
 
 def psi_k(k, x: float) -> float:
-    """k-digamma psi_k(x) = (ln k + psi(x/k)) / k for x > 0."""
+    """k-digamma psi_k(x) = (ln k + psi(x/k)) / k for x > 0.
+
+    A value beyond binary64 raises OverflowError.
+    """
     k = k_value(k)
     x = _require_finite("x", x)
     if x <= 0.0:
@@ -104,8 +131,12 @@ def psi_k(k, x: float) -> float:
     u = x / k
     if u < _MIN_NORMAL:
         # digamma(u) would form -1/u beyond binary64; psi(u) = psi(u + 1) - 1/u
-        return (math.log(k) + digamma(u + 1.0)) / k - 1.0 / x
-    return (math.log(k) + digamma(u)) / k
+        value = (math.log(k) + digamma(u + 1.0)) / k - 1.0 / x
+    else:
+        value = (math.log(k) + digamma(u)) / k
+    if abs(value) > _MAX_NORMAL:
+        raise OverflowError(f"psi_k({x}) overflows binary64 (k={k})")
+    return value
 
 
 def psi_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:

@@ -1,9 +1,9 @@
 """Independent numerical machinery used to cross-check the evaluators.
 
 Nothing in here knows anything about gamma-family functions: the
-quadrature, series summation, differencing and fitting routines take
-plain callables and numbers, so they stay usable as second opinions
-against every analytic route in the package.
+quadrature, differencing and fitting routines take plain callables and
+numbers, so they stay usable as second opinions against every analytic
+route in the package.
 """
 
 from __future__ import annotations
@@ -12,15 +12,14 @@ import heapq
 import math
 from collections import namedtuple
 
-from .errors import ConvergenceError, DomainError, QuadratureError
-from .scalar import _EPS, SeriesValue
+from .errors import DomainError, QuadratureError
+from .scalar import _EPS
 
 __all__ = [
     "QuadratureResult",
     "DiscrepancyFit",
     "CmProbeResult",
     "adaptive_quad",
-    "alt_series_sum",
     "finite_diff",
     "cm_probe",
     "fit_discrepancy",
@@ -175,31 +174,6 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2, r2, depth + 1))
         seq += 2
     return QuadratureResult(total, total_err, panels)
-
-
-def alt_series_sum(term, tol: float, cap: int = 10**6) -> SeriesValue:
-    """Sum an alternating series by pairing consecutive terms.
-
-    ``term(n)`` must eventually decrease monotonically to 0 in magnitude
-    with alternating signs.  Pair sums make the partial sums monotone;
-    the truncation bound is the magnitude of the first omitted term.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    total = 0.0
-    n = 0
-    while n + 1 < cap:
-        total += term(n) + term(n + 1)
-        n += 2
-        bound = abs(term(n))
-        if bound <= tol:
-            return SeriesValue(total, bound, n, True)
-    raise ConvergenceError(
-        f"alternating series needed more than {cap} terms for tol {tol:.3e}",
-        value=total,
-        error_estimate=abs(term(n)),
-        terms_used=n,
-    )
 
 
 def finite_diff(f, x: float, order: int = 1) -> float:

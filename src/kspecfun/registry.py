@@ -2,12 +2,13 @@
 
 Every identity the library cares about is a registered entry with an
 id, a parameter grid, two independently evaluated sides and an expected
-verdict class.  Identities suspected of carrying a misprint are
-registered twice: an ``-printed`` entry that is allowed (expected) to
-fail, and a ``-corrected`` entry that must pass.  Where the discrepancy
-has constant-factor or constant-offset structure, a fit hypothesis is
-attached so the run diagnoses the misprint instead of merely flagging
-it.
+verdict class.  Identities suspected of carrying a misprint are declared
+once as an audit pair and registered twice: an ``-printed`` entry that is
+allowed (expected) to fail, and a ``-corrected`` entry that must pass.
+Only this module turns an (lhs, rhs) pair into a verdict.  Where the
+discrepancy has constant-factor or constant-offset structure, a fit
+hypothesis is attached so the run diagnoses the misprint instead of
+merely flagging it.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from . import kcore as _kcore
 from . import scalar as _scalar
 from .errors import DomainError, PoleError
 from .oracles import DiscrepancyFit, adaptive_quad, cm_probe, finite_diff, fit_discrepancy
-from .reports import IdentityReport
 
 __all__ = [
     "GridSpec",
+    "IdentityReport",
     "IdentityEntry",
     "FitPlan",
     "FitRecord",
@@ -51,26 +52,49 @@ __all__ = [
 class GridSpec(
     namedtuple(
         "GridSpec",
-        "k_values x_values exclusion_radius",
-        defaults=((0.5, 1.0, 2.0, math.pi), (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0), 1e-3),
+        "k_values x_values",
+        defaults=((0.5, 1.0, 2.0, math.pi), (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)),
     )
 ):
-    """Evaluation grid: k values, unit x values (scaled by k where the
-    identity's natural variable is x/k) and the pole exclusion radius; m
-    and n always run over ``_M_VALUES`` and ``_N_VALUES``."""
+    """Evaluation grid: k values and unit x values (scaled by k where the
+    identity's natural variable is x/k); m and n always run over
+    ``_M_VALUES`` and ``_N_VALUES``."""
 
     __slots__ = ()
     k_values: tuple
     x_values: tuple
-    exclusion_radius: float
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if any(k <= 0 for k in self.k_values):
             raise DomainError("all grid k values must be > 0")
-        if self.exclusion_radius < 0:
-            raise DomainError("exclusion_radius must be >= 0")
         return self
+
+
+class IdentityReport(
+    namedtuple(
+        "IdentityReport",
+        "identity_id params lhs rhs abs_diff rel_diff verdict note",
+        defaults=("",),
+    )
+):
+    """Verdict for one identity at one grid point.
+
+    ``lhs``/``rhs`` and the diffs are None for SKIP verdicts (pole or
+    domain exclusions).  Instances are not hashable (params is a dict).
+    """
+
+    __slots__ = ()
+    identity_id: str
+    params: dict
+    lhs: float | None
+    rhs: float | None
+    abs_diff: float | None
+    rel_diff: float | None
+    verdict: str  # PASS | FAIL | SKIP
+    note: str
+
+    __hash__ = None
 
 
 _M_VALUES = (1, 2, 3, 4, 5, 6)
@@ -114,7 +138,7 @@ class IdentityEntry(
     expectation: str  # 'PASS' | 'FAIL'
     points: Callable[[GridSpec], Iterable[dict]]
     evaluate: Callable[[dict], tuple]
-    skip: Callable | None
+    skip: Callable | None  # params -> reason for a SKIP report, or None
     fit: FitPlan | None
 
 
@@ -153,6 +177,7 @@ class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):
 
 LN_PI = math.log(math.pi)
 TWO_GAMMA = 2.0 * _scalar.CONSTANTS.euler_gamma
+SUPERADD_SLACK = 1e-12
 
 
 @lru_cache(maxsize=32)
@@ -186,6 +211,13 @@ def _k_m_points(grid: GridSpec):
 def _build_entries() -> list[IdentityEntry]:
     e: list[IdentityEntry] = []
     add = e.append
+
+    def add_audit(stem, printed, corrected, **shared):
+        # a misprinted formula: its printed form is expected to FAIL and its
+        # corrected form must PASS; each field is given once, either shared
+        # or per variant
+        add(IdentityEntry(id=f"{stem}-printed", expectation="FAIL", **shared, **printed))
+        add(IdentityEntry(id=f"{stem}-corrected", expectation="PASS", **shared, **corrected))
 
     # ---- section 1: recurrences and series routes -----------------------
     add(IdentityEntry(
@@ -232,41 +264,21 @@ def _build_entries() -> list[IdentityEntry]:
                             p["k"] ** (p["x"] / p["k"] - 1.0) * math.gamma(p["x"] / p["k"])),
     ))
 
-    def _eq22_points(grid):
-        return _k_x_points(grid, units=(0.1, 0.35, 0.7), scaled=True)
-
-    def _eq22_skip(p, grid):
-        k, x = p["k"], p["x"]
-        r = grid.exclusion_radius * k
-        if min(x, k - x) <= r:
-            return "pole exclusion: x too close to a Gamma_k pole"
-        return None
-
-    add(IdentityEntry(
-        id="EQ2.2-printed",
-        anchor="Gamma_k(x) Gamma_k(k-x) = pi / sin(pi x/k) (as printed)",
+    add_audit(
+        "EQ2.2",
+        dict(anchor="Gamma_k(x) Gamma_k(k-x) = pi / sin(pi x/k) (as printed)",
+             evaluate=lambda p: (_kcore.gamma_k(p["k"], p["x"]) * _kcore.gamma_k(p["k"], p["k"] - p["x"]),
+                                 math.pi / _scalar._sinpi(p["x"] / p["k"])),
+             fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
+                         lambda k: 1.0 / k,
+                         "lhs/rhs constant per k; 1/k confirms the reduction-route constant pi/k")),
+        dict(anchor="Gamma_k(x) Gamma_k(k-x) = (pi/k) / sin(pi x/k)",
+             evaluate=lambda p: (_kcore.gamma_k(p["k"], p["x"]) * _kcore.gamma_k(p["k"], p["k"] - p["x"]),
+                                 math.pi / (p["k"] * _scalar._sinpi(p["x"] / p["k"])))),
         comparison="rel",
         tol=1e-10,
-        expectation="FAIL",
-        points=_eq22_points,
-        skip=_eq22_skip,
-        evaluate=lambda p: (_kcore.gamma_k(p["k"], p["x"]) * _kcore.gamma_k(p["k"], p["k"] - p["x"]),
-                            math.pi / _scalar._sinpi(p["x"] / p["k"])),
-        fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
-                    lambda k: 1.0 / k,
-                    "lhs/rhs constant per k; 1/k confirms the reduction-route constant pi/k"),
-    ))
-    add(IdentityEntry(
-        id="EQ2.2-corrected",
-        anchor="Gamma_k(x) Gamma_k(k-x) = (pi/k) / sin(pi x/k)",
-        comparison="rel",
-        tol=1e-10,
-        expectation="PASS",
-        points=_eq22_points,
-        skip=_eq22_skip,
-        evaluate=lambda p: (_kcore.gamma_k(p["k"], p["x"]) * _kcore.gamma_k(p["k"], p["k"] - p["x"]),
-                            math.pi / (p["k"] * _scalar._sinpi(p["x"] / p["k"]))),
-    ))
+        points=lambda g: _k_x_points(g, units=(0.1, 0.35, 0.7)),
+    )
     add(IdentityEntry(
         id="LEM2.2",
         anchor="psi_k is the log-derivative of Gamma_k",
@@ -361,57 +373,42 @@ def _build_entries() -> list[IdentityEntry]:
         evaluate=lambda p: (_furdui.thm31_series(p["k"], p["m"], 1e-11).value,
                             _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
     ))
-    add(IdentityEntry(
-        id="THM3.2-printed",
-        anchor="I(k,m) with the (ln k - m gamma) prefix (as printed)",
+    add_audit(
+        "THM3.2",
+        dict(anchor="I(k,m) with the (ln k - m gamma) prefix (as printed)",
+             tol=1e-8,
+             evaluate=lambda p: (_furdui.thm32_series(p["k"], p["m"], 1e-11, "as_printed").value,
+                                 _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
+             fit=FitPlan("offset", None,
+                         lambda rep: ((rep.lhs - rep.rhs) * (rep.params["m"] + 1)
+                                      / (rep.params["m"] * rep.params["k"] ** rep.params["m"]), 0.0),
+                         lambda _g: -TWO_GAMMA,
+                         "(lhs-rhs)(m+1)/(m k^m) constant -2*gamma diagnoses the prefix sign")),
+        dict(anchor="I(k,m) with the (ln k + m gamma) prefix",
+             tol=1e-7,
+             evaluate=lambda p: (_furdui.thm32_series(p["k"], p["m"], 1e-11, "sign_variant").value,
+                                 _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value)),
         comparison="abs",
-        tol=1e-8,
-        expectation="FAIL",
         points=_k_m_points,
-        evaluate=lambda p: (_furdui.thm32_series(p["k"], p["m"], 1e-11, "as_printed").value,
-                            _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
-        fit=FitPlan("offset", None,
-                    lambda rep: ((rep.lhs - rep.rhs) * (rep.params["m"] + 1)
-                                 / (rep.params["m"] * rep.params["k"] ** rep.params["m"]), 0.0),
-                    lambda _g: -TWO_GAMMA,
-                    "(lhs-rhs)(m+1)/(m k^m) constant -2*gamma diagnoses the prefix sign"),
-    ))
-    add(IdentityEntry(
-        id="THM3.2-corrected",
-        anchor="I(k,m) with the (ln k + m gamma) prefix",
-        comparison="abs",
-        tol=1e-7,
-        expectation="PASS",
-        points=_k_m_points,
-        evaluate=lambda p: (_furdui.thm32_series(p["k"], p["m"], 1e-11, "sign_variant").value,
-                            _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
-    ))
-    add(IdentityEntry(
-        id="THM3.3-printed",
-        anchor="I(k,m) Kummer-expansion route, printed coefficients",
-        comparison="abs",
-        tol=1e-7,
-        expectation="FAIL",
-        points=_k_m_points,
-        evaluate=lambda p: (_furdui.thm33_series(p["k"], p["m"], 1e-10, "as_printed").value,
-                            _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
-        fit=FitPlan("offset", None,
-                    lambda rep: ((rep.lhs - rep.rhs) / rep.params["k"] ** rep.params["m"]
-                                 + 1.0 / rep.params["m"], 0.0),
-                    lambda _g: LN_PI,
-                    "(lhs-rhs)/k^m + 1/m constant ln(pi) diagnoses the 3/2 ln x"
-                    " and sign-of-ln(pi/k) coefficients"),
-    ))
-    add(IdentityEntry(
-        id="THM3.3-corrected",
-        anchor="I(k,m) = -m int x^(m-1) ln Gamma_k(x) dx (expansion bypassed)",
+    )
+    add_audit(
+        "THM3.3",
+        dict(anchor="I(k,m) Kummer-expansion route, printed coefficients",
+             evaluate=lambda p: (_furdui.thm33_series(p["k"], p["m"], 1e-10, "as_printed").value,
+                                 _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
+             fit=FitPlan("offset", None,
+                         lambda rep: ((rep.lhs - rep.rhs) / rep.params["k"] ** rep.params["m"]
+                                      + 1.0 / rep.params["m"], 0.0),
+                         lambda _g: LN_PI,
+                         "(lhs-rhs)/k^m + 1/m constant ln(pi) diagnoses the 3/2 ln x"
+                         " and sign-of-ln(pi/k) coefficients")),
+        dict(anchor="I(k,m) = -m int x^(m-1) ln Gamma_k(x) dx (expansion bypassed)",
+             evaluate=lambda p: (_furdui.thm33_series(p["k"], p["m"], 1e-9, "lnGamma_audit").value,
+                                 _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value)),
         comparison="abs",
         tol=1e-7,
-        expectation="PASS",
         points=_k_m_points,
-        evaluate=lambda p: (_furdui.thm33_series(p["k"], p["m"], 1e-9, "lnGamma_audit").value,
-                            _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
-    ))
+    )
 
     def _thm34_points(grid):
         for k in grid.k_values:
@@ -466,27 +463,19 @@ def _build_entries() -> list[IdentityEntry]:
     _anchor_printed = math.log(_A) - 0.5 * math.log(2.0 * math.pi)
     _anchor_true = 2.0 * math.log(_A) - 0.5 * math.log(2.0 * math.pi)
 
-    add(IdentityEntry(
-        id="FURDUI-ANCHOR-printed",
-        anchor="I(1,2) = ln(A/sqrt(2 pi)) (as printed; A Glaisher-Kinkelin)",
+    add_audit(
+        "FURDUI-ANCHOR",
+        dict(anchor="I(1,2) = ln(A/sqrt(2 pi)) (as printed; A Glaisher-Kinkelin)",
+             evaluate=lambda p: (_anchor_value(p["method"]), _anchor_printed),
+             fit=FitPlan("offset", None, lambda rep: (rep.lhs, rep.rhs),
+                         lambda _g: math.log(_A),
+                         "offset ln(A) diagnoses a missing square: I(1,2) = ln(A^2/sqrt(2 pi))")),
+        dict(anchor="I(1,2) = ln(A^2/sqrt(2 pi))",
+             evaluate=lambda p: (_anchor_value(p["method"]), _anchor_true)),
         comparison="abs",
         tol=1e-7,
-        expectation="FAIL",
         points=_anchor_points,
-        evaluate=lambda p: (_anchor_value(p["method"]), _anchor_printed),
-        fit=FitPlan("offset", None, lambda rep: (rep.lhs, rep.rhs),
-                    lambda _g: math.log(_A),
-                    "offset ln(A) diagnoses a missing square: I(1,2) = ln(A^2/sqrt(2 pi))"),
-    ))
-    add(IdentityEntry(
-        id="FURDUI-ANCHOR-corrected",
-        anchor="I(1,2) = ln(A^2/sqrt(2 pi))",
-        comparison="abs",
-        tol=1e-7,
-        expectation="PASS",
-        points=_anchor_points,
-        evaluate=lambda p: (_anchor_value(p["method"]), _anchor_true),
-    ))
+    )
 
     # ---- section 4: Hadamard k-gamma --------------------------------------
     def _thm41_points(grid):
@@ -512,26 +501,19 @@ def _build_entries() -> list[IdentityEntry]:
                         yield {"k": k, "x": u * k, "n": n}
         return gen
 
-    add(IdentityEntry(
-        id="EQ4.7-printed",
-        anchor="n-step closed form with the printed (x+1) factor",
+    add_audit(
+        "EQ4.7",
+        dict(anchor="n-step closed form with the printed (x+1) factor",
+             points=_eq47_points((2, 3)),
+             evaluate=lambda p: (_hadamard.recursion_47_closed_form(p["k"], p["x"], p["n"], "as_printed"),
+                                 _hadamard.recursion_47(p["k"], p["x"], p["n"]))),
+        dict(anchor="n-step closed form with the (x+k) factor",
+             points=_eq47_points((1, 2, 3)),
+             evaluate=lambda p: (_hadamard.recursion_47_closed_form(p["k"], p["x"], p["n"], "corrected"),
+                                 _hadamard.recursion_47(p["k"], p["x"], p["n"]))),
         comparison="rel",
         tol=1e-9,
-        expectation="FAIL",
-        points=_eq47_points((2, 3)),
-        evaluate=lambda p: (_hadamard.recursion_47_closed_form(p["k"], p["x"], p["n"], "as_printed"),
-                            _hadamard.recursion_47(p["k"], p["x"], p["n"])),
-    ))
-    add(IdentityEntry(
-        id="EQ4.7-corrected",
-        anchor="n-step closed form with the (x+k) factor",
-        comparison="rel",
-        tol=1e-9,
-        expectation="PASS",
-        points=_eq47_points((1, 2, 3)),
-        evaluate=lambda p: (_hadamard.recursion_47_closed_form(p["k"], p["x"], p["n"], "corrected"),
-                            _hadamard.recursion_47(p["k"], p["x"], p["n"])),
-    ))
+    )
 
     def _h_walk(k, x):
         # H_k by the functional-equation walk from a base point in [0, k),
@@ -541,39 +523,20 @@ def _build_entries() -> list[IdentityEntry]:
         n = int(math.floor((x - k) / k)) + 1
         return _hadamard.recursion_47(k, max(x - n * k, 0.0), n)
 
-    def _eq48_points(grid):
-        return _k_x_points(grid, units=(0.1, 0.35, 0.7, 1.5, 2.5), scaled=True)
-
-    def _eq48_skip(p, grid):
-        k, x = p["k"], p["x"]
-        if abs(x / k - round(x / k)) < grid.exclusion_radius:
-            return "sin(pi x/k) cancellation exclusion near multiples of k"
-        return None
-
-    add(IdentityEntry(
-        id="EQ4.8-printed",
-        anchor="H_k(x) = Gamma_k(x)/k - Gamma_k(x) sin(pi x/k) beta_k(x)/pi (as printed)",
+    add_audit(
+        "EQ4.8",
+        dict(anchor="H_k(x) = Gamma_k(x)/k - Gamma_k(x) sin(pi x/k) beta_k(x)/pi (as printed)",
+             evaluate=lambda p: _hadamard.representation_48(p["k"], p["x"]),
+             fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
+                         lambda k: k,
+                         "lhs/rhs constant per k; the value k restores the k-scaling")),
+        dict(anchor="H_k(x) = Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))",
+             evaluate=lambda p: (_h_walk(p["k"], p["x"]),
+                                 _hadamard.representation_48_corrected_rhs(p["k"], p["x"]))),
         comparison="rel",
         tol=1e-10,
-        expectation="FAIL",
-        points=_eq48_points,
-        skip=_eq48_skip,
-        evaluate=lambda p: _hadamard.representation_48(p["k"], p["x"]),
-        fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
-                    lambda k: k,
-                    "lhs/rhs constant per k; the value k restores the k-scaling"),
-    ))
-    add(IdentityEntry(
-        id="EQ4.8-corrected",
-        anchor="H_k(x) = Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))",
-        comparison="rel",
-        tol=1e-10,
-        expectation="PASS",
-        points=_eq48_points,
-        skip=_eq48_skip,
-        evaluate=lambda p: (_h_walk(p["k"], p["x"]),
-                            _hadamard.representation_48_corrected_rhs(p["k"], p["x"])),
-    ))
+        points=lambda g: _k_x_points(g, units=(0.1, 0.35, 0.7, 1.5, 2.5)),
+    )
 
     def _thm43_above_points(grid):
         for k in grid.k_values:
@@ -584,14 +547,13 @@ def _build_entries() -> list[IdentityEntry]:
                     yield {"k": k, "x": base + 0.35 * k * i, "y": base + 0.45 * k * j}
 
     def _thm43_eval(p):
-        rep = _hadamard.superadditivity_check_43(p["k"], p["x"], p["y"])
-        return rep.lhs, rep.rhs
+        return _hadamard.superadditivity_43(p["k"], p["x"], p["y"])
 
     add(IdentityEntry(
         id="THM4.3-above",
         anchor="k^(y/k) H_k(x) + k^(x/k) H_k(y) <= H_k(x+y) for x,y above the threshold",
         comparison="le",
-        tol=_hadamard.SUPERADD_SLACK,
+        tol=SUPERADD_SLACK,
         expectation="PASS",
         points=_thm43_above_points,
         evaluate=_thm43_eval,
@@ -607,7 +569,7 @@ def _build_entries() -> list[IdentityEntry]:
         id="THM4.3-below",
         anchor="sharpness witness: the inequality fails for x = y below the threshold",
         comparison="le",
-        tol=_hadamard.SUPERADD_SLACK,
+        tol=SUPERADD_SLACK,
         expectation="FAIL",
         points=_thm43_below_points,
         evaluate=_thm43_eval,
@@ -617,25 +579,17 @@ def _build_entries() -> list[IdentityEntry]:
         for j in range(13):
             yield {"x": round(-0.9 + 0.15 * j, 10)}
 
-    add(IdentityEntry(
-        id="THM4.4-printed",
-        anchor="2x Phi(-1,1,-x) = Phi(1,1,1-x/2) - Phi(1,1,1/2-x/2) (as printed)",
+    add_audit(
+        "THM4.4",
+        dict(anchor="2x Phi(-1,1,-x) = Phi(1,1,1-x/2) - Phi(1,1,1/2-x/2) (as printed)",
+             skip=lambda p: "printed form singular at x = 0" if p["x"] == 0.0 else None,
+             evaluate=lambda p: _hadamard.lerch_identity_410(p["x"], "as_printed")),
+        dict(anchor="2 Phi(-1,1,1-x) = Phi(1,1,1/2-x/2) - Phi(1,1,1-x/2)",
+             evaluate=lambda p: _hadamard.lerch_identity_410(p["x"], "corrected")),
         comparison="abs",
         tol=1e-10,
-        expectation="FAIL",
         points=_thm44_points,
-        skip=lambda p, g: "printed form singular at x = 0" if p["x"] == 0.0 else None,
-        evaluate=lambda p: _hadamard.lerch_identity_410(p["x"], "as_printed"),
-    ))
-    add(IdentityEntry(
-        id="THM4.4-corrected",
-        anchor="2 Phi(-1,1,1-x) = Phi(1,1,1/2-x/2) - Phi(1,1,1-x/2)",
-        comparison="abs",
-        tol=1e-10,
-        expectation="PASS",
-        points=_thm44_points,
-        evaluate=lambda p: _hadamard.lerch_identity_410(p["x"], "corrected"),
-    ))
+    )
 
     # ---- section 5: Nielsen k-beta ----------------------------------------
     def _thm51_points(grid):
@@ -644,24 +598,16 @@ def _build_entries() -> list[IdentityEntry]:
                 for n in _N_VALUES:
                     yield {"k": k, "x": u, "n": n}
 
-    add(IdentityEntry(
-        id="THM5.1-printed",
-        anchor="telescoping beta_k sum with (2k)^m x arguments (as printed)",
+    add_audit(
+        "THM5.1",
+        dict(anchor="telescoping beta_k sum with (2k)^m x arguments (as printed)",
+             evaluate=lambda p: _beta.telescope_51(p["k"], p["x"], p["n"], "as_printed")),
+        dict(anchor="telescoping beta_k sum with 2^m k x arguments",
+             evaluate=lambda p: _beta.telescope_51(p["k"], p["x"], p["n"], "corrected")),
         comparison="abs",
         tol=1e-10,
-        expectation="FAIL",
         points=_thm51_points,
-        evaluate=lambda p: _beta.telescope_51(p["k"], p["x"], p["n"], "as_printed"),
-    ))
-    add(IdentityEntry(
-        id="THM5.1-corrected",
-        anchor="telescoping beta_k sum with 2^m k x arguments",
-        comparison="abs",
-        tol=1e-10,
-        expectation="PASS",
-        points=_thm51_points,
-        evaluate=lambda p: _beta.telescope_51(p["k"], p["x"], p["n"], "corrected"),
-    ))
+    )
     add(IdentityEntry(
         id="THM5.2",
         anchor="beta_k psi-difference route vs alternating series route",
@@ -688,8 +634,7 @@ def _build_entries() -> list[IdentityEntry]:
         comparison="abs",
         tol=1e-7,
         expectation="PASS",
-        points=lambda g: ({"k": k, "x": u * k} for k in g.k_values
-                          for u in (-0.5, 0.0, 0.35, 1.0, 2.1)),
+        points=lambda g: _k_x_points(g, units=(-0.5, 0.0, 0.35, 1.0, 2.1)),
         evaluate=lambda p: (_beta.beta_k_cosh_form(p["k"], p["x"], 1e-9).value,
                             _beta.beta_k(p["k"], 0.5 * (p["x"] + p["k"]))),
     ))
@@ -699,8 +644,7 @@ def _build_entries() -> list[IdentityEntry]:
         comparison="abs",
         tol=1e-8,
         expectation="PASS",
-        points=lambda g: ({"k": k, "x": u * k} for k in g.k_values
-                          for u in (-0.5, 0.1, 0.5, 0.9)),
+        points=lambda g: _k_x_points(g, units=(-0.5, 0.1, 0.5, 0.9)),
         evaluate=lambda p: (_beta.beta_taylor_54(p["k"], p["x"], 240).value,
                             _beta.beta_k(p["k"], p["x"] + p["k"])),
     ))
@@ -710,7 +654,7 @@ def _build_entries() -> list[IdentityEntry]:
         comparison="abs",
         tol=1e-8,
         expectation="PASS",
-        points=lambda g: ({"k": k, "x": u * k} for k in g.k_values for u in (0.1, 0.5, 0.9)),
+        points=lambda g: _k_x_points(g, units=(0.1, 0.5, 0.9)),
         evaluate=lambda p: (_beta.beta_expansion_55(p["k"], p["x"], 560, 1e-9).value,
                             _beta.beta_k(p["k"], p["x"])),
     ))
@@ -720,7 +664,7 @@ def _build_entries() -> list[IdentityEntry]:
         comparison="abs",
         tol=1e-11,
         expectation="PASS",
-        points=lambda g: ({"k": k, "x": u} for k in g.k_values for u in g.x_values),
+        points=lambda g: _k_x_points(g, scaled=False),
         evaluate=lambda p: (_kcore.psi_k(p["k"], p["k"] * p["x"] + 0.5 * p["k"]),
                             _kcore.psi_k_duplication_rhs(p["k"], p["x"])),
     ))
@@ -732,27 +676,19 @@ def _build_entries() -> list[IdentityEntry]:
         rhs = 2.0 ** (2.0 * x - 1.0) * c * _kcore.gamma_k(k, k * x) * _kcore.gamma_k(k, k * x + 0.5 * k)
         return lhs, rhs
 
-    add(IdentityEntry(
-        id="EQ5.5-printed",
-        anchor="k-duplication with constant 2^(2x-1)/sqrt(k pi) (as printed)",
+    add_audit(
+        "EQ5.5",
+        dict(anchor="k-duplication with constant 2^(2x-1)/sqrt(k pi) (as printed)",
+             evaluate=lambda p: _eq55_eval(p, corrected=False),
+             fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
+                         lambda k: k,
+                         "lhs/rhs constant per k; k corrects 1/sqrt(k pi) to sqrt(k/pi)")),
+        dict(anchor="k-duplication with constant 2^(2x-1) sqrt(k/pi)",
+             evaluate=lambda p: _eq55_eval(p, corrected=True)),
         comparison="rel",
         tol=1e-10,
-        expectation="FAIL",
-        points=lambda g: ({"k": k, "x": u} for k in g.k_values for u in (0.3, 0.8, 1.4)),
-        evaluate=lambda p: _eq55_eval(p, corrected=False),
-        fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
-                    lambda k: k,
-                    "lhs/rhs constant per k; k corrects 1/sqrt(k pi) to sqrt(k/pi)"),
-    ))
-    add(IdentityEntry(
-        id="EQ5.5-corrected",
-        anchor="k-duplication with constant 2^(2x-1) sqrt(k/pi)",
-        comparison="rel",
-        tol=1e-10,
-        expectation="PASS",
-        points=lambda g: ({"k": k, "x": u} for k in g.k_values for u in (0.3, 0.8, 1.4)),
-        evaluate=lambda p: _eq55_eval(p, corrected=True),
-    ))
+        points=lambda g: _k_x_points(g, units=(0.3, 0.8, 1.4), scaled=False),
+    )
     add(IdentityEntry(
         id="EQ5.11",
         anchor="beta_k(x + k) + beta_k(x) = 1/x (two independent beta routes)",
@@ -786,7 +722,7 @@ def _build_entries() -> list[IdentityEntry]:
         comparison="abs",
         tol=1e-12,
         expectation="PASS",
-        points=lambda g: ({"k": k, "x": k} for k in g.k_values),
+        points=lambda g: _k_x_points(g, units=(1.0,)),
         evaluate=_thm56_eval,
     ))
 
@@ -839,8 +775,7 @@ def _build_entries() -> list[IdentityEntry]:
         comparison="abs",
         tol=1e-10,
         expectation="PASS",
-        points=lambda g: ({"k": k, "x": u * k} for k in g.k_values
-                          for u in (-1.7, -0.6, 0.3, 1.4, 2.6, 4.3)),
+        points=lambda g: _k_x_points(g, units=(-1.7, -0.6, 0.3, 1.4, 2.6, 4.3)),
         evaluate=lambda p: (_hadamard.hadamard_k(p["k"], p["x"]),
                             p["k"] ** (p["x"] / p["k"] - 1.0)
                             * _hadamard.hadamard_k(1.0, p["x"] / p["k"])),
@@ -948,7 +883,7 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
     reports = []
     for params in entry.points(grid):
         if entry.skip is not None:
-            reason = entry.skip(params, grid)
+            reason = entry.skip(params)
             if reason:
                 reports.append(IdentityReport(entry.id, dict(params), None, None,
                                               None, None, "SKIP", reason))

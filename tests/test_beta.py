@@ -17,7 +17,6 @@ from kspecfun import (
     telescope_51,
 )
 from kspecfun.beta import beta_taylor_terms
-from kspecfun.oracles import alt_series_sum
 
 LN2 = math.log(2.0)
 PI = math.pi
@@ -34,9 +33,7 @@ def test_beta_k_at_k(k):
 
 
 def test_beta_k_values():
-    # alternating-series oracle for beta(1/2)
-    oracle = alt_series_sum(lambda n: (-1.0) ** n / (n + 0.5), 1e-6)
-    assert beta_k(1.0, 0.5) == pytest.approx(oracle.value, abs=3e-6)
+    # beta(1/2) = 2 (1 - 1/3 + 1/5 - ...) = pi/2
     assert beta_k(1.0, 0.5) == pytest.approx(PI / 2.0, abs=1e-12)
     assert beta_k(1.0, 2.0) == pytest.approx(1.0 - LN2, abs=1e-13)
     with pytest.raises(DomainError):
@@ -77,12 +74,9 @@ def test_triple_route_agreement(k, u):
 
 # ---------------------------------------------------------------- derivatives
 def test_beta_k_deriv_values():
-    # brute force: beta'(1) = -sum (-1)^n/(n+1)^2 = -pi^2/12
-    oracle1 = -alt_series_sum(lambda n: (-1.0) ** n / (n + 1.0) ** 2, 1e-10).value
-    assert beta_k_deriv(1.0, 1, 1.0) == pytest.approx(oracle1, abs=1e-9)
-    # beta''(1) = 2 sum (-1)^n/(n+1)^3 = 3 zeta(3)/2
-    oracle2 = 2.0 * alt_series_sum(lambda n: (-1.0) ** n / (n + 1.0) ** 3, 1e-10).value
-    assert beta_k_deriv(1.0, 2, 1.0) == pytest.approx(oracle2, abs=1e-9)
+    # beta'(1) = -sum (-1)^n/(n+1)^2 = -eta(2) = -pi^2/12
+    assert beta_k_deriv(1.0, 1, 1.0) == pytest.approx(-PI**2 / 12.0, rel=1e-12)
+    # beta''(1) = 2 sum (-1)^n/(n+1)^3 = 2 eta(3) = 3 zeta(3)/2
     assert beta_k_deriv(1.0, 2, 1.0) == pytest.approx(3.0 * ZETA3 / 2.0, rel=1e-12)
     # scaling: beta_k'(x) = beta'(x/k)/k^2
     assert beta_k_deriv(2.0, 1, 2.0) == pytest.approx(-PI**2 / 48.0, rel=1e-12)

@@ -15,13 +15,14 @@ from kspecfun import (
     recursion_47,
     representation_48,
     rgamma_k,
-    superadditivity_check_43,
+    superadditivity_43,
 )
 from kspecfun.hadamard import (
     _count_sign_changes,
     recursion_47_closed_form,
     representation_48_corrected_rhs,
 )
+from kspecfun.registry import SUPERADD_SLACK
 
 LN2 = math.log(2.0)
 PI = math.pi
@@ -263,18 +264,18 @@ def test_sign_changes_count_zeros_and_skip_flat_cells():
 
 
 def test_superadditivity_reports():
-    rep = superadditivity_check_43(1.0, 2.0, 2.0)
-    assert rep.verdict == "PASS"
-    assert rep.lhs == pytest.approx(2.0, abs=1e-12)
-    assert rep.rhs == pytest.approx(6.0, abs=1e-12)
+    lhs, rhs = superadditivity_43(1.0, 2.0, 2.0)
+    assert lhs <= rhs + SUPERADD_SLACK
+    assert lhs == pytest.approx(2.0, abs=1e-12)
+    assert rhs == pytest.approx(6.0, abs=1e-12)
 
     root = alpha0_solve(1.0, 1e-10).root
-    above = superadditivity_check_43(1.0, root + 0.01, root + 0.01)
-    assert above.verdict == "PASS"
-    below = superadditivity_check_43(1.0, 1.01, 1.01)
-    assert below.verdict == "FAIL"
+    lhs, rhs = superadditivity_43(1.0, root + 0.01, root + 0.01)
+    assert lhs <= rhs + SUPERADD_SLACK
+    lhs, rhs = superadditivity_43(1.0, 1.01, 1.01)
+    assert not lhs <= rhs + SUPERADD_SLACK
     with pytest.raises(DomainError):
-        superadditivity_check_43(1.0, -1.0, 2.0)
+        superadditivity_43(1.0, -1.0, 2.0)
 
 
 # ---------------------------------------------------------------- Lerch identity

@@ -7,6 +7,7 @@ import pytest
 from kspecfun import (
     DomainError,
     PoleError,
+    beta_k,
     digamma,
     gamma_k,
     ln_gamma_k,
@@ -115,6 +116,17 @@ def test_psi_k_series_route_equivalence(k, x):
     sv = psi_k_series(k, x, 1e-10)
     assert sv.converged
     assert sv.value == pytest.approx(psi_k(k, x), abs=1e-10 + sv.error_estimate)
+
+
+@pytest.mark.parametrize("f,k,x", [
+    (psi_k, 1.0, 1e-310),  # about -1e310
+    (psi_k, 1.0, 5e-324),  # about -2e323
+    (psi_k, 0.1, 2.3e-309),  # x/k is normal, but psi(x/k)/k is about -4.3e308
+    (beta_k, 1.0, 1e-309),  # about 1e309
+])
+def test_psi_k_beta_k_beyond_binary64_raise(f, k, x):
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        f(k, x)
 
 
 def test_psi_k_series_values():

@@ -1,0 +1,55 @@
+"""The package's import layering, read from each module's source with ``ast``.
+
+L0 ``scalar`` (over ``errors``), L1 ``kcore`` and the route-agnostic
+``oracles``, L2 ``beta``/``hadamard``/``furdui``, L3 ``registry``, L4
+``cli``.  A lower layer that imports a higher one would let an evaluator
+depend on the harness that checks it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kspecfun
+
+SRC = Path(kspecfun.__file__).resolve().parent
+
+# module -> the only package modules it may import
+ONLY = {
+    "errors": set(),
+    "scalar": {"errors"},
+    "oracles": {"errors", "scalar"},
+    "kcore": {"errors", "scalar"},
+}
+# module -> package modules it must not import
+NEVER = {name: {"registry", "cli", "reports"} for name in ("beta", "hadamard", "furdui")}
+
+
+def _relative_imports(name):
+    """Names of the package modules that ``kspecfun.<name>`` imports."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(), filename=f"{name}.py")
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:  # from .x import y
+                found.add(node.module.partition(".")[0])
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(ONLY))
+def test_lower_layers_import_only_the_layers_below(name):
+    assert _relative_imports(name) <= ONLY[name]
+
+
+@pytest.mark.parametrize("name", sorted(NEVER))
+def test_derived_functions_import_no_registry_or_cli(name):
+    assert not _relative_imports(name) & NEVER[name]
+
+
+def test_import_table_reads_the_imports():
+    # the parser sees both import forms the package uses
+    assert {"beta", "furdui", "hadamard", "kcore", "scalar", "errors", "oracles"} \
+        <= _relative_imports("registry")

@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from kspecfun import ConvergenceError, DomainError, QuadratureError
+from kspecfun import DomainError, QuadratureError
 from kspecfun.beta import beta_k, beta_k_deriv
 from kspecfun.oracles import (
     adaptive_quad,
-    alt_series_sum,
     cm_probe,
     finite_diff,
     fit_discrepancy,
@@ -54,31 +53,6 @@ def test_adaptive_quad_depth_cap_carries_best_estimate():
     assert err.value is not None and 0.0 < err.value < 100.0
     assert err.error_estimate > 1e-6
     assert err.subdivisions >= 50
-
-
-# ------------------------------------------------------------- series
-def test_alt_series_sum_classics():
-    assert alt_series_sum(lambda n: (-1.0) ** n / (n + 1.0), 1e-5).value == pytest.approx(
-        math.log(2.0), abs=1e-5
-    )
-    assert alt_series_sum(lambda n: (-1.0) ** n / (2.0 * n + 1.0), 1e-5).value == pytest.approx(
-        math.pi / 4.0, abs=1e-5
-    )
-    eta2 = alt_series_sum(lambda n: (-1.0) ** n / (n + 1.0) ** 2, 1e-9)
-    assert eta2.value == pytest.approx(math.pi**2 / 12.0, abs=1e-9)
-    assert eta2.converged
-
-
-def test_alt_series_truncation_bound_is_valid():
-    term = lambda n: (-1.0) ** n / (n + 1.0) ** 2
-    coarse = alt_series_sum(term, 1e-6)
-    fine = alt_series_sum(term, 1e-7)
-    assert abs(fine.value - coarse.value) < coarse.error_estimate
-
-
-def test_alt_series_cap():
-    with pytest.raises(ConvergenceError):
-        alt_series_sum(lambda n: (-1.0) ** n / (n + 1.0), 1e-9, cap=1000)
 
 
 # ------------------------------------------------------------- differencing

@@ -16,10 +16,10 @@ from kspecfun.registry import (
     FitRecord,
     GridSpec,
     IdentityEntry,
+    IdentityReport,
     RunSummary,
     ScanTable,
 )
-from kspecfun.reports import IdentityReport
 from kspecfun.scalar import Constants, SeriesValue
 
 _FIT = DiscrepancyFit("ratio", 2.0, 0.0, 3)
@@ -59,9 +59,9 @@ RECORDS = {
         {"sign_changes": 1},
     ),
     GridSpec: (
-        (("k_values", (1.0, 2.0)), ("x_values", (0.5,)), ("exclusion_radius", 1e-2)),
+        (("k_values", (1.0, 2.0)), ("x_values", (0.5,))),
         {"k_values": (0.5, 1.0, 2.0, 3.141592653589793),
-         "x_values": (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0), "exclusion_radius": 1e-3},
+         "x_values": (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)},
     ),
     FitPlan: (
         (("mode", "ratio"), ("group_by", "k"), ("transform", abs), ("expected", None),
@@ -159,7 +159,6 @@ def test_record_equality_is_fieldwise(cls):
      ValueError, "error_estimate must be >= 0"),
     (lambda: GridSpec(k_values=(1.0, 0.0)), DomainError, "all grid k values must be > 0"),
     (lambda: GridSpec((-1.0,)), DomainError, "all grid k values must be > 0"),
-    (lambda: GridSpec(exclusion_radius=-1e-3), DomainError, "exclusion_radius must be >= 0"),
 ])
 def test_record_validators(build, error, match):
     with pytest.raises(error, match=match):
@@ -181,7 +180,7 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
     src = os.path.dirname(os.path.dirname(kspecfun.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = ("import sys, kspecfun.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

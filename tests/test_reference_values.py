@@ -20,6 +20,7 @@ from kspecfun import (
     hadamard_k,
     lerch_alt,
     ln_gamma,
+    ln_gamma_k,
     polygamma,
     psi_k,
     psi_k_m,
@@ -282,6 +283,40 @@ def test_glaisher_anchor_vs_mpmath():
         integral = mpmath.quad(lambda x: x**2 * mpmath.digamma(x), [0, 0.5, 1])
     anchor = 2.0 * math.log(CONSTANTS.glaisher_A) - 0.5 * math.log(2.0 * math.pi)
     assert abs(float(integral) - anchor) <= 1e-14
+
+
+def _ln_gamma_k_ref(k, x):
+    u = mpmath.mpf(x) / k
+    return (u - 1) * mpmath.log(k) + mpmath.loggamma(u)
+
+
+@pytest.mark.parametrize("k,x", [
+    (1e-308, 3.0),  # x/k overflows binary64; the value is 2.958368660043291e307
+    (1e-300, 1.0),
+    (1.0, 2.0**53),
+    (0.5, 1.5 * 2.0**53),
+])
+def test_ln_gamma_k_large_x_over_k_vs_mpmath(k, x):
+    with mpmath.workdps(40):
+        ref = _ln_gamma_k_ref(k, x)
+    assert ln_gamma_k(k, x) == pytest.approx(float(ref), rel=2e-15)
+
+
+@pytest.mark.parametrize("k,x", [(1e-10, 1e300), (1e-300, 1e8), (1e-320, 1e-10)])
+def test_ln_gamma_k_beyond_binary64_raises(k, x):
+    with mpmath.workdps(40):
+        assert abs(_ln_gamma_k_ref(k, x)) > sys.float_info.max
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        ln_gamma_k(k, x)
+
+
+def test_gamma_k_where_x_over_k_overflows():
+    # ln Gamma_k is 2.96e307 at (k, x) = (1e-308, 3) and -6.1e308 at (1e-309, 2)
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        gamma_k(1e-308, 3.0)
+    with mpmath.workdps(40):
+        assert _ln_gamma_k_ref(1e-309, 2.0) < -sys.float_info.max
+    assert gamma_k(1e-309, 2.0) == 0.0
 
 
 def _perfbench_inputs():
