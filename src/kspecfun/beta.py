@@ -14,7 +14,8 @@ import math
 from .errors import ConvergenceError, DomainError
 from .kcore import k_value, psi_k, psi_k_m
 from .oracles import QuadratureResult, adaptive_quad
-from .scalar import _EPS, CONSTANTS, SeriesValue, _alt_recip_sum, _require_finite, zeta_int
+from .scalar import (_EPS, CONSTANTS, SeriesValue, _alt_recip_sum, _check_tol, _positive,
+                     _require_finite, zeta_int)
 
 __all__ = [
     "beta_k",
@@ -29,13 +30,24 @@ __all__ = [
 ]
 
 def beta_k(k, x: float) -> float:
-    """beta_k(x) = (psi_k((x+k)/2) - psi_k(x/2)) / 2 for x > 0."""
+    """beta_k(x) = (psi_k((x+k)/2) - psi_k(x/2)) / 2 for x > 0.
+
+    Where psi_k(x/2) is beyond binary64 and x < k, one step of
+    beta_k(x) = 1/x - beta_k(x + k) is taken instead.  A value beyond
+    binary64 raises OverflowError.
+    """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"beta_k requires x > 0, got {x}")
-    # halve before adding, so that x + k cannot overflow; halving is exact
-    return 0.5 * (psi_k(k, 0.5 * x + 0.5 * k) - psi_k(k, 0.5 * x))
+    x = _positive("beta_k", x)
+    try:
+        # halve before adding, so that x + k cannot overflow; halving is exact
+        return 0.5 * (psi_k(k, 0.5 * x + 0.5 * k) - psi_k(k, 0.5 * x))
+    except OverflowError:
+        if x >= k:
+            raise
+    inv = 1.0 / x
+    if inv == math.inf:
+        raise OverflowError(f"beta_k({x}) overflows binary64 (k={k})")
+    return inv - beta_k(k, x + k)
 
 
 def beta_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
@@ -46,12 +58,9 @@ def beta_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
     cross-check for :func:`beta_k`.
     """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"beta_k_series requires x > 0, got {x}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    raw, raw_err, used = _alt_recip_sum(x / k, tol * k)
+    x = _positive("beta_k_series", x)
+    _check_tol(tol)
+    raw, raw_err, used = _alt_recip_sum(x / k)
     value = raw / k
     err = raw_err / k + 4.0 * _EPS * abs(value)
     return SeriesValue(value, err, used, err <= tol)
@@ -65,9 +74,7 @@ def beta_k_integral(k, x: float, tol: float = 1e-10) -> QuadratureResult:
     (1/x) / (1 + s^(k/x)).
     """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"beta_k_integral requires x > 0, got {x}")
+    x = _positive("beta_k_integral", x)
     if x < 1.0:
         p = k / x
         inv = 1.0 / x
@@ -86,8 +93,7 @@ def beta_k_cosh_form(k, x: float, tol: float = 1e-9) -> QuadratureResult:
     x = _require_finite("x", x)
     if x <= -k:
         raise DomainError(f"beta_k_cosh_form requires x > -k, got x={x}, k={k}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     rate = x + k
     T = math.log(10.0 / tol) / rate
 
@@ -108,13 +114,12 @@ def beta_k_deriv(k, order: int, x: float) -> float:
     k = k_value(k)
     if not isinstance(order, int) or order < 0:
         raise DomainError(f"derivative order must be an integer >= 0, got {order!r}")
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"beta_k derivatives require x > 0, got {x}")
+    x = _positive("beta_k_deriv", x)
     if order == 0:
         return beta_k(k, x)
     scale = 0.5 ** (order + 1)
-    return scale * (psi_k_m(k, order, 0.5 * (x + k)) - psi_k_m(k, order, 0.5 * x))
+    # halve before adding, as beta_k does
+    return scale * (psi_k_m(k, order, 0.5 * x + 0.5 * k) - psi_k_m(k, order, 0.5 * x))
 
 
 def beta_taylor_terms(k, order: int) -> tuple[float, ...]:
@@ -209,9 +214,7 @@ def telescope_51(k, x: float, n: int, variant: str = "corrected") -> tuple[float
     this numerically rather than assuming it).
     """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"telescope_51 requires x > 0, got {x}")
+    x = _positive("telescope_51", x)
     if not isinstance(n, int) or not 1 <= n <= 20:
         raise DomainError(f"telescope_51 requires integer 1 <= n <= 20, got {n!r}")
     if variant == "as_printed":

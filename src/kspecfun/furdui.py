@@ -18,6 +18,7 @@ from .scalar import (
     _EPS,
     CONSTANTS,
     SeriesValue,
+    _check_tol,
     digamma,
     gauss_2f1,
     zeta_minus_1,
@@ -70,8 +71,7 @@ def furdui_oracle(k, m: int, tol: float = 1e-10) -> QuadratureResult:
     """
     k = k_value(k)
     _check_m(m)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     return _oracle_cached(k, m, tol)
 
 
@@ -149,8 +149,7 @@ def _logsin_cached(m: int, tol: float) -> QuadratureResult:
 def logsin_moment(m: int, tol: float = 1e-10) -> QuadratureResult:
     """int_0^pi x^(m-1) ln sin x dx, split at pi/2 with the x -> pi - x fold."""
     _check_m(m)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     return _logsin_cached(m, tol)
 
 
@@ -233,8 +232,7 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> SeriesValue:
     _check_m(m)
     if not isinstance(n, int) or not 1 <= n <= 8:
         raise DomainError(f"thm34_recursion requires integer 1 <= n <= 8, got {n!r}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     km = k**m
     total = k ** (m + 1) * psi_k(k, k) / (m + 1)
     for j in range(2, n + 1):

@@ -21,8 +21,10 @@ from collections import namedtuple
 
 from .beta import beta_k
 from .errors import BracketError, DomainError, PoleError
-from .kcore import _STIRLING_U, _ln_gamma_k_stirling, gamma_k, k_value, ln_gamma_k, rgamma_k
-from .scalar import _MAX_NORMAL, _MIN_NORMAL, _require_finite, _sinpi, lerch_alt, lerch_one_diff
+from .kcore import (_STIRLING_U, _check_pole, _ln_gamma_k_stirling, gamma_k, k_value,
+                    ln_gamma_k, rgamma_k)
+from .scalar import (_MAX_NORMAL, _MIN_NORMAL, _check_tol, _positive, _require_finite, _sinpi,
+                     lerch_alt, lerch_one_diff)
 
 __all__ = [
     "RootResult",
@@ -126,8 +128,7 @@ def _beta_continued(k: float, z: float, depth: int = 0) -> float:
         raise DomainError("beta_k continuation recursed too deeply")
     if z > 0.0:
         return beta_k(k, z)
-    if abs(z - round(z / k) * k) <= 1e-8 * k:
-        raise PoleError(f"beta_k continuation hits a pole at z = {z}")
+    _check_pole(k, z)
     return 1.0 / z - _beta_continued(k, z + k, depth + 1)
 
 
@@ -216,9 +217,7 @@ def representation_48(k, x: float) -> tuple[float, float]:
     two entries must agree, while for k != 1 the harness fits the ratio.
     """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"representation_48 requires x > 0, got {x}")
+    x = _positive("representation_48", x)
     g = gamma_k(k, x)
     rhs = g / k - g * _sinpi(x / k) * beta_k(k, x) / math.pi
     return hadamard_k(k, x), rhs
@@ -227,9 +226,7 @@ def representation_48(k, x: float) -> tuple[float, float]:
 def representation_48_corrected_rhs(k, x: float) -> float:
     """Scaling-consistent variant: Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))."""
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"representation requires x > 0, got {x}")
+    x = _positive("representation_48_corrected_rhs", x)
     g = gamma_k(k, x)
     return g * (1.0 - k * _sinpi(x / k) * beta_k(k, x) / math.pi)
 
@@ -275,8 +272,7 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     <= |g(b) - g(a)| (in particular when the ends differ in sign).
     """
     k = k_value(k)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
 
     def g(t: float) -> float:
         return hadamard_k(k, 2.0 * t) - 2.0 * k ** (t / k) * hadamard_k(k, t)

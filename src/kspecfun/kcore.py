@@ -16,8 +16,10 @@ from .scalar import (
     _MIN_NORMAL,
     CONSTANTS,
     SeriesValue,
+    _check_tol,
     _em_power_tail,
     _polygamma_scaled,
+    _positive,
     _require_finite,
     digamma,
     ln_gamma,
@@ -72,14 +74,18 @@ def ln_gamma_k(k, x: float) -> float:
     """ln Gamma_k(x) for x > 0.
 
     For x/k >= 2^53 the Stirling form is used, without forming x/k where
-    that overflows.  A value beyond binary64 raises OverflowError.
+    that overflows; where x/k is below the normal range,
+    -ln x + (x/k)(ln k - gamma) is exact to rounding.  A value beyond
+    binary64 raises OverflowError.
     """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma_k requires x > 0, got {x}")
+    x = _positive("ln_gamma_k", x)
+    u = x / k
+    if u < _MIN_NORMAL:
+        # ln Gamma(u) = -ln u - gamma u + O(u^2): the ln k terms cancel
+        return -math.log(x) + x * ((math.log(k) - CONSTANTS.euler_gamma) / k)
     if x < _STIRLING_U * k:
-        return (x / k - 1.0) * math.log(k) + ln_gamma(x / k)
+        return (u - 1.0) * math.log(k) + ln_gamma(u)
     value = _ln_gamma_k_stirling(k, x)
     if abs(value) > _MAX_NORMAL:
         raise OverflowError(f"ln Gamma_k({x}) overflows binary64 (k={k})")
@@ -125,9 +131,7 @@ def psi_k(k, x: float) -> float:
     A value beyond binary64 raises OverflowError.
     """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"psi_k requires x > 0, got {x}")
+    x = _positive("psi_k", x)
     u = x / k
     if u < _MIN_NORMAL:
         # digamma(u) would form -1/u beyond binary64; psi(u) = psi(u + 1) - 1/u
@@ -147,11 +151,8 @@ def psi_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
     digamma implementation.  Exists as a cross-check oracle.
     """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"psi_k_series requires x > 0, got {x}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    x = _positive("psi_k_series", x)
+    _check_tol(tol)
     n_direct = 128
     while True:
         s = 0.0
@@ -191,9 +192,7 @@ def psi_k_m(k, m: int, x: float) -> float:
     k = k_value(k)
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"psi_k_m requires integer m >= 1, got {m!r}")
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"psi_k_m requires x > 0, got {x}")
+    x = _positive("psi_k_m", x)
     u = x / k
     if _MIN_NORMAL <= u <= _MAX_NORMAL:
         try:
@@ -221,9 +220,7 @@ def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> SeriesValue:
     k = k_value(k)
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"psi_k_m_series requires integer m >= 1, got {m!r}")
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"psi_k_m_series requires x > 0, got {x}")
+    x = _positive("psi_k_m_series", x)
     mf = float(math.factorial(m))
     sign = 1.0 if m % 2 == 1 else -1.0
     # with the tail starting at x + 64k the Euler-Maclaurin bound stays
@@ -253,7 +250,5 @@ def psi_k_duplication_rhs(k, x: float) -> float:
     The registry pairs it against psi_k(kx + k/2).
     """
     k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"psi_k_duplication_rhs requires x > 0, got {x}")
+    x = _positive("psi_k_duplication_rhs", x)
     return 2.0 * psi_k(k, 2.0 * k * x) - psi_k(k, k * x) - 2.0 * CONSTANTS.ln2 / k

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, QuadratureError
-from .scalar import _EPS
+from .scalar import _EPS, _check_tol
 
 __all__ = [
     "QuadratureResult",
@@ -142,8 +142,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise DomainError(f"adaptive_quad requires finite a < b, got [{a}, {b}]")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     value, err, resabs = _gk15(f, a, b)
     # heap of (-err, seq, a, b, value, err, resabs, depth)
     heap = [(-err, 0, a, b, value, err, resabs, 0)]

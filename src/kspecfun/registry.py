@@ -81,7 +81,8 @@ class IdentityReport(
     """Verdict for one identity at one grid point.
 
     ``lhs``/``rhs`` and the diffs are None for SKIP verdicts (pole or
-    domain exclusions).  Instances are not hashable (params is a dict).
+    domain exclusions, non-finite sides).  Instances are not hashable
+    (params is a dict).
     """
 
     __slots__ = ()
@@ -133,7 +134,7 @@ class IdentityEntry(
     __slots__ = ()
     id: str
     anchor: str
-    comparison: str  # 'abs' | 'rel' | 'le' | 'lt' | 'ge'
+    comparison: str  # 'abs' | 'rel' | 'le' | 'lt'
     tol: float
     expectation: str  # 'PASS' | 'FAIL'
     points: Callable[[GridSpec], Iterable[dict]]
@@ -323,12 +324,12 @@ def _build_entries() -> list[IdentityEntry]:
     def _lem25_eval(p):
         k = p["k"]
         probe = cm_probe(lambda x: x * _beta.beta_k(k, x), 0.2 * k, 5.0 * k, 0.1 * k, 6)
-        return (1.0 if probe.passed else 0.0), 1.0
+        return 1.0, (1.0 if probe.passed else 0.0)
 
     add(IdentityEntry(
         id="LEM2.5",
         anchor="x beta_k(x) is completely monotone (finite-difference probe, order <= 6)",
-        comparison="ge",
+        comparison="le",
         tol=0.0,
         expectation="PASS",
         points=_k_points,
@@ -430,11 +431,8 @@ def _build_entries() -> list[IdentityEntry]:
     def _thm34_printed_eval(p):
         k, m, n = p["k"], p["m"], p["n"]
         corrected = _furdui.thm34_recursion(k, m, n, 1e-9).value
-        rising = 1.0
-        for i in range(n):
-            rising *= m + 1.0 + i
         # printed middle term (+(-1)^(n+1) k^m n!/m) in place of -n! k^m/(m (m+1)...(m+n))
-        printed = corrected + math.factorial(n) * k**m / (m * rising) \
+        printed = corrected + math.factorial(n) * k**m / (m * _furdui._rising(m + 1.0, n)) \
             + (-1.0) ** (n + 1) * k**m * math.factorial(n) / m
         return printed, _furdui.furdui_oracle(k, m, 1e-11).value
 
@@ -859,8 +857,6 @@ def _verdict(entry: IdentityEntry, lhs: float, rhs: float, tol: float):
         ok = lhs <= rhs + tol
     elif entry.comparison == "lt":
         ok = lhs < rhs
-    elif entry.comparison == "ge":
-        ok = lhs >= rhs - tol
     else:  # pragma: no cover - registry construction guards this
         raise DomainError(f"unknown comparison {entry.comparison!r}")
     return abs_diff, rel_diff, "PASS" if ok else "FAIL"
@@ -874,8 +870,9 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
                  tol_override: float | None = None) -> list[IdentityReport]:
     """Evaluate one registered identity over the grid.
 
-    Pole-excluded or out-of-domain points yield SKIP reports; output is
-    deterministic, ordered by (id, parameter tuple).
+    Pole-excluded or out-of-domain points, and points where a side is
+    not finite, yield SKIP reports; output is deterministic, ordered by
+    (id, parameter tuple).
     """
     grid = grid or default_grid()
     entry = get_entry(identity_id)
@@ -893,6 +890,13 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
         except (DomainError, PoleError, OverflowError) as exc:
             reports.append(IdentityReport(entry.id, dict(params), None, None,
                                           None, None, "SKIP", f"{type(exc).__name__}: {exc}"))
+            continue
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            # no verdict rule holds for inf or nan, and JSON cannot carry them
+            sides = " and ".join(side for side, value in (("lhs", lhs), ("rhs", rhs))
+                                 if not math.isfinite(value))
+            reports.append(IdentityReport(entry.id, dict(params), None, None,
+                                          None, None, "SKIP", f"non-finite {sides}"))
             continue
         abs_diff, rel_diff, verdict = _verdict(entry, lhs, rhs, tol)
         reports.append(IdentityReport(entry.id, dict(params), lhs, rhs,

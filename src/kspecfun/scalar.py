@@ -89,12 +89,24 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
+def _positive(name: str, x: float) -> float:
+    """x as a float, checked finite and > 0; a nonpositive x names ``name`` in the error."""
+    x = float(x)
+    if 0.0 < x < math.inf:
+        return x
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    raise DomainError(f"{name} requires x > 0, got {x}")
+
+
+def _check_tol(tol: float) -> None:
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+
+
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0 (libm lgamma)."""
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    return math.lgamma(_positive("ln_gamma", x))
 
 
 def _sinpi(x: float) -> float:
@@ -170,9 +182,7 @@ def digamma(x: float) -> float:
     ln x - 1/(2x) - sum B_{2n}/(2n x^{2n}).  For 1e-8 <= x <= 1e30 the
     error is at most 1e-15 * max(1, |psi(x)|) against mpmath.
     """
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
+    x = _positive("digamma", x)
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x
@@ -269,9 +279,7 @@ def polygamma(m: int, x: float) -> float:
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"polygamma requires integer m >= 1, got {m!r}")
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"polygamma requires x > 0, got {x}")
+    x = _positive("polygamma", x)
     mf, fm1, coeffs = _polygamma_coeffs(m)
     sign = 1.0 if m % 2 == 1 else -1.0
     try:
@@ -365,11 +373,14 @@ def zeta_tail(s: float, a: int) -> float:
     return _em_power_tail(0.0, 1.0, s, a)[0]
 
 
-def _2f1_series(a, b, c, z, tol, cap):
+_2F1_MAX_TERMS = 10_000
+
+
+def _2f1_series(a, b, c, z, tol):
     term = 1.0
     total = 1.0
     n = 0
-    while n < cap:
+    while n < _2F1_MAX_TERMS:
         ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
         term *= ratio
         total += term
@@ -382,13 +393,13 @@ def _2f1_series(a, b, c, z, tol, cap):
             err = abs(term) * r / (1.0 - r)
             return total, err, n
     raise ConvergenceError(
-        f"2F1 series did not converge within {cap} terms",
+        f"2F1 series did not converge within {_2F1_MAX_TERMS} terms",
         value=total,
         terms_used=n,
     )
 
 
-def gauss_2f1(a, b, c, z, tol=1e-13, max_terms=10_000, method="auto") -> SeriesValue:
+def gauss_2f1(a, b, c, z, tol=1e-13, method="auto") -> SeriesValue:
     """Gauss hypergeometric 2F1(a, b; c; z) for z in [-1, 0].
 
     ``method='direct'`` sums the defining series (sensible down to about
@@ -413,11 +424,11 @@ def gauss_2f1(a, b, c, z, tol=1e-13, max_terms=10_000, method="auto") -> SeriesV
     if z == 0.0:
         return SeriesValue(1.0, 0.0, 0, True)
     if method == "direct":
-        value, err, n = _2f1_series(a, b, c, z, tol, max_terms)
+        value, err, n = _2f1_series(a, b, c, z, tol)
     else:
         w = z / (z - 1.0)
         pref = (1.0 - z) ** (-b)
-        value, err, n = _2f1_series(c - a, b, c, w, tol / max(pref, 1.0), max_terms)
+        value, err, n = _2f1_series(c - a, b, c, w, tol / max(pref, 1.0))
         value *= pref
         err *= pref
     err += 4.0 * _EPS * abs(value)
@@ -434,7 +445,7 @@ def _alt_recip_asymptotic(y: float) -> tuple[float, float]:
     return val, err
 
 
-def _alt_recip_sum(b: float, tol: float) -> tuple[float, float, int]:
+def _alt_recip_sum(b: float) -> tuple[float, float, int]:
     """sum_{j>=0} (-1)^j/(b+j) for b > 0: paired head + asymptotic tail."""
     n_head = 8 if b >= 42.0 else int(math.ceil(42.0 - b))
     if n_head % 2:
@@ -467,7 +478,7 @@ def lerch_alt(a: float, tol: float = 1e-13) -> SeriesValue:
             n0 += 1
         for n in range(n0):
             head += (-1.0) ** n / (n + a)
-    tail, err, used = _alt_recip_sum(a + n0, tol)
+    tail, err, used = _alt_recip_sum(a + n0)
     value = head + (tail if n0 % 2 == 0 else -tail)
     err += 4.0 * _EPS * (abs(head) + abs(value))
     return SeriesValue(value, err, n0 + used, err <= tol)

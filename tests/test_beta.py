@@ -88,6 +88,12 @@ def test_beta_k_deriv_values():
         beta_k_deriv(1.0, -1, 1.0)
 
 
+def test_beta_k_deriv_where_x_plus_k_overflows():
+    # beta_k'(x) = beta'(1)/k^2 is about -8e-617 here: it underflows
+    assert beta_k_deriv(1e308, 1, 1e308) == 0.0
+    assert beta_k_deriv(1e308, 2, 1.5e308) == 0.0
+
+
 # ---------------------------------------------------------------- expansions
 def test_taylor_terms_alternate_and_decrease():
     coeffs = beta_taylor_terms(1.0, 40)

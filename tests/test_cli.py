@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -138,6 +139,19 @@ def test_verify_no_file_written_on_usage_error(tmp_path, capsys):
     assert code == 2
     assert not path.exists()
     assert not any(name.startswith(".ksf-") for name in os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_skips_reports_with_non_finite_sides(capsys, fmt):
+    # at k = 1e-320 each Gamma_k factor is about 1e288, so both sides are inf
+    code, out, err = run(capsys, "verify", "--id", "EQ2.2-corrected",
+                         "--k-list", "1e-320", "--format", fmt)
+    assert code == 0 and err == ""
+    assert re.search("inf|nan", out, re.IGNORECASE) is None
+    assert out.count("SKIP") == 3
+    if fmt == "json":
+        notes = {r["note"] for r in json.loads(out)}
+        assert notes == {"non-finite lhs and rhs"}
 
 
 def test_python_m_entry_point():

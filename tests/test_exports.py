@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -18,3 +19,17 @@ def test_module_all_resolves(name):
     namespace = {}
     exec(f"from kspecfun.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+LIBRARY = ("errors", "scalar", "oracles", "kcore", "beta", "hadamard", "furdui", "registry")
+
+
+def test_package_exports_exactly_the_module_all_lists():
+    declared = set()
+    for name in LIBRARY:
+        declared.update(importlib.import_module(f"kspecfun.{name}").__all__)
+    public = {n for n in vars(kspecfun) if not n.startswith("_")}
+    submodules = {n for n in public if isinstance(getattr(kspecfun, n), types.ModuleType)}
+    assert submodules <= set(MODULES)
+    assert public - submodules == declared
+    assert isinstance(kspecfun.__version__, str)

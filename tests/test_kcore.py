@@ -123,6 +123,7 @@ def test_psi_k_series_route_equivalence(k, x):
     (psi_k, 1.0, 5e-324),  # about -2e323
     (psi_k, 0.1, 2.3e-309),  # x/k is normal, but psi(x/k)/k is about -4.3e308
     (beta_k, 1.0, 1e-309),  # about 1e309
+    (beta_k, 1.0, 5.5e-309),  # 1/x is about 1.8e308
 ])
 def test_psi_k_beta_k_beyond_binary64_raise(f, k, x):
     with pytest.raises(OverflowError, match="overflows binary64"):

@@ -259,6 +259,15 @@ def test_psi_beta_subnormal_x_over_k_vs_mpmath(name, k, x):
     assert getattr(kspecfun, name)(k, x) == pytest.approx(float(ref), rel=1e-15)
 
 
+@pytest.mark.parametrize("k,x", [(1.0, 1e-308), (1.0, 5.6e-309), (2.0, 1.1e-308), (1e-300, 1e-308)])
+def test_beta_k_where_psi_k_of_half_x_overflows_vs_mpmath(k, x):
+    # psi_k(x/2) is beyond binary64 although beta_k(x) is not
+    with mpmath.workdps(40):
+        ref = (_psi_k_ref(k, (mpmath.mpf(x) + k) / 2) - _psi_k_ref(k, mpmath.mpf(x) / 2)) / 2
+        assert abs(_psi_k_ref(k, mpmath.mpf(x) / 2)) > sys.float_info.max
+    assert beta_k(k, x) == pytest.approx(float(ref), rel=4e-16)
+
+
 def test_gamma_k_near_overflow_vs_mpmath():
     with mpmath.workdps(40):
         ref = mpmath.gamma(mpmath.mpf(171.5))
@@ -300,6 +309,18 @@ def test_ln_gamma_k_large_x_over_k_vs_mpmath(k, x):
     with mpmath.workdps(40):
         ref = _ln_gamma_k_ref(k, x)
     assert ln_gamma_k(k, x) == pytest.approx(float(ref), rel=2e-15)
+
+
+@pytest.mark.parametrize("k,x,dps", [
+    (1e300, 1e-300, 40),  # x/k underflows to 0.0; the value is 690.7755278982137
+    (1e10, 1e-300, 40),  # x/k is subnormal
+    (1.0, 5e-324, 40),
+    (1e308, 1.0, 700),  # -ln x vanishes: (ln k - gamma)/k is left, after ln k cancels
+])
+def test_ln_gamma_k_where_x_over_k_underflows_vs_mpmath(k, x, dps):
+    with mpmath.workdps(dps):
+        ref = _ln_gamma_k_ref(k, x)
+    assert ln_gamma_k(k, x) == pytest.approx(float(ref), rel=4e-16)
 
 
 @pytest.mark.parametrize("k,x", [(1e-10, 1e300), (1e-300, 1e8), (1e-320, 1e-10)])
