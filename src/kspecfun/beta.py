@@ -44,6 +44,9 @@ def beta_k(k, x: float) -> float:
     except OverflowError:
         if x >= k:
             raise
+    except DomainError:
+        # 0.5 * x rounds to 0.0 only at x = 5e-324, where beta_k(x) >= 1/(2x)
+        raise OverflowError(f"beta_k({x}) overflows binary64 (k={k})") from None
     inv = 1.0 / x
     if inv == math.inf:
         raise OverflowError(f"beta_k({x}) overflows binary64 (k={k})")

@@ -18,7 +18,7 @@ from .beta import beta_k
 from .errors import BracketError, ConvergenceError, DomainError, QuadratureError
 from .furdui import FURDUI_METHOD_IDS, furdui_method, furdui_oracle
 from .hadamard import alpha0_solve, hadamard_k
-from .kcore import gamma_k, psi_k, psi_k_m
+from .kcore import gamma_k, k_value, psi_k, psi_k_m
 from .registry import (
     GridSpec,
     default_grid,
@@ -250,6 +250,7 @@ def _cmd_alpha0(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    k = k_value(args.k)
     if args.n > 4 or args.n < 0:
         return _usage_error("scan derivative index --n must be in 0..4")
     grid = default_grid()
@@ -259,9 +260,9 @@ def _cmd_scan(args) -> int:
         if args.points < 2:
             return _usage_error("--points must be >= 2")
         step = (args.x_hi - args.x_lo) / (args.points - 1)
-        xs = tuple((args.x_lo + i * step) / args.k for i in range(args.points))
+        xs = tuple((args.x_lo + i * step) / k for i in range(args.points))
         grid = GridSpec(x_values=xs)
-    tables = openproblem_scan(args.k, args.n, grid)
+    tables = openproblem_scan(k, args.n, grid)
     for table in tables:
         print(f"n={table.n}: ratio of derivative orders ({table.n + 1}) vs ({table.n})*({table.n + 2})")
         for x, g in table.rows:

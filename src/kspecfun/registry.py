@@ -68,6 +68,8 @@ class GridSpec(
         self = super().__new__(cls, *args, **kwargs)
         if any(k <= 0 for k in self.k_values):
             raise DomainError("all grid k values must be > 0")
+        if not all(math.isfinite(v) for v in (*self.k_values, *self.x_values)):
+            raise DomainError("all grid k and x values must be finite")
         return self
 
 
@@ -127,10 +129,14 @@ class FitRecord(namedtuple("FitRecord", "label fit expected")):
 class IdentityEntry(
     namedtuple(
         "IdentityEntry",
-        "id anchor comparison tol expectation points evaluate skip fit",
-        defaults=(None, None),
+        "id anchor comparison tol expectation points lhs rhs skip fit",
+        defaults=(None, None, None),
     )
 ):
+    """One registered identity.  ``lhs`` and ``rhs`` are routes that
+    run_identity calls as ``route(**params)`` at every grid point; where
+    ``rhs`` is None, ``lhs`` returns the (lhs, rhs) pair itself."""
+
     __slots__ = ()
     id: str
     anchor: str
@@ -138,7 +144,8 @@ class IdentityEntry(
     tol: float
     expectation: str  # 'PASS' | 'FAIL'
     points: Callable[[GridSpec], Iterable[dict]]
-    evaluate: Callable[[dict], tuple]
+    lhs: Callable[..., float | tuple]
+    rhs: Callable[..., float] | None
     skip: Callable | None  # params -> reason for a SKIP report, or None
     fit: FitPlan | None
 
@@ -186,11 +193,6 @@ def _alpha0_root(k: float) -> float:
     return _hadamard.alpha0_solve(k, 1e-10).root
 
 
-def _lambda_ratio(k: float, x: float) -> float:
-    b = _beta.beta_k(k, x)
-    return x * _beta.beta_k_deriv(k, 1, x) / (b * b)
-
-
 def _k_x_points(grid: GridSpec, units=None, scaled=True):
     units = grid.x_values if units is None else units
     for k in grid.k_values:
@@ -210,142 +212,118 @@ def _k_m_points(grid: GridSpec):
 
 
 def _build_entries() -> list[IdentityEntry]:
+    # each side is a named route (see IdentityEntry); a route takes the
+    # params it uses by name and the rest as **_
     e: list[IdentityEntry] = []
-    add = e.append
+
+    def add(id, anchor, comparison, tol, points, lhs, rhs=None, expectation="PASS", **more):
+        e.append(IdentityEntry(id, anchor, comparison, tol, expectation, points, lhs, rhs,
+                               **more))
 
     def add_audit(stem, printed, corrected, **shared):
         # a misprinted formula: its printed form is expected to FAIL and its
         # corrected form must PASS; each field is given once, either shared
         # or per variant
-        add(IdentityEntry(id=f"{stem}-printed", expectation="FAIL", **shared, **printed))
-        add(IdentityEntry(id=f"{stem}-corrected", expectation="PASS", **shared, **corrected))
+        add(f"{stem}-printed", expectation="FAIL", **shared, **printed)
+        add(f"{stem}-corrected", **shared, **corrected)
+
+    def sides(rep):
+        return rep.lhs, rep.rhs
+
+    def one(**_):
+        return 1.0
+
+    def zero(**_):
+        return 0.0
+
+    def recip_x(x, **_):
+        return 1.0 / x
 
     # ---- section 1: recurrences and series routes -----------------------
-    add(IdentityEntry(
-        id="EQ1.1",
-        anchor="Gamma_k(x + k) = x Gamma_k(x)",
-        comparison="rel",
-        tol=1e-11,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_kcore.gamma_k(p["k"], p["x"] + p["k"]),
-                            p["x"] * _kcore.gamma_k(p["k"], p["x"])),
-    ))
-    add(IdentityEntry(
-        id="EQ1.2",
-        anchor="psi_k reduction route vs direct series route",
-        comparison="abs",
-        tol=1e-10,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_kcore.psi_k(p["k"], p["x"]),
-                            _kcore.psi_k_series(p["k"], p["x"], 1e-12).value),
-    ))
-    add(IdentityEntry(
-        id="EQ1.3",
-        anchor="psi_k^(m) scaling route vs direct series route",
-        comparison="rel",
-        tol=1e-10,
-        expectation="PASS",
+    def gamma_k_shifted(k, x, **_):
+        return _kcore.gamma_k(k, x + k)
+
+    def x_gamma_k(k, x, **_):
+        return x * _kcore.gamma_k(k, x)
+
+    def psi_k_by_series(k, x, **_):
+        return _kcore.psi_k_series(k, x, 1e-12).value
+
+    def psi_k_m_by_series(k, m, x, **_):
+        return _kcore.psi_k_m_series(k, m, x, 1e-11).value
+
+    add("EQ1.1", "Gamma_k(x + k) = x Gamma_k(x)", "rel", 1e-11,
+        points=_k_x_points, lhs=gamma_k_shifted, rhs=x_gamma_k)
+    add("EQ1.2", "psi_k reduction route vs direct series route", "abs", 1e-10,
+        points=_k_x_points, lhs=_kcore.psi_k, rhs=psi_k_by_series)
+    add("EQ1.3", "psi_k^(m) scaling route vs direct series route", "rel", 1e-10,
         points=lambda g: ({"k": k, "m": m, "x": u * k}
                           for k in g.k_values for m in _M_VALUES for u in (0.1, 0.7, 2.5)),
-        evaluate=lambda p: (_kcore.psi_k_m(p["k"], p["m"], p["x"]),
-                            _kcore.psi_k_m_series(p["k"], p["m"], p["x"], 1e-11).value),
-    ))
+        lhs=_kcore.psi_k_m, rhs=psi_k_m_by_series)
 
     # ---- section 2: reductions, reflection, the 2F1 integral -------------
-    add(IdentityEntry(
-        id="EQ2.1",
-        anchor="Gamma_k(x) = k^(x/k-1) Gamma(x/k)",
-        comparison="rel",
-        tol=1e-12,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_kcore.gamma_k(p["k"], p["x"]),
-                            p["k"] ** (p["x"] / p["k"] - 1.0) * math.gamma(p["x"] / p["k"])),
-    ))
+    def gamma_k_by_reduction(k, x, **_):
+        return k ** (x / k - 1.0) * math.gamma(x / k)
 
+    def gamma_k_reflection_product(k, x, **_):
+        return _kcore.gamma_k(k, x) * _kcore.gamma_k(k, k - x)
+
+    def pi_over_sin(k, x, **_):
+        return math.pi / _scalar._sinpi(x / k)
+
+    def pi_over_k_sin(k, x, **_):
+        return math.pi / (k * _scalar._sinpi(x / k))
+
+    def ln_gamma_k_derivative(k, x, **_):
+        return finite_diff(lambda t: _kcore.ln_gamma_k(k, t), x, 1)
+
+    add("EQ2.1", "Gamma_k(x) = k^(x/k-1) Gamma(x/k)", "rel", 1e-12,
+        points=_k_x_points, lhs=_kcore.gamma_k, rhs=gamma_k_by_reduction)
     add_audit(
         "EQ2.2",
         dict(anchor="Gamma_k(x) Gamma_k(k-x) = pi / sin(pi x/k) (as printed)",
-             evaluate=lambda p: (_kcore.gamma_k(p["k"], p["x"]) * _kcore.gamma_k(p["k"], p["k"] - p["x"]),
-                                 math.pi / _scalar._sinpi(p["x"] / p["k"])),
-             fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
-                         lambda k: 1.0 / k,
+             rhs=pi_over_sin,
+             fit=FitPlan("ratio", "k", sides, lambda k: 1.0 / k,
                          "lhs/rhs constant per k; 1/k confirms the reduction-route constant pi/k")),
         dict(anchor="Gamma_k(x) Gamma_k(k-x) = (pi/k) / sin(pi x/k)",
-             evaluate=lambda p: (_kcore.gamma_k(p["k"], p["x"]) * _kcore.gamma_k(p["k"], p["k"] - p["x"]),
-                                 math.pi / (p["k"] * _scalar._sinpi(p["x"] / p["k"])))),
+             rhs=pi_over_k_sin),
         comparison="rel",
         tol=1e-10,
         points=lambda g: _k_x_points(g, units=(0.1, 0.35, 0.7)),
+        lhs=gamma_k_reflection_product,
     )
-    add(IdentityEntry(
-        id="LEM2.2",
-        anchor="psi_k is the log-derivative of Gamma_k",
-        comparison="abs",
-        tol=1e-6,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_kcore.psi_k(p["k"], p["x"]),
-                            finite_diff(lambda t: _kcore.ln_gamma_k(p["k"], t), p["x"], 1)),
-    ))
+    add("LEM2.2", "psi_k is the log-derivative of Gamma_k", "abs", 1e-6,
+        points=_k_x_points, lhs=_kcore.psi_k, rhs=ln_gamma_k_derivative)
 
     def _lem23_points(grid):
         for (a, b, v) in ((1.5, 0.5, 1.0), (3.0, 1.0, 2.0), (2.0, 1.0, 2.5), (3.0, 0.5, 2.0)):
             yield {"a": a, "b": b, "v": v, "u": 1.0}
 
-    def _lem23_eval(p):
-        a, b, v, u = p["a"], p["b"], p["v"], p["u"]
-        lhs = u**a / a * _scalar.gauss_2f1(v, a, 1.0 + a, -b * u, tol=1e-13).value
-        rhs = adaptive_quad(lambda x: x ** (a - 1.0) / (1.0 + b * x) ** v, 0.0, u, 1e-11).value
-        return lhs, rhs
+    def lem23_by_2f1(a, b, v, u, **_):
+        return u**a / a * _scalar.gauss_2f1(v, a, 1.0 + a, -b * u, tol=1e-13).value
 
-    add(IdentityEntry(
-        id="LEM2.3",
-        anchor="int_0^u x^(a-1)/(1+bx)^v dx = (u^a/a) 2F1(v,a;1+a;-bu)",
-        comparison="rel",
-        tol=1e-7,
-        expectation="PASS",
-        points=_lem23_points,
-        evaluate=_lem23_eval,
-    ))
-    add(IdentityEntry(
-        id="LEM2.4",
-        anchor="psi_k(x + k) = psi_k(x) + 1/x",
-        comparison="abs",
-        tol=1e-11,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_kcore.psi_k(p["k"], p["x"] + p["k"]) - _kcore.psi_k(p["k"], p["x"]),
-                            1.0 / p["x"]),
-    ))
+    def lem23_by_quadrature(a, b, v, u, **_):
+        return adaptive_quad(lambda x: x ** (a - 1.0) / (1.0 + b * x) ** v, 0.0, u, 1e-11).value
 
-    def _lem25_eval(p):
-        k = p["k"]
+    def psi_k_step(k, x, **_):
+        return _kcore.psi_k(k, x + k) - _kcore.psi_k(k, x)
+
+    def x_beta_k_cm_probe(k, **_):
         probe = cm_probe(lambda x: x * _beta.beta_k(k, x), 0.2 * k, 5.0 * k, 0.1 * k, 6)
-        return 1.0, (1.0 if probe.passed else 0.0)
+        return 1.0 if probe.passed else 0.0
 
-    add(IdentityEntry(
-        id="LEM2.5",
-        anchor="x beta_k(x) is completely monotone (finite-difference probe, order <= 6)",
-        comparison="le",
-        tol=0.0,
-        expectation="PASS",
-        points=_k_points,
-        evaluate=_lem25_eval,
-    ))
-    add(IdentityEntry(
-        id="LEM2.6",
-        anchor="2 beta_k'(x)^2 - beta_k''(x) beta_k(x) > 0",
-        comparison="lt",
-        tol=0.0,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (0.0,
-                            2.0 * _beta.beta_k_deriv(p["k"], 1, p["x"]) ** 2
-                            - _beta.beta_k_deriv(p["k"], 2, p["x"]) * _beta.beta_k(p["k"], p["x"])),
-    ))
+    def beta_k_log_convexity(k, x, **_):
+        return (2.0 * _beta.beta_k_deriv(k, 1, x) ** 2
+                - _beta.beta_k_deriv(k, 2, x) * _beta.beta_k(k, x))
+
+    add("LEM2.3", "int_0^u x^(a-1)/(1+bx)^v dx = (u^a/a) 2F1(v,a;1+a;-bu)", "rel", 1e-7,
+        points=_lem23_points, lhs=lem23_by_2f1, rhs=lem23_by_quadrature)
+    add("LEM2.4", "psi_k(x + k) = psi_k(x) + 1/x", "abs", 1e-11,
+        points=_k_x_points, lhs=psi_k_step, rhs=recip_x)
+    add("LEM2.5", "x beta_k(x) is completely monotone (finite-difference probe, order <= 6)",
+        "le", 0.0, points=_k_points, lhs=one, rhs=x_beta_k_cm_probe)
+    add("LEM2.6", "2 beta_k'(x)^2 - beta_k''(x) beta_k(x) > 0", "lt", 0.0,
+        points=_k_x_points, lhs=zero, rhs=beta_k_log_convexity)
 
     def _lem27_points(grid):
         for k in grid.k_values:
@@ -353,33 +331,51 @@ def _build_entries() -> list[IdentityEntry]:
             for x1, x2 in zip(xs, xs[1:]):
                 yield {"k": k, "x": x1, "x_next": x2}
 
-    add(IdentityEntry(
-        id="LEM2.7",
-        anchor="x beta_k'(x)/beta_k(x)^2 is strictly decreasing",
-        comparison="lt",
-        tol=0.0,
-        expectation="PASS",
-        points=_lem27_points,
-        evaluate=lambda p: (_lambda_ratio(p["k"], p["x_next"]), _lambda_ratio(p["k"], p["x"])),
-    ))
+    def lambda_ratio(k, x, **_):
+        b = _beta.beta_k(k, x)
+        return x * _beta.beta_k_deriv(k, 1, x) / (b * b)
+
+    def lambda_ratio_next(k, x_next, **_):
+        return lambda_ratio(k, x_next)
+
+    add("LEM2.7", "x beta_k'(x)/beta_k(x)^2 is strictly decreasing", "lt", 0.0,
+        points=_lem27_points, lhs=lambda_ratio_next, rhs=lambda_ratio)
 
     # ---- section 3: moment integrals -------------------------------------
-    add(IdentityEntry(
-        id="THM3.1",
-        anchor="I(k,m) zeta-series route vs quadrature oracle",
-        comparison="abs",
-        tol=1e-8,
-        expectation="PASS",
-        points=_k_m_points,
-        evaluate=lambda p: (_furdui.thm31_series(p["k"], p["m"], 1e-11).value,
-                            _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
-    ))
+    def furdui_by_oracle(k, m, **_):
+        return _furdui.furdui_oracle(k, m, 1e-11).value
+
+    def furdui_by_thm31(k, m, **_):
+        return _furdui.thm31_series(k, m, 1e-11).value
+
+    def furdui_by_thm32_printed(k, m, **_):
+        return _furdui.thm32_series(k, m, 1e-11, "as_printed").value
+
+    def furdui_by_thm32_variant(k, m, **_):
+        return _furdui.thm32_series(k, m, 1e-11, "sign_variant").value
+
+    def furdui_by_thm33_printed(k, m, **_):
+        return _furdui.thm33_series(k, m, 1e-10, "as_printed").value
+
+    def furdui_by_ln_gamma_k_moment(k, m, **_):
+        return _furdui.thm33_series(k, m, 1e-9, "lnGamma_audit").value
+
+    def furdui_by_thm34(k, m, n, **_):
+        return _furdui.thm34_recursion(k, m, n, 1e-9).value
+
+    def furdui_by_thm34_printed(k, m, n, **_):
+        # printed middle term (+(-1)^(n+1) k^m n!/m) in place of -n! k^m/(m (m+1)...(m+n))
+        return (furdui_by_thm34(k, m, n)
+                + math.factorial(n) * k**m / (m * _furdui._rising(m + 1.0, n))
+                + (-1.0) ** (n + 1) * k**m * math.factorial(n) / m)
+
+    add("THM3.1", "I(k,m) zeta-series route vs quadrature oracle", "abs", 1e-8,
+        points=_k_m_points, lhs=furdui_by_thm31, rhs=furdui_by_oracle)
     add_audit(
         "THM3.2",
         dict(anchor="I(k,m) with the (ln k - m gamma) prefix (as printed)",
              tol=1e-8,
-             evaluate=lambda p: (_furdui.thm32_series(p["k"], p["m"], 1e-11, "as_printed").value,
-                                 _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
+             lhs=furdui_by_thm32_printed,
              fit=FitPlan("offset", None,
                          lambda rep: ((rep.lhs - rep.rhs) * (rep.params["m"] + 1)
                                       / (rep.params["m"] * rep.params["k"] ** rep.params["m"]), 0.0),
@@ -387,16 +383,15 @@ def _build_entries() -> list[IdentityEntry]:
                          "(lhs-rhs)(m+1)/(m k^m) constant -2*gamma diagnoses the prefix sign")),
         dict(anchor="I(k,m) with the (ln k + m gamma) prefix",
              tol=1e-7,
-             evaluate=lambda p: (_furdui.thm32_series(p["k"], p["m"], 1e-11, "sign_variant").value,
-                                 _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value)),
+             lhs=furdui_by_thm32_variant),
         comparison="abs",
         points=_k_m_points,
+        rhs=furdui_by_oracle,
     )
     add_audit(
         "THM3.3",
         dict(anchor="I(k,m) Kummer-expansion route, printed coefficients",
-             evaluate=lambda p: (_furdui.thm33_series(p["k"], p["m"], 1e-10, "as_printed").value,
-                                 _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
+             lhs=furdui_by_thm33_printed,
              fit=FitPlan("offset", None,
                          lambda rep: ((rep.lhs - rep.rhs) / rep.params["k"] ** rep.params["m"]
                                       + 1.0 / rep.params["m"], 0.0),
@@ -404,11 +399,11 @@ def _build_entries() -> list[IdentityEntry]:
                          "(lhs-rhs)/k^m + 1/m constant ln(pi) diagnoses the 3/2 ln x"
                          " and sign-of-ln(pi/k) coefficients")),
         dict(anchor="I(k,m) = -m int x^(m-1) ln Gamma_k(x) dx (expansion bypassed)",
-             evaluate=lambda p: (_furdui.thm33_series(p["k"], p["m"], 1e-9, "lnGamma_audit").value,
-                                 _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value)),
+             lhs=furdui_by_ln_gamma_k_moment),
         comparison="abs",
         tol=1e-7,
         points=_k_m_points,
+        rhs=furdui_by_oracle,
     )
 
     def _thm34_points(grid):
@@ -417,62 +412,41 @@ def _build_entries() -> list[IdentityEntry]:
                 for n in _N_VALUES:
                     yield {"k": k, "m": m, "n": n}
 
-    add(IdentityEntry(
-        id="THM3.4-corrected",
-        anchor="I(k,m) hypergeometric recursion vs oracle",
-        comparison="abs",
-        tol=1e-6,
-        expectation="PASS",
-        points=_thm34_points,
-        evaluate=lambda p: (_furdui.thm34_recursion(p["k"], p["m"], p["n"], 1e-9).value,
-                            _furdui.furdui_oracle(p["k"], p["m"], 1e-11).value),
-    ))
-
-    def _thm34_printed_eval(p):
-        k, m, n = p["k"], p["m"], p["n"]
-        corrected = _furdui.thm34_recursion(k, m, n, 1e-9).value
-        # printed middle term (+(-1)^(n+1) k^m n!/m) in place of -n! k^m/(m (m+1)...(m+n))
-        printed = corrected + math.factorial(n) * k**m / (m * _furdui._rising(m + 1.0, n)) \
-            + (-1.0) ** (n + 1) * k**m * math.factorial(n) / m
-        return printed, _furdui.furdui_oracle(k, m, 1e-11).value
-
-    add(IdentityEntry(
-        id="THM3.4-printed",
-        anchor="I(k,m) recursion with the printed middle term (-1)^(n+1) k^m n!/m",
-        comparison="abs",
-        tol=1e-6,
-        expectation="FAIL",
-        points=_thm34_points,
-        evaluate=_thm34_printed_eval,
-    ))
+    add("THM3.4-corrected", "I(k,m) hypergeometric recursion vs oracle", "abs", 1e-6,
+        points=_thm34_points, lhs=furdui_by_thm34, rhs=furdui_by_oracle)
+    add("THM3.4-printed", "I(k,m) recursion with the printed middle term (-1)^(n+1) k^m n!/m",
+        "abs", 1e-6, points=_thm34_points, lhs=furdui_by_thm34_printed, rhs=furdui_by_oracle,
+        expectation="FAIL")
 
     def _anchor_points(_grid):
         for method in ("oracle", "thm31", "thm34"):
             yield {"method": method}
 
-    def _anchor_value(method):
-        if method == "oracle":
-            return _furdui.furdui_oracle(1.0, 2, 1e-11).value
-        if method == "thm31":
-            return _furdui.thm31_series(1.0, 2, 1e-11).value
-        return _furdui.thm34_recursion(1.0, 2, 1, 1e-9).value
+    anchor_routes = {"oracle": furdui_by_oracle, "thm31": furdui_by_thm31,
+                     "thm34": furdui_by_thm34}
+    ln_a = math.log(_scalar.CONSTANTS.glaisher_A)
 
-    _A = _scalar.CONSTANTS.glaisher_A
-    _anchor_printed = math.log(_A) - 0.5 * math.log(2.0 * math.pi)
-    _anchor_true = 2.0 * math.log(_A) - 0.5 * math.log(2.0 * math.pi)
+    def furdui_1_2_by_method(method, **_):
+        return anchor_routes[method](k=1.0, m=2, n=1)
+
+    def ln_a_over_sqrt_2pi(**_):
+        return ln_a - 0.5 * math.log(2.0 * math.pi)
+
+    def ln_a2_over_sqrt_2pi(**_):
+        return 2.0 * ln_a - 0.5 * math.log(2.0 * math.pi)
 
     add_audit(
         "FURDUI-ANCHOR",
         dict(anchor="I(1,2) = ln(A/sqrt(2 pi)) (as printed; A Glaisher-Kinkelin)",
-             evaluate=lambda p: (_anchor_value(p["method"]), _anchor_printed),
-             fit=FitPlan("offset", None, lambda rep: (rep.lhs, rep.rhs),
-                         lambda _g: math.log(_A),
+             rhs=ln_a_over_sqrt_2pi,
+             fit=FitPlan("offset", None, sides, lambda _g: ln_a,
                          "offset ln(A) diagnoses a missing square: I(1,2) = ln(A^2/sqrt(2 pi))")),
         dict(anchor="I(1,2) = ln(A^2/sqrt(2 pi))",
-             evaluate=lambda p: (_anchor_value(p["method"]), _anchor_true)),
+             rhs=ln_a2_over_sqrt_2pi),
         comparison="abs",
         tol=1e-7,
         points=_anchor_points,
+        lhs=furdui_1_2_by_method,
     )
 
     # ---- section 4: Hadamard k-gamma --------------------------------------
@@ -481,15 +455,8 @@ def _build_entries() -> list[IdentityEntry]:
             for j in range(50):
                 yield {"k": k, "x": (-1.975 + 0.1 * j) * k}
 
-    add(IdentityEntry(
-        id="THM4.1",
-        anchor="H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x), two-route",
-        comparison="abs",
-        tol=1e-10,
-        expectation="PASS",
-        points=_thm41_points,
-        evaluate=lambda p: _hadamard.functional_eq_41(p["k"], p["x"]),
-    ))
+    add("THM4.1", "H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x), two-route", "abs", 1e-10,
+        points=_thm41_points, lhs=_hadamard.functional_eq_41)
 
     def _eq47_points(variants_ns):
         def gen(grid):
@@ -499,21 +466,23 @@ def _build_entries() -> list[IdentityEntry]:
                         yield {"k": k, "x": u * k, "n": n}
         return gen
 
+    def h_closed_form_as_printed(k, x, n, **_):
+        return _hadamard.recursion_47_closed_form(k, x, n, "as_printed")
+
     add_audit(
         "EQ4.7",
         dict(anchor="n-step closed form with the printed (x+1) factor",
              points=_eq47_points((2, 3)),
-             evaluate=lambda p: (_hadamard.recursion_47_closed_form(p["k"], p["x"], p["n"], "as_printed"),
-                                 _hadamard.recursion_47(p["k"], p["x"], p["n"]))),
+             lhs=h_closed_form_as_printed),
         dict(anchor="n-step closed form with the (x+k) factor",
              points=_eq47_points((1, 2, 3)),
-             evaluate=lambda p: (_hadamard.recursion_47_closed_form(p["k"], p["x"], p["n"], "corrected"),
-                                 _hadamard.recursion_47(p["k"], p["x"], p["n"]))),
+             lhs=_hadamard.recursion_47_closed_form),
         comparison="rel",
         tol=1e-9,
+        rhs=_hadamard.recursion_47,
     )
 
-    def _h_walk(k, x):
+    def h_walk(k, x, **_):
         # H_k by the functional-equation walk from a base point in [0, k),
         # so the lhs does not share the far-field route of the rhs
         if x < k:
@@ -524,13 +493,12 @@ def _build_entries() -> list[IdentityEntry]:
     add_audit(
         "EQ4.8",
         dict(anchor="H_k(x) = Gamma_k(x)/k - Gamma_k(x) sin(pi x/k) beta_k(x)/pi (as printed)",
-             evaluate=lambda p: _hadamard.representation_48(p["k"], p["x"]),
-             fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
-                         lambda k: k,
+             lhs=_hadamard.representation_48,
+             fit=FitPlan("ratio", "k", sides, lambda k: k,
                          "lhs/rhs constant per k; the value k restores the k-scaling")),
         dict(anchor="H_k(x) = Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))",
-             evaluate=lambda p: (_h_walk(p["k"], p["x"]),
-                                 _hadamard.representation_48_corrected_rhs(p["k"], p["x"]))),
+             lhs=h_walk,
+             rhs=_hadamard.representation_48_corrected_rhs),
         comparison="rel",
         tol=1e-10,
         points=lambda g: _k_x_points(g, units=(0.1, 0.35, 0.7, 1.5, 2.5)),
@@ -544,46 +512,34 @@ def _build_entries() -> list[IdentityEntry]:
                 for j in range(4):
                     yield {"k": k, "x": base + 0.35 * k * i, "y": base + 0.45 * k * j}
 
-    def _thm43_eval(p):
-        return _hadamard.superadditivity_43(p["k"], p["x"], p["y"])
-
-    add(IdentityEntry(
-        id="THM4.3-above",
-        anchor="k^(y/k) H_k(x) + k^(x/k) H_k(y) <= H_k(x+y) for x,y above the threshold",
-        comparison="le",
-        tol=SUPERADD_SLACK,
-        expectation="PASS",
-        points=_thm43_above_points,
-        evaluate=_thm43_eval,
-    ))
-
     def _thm43_below_points(grid):
         for k in grid.k_values:
             a0 = _alpha0_root(k)
             for t in (1.01 * k, 1.2 * k, 1.35 * k, 1.45 * k, a0 - 0.02 * k):
                 yield {"k": k, "x": t, "y": t}
 
-    add(IdentityEntry(
-        id="THM4.3-below",
-        anchor="sharpness witness: the inequality fails for x = y below the threshold",
-        comparison="le",
-        tol=SUPERADD_SLACK,
-        expectation="FAIL",
-        points=_thm43_below_points,
-        evaluate=_thm43_eval,
-    ))
+    add("THM4.3-above",
+        "k^(y/k) H_k(x) + k^(x/k) H_k(y) <= H_k(x+y) for x,y above the threshold",
+        "le", SUPERADD_SLACK, points=_thm43_above_points, lhs=_hadamard.superadditivity_43)
+    add("THM4.3-below",
+        "sharpness witness: the inequality fails for x = y below the threshold",
+        "le", SUPERADD_SLACK, points=_thm43_below_points, lhs=_hadamard.superadditivity_43,
+        expectation="FAIL")
 
     def _thm44_points(_grid):
         for j in range(13):
             yield {"x": round(-0.9 + 0.15 * j, 10)}
 
+    def lerch_410_as_printed(x, **_):
+        return _hadamard.lerch_identity_410(x, "as_printed")
+
     add_audit(
         "THM4.4",
         dict(anchor="2x Phi(-1,1,-x) = Phi(1,1,1-x/2) - Phi(1,1,1/2-x/2) (as printed)",
              skip=lambda p: "printed form singular at x = 0" if p["x"] == 0.0 else None,
-             evaluate=lambda p: _hadamard.lerch_identity_410(p["x"], "as_printed")),
+             lhs=lerch_410_as_printed),
         dict(anchor="2 Phi(-1,1,1-x) = Phi(1,1,1/2-x/2) - Phi(1,1,1-x/2)",
-             evaluate=lambda p: _hadamard.lerch_identity_410(p["x"], "corrected")),
+             lhs=_hadamard.lerch_identity_410),
         comparison="abs",
         tol=1e-10,
         points=_thm44_points,
@@ -596,227 +552,162 @@ def _build_entries() -> list[IdentityEntry]:
                 for n in _N_VALUES:
                     yield {"k": k, "x": u, "n": n}
 
+    def telescope_51_as_printed(k, x, n, **_):
+        return _beta.telescope_51(k, x, n, "as_printed")
+
     add_audit(
         "THM5.1",
         dict(anchor="telescoping beta_k sum with (2k)^m x arguments (as printed)",
-             evaluate=lambda p: _beta.telescope_51(p["k"], p["x"], p["n"], "as_printed")),
+             lhs=telescope_51_as_printed),
         dict(anchor="telescoping beta_k sum with 2^m k x arguments",
-             evaluate=lambda p: _beta.telescope_51(p["k"], p["x"], p["n"], "corrected")),
+             lhs=_beta.telescope_51),
         comparison="abs",
         tol=1e-10,
         points=_thm51_points,
     )
-    add(IdentityEntry(
-        id="THM5.2",
-        anchor="beta_k psi-difference route vs alternating series route",
-        comparison="abs",
-        tol=1e-10,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_beta.beta_k(p["k"], p["x"]),
-                            _beta.beta_k_series(p["k"], p["x"], 1e-13).value),
-    ))
-    add(IdentityEntry(
-        id="EQ5.2-integral",
-        anchor="beta_k vs int_0^1 t^(x-1)/(1+t^k) dt",
-        comparison="abs",
-        tol=1e-7,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_beta.beta_k(p["k"], p["x"]),
-                            _beta.beta_k_integral(p["k"], p["x"], 1e-9).value),
-    ))
-    add(IdentityEntry(
-        id="THM5.3",
-        anchor="Laplace route int_0^inf e^(-xt)/cosh(kt) dt = beta_k((x+k)/2)",
-        comparison="abs",
-        tol=1e-7,
-        expectation="PASS",
-        points=lambda g: _k_x_points(g, units=(-0.5, 0.0, 0.35, 1.0, 2.1)),
-        evaluate=lambda p: (_beta.beta_k_cosh_form(p["k"], p["x"], 1e-9).value,
-                            _beta.beta_k(p["k"], 0.5 * (p["x"] + p["k"]))),
-    ))
-    add(IdentityEntry(
-        id="THM5.4",
-        anchor="expansion of beta_k(x + k) around k",
-        comparison="abs",
-        tol=1e-8,
-        expectation="PASS",
-        points=lambda g: _k_x_points(g, units=(-0.5, 0.1, 0.5, 0.9)),
-        evaluate=lambda p: (_beta.beta_taylor_54(p["k"], p["x"], 240).value,
-                            _beta.beta_k(p["k"], p["x"] + p["k"])),
-    ))
-    add(IdentityEntry(
-        id="THM5.5",
-        anchor="expansion of beta_k around 0 (power-difference inner sum)",
-        comparison="abs",
-        tol=1e-8,
-        expectation="PASS",
-        points=lambda g: _k_x_points(g, units=(0.1, 0.5, 0.9)),
-        evaluate=lambda p: (_beta.beta_expansion_55(p["k"], p["x"], 560, 1e-9).value,
-                            _beta.beta_k(p["k"], p["x"])),
-    ))
-    add(IdentityEntry(
-        id="EQ5.55",
-        anchor="k-duplication, differentiated form",
-        comparison="abs",
-        tol=1e-11,
-        expectation="PASS",
-        points=lambda g: _k_x_points(g, scaled=False),
-        evaluate=lambda p: (_kcore.psi_k(p["k"], p["k"] * p["x"] + 0.5 * p["k"]),
-                            _kcore.psi_k_duplication_rhs(p["k"], p["x"])),
-    ))
 
-    def _eq55_eval(p, corrected):
-        k, x = p["k"], p["x"]
-        lhs = _kcore.gamma_k(k, 2.0 * k * x)
-        c = math.sqrt(k / math.pi) if corrected else 1.0 / math.sqrt(k * math.pi)
-        rhs = 2.0 ** (2.0 * x - 1.0) * c * _kcore.gamma_k(k, k * x) * _kcore.gamma_k(k, k * x + 0.5 * k)
-        return lhs, rhs
+    def beta_k_by_series(k, x, **_):
+        return _beta.beta_k_series(k, x, 1e-13).value
+
+    def beta_k_by_integral(k, x, **_):
+        return _beta.beta_k_integral(k, x, 1e-9).value
+
+    def beta_k_by_cosh_form(k, x, **_):
+        return _beta.beta_k_cosh_form(k, x, 1e-9).value
+
+    def beta_k_at_half_shift(k, x, **_):
+        return _beta.beta_k(k, 0.5 * (x + k))
+
+    def beta_k_by_taylor_54(k, x, **_):
+        return _beta.beta_taylor_54(k, x, 240).value
+
+    def beta_k_shifted(k, x, **_):
+        return _beta.beta_k(k, x + k)
+
+    def beta_k_by_expansion_55(k, x, **_):
+        return _beta.beta_expansion_55(k, x, 560, 1e-9).value
+
+    def psi_k_duplicated(k, x, **_):
+        return _kcore.psi_k(k, k * x + 0.5 * k)
+
+    add("THM5.2", "beta_k psi-difference route vs alternating series route", "abs", 1e-10,
+        points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_series)
+    add("EQ5.2-integral", "beta_k vs int_0^1 t^(x-1)/(1+t^k) dt", "abs", 1e-7,
+        points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_integral)
+    add("THM5.3", "Laplace route int_0^inf e^(-xt)/cosh(kt) dt = beta_k((x+k)/2)", "abs", 1e-7,
+        points=lambda g: _k_x_points(g, units=(-0.5, 0.0, 0.35, 1.0, 2.1)),
+        lhs=beta_k_by_cosh_form, rhs=beta_k_at_half_shift)
+    add("THM5.4", "expansion of beta_k(x + k) around k", "abs", 1e-8,
+        points=lambda g: _k_x_points(g, units=(-0.5, 0.1, 0.5, 0.9)),
+        lhs=beta_k_by_taylor_54, rhs=beta_k_shifted)
+    add("THM5.5", "expansion of beta_k around 0 (power-difference inner sum)", "abs", 1e-8,
+        points=lambda g: _k_x_points(g, units=(0.1, 0.5, 0.9)),
+        lhs=beta_k_by_expansion_55, rhs=_beta.beta_k)
+    add("EQ5.55", "k-duplication, differentiated form", "abs", 1e-11,
+        points=lambda g: _k_x_points(g, scaled=False),
+        lhs=psi_k_duplicated, rhs=_kcore.psi_k_duplication_rhs)
+
+    def gamma_k_doubled(k, x, **_):
+        return _kcore.gamma_k(k, 2.0 * k * x)
+
+    def duplication_product(c, k, x):
+        return (2.0 ** (2.0 * x - 1.0) * c * _kcore.gamma_k(k, k * x)
+                * _kcore.gamma_k(k, k * x + 0.5 * k))
+
+    def gamma_k_duplication_as_printed(k, x, **_):
+        return duplication_product(1.0 / math.sqrt(k * math.pi), k, x)
+
+    def gamma_k_duplication(k, x, **_):
+        return duplication_product(math.sqrt(k / math.pi), k, x)
 
     add_audit(
         "EQ5.5",
         dict(anchor="k-duplication with constant 2^(2x-1)/sqrt(k pi) (as printed)",
-             evaluate=lambda p: _eq55_eval(p, corrected=False),
-             fit=FitPlan("ratio", "k", lambda rep: (rep.lhs, rep.rhs),
-                         lambda k: k,
+             rhs=gamma_k_duplication_as_printed,
+             fit=FitPlan("ratio", "k", sides, lambda k: k,
                          "lhs/rhs constant per k; k corrects 1/sqrt(k pi) to sqrt(k/pi)")),
         dict(anchor="k-duplication with constant 2^(2x-1) sqrt(k/pi)",
-             evaluate=lambda p: _eq55_eval(p, corrected=True)),
+             rhs=gamma_k_duplication),
         comparison="rel",
         tol=1e-10,
         points=lambda g: _k_x_points(g, units=(0.3, 0.8, 1.4), scaled=False),
+        lhs=gamma_k_doubled,
     )
-    add(IdentityEntry(
-        id="EQ5.11",
-        anchor="beta_k(x + k) + beta_k(x) = 1/x (two independent beta routes)",
-        comparison="abs",
-        tol=1e-11,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_beta.beta_k(p["k"], p["x"] + p["k"])
-                            + _beta.beta_k_series(p["k"], p["x"], 1e-13).value,
-                            1.0 / p["x"]),
-    ))
 
-    def _thm56_eval(p):
-        k, x = p["k"], p["x"]
+    def beta_k_step_sum(k, x, **_):
+        # beta_k(x + k) by the psi route, beta_k(x) by the series route
+        return beta_k_shifted(k, x) + beta_k_by_series(k, x)
+
+    def beta_k_harmonic_mean_bound(k, x, **_):
         b1 = _beta.beta_k(k, x)
         b2 = _beta.beta_k(k, k * k / x)
         return 2.0 * b1 * b2 / (b1 + b2), _scalar.CONSTANTS.ln2 / k
 
-    add(IdentityEntry(
-        id="THM5.6",
-        anchor="harmonic mean of beta_k(x), beta_k(k^2/x) <= beta_k(k)",
-        comparison="le",
-        tol=1e-12,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=_thm56_eval,
-    ))
-    add(IdentityEntry(
-        id="THM5.6-equality",
-        anchor="equality case x = k of the harmonic-mean bound",
-        comparison="abs",
-        tol=1e-12,
-        expectation="PASS",
-        points=lambda g: _k_x_points(g, units=(1.0,)),
-        evaluate=_thm56_eval,
-    ))
+    add("EQ5.11", "beta_k(x + k) + beta_k(x) = 1/x (two independent beta routes)", "abs", 1e-11,
+        points=_k_x_points, lhs=beta_k_step_sum, rhs=recip_x)
+    add("THM5.6", "harmonic mean of beta_k(x), beta_k(k^2/x) <= beta_k(k)", "le", 1e-12,
+        points=_k_x_points, lhs=beta_k_harmonic_mean_bound)
+    add("THM5.6-equality", "equality case x = k of the harmonic-mean bound", "abs", 1e-12,
+        points=lambda g: _k_x_points(g, units=(1.0,)), lhs=beta_k_harmonic_mean_bound)
 
-    _rem_units = (0.1, 0.35, 0.7, 0.9)
-    add(IdentityEntry(
-        id="REMARK5-lower",
-        anchor="1/x - ln2/k < beta_k(x) on (0, k)",
-        comparison="lt",
-        tol=0.0,
-        expectation="PASS",
-        points=lambda g: _k_x_points(g, units=_rem_units),
-        evaluate=lambda p: (1.0 / p["x"] - _scalar.CONSTANTS.ln2 / p["k"],
-                            _beta.beta_k(p["k"], p["x"])),
-    ))
-    add(IdentityEntry(
-        id="REMARK5-upper",
-        anchor="beta_k(x) < 1/x on (0, k)",
-        comparison="lt",
-        tol=0.0,
-        expectation="PASS",
-        points=lambda g: _k_x_points(g, units=_rem_units),
-        evaluate=lambda p: (_beta.beta_k(p["k"], p["x"]), 1.0 / p["x"]),
-    ))
-    add(IdentityEntry(
-        id="REMARK5-refined",
-        anchor="beta_k(x) < 1/x - ln2/k + pi^2 x/(12 k^2) on (0, k)",
-        comparison="lt",
-        tol=0.0,
-        expectation="PASS",
-        points=lambda g: _k_x_points(g, units=_rem_units),
-        evaluate=lambda p: (_beta.beta_k(p["k"], p["x"]),
-                            1.0 / p["x"] - _scalar.CONSTANTS.ln2 / p["k"]
-                            + math.pi**2 * p["x"] / (12.0 * p["k"] ** 2)),
-    ))
+    def _remark5_points(grid):
+        return _k_x_points(grid, units=(0.1, 0.35, 0.7, 0.9))
+
+    def beta_k_lower_bound(k, x, **_):
+        return 1.0 / x - _scalar.CONSTANTS.ln2 / k
+
+    def beta_k_refined_upper_bound(k, x, **_):
+        return beta_k_lower_bound(k, x) + math.pi**2 * x / (12.0 * k ** 2)
+
+    add("REMARK5-lower", "1/x - ln2/k < beta_k(x) on (0, k)", "lt", 0.0,
+        points=_remark5_points, lhs=beta_k_lower_bound, rhs=_beta.beta_k)
+    add("REMARK5-upper", "beta_k(x) < 1/x on (0, k)", "lt", 0.0,
+        points=_remark5_points, lhs=_beta.beta_k, rhs=recip_x)
+    add("REMARK5-refined", "beta_k(x) < 1/x - ln2/k + pi^2 x/(12 k^2) on (0, k)", "lt", 0.0,
+        points=_remark5_points, lhs=_beta.beta_k, rhs=beta_k_refined_upper_bound)
 
     # ---- structural invariants --------------------------------------------
-    add(IdentityEntry(
-        id="SCALING-BETA",
-        anchor="beta_k(x) = beta_1(x/k)/k",
-        comparison="rel",
-        tol=1e-11,
-        expectation="PASS",
-        points=_k_x_points,
-        evaluate=lambda p: (_beta.beta_k(p["k"], p["x"]),
-                            _beta.beta_k(1.0, p["x"] / p["k"]) / p["k"]),
-    ))
-    add(IdentityEntry(
-        id="SCALING-H",
-        anchor="H_k(x) = k^(x/k - 1) H(x/k)",
-        comparison="abs",
-        tol=1e-10,
-        expectation="PASS",
+    def beta_k_by_scaling(k, x, **_):
+        return _beta.beta_k(1.0, x / k) / k
+
+    def hadamard_k_by_scaling(k, x, **_):
+        return k ** (x / k - 1.0) * _hadamard.hadamard_k(1.0, x / k)
+
+    def hadamard_k_at_k(k, **_):
+        return _hadamard.hadamard_k(k, k)
+
+    def hadamard_1_at_n(n, **_):
+        return _hadamard.hadamard_k(1.0, float(n))
+
+    def factorial_n_minus_1(n, **_):
+        return float(math.factorial(n - 1))
+
+    def hadamard_k_seam_mean(k, **_):
+        return 0.5 * (_hadamard.hadamard_k(k, k * (1.0 + 1e-5))
+                      + _hadamard.hadamard_k(k, k * (1.0 - 1e-5)))
+
+    def alpha0(k, **_):
+        # a positional call shares the lru_cache key of the THM4.3 grids
+        return _alpha0_root(k)
+
+    def alpha0_by_scaling(k, **_):
+        return k * _alpha0_root(1.0)
+
+    add("SCALING-BETA", "beta_k(x) = beta_1(x/k)/k", "rel", 1e-11,
+        points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_scaling)
+    add("SCALING-H", "H_k(x) = k^(x/k - 1) H(x/k)", "abs", 1e-10,
         points=lambda g: _k_x_points(g, units=(-1.7, -0.6, 0.3, 1.4, 2.6, 4.3)),
-        evaluate=lambda p: (_hadamard.hadamard_k(p["k"], p["x"]),
-                            p["k"] ** (p["x"] / p["k"] - 1.0)
-                            * _hadamard.hadamard_k(1.0, p["x"] / p["k"])),
-    ))
-    add(IdentityEntry(
-        id="H-AT-K",
-        anchor="H_k(k) = 1",
-        comparison="abs",
-        tol=1e-12,
-        expectation="PASS",
-        points=_k_points,
-        evaluate=lambda p: (_hadamard.hadamard_k(p["k"], p["k"]), 1.0),
-    ))
-    add(IdentityEntry(
-        id="H-FACTORIAL",
-        anchor="H(n) = (n-1)! at k = 1",
-        comparison="abs",
-        tol=1e-10,
-        expectation="PASS",
+        lhs=_hadamard.hadamard_k, rhs=hadamard_k_by_scaling)
+    add("H-AT-K", "H_k(k) = 1", "abs", 1e-12,
+        points=_k_points, lhs=hadamard_k_at_k, rhs=one)
+    add("H-FACTORIAL", "H(n) = (n-1)! at k = 1", "abs", 1e-10,
         points=lambda g: ({"n": n} for n in (1, 2, 3, 4, 5)),
-        evaluate=lambda p: (_hadamard.hadamard_k(1.0, float(p["n"])),
-                            float(math.factorial(p["n"] - 1))),
-    ))
-    add(IdentityEntry(
-        id="H-SEAM",
-        anchor="continuity of H_k across the evaluation seam at x = k",
-        comparison="abs",
-        tol=1e-9,
-        expectation="PASS",
-        points=_k_points,
-        evaluate=lambda p: (0.5 * (_hadamard.hadamard_k(p["k"], p["k"] * (1.0 + 1e-5))
-                                   + _hadamard.hadamard_k(p["k"], p["k"] * (1.0 - 1e-5))),
-                            _hadamard.hadamard_k(p["k"], p["k"])),
-    ))
-    add(IdentityEntry(
-        id="ALPHA0-SCALING",
-        anchor="alpha0(k) = k alpha0(1)",
-        comparison="abs",
-        tol=1e-8,
-        expectation="PASS",
+        lhs=hadamard_1_at_n, rhs=factorial_n_minus_1)
+    add("H-SEAM", "continuity of H_k across the evaluation seam at x = k", "abs", 1e-9,
+        points=_k_points, lhs=hadamard_k_seam_mean, rhs=hadamard_k_at_k)
+    add("ALPHA0-SCALING", "alpha0(k) = k alpha0(1)", "abs", 1e-8,
         points=lambda g: ({"k": k} for k in g.k_values if k != 1.0),
-        evaluate=lambda p: (_alpha0_root(p["k"]), p["k"] * _alpha0_root(1.0)),
-    ))
+        lhs=alpha0, rhs=alpha0_by_scaling)
     return e
 
 
@@ -876,7 +767,12 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
     """
     grid = grid or default_grid()
     entry = get_entry(identity_id)
-    tol = entry.tol if tol_override is None else float(tol_override)
+    if tol_override is None:
+        tol = entry.tol
+    else:
+        tol = float(tol_override)
+        if not 0.0 <= tol < math.inf:
+            raise DomainError(f"tol override must be finite and >= 0, got {tol_override!r}")
     reports = []
     for params in entry.points(grid):
         if entry.skip is not None:
@@ -886,7 +782,10 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
                                               None, None, "SKIP", reason))
                 continue
         try:
-            lhs, rhs = entry.evaluate(params)
+            if entry.rhs is None:
+                lhs, rhs = entry.lhs(**params)
+            else:
+                lhs, rhs = entry.lhs(**params), entry.rhs(**params)
         except (DomainError, PoleError, OverflowError) as exc:
             reports.append(IdentityReport(entry.id, dict(params), None, None,
                                           None, None, "SKIP", f"{type(exc).__name__}: {exc}"))

@@ -100,7 +100,7 @@ def _positive(name: str, x: float) -> float:
 
 
 def _check_tol(tol: float) -> None:
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise DomainError("tol must be positive")
 
 
@@ -399,15 +399,13 @@ def _2f1_series(a, b, c, z, tol):
     )
 
 
-def gauss_2f1(a, b, c, z, tol=1e-13, method="auto") -> SeriesValue:
+def gauss_2f1(a, b, c, z, tol=1e-13) -> SeriesValue:
     """Gauss hypergeometric 2F1(a, b; c; z) for z in [-1, 0].
 
-    ``method='direct'`` sums the defining series (sensible down to about
-    z = -0.5); ``method='pfaff'`` applies the Pfaff transformation
-    F(a,b;c;z) = (1-z)^(-b) F(c-a, b; c; z/(z-1)), which maps z into
-    [0, 1/2] where the series converges geometrically.  ``'auto'``
-    switches to Pfaff for z < -0.5, which is mandatory at z = -1 where
-    the direct series may diverge termwise.
+    For z >= -0.5 the defining series is summed directly.  For z < -0.5
+    the Pfaff transformation F(a,b;c;z) = (1-z)^(-b) F(c-a, b; c; z/(z-1))
+    maps z into (1/3, 1/2], where the series converges geometrically; this
+    is mandatory at z = -1, where the direct series may diverge termwise.
     """
     a = _require_finite("a", a)
     b = _require_finite("b", b)
@@ -417,13 +415,9 @@ def gauss_2f1(a, b, c, z, tol=1e-13, method="auto") -> SeriesValue:
         raise DomainError(f"2F1 parameter c must not be a nonpositive integer, got {c}")
     if not -1.0 <= z <= 0.0:
         raise DomainError(f"2F1 argument z must lie in [-1, 0], got {z}")
-    if method not in ("auto", "direct", "pfaff"):
-        raise DomainError(f"unknown 2F1 method {method!r}")
-    if method == "auto":
-        method = "direct" if z >= -0.5 else "pfaff"
     if z == 0.0:
         return SeriesValue(1.0, 0.0, 0, True)
-    if method == "direct":
+    if z >= -0.5:
         value, err, n = _2f1_series(a, b, c, z, tol)
     else:
         w = z / (z - 1.0)

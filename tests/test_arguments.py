@@ -57,7 +57,7 @@ def test_non_finite_x_is_rejected(name, x):
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_TOL))
-@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 def test_nonpositive_tol_is_rejected(name, tol):
     with pytest.raises(DomainError, match="^tol must be positive$"):
         CHECKED_TOL[name](tol)

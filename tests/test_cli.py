@@ -104,6 +104,21 @@ def test_verify_tol_override(capsys):
     assert code == 2 and "single identity" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_tol_override_must_be_finite_and_non_negative(capsys, tol):
+    code, out, err = run(capsys, "verify", "--id", "EQ1.1", f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "tol override must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("flags", [("--k-list", "nan"), ("--x-list", "inf"),
+                                   ("--x-list", "inf", "--format", "json")])
+def test_verify_rejects_non_finite_grid_values(capsys, flags):
+    code, out, err = run(capsys, "verify", "--id", "EQ1.1", *flags)
+    assert code == 2 and out == ""
+    assert "grid k and x values must be finite" in err
+
+
 def test_verify_all_json_deterministic(tmp_path, capsys):
     p1 = tmp_path / "r1.json"
     p2 = tmp_path / "r2.json"
@@ -219,3 +234,15 @@ def test_scan_command(capsys):
 def test_scan_caps_n(capsys):
     code, _, err = run(capsys, "scan", "--k", "1", "--n", "5")
     assert code == 2
+
+
+def test_scan_rejects_k_zero(capsys):
+    code, out, err = run(capsys, "scan", "--k", "0", "--n", "1", "--x-lo", "1", "--x-hi", "2")
+    assert code == 2 and out == ""
+    assert "k must be finite and > 0" in err
+
+
+def test_alpha0_rejects_nan_tol(capsys):
+    code, out, err = run(capsys, "alpha0", "--k", "1", "--tol", "nan")
+    assert code == 2 and out == ""
+    assert "tol must be positive" in err

@@ -130,6 +130,13 @@ def test_psi_k_beta_k_beyond_binary64_raise(f, k, x):
         f(k, x)
 
 
+@pytest.mark.parametrize("k", [1.0, 5e-324, 1e300])
+def test_beta_k_at_the_smallest_subnormal_overflows(k):
+    # 0.5 * 5e-324 rounds to 0.0; the true value is at least 1/(2x), about 1e323
+    with pytest.raises(OverflowError, match=r"^beta_k\(5e-324\) overflows binary64"):
+        beta_k(k, 5e-324)
+
+
 def test_psi_k_series_values():
     assert psi_k_series(1.0, 1.0, 1e-10).value == pytest.approx(-GAMMA, abs=1e-10)
     assert psi_k_series(2.0, 2.0, 1e-10).value == pytest.approx(0.0579657578292062, abs=1e-10)

@@ -74,9 +74,9 @@ RECORDS = {
     ),
     IdentityEntry: (
         (("id", "X"), ("anchor", "(1.1)"), ("comparison", "rel"), ("tol", 1e-12),
-         ("expectation", "PASS"), ("points", list), ("evaluate", tuple), ("skip", bool),
-         ("fit", None)),
-        {"skip": None, "fit": None},
+         ("expectation", "PASS"), ("points", list), ("lhs", abs), ("rhs", float),
+         ("skip", bool), ("fit", None)),
+        {"rhs": None, "skip": None, "fit": None},
     ),
     EntrySummary: (
         (("identity_id", "X"), ("expectation", "FAIL"), ("n_pass", 1), ("n_fail", 2),

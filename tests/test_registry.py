@@ -10,6 +10,7 @@ from kspecfun import (
     DomainError,
     GridSpec,
     default_grid,
+    get_entry,
     openproblem_scan,
     registry_ids,
     reports_to_csv,
@@ -39,6 +40,35 @@ def test_registry_ids_unique_and_complete():
         assert f"{stem}-corrected" in ids
     for required in ("EQ1.1", "LEM2.4", "EQ5.11", "THM3.1", "THM4.1", "THM5.2"):
         assert required in ids
+
+
+def _entries():
+    return [get_entry(identity_id) for identity_id in registry_ids()]
+
+
+def _routes():
+    return [route for entry in _entries() for route in (entry.lhs, entry.rhs) if route is not None]
+
+
+def test_every_side_is_a_named_route():
+    for route in _routes():
+        assert route.__name__ != "<lambda>", route
+
+
+def test_distinct_routes_have_distinct_names():
+    names = [route.__name__ for route in {id(route): route for route in _routes()}.values()]
+    assert len(names) == len(set(names))
+
+
+def test_no_entry_uses_one_route_for_both_sides():
+    for entry in _entries():
+        assert entry.lhs is not entry.rhs, entry.id
+
+
+def test_comparisons_and_expectations_are_known():
+    for entry in _entries():
+        assert entry.comparison in ("abs", "rel", "le", "lt"), entry.id
+        assert entry.expectation in ("PASS", "FAIL"), entry.id
 
 
 def test_unknown_identity_rejected():
