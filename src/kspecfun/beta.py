@@ -3,8 +3,8 @@
 The primary route is the psi_k difference; the alternating series, the
 Mellin-type integral on [0, 1] and the Laplace (cosh) integral provide
 three more routes that the verification harness plays against each
-other.  Expansions around x = k and x = 0 plus the telescoping sum
-complete the set.
+other.  Expansions around x = k and x = 0 complete the set, and the
+step beta_k(x) = 1/x - beta_k(x + k) continues beta_k to x <= 0.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConvergenceError, DomainError
-from .kcore import k_value, psi_k, psi_k_m
+from .kcore import _check_pole, k_value, psi_k, psi_k_m
 from .oracles import QuadratureResult, adaptive_quad
 from .scalar import (_EPS, CONSTANTS, SeriesValue, _alt_recip_sum, _check_tol, _positive,
                      _require_finite, zeta_int)
@@ -26,7 +26,6 @@ __all__ = [
     "beta_taylor_54",
     "beta_taylor_terms",
     "beta_expansion_55",
-    "telescope_51",
 ]
 
 def beta_k(k, x: float) -> float:
@@ -51,6 +50,16 @@ def beta_k(k, x: float) -> float:
     if inv == math.inf:
         raise OverflowError(f"beta_k({x}) overflows binary64 (k={k})")
     return inv - beta_k(k, x + k)
+
+
+def _beta_continued(k: float, z: float, depth: int = 0) -> float:
+    # analytic continuation of beta_k through beta_k(z) = 1/z - beta_k(z + k)
+    if depth > 64:
+        raise DomainError("beta_k continuation recursed too deeply")
+    if z > 0.0:
+        return beta_k(k, z)
+    _check_pole(k, z)
+    return 1.0 / z - _beta_continued(k, z + k, depth + 1)
 
 
 def beta_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
@@ -152,6 +161,7 @@ def beta_taylor_54(k, x: float, order: int, tol: float = 1e-9) -> SeriesValue:
     x = _require_finite("x", x)
     if abs(x) >= k:
         raise DomainError(f"beta_taylor_54 requires |x| < k, got x={x}, k={k}")
+    _check_tol(tol)
     total = 0.0
     xp = 1.0
     for c in beta_taylor_terms(k, order):
@@ -179,6 +189,7 @@ def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> SeriesValue
         raise DomainError(f"beta_expansion_55 requires 0 < x < k, got x={x}, k={k}")
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    _check_tol(tol)
     total = 1.0 / x - 1.0 / (x + k)
     a = 0.5 * (x + k)
     b = 0.5 * x
@@ -206,30 +217,3 @@ def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> SeriesValue
             terms_used=n_max,
         )
     return SeriesValue(total, err, n_max, True)
-
-
-def telescope_51(k, x: float, n: int, variant: str = "corrected") -> tuple[float, float]:
-    """Both sides of the telescoping beta_k sum collapsing to a psi_k difference.
-
-    ``as_printed`` uses arguments (2k)^m x on the left and psi_k(2^n k^n x)
-    on the right; ``corrected`` uses 2^m k x and psi_k(2^n k x), which is
-    the form that actually telescopes for k != 1 (the harness confirms
-    this numerically rather than assuming it).
-    """
-    k = k_value(k)
-    x = _positive("telescope_51", x)
-    if not isinstance(n, int) or not 1 <= n <= 20:
-        raise DomainError(f"telescope_51 requires integer 1 <= n <= 20, got {n!r}")
-    if variant == "as_printed":
-        args = [(2.0 * k) ** m * x for m in range(1, n + 1)]
-        top = 2.0**n * k**n * x
-    elif variant == "corrected":
-        args = [2.0**m * k * x for m in range(1, n + 1)]
-        top = 2.0**n * k * x
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    if not all(map(math.isfinite, args)) or not math.isfinite(top):
-        raise OverflowError(f"telescope_51 arguments overflow for n={n}")
-    lhs = sum(beta_k(k, a) for a in args)
-    rhs = psi_k(k, top) - psi_k(k, k * x) - n * CONSTANTS.ln2 / k
-    return lhs, rhs

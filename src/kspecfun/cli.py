@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .beta import beta_k
 from .errors import BracketError, ConvergenceError, DomainError, QuadratureError
-from .furdui import FURDUI_METHOD_IDS, furdui_method, furdui_oracle
+from .furdui import FURDUI_METHODS, furdui_method, furdui_oracle
 from .hadamard import alpha0_solve, hadamard_k
 from .kcore import gamma_k, k_value, psi_k, psi_k_m
 from .registry import (
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_furdui.add_argument("--m", type=int, required=True)
     p_furdui.add_argument("--n", type=int, default=1)
     p_furdui.add_argument("--methods", required=True,
-                          help=f"comma list from {', '.join(FURDUI_METHOD_IDS)}")
+                          help=f"comma list from {', '.join(FURDUI_METHODS)}")
 
     p_alpha = sub.add_parser("alpha0", help="solve the superadditivity threshold")
     p_alpha.add_argument("--k", type=float, required=True)
@@ -224,10 +224,10 @@ def _cmd_furdui(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         return _usage_error("empty --methods list")
-    unknown = [m for m in methods if m not in FURDUI_METHOD_IDS]
+    unknown = [m for m in methods if m not in FURDUI_METHODS]
     if unknown:
         return _usage_error(
-            f"unknown method(s) {', '.join(unknown)}; choose from {', '.join(FURDUI_METHOD_IDS)}"
+            f"unknown method(s) {', '.join(unknown)}; choose from {', '.join(FURDUI_METHODS)}"
         )
     print(f"{'method':<16} {'value':>18} {'error_est':>12} {'terms/panels':>12}")
     reference = furdui_oracle(args.k, args.m, 1e-10).value

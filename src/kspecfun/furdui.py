@@ -26,25 +26,16 @@ from .scalar import (
 )
 
 __all__ = [
-    "FURDUI_METHOD_IDS",
+    "FURDUI_METHODS",
     "furdui_oracle",
     "furdui_method",
     "thm31_series",
     "thm32_series",
     "thm33_series",
+    "ln_gamma_k_moment",
     "logsin_moment",
     "thm34_recursion",
 ]
-
-FURDUI_METHOD_IDS = (
-    "oracle",
-    "thm31",
-    "thm32_printed",
-    "thm32_variant",
-    "thm33_printed",
-    "thm33_variant",
-    "thm34",
-)
 
 
 def _check_m(m: int):
@@ -100,6 +91,7 @@ def thm31_series(k, m: int, tol: float = 1e-10) -> SeriesValue:
     """Series route k^m (ln k - g)/(m+1) - k^m/m + k^m sum (-1)^s zeta(s)/(m+s)."""
     k = k_value(k)
     _check_m(m)
+    _check_tol(tol)
     km = k**m
     prefix = km * (math.log(k) - CONSTANTS.euler_gamma) / (m + 1) - km / m
     closed = _beta_digamma(float(m + 2))  # sum_{s>=2} (-1)^s /(m+s)
@@ -118,6 +110,7 @@ def thm32_series(k, m: int, tol: float = 1e-10, variant: str = "sign_variant") -
     """
     k = k_value(k)
     _check_m(m)
+    _check_tol(tol)
     if variant not in ("as_printed", "sign_variant"):
         raise DomainError(f"unknown variant {variant!r}")
     km = k**m
@@ -153,21 +146,16 @@ def logsin_moment(m: int, tol: float = 1e-10) -> QuadratureResult:
     return _logsin_cached(m, tol)
 
 
-def thm33_series(k, m: int, tol: float = 1e-9, variant: str = "as_printed") -> SeriesValue:
+def thm33_series(k, m: int, tol: float = 1e-9) -> SeriesValue:
     """Kummer-expansion route for I(k, m), printed coefficients under audit.
 
-    ``as_printed`` evaluates the published expansion verbatim, including
-    the 3m/2 coefficient and the +ln(pi/k)/2 term; ``lnGamma_audit``
-    bypasses the expansion entirely and integrates -m x^(m-1) ln
-    Gamma_k(x) by quadrature, providing the reference value.
+    Evaluates the published expansion verbatim, including the 3m/2
+    coefficient and the +ln(pi/k)/2 term; :func:`ln_gamma_k_moment` is
+    the reference it is audited against.
     """
     k = k_value(k)
     _check_m(m)
-    if variant == "lnGamma_audit":
-        q = adaptive_quad(lambda x: x ** (m - 1) * ln_gamma_k(k, x), 0.0, k, 0.1 * tol)
-        return SeriesValue(-m * q.value, m * q.error_estimate, q.subdivisions, True)
-    if variant != "as_printed":
-        raise DomainError(f"unknown variant {variant!r}")
+    _check_tol(tol)
     km = k**m
     lnk = math.log(k)
     value = -m * km * (lnk - CONSTANTS.euler_gamma) / (m + 1)
@@ -190,6 +178,19 @@ def thm33_series(k, m: int, tol: float = 1e-9, variant: str = "as_printed") -> S
     err = m * km * bound * 2.0 + m * km / (2.0 * math.pi**m) * ls.error_estimate
     err += 16.0 * _EPS * (abs(value) + km)
     return SeriesValue(value, err, 2 * n + ls.subdivisions, err <= tol)
+
+
+def ln_gamma_k_moment(k, m: int, tol: float = 1e-9) -> SeriesValue:
+    """I(k, m) = -m int_0^k x^(m-1) ln Gamma_k(x) dx by quadrature.
+
+    Integration by parts of the psi_k moment; it bypasses every series
+    expansion.  The panel count is reported as ``terms_used``.
+    """
+    k = k_value(k)
+    _check_m(m)
+    _check_tol(tol)
+    q = adaptive_quad(lambda x: x ** (m - 1) * ln_gamma_k(k, x), 0.0, k, 0.1 * tol)
+    return SeriesValue(-m * q.value, m * q.error_estimate, q.subdivisions, True)
 
 
 def _rising(a: float, j: int) -> float:
@@ -262,24 +263,30 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> SeriesValue:
     return SeriesValue(total, err, terms + j, err <= tol)
 
 
-def furdui_method(method_id: str, k, m: int, n: int = 1, tol: float = 1e-9) -> SeriesValue:
-    """Evaluate I(k, m) by one named method (CLI comparison tables).
+def _oracle_series(k, m: int, tol: float) -> SeriesValue:
+    # the oracle's panel count is reported as terms_used
+    q = furdui_oracle(k, m, min(tol, 1e-10))
+    return SeriesValue(q.value, q.error_estimate, q.subdivisions, True)
 
-    The oracle's panel count is reported as ``terms_used``.
-    """
-    if method_id == "oracle":
-        q = furdui_oracle(k, m, min(tol, 1e-10))
-        return SeriesValue(q.value, q.error_estimate, q.subdivisions, True)
-    if method_id == "thm31":
-        return thm31_series(k, m, tol)
-    if method_id == "thm32_printed":
-        return thm32_series(k, m, tol, variant="as_printed")
-    if method_id == "thm32_variant":
-        return thm32_series(k, m, tol, variant="sign_variant")
-    if method_id == "thm33_printed":
-        return thm33_series(k, m, tol, variant="as_printed")
-    if method_id == "thm33_variant":
-        return thm33_series(k, m, tol, variant="lnGamma_audit")
-    if method_id == "thm34":
-        return thm34_recursion(k, m, n, tol)
-    raise DomainError(f"unknown furdui method {method_id!r}")
+
+# method id -> route (k, m, n, tol) -> SeriesValue, in CLI table order; each
+# route looks its function up at call time, so a wrapper installed on the
+# module (perfbench/tracer.py) sees the call
+FURDUI_METHODS = {
+    "oracle": lambda k, m, n, tol: _oracle_series(k, m, tol),
+    "thm31": lambda k, m, n, tol: thm31_series(k, m, tol),
+    "thm32_printed": lambda k, m, n, tol: thm32_series(k, m, tol, "as_printed"),
+    "thm32_variant": lambda k, m, n, tol: thm32_series(k, m, tol, "sign_variant"),
+    "thm33_printed": lambda k, m, n, tol: thm33_series(k, m, tol),
+    "thm33_variant": lambda k, m, n, tol: ln_gamma_k_moment(k, m, tol),
+    "thm34": lambda k, m, n, tol: thm34_recursion(k, m, n, tol),
+}
+
+
+def furdui_method(method_id: str, k, m: int, n: int = 1, tol: float = 1e-9) -> SeriesValue:
+    """Evaluate I(k, m) by one method of :data:`FURDUI_METHODS` (CLI comparison tables)."""
+    try:
+        route = FURDUI_METHODS[method_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise DomainError(f"unknown furdui method {method_id!r}") from None
+    return route(k, m, n, tol)

@@ -10,8 +10,7 @@ field stays within 1e-12 relative for k in [0.01, 10] and x/k in
 underflows to 0.0; nan and inf are never returned.  The functional
 equation H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x) is kept only as the
 independent cross-check route (:func:`recursion_47`).  The module also
-houses the superadditivity threshold solver and the Lerch-sum identity
-audit.
+houses the superadditivity threshold solver.
 """
 
 from __future__ import annotations
@@ -20,23 +19,17 @@ import math
 from collections import namedtuple
 
 from .beta import beta_k
-from .errors import BracketError, DomainError, PoleError
-from .kcore import (_STIRLING_U, _check_pole, _ln_gamma_k_stirling, gamma_k, k_value,
-                    ln_gamma_k, rgamma_k)
-from .scalar import (_MAX_NORMAL, _MIN_NORMAL, _check_tol, _positive, _require_finite, _sinpi,
-                     lerch_alt, lerch_one_diff)
+from .errors import BracketError, DomainError
+from .kcore import _STIRLING_U, _ln_gamma_k_stirling, gamma_k, k_value, ln_gamma_k, rgamma_k
+from .scalar import _MAX_NORMAL, _MIN_NORMAL, _check_tol, _positive, _require_finite, _sinpi
 
 __all__ = [
     "RootResult",
     "hadamard_k",
-    "functional_eq_41",
     "recursion_47",
     "recursion_47_closed_form",
-    "representation_48",
     "representation_48_corrected_rhs",
     "alpha0_solve",
-    "superadditivity_43",
-    "lerch_identity_410",
 ]
 
 _LN_MAX = math.log(_MAX_NORMAL)
@@ -122,42 +115,6 @@ def hadamard_k(k, x: float) -> float:
     return _h_far(k, x)
 
 
-def _beta_continued(k: float, z: float, depth: int = 0) -> float:
-    # analytic continuation of beta_k through beta_k(z) = 1/z - beta_k(z + k)
-    if depth > 64:
-        raise DomainError("beta_k continuation recursed too deeply")
-    if z > 0.0:
-        return beta_k(k, z)
-    _check_pole(k, z)
-    return 1.0 / z - _beta_continued(k, z + k, depth + 1)
-
-
-def _h_continued(k: float, y: float) -> float:
-    # H_k via the continued beta form; independent of the recurrence walk
-    z = k - y
-    return _beta_continued(k, z) * rgamma_k(k, z)
-
-
-def functional_eq_41(k, x: float) -> tuple[float, float]:
-    """Both sides of H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x).
-
-    The left side is evaluated by an independent route (the continued
-    beta_k form for x > 0, the direct sub-seam form for x <= 0), never
-    by applying the recurrence step at x itself.
-    """
-    k = k_value(k)
-    x = _require_finite("x", x)
-    rhs = x * hadamard_k(k, x) + rgamma_k(k, k - x)
-    if x <= 0.0:
-        lhs = hadamard_k(k, x + k)
-    else:
-        try:
-            lhs = _h_continued(k, x + k)
-        except PoleError:
-            lhs = hadamard_k(k, x + k)
-    return lhs, rhs
-
-
 def recursion_47(k, x: float, n: int) -> float:
     """H_k(x + nk) by n explicit applications of the functional equation.
 
@@ -179,48 +136,23 @@ def recursion_47(k, x: float, n: int) -> float:
     return h
 
 
-def recursion_47_closed_form(k, x: float, n: int, variant: str = "corrected") -> float:
+def recursion_47_closed_form(k, x: float, n: int) -> float:
     """Closed n-step expansion of H_k(x + nk) audited against recursion_47.
 
-    The leading product is x (x + k) (x + 2k) ... (x + (n-1)k); the
-    ``as_printed`` variant replaces the (x + k) factor by (x + 1), which
-    only coincides with the recurrence pattern at k = 1.
+    The leading product is x (x + k) (x + 2k) ... (x + (n-1)k), and the
+    r-th 1/Gamma_k term carries the product of the factors after the r-th.
     """
     k = k_value(k)
     x = _require_finite("x", x)
     if not isinstance(n, int) or not 1 <= n <= 50:
         raise DomainError(f"closed form requires integer 1 <= n <= 50, got {n!r}")
-    if variant not in ("as_printed", "corrected"):
-        raise DomainError(f"unknown variant {variant!r}")
-
-    def factor(j: int) -> float:
-        if j == 1 and variant == "as_printed":
-            return x + 1.0
-        return x + j * k
-
+    factors = [x + j * k for j in range(n)]
     total = hadamard_k(k, x)
-    for j in range(n):
-        total *= factor(j)
+    for factor in factors:
+        total *= factor
     for r in range(n):
-        coeff = 1.0
-        for j in range(r + 1, n):
-            coeff *= factor(j)
-        total += coeff * rgamma_k(k, (1 - r) * k - x)
+        total += math.prod(factors[r + 1:]) * rgamma_k(k, (1 - r) * k - x)
     return total
-
-
-def representation_48(k, x: float) -> tuple[float, float]:
-    """(H_k(x), printed Gamma_k/beta_k expression) for the ratio audit.
-
-    The printed right side is Gamma_k(x)/k - Gamma_k(x) sin(pi x/k)
-    beta_k(x) / pi; at k = 1 it reduces to the classical identity and the
-    two entries must agree, while for k != 1 the harness fits the ratio.
-    """
-    k = k_value(k)
-    x = _positive("representation_48", x)
-    g = gamma_k(k, x)
-    rhs = g / k - g * _sinpi(x / k) * beta_k(k, x) / math.pi
-    return hadamard_k(k, x), rhs
 
 
 def representation_48_corrected_rhs(k, x: float) -> float:
@@ -317,38 +249,3 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     if abs(fr) >= tol:
         raise BracketError(f"threshold solver stalled at residual {fr:.3e}")
     return RootResult(root, fr, bracket_lo, bracket_hi, iterations, changes)
-
-
-def superadditivity_43(k, x: float, y: float) -> tuple[float, float]:
-    """Both sides of k^(y/k) H_k(x) + k^(x/k) H_k(y) <= H_k(x + y), x, y > 0."""
-    k = k_value(k)
-    x = _require_finite("x", x)
-    y = _require_finite("y", y)
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError(f"superadditivity check requires x, y > 0, got {x}, {y}")
-    lhs = k ** (y / k) * hadamard_k(k, x) + k ** (x / k) * hadamard_k(k, y)
-    return lhs, hadamard_k(k, x + y)
-
-
-def lerch_identity_410(x: float, variant: str = "corrected") -> tuple[float, float]:
-    """Both sides of the Lerch-sum identity audit, |x| < 1.
-
-    ``as_printed``: 2x Phi(-1,1,-x) against Phi(1,1,1-x/2) - Phi(1,1,1/2-x/2)
-    (the divergent Phi(1,1,.) pieces only occur as a difference).
-    ``corrected``: 2 Phi(-1,1,1-x) against Phi(1,1,1/2-x/2) - Phi(1,1,1-x/2),
-    the digamma-difference identity the numbers actually support.
-    """
-    x = _require_finite("x", x)
-    if not abs(x) < 1.0:
-        raise DomainError(f"lerch_identity_410 requires |x| < 1, got {x}")
-    if variant == "as_printed":
-        if x == 0.0:
-            raise PoleError("printed variant is singular at x = 0")
-        lhs = 2.0 * x * lerch_alt(-x).value
-        rhs = lerch_one_diff(1.0 - 0.5 * x, 0.5 - 0.5 * x)
-        return lhs, rhs
-    if variant == "corrected":
-        lhs = 2.0 * lerch_alt(1.0 - x).value
-        rhs = lerch_one_diff(0.5 - 0.5 * x, 1.0 - 0.5 * x)
-        return lhs, rhs
-    raise DomainError(f"unknown variant {variant!r}")

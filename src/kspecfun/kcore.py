@@ -221,6 +221,7 @@ def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> SeriesValue:
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"psi_k_m_series requires integer m >= 1, got {m!r}")
     x = _positive("psi_k_m_series", x)
+    _check_tol(tol)
     mf = float(math.factorial(m))
     sign = 1.0 if m % 2 == 1 else -1.0
     # with the tail starting at x + 64k the Euler-Maclaurin bound stays

@@ -108,7 +108,7 @@ def default_grid() -> GridSpec:
     return GridSpec()
 
 
-class FitPlan(namedtuple("FitPlan", "mode group_by transform expected description")):
+class FitPlan(namedtuple("FitPlan", "mode group_by transform expected")):
     """How to fit a discrepancy constant from an entry's reports."""
 
     __slots__ = ()
@@ -116,7 +116,6 @@ class FitPlan(namedtuple("FitPlan", "mode group_by transform expected descriptio
     group_by: str | None  # param name to group on, or None for one global fit
     transform: Callable  # IdentityReport -> (lhs, rhs) pair for the fit
     expected: Callable | None  # group value -> documented constant
-    description: str
 
 
 class FitRecord(namedtuple("FitRecord", "label fit expected")):
@@ -130,12 +129,12 @@ class IdentityEntry(
     namedtuple(
         "IdentityEntry",
         "id anchor comparison tol expectation points lhs rhs skip fit",
-        defaults=(None, None, None),
+        defaults=(None, None),
     )
 ):
-    """One registered identity.  ``lhs`` and ``rhs`` are routes that
-    run_identity calls as ``route(**params)`` at every grid point; where
-    ``rhs`` is None, ``lhs`` returns the (lhs, rhs) pair itself."""
+    """One registered identity.  ``lhs`` and ``rhs`` are two named routes,
+    one per side, that run_identity calls as ``route(**params)`` at every
+    grid point; no route computes both sides."""
 
     __slots__ = ()
     id: str
@@ -144,8 +143,8 @@ class IdentityEntry(
     tol: float
     expectation: str  # 'PASS' | 'FAIL'
     points: Callable[[GridSpec], Iterable[dict]]
-    lhs: Callable[..., float | tuple]
-    rhs: Callable[..., float] | None
+    lhs: Callable[..., float]
+    rhs: Callable[..., float]
     skip: Callable | None  # params -> reason for a SKIP report, or None
     fit: FitPlan | None
 
@@ -184,6 +183,7 @@ class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):
 
 
 LN_PI = math.log(math.pi)
+LN2 = _scalar.CONSTANTS.ln2
 TWO_GAMMA = 2.0 * _scalar.CONSTANTS.euler_gamma
 SUPERADD_SLACK = 1e-12
 
@@ -216,7 +216,7 @@ def _build_entries() -> list[IdentityEntry]:
     # params it uses by name and the rest as **_
     e: list[IdentityEntry] = []
 
-    def add(id, anchor, comparison, tol, points, lhs, rhs=None, expectation="PASS", **more):
+    def add(id, anchor, comparison, tol, points, lhs, rhs, expectation="PASS", **more):
         e.append(IdentityEntry(id, anchor, comparison, tol, expectation, points, lhs, rhs,
                                **more))
 
@@ -283,8 +283,8 @@ def _build_entries() -> list[IdentityEntry]:
         "EQ2.2",
         dict(anchor="Gamma_k(x) Gamma_k(k-x) = pi / sin(pi x/k) (as printed)",
              rhs=pi_over_sin,
-             fit=FitPlan("ratio", "k", sides, lambda k: 1.0 / k,
-                         "lhs/rhs constant per k; 1/k confirms the reduction-route constant pi/k")),
+             # lhs/rhs constant per k; 1/k confirms the reduction-route constant pi/k
+             fit=FitPlan("ratio", "k", sides, lambda k: 1.0 / k)),
         dict(anchor="Gamma_k(x) Gamma_k(k-x) = (pi/k) / sin(pi x/k)",
              rhs=pi_over_k_sin),
         comparison="rel",
@@ -355,10 +355,10 @@ def _build_entries() -> list[IdentityEntry]:
         return _furdui.thm32_series(k, m, 1e-11, "sign_variant").value
 
     def furdui_by_thm33_printed(k, m, **_):
-        return _furdui.thm33_series(k, m, 1e-10, "as_printed").value
+        return _furdui.thm33_series(k, m, 1e-10).value
 
     def furdui_by_ln_gamma_k_moment(k, m, **_):
-        return _furdui.thm33_series(k, m, 1e-9, "lnGamma_audit").value
+        return _furdui.ln_gamma_k_moment(k, m, 1e-9).value
 
     def furdui_by_thm34(k, m, n, **_):
         return _furdui.thm34_recursion(k, m, n, 1e-9).value
@@ -376,11 +376,11 @@ def _build_entries() -> list[IdentityEntry]:
         dict(anchor="I(k,m) with the (ln k - m gamma) prefix (as printed)",
              tol=1e-8,
              lhs=furdui_by_thm32_printed,
+             # (lhs-rhs)(m+1)/(m k^m) constant -2*gamma diagnoses the prefix sign
              fit=FitPlan("offset", None,
                          lambda rep: ((rep.lhs - rep.rhs) * (rep.params["m"] + 1)
                                       / (rep.params["m"] * rep.params["k"] ** rep.params["m"]), 0.0),
-                         lambda _g: -TWO_GAMMA,
-                         "(lhs-rhs)(m+1)/(m k^m) constant -2*gamma diagnoses the prefix sign")),
+                         lambda _g: -TWO_GAMMA)),
         dict(anchor="I(k,m) with the (ln k + m gamma) prefix",
              tol=1e-7,
              lhs=furdui_by_thm32_variant),
@@ -392,12 +392,12 @@ def _build_entries() -> list[IdentityEntry]:
         "THM3.3",
         dict(anchor="I(k,m) Kummer-expansion route, printed coefficients",
              lhs=furdui_by_thm33_printed,
+             # (lhs-rhs)/k^m + 1/m constant ln(pi) diagnoses the 3/2 ln x and
+             # sign-of-ln(pi/k) coefficients
              fit=FitPlan("offset", None,
                          lambda rep: ((rep.lhs - rep.rhs) / rep.params["k"] ** rep.params["m"]
                                       + 1.0 / rep.params["m"], 0.0),
-                         lambda _g: LN_PI,
-                         "(lhs-rhs)/k^m + 1/m constant ln(pi) diagnoses the 3/2 ln x"
-                         " and sign-of-ln(pi/k) coefficients")),
+                         lambda _g: LN_PI)),
         dict(anchor="I(k,m) = -m int x^(m-1) ln Gamma_k(x) dx (expansion bypassed)",
              lhs=furdui_by_ln_gamma_k_moment),
         comparison="abs",
@@ -439,8 +439,8 @@ def _build_entries() -> list[IdentityEntry]:
         "FURDUI-ANCHOR",
         dict(anchor="I(1,2) = ln(A/sqrt(2 pi)) (as printed; A Glaisher-Kinkelin)",
              rhs=ln_a_over_sqrt_2pi,
-             fit=FitPlan("offset", None, sides, lambda _g: ln_a,
-                         "offset ln(A) diagnoses a missing square: I(1,2) = ln(A^2/sqrt(2 pi))")),
+             # offset ln(A) diagnoses a missing square: I(1,2) = ln(A^2/sqrt(2 pi))
+             fit=FitPlan("offset", None, sides, lambda _g: ln_a)),
         dict(anchor="I(1,2) = ln(A^2/sqrt(2 pi))",
              rhs=ln_a2_over_sqrt_2pi),
         comparison="abs",
@@ -455,8 +455,24 @@ def _build_entries() -> list[IdentityEntry]:
             for j in range(50):
                 yield {"k": k, "x": (-1.975 + 0.1 * j) * k}
 
+    def h_shifted_by_continued_beta(k, x, **_):
+        # H_k(x + k) = beta_k(-x)/Gamma_k(-x), with beta_k continued to -x < 0
+        # through beta_k(z) = 1/z - beta_k(z + k); hadamard_k(k, x + k) where
+        # x <= 0 or -x is a pole.  Never the recurrence step at x.
+        y = x + k
+        if x > 0.0:
+            z = k - y
+            try:
+                return _beta._beta_continued(k, z) * _kcore.rgamma_k(k, z)
+            except PoleError:
+                pass
+        return _hadamard.hadamard_k(k, y)
+
+    def h_recurrence_step(k, x, **_):
+        return x * _hadamard.hadamard_k(k, x) + _kcore.rgamma_k(k, k - x)
+
     add("THM4.1", "H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x), two-route", "abs", 1e-10,
-        points=_thm41_points, lhs=_hadamard.functional_eq_41)
+        points=_thm41_points, lhs=h_shifted_by_continued_beta, rhs=h_recurrence_step)
 
     def _eq47_points(variants_ns):
         def gen(grid):
@@ -467,7 +483,14 @@ def _build_entries() -> list[IdentityEntry]:
         return gen
 
     def h_closed_form_as_printed(k, x, n, **_):
-        return _hadamard.recursion_47_closed_form(k, x, n, "as_printed")
+        # recursion_47_closed_form with the printed (x + 1) in place of (x + k)
+        factors = [x + 1.0 if j == 1 else x + j * k for j in range(n)]
+        total = _hadamard.hadamard_k(k, x)
+        for factor in factors:
+            total *= factor
+        for r in range(n):
+            total += math.prod(factors[r + 1:]) * _kcore.rgamma_k(k, (1 - r) * k - x)
+        return total
 
     add_audit(
         "EQ4.7",
@@ -490,12 +513,17 @@ def _build_entries() -> list[IdentityEntry]:
         n = int(math.floor((x - k) / k)) + 1
         return _hadamard.recursion_47(k, max(x - n * k, 0.0), n)
 
+    def h_representation_as_printed(k, x, **_):
+        g = _kcore.gamma_k(k, x)
+        return g / k - g * _scalar._sinpi(x / k) * _beta.beta_k(k, x) / math.pi
+
     add_audit(
         "EQ4.8",
         dict(anchor="H_k(x) = Gamma_k(x)/k - Gamma_k(x) sin(pi x/k) beta_k(x)/pi (as printed)",
-             lhs=_hadamard.representation_48,
-             fit=FitPlan("ratio", "k", sides, lambda k: k,
-                         "lhs/rhs constant per k; the value k restores the k-scaling")),
+             lhs=_hadamard.hadamard_k,
+             rhs=h_representation_as_printed,
+             # lhs/rhs constant per k; the value k restores the k-scaling
+             fit=FitPlan("ratio", "k", sides, lambda k: k)),
         dict(anchor="H_k(x) = Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))",
              lhs=h_walk,
              rhs=_hadamard.representation_48_corrected_rhs),
@@ -518,28 +546,47 @@ def _build_entries() -> list[IdentityEntry]:
             for t in (1.01 * k, 1.2 * k, 1.35 * k, 1.45 * k, a0 - 0.02 * k):
                 yield {"k": k, "x": t, "y": t}
 
+    def h_weighted_sum(k, x, y, **_):
+        return (k ** (y / k) * _hadamard.hadamard_k(k, x)
+                + k ** (x / k) * _hadamard.hadamard_k(k, y))
+
+    def h_of_sum(k, x, y, **_):
+        return _hadamard.hadamard_k(k, x + y)
+
     add("THM4.3-above",
         "k^(y/k) H_k(x) + k^(x/k) H_k(y) <= H_k(x+y) for x,y above the threshold",
-        "le", SUPERADD_SLACK, points=_thm43_above_points, lhs=_hadamard.superadditivity_43)
+        "le", SUPERADD_SLACK, points=_thm43_above_points, lhs=h_weighted_sum, rhs=h_of_sum)
     add("THM4.3-below",
         "sharpness witness: the inequality fails for x = y below the threshold",
-        "le", SUPERADD_SLACK, points=_thm43_below_points, lhs=_hadamard.superadditivity_43,
+        "le", SUPERADD_SLACK, points=_thm43_below_points, lhs=h_weighted_sum, rhs=h_of_sum,
         expectation="FAIL")
 
     def _thm44_points(_grid):
         for j in range(13):
             yield {"x": round(-0.9 + 0.15 * j, 10)}
 
-    def lerch_410_as_printed(x, **_):
-        return _hadamard.lerch_identity_410(x, "as_printed")
+    # the divergent Phi(1,1,.) pieces only occur as a difference of digammas
+    def lerch_alt_410_as_printed(x, **_):
+        return 2.0 * x * _scalar.lerch_alt(-x).value
+
+    def lerch_one_diff_410_as_printed(x, **_):
+        return _scalar.lerch_one_diff(1.0 - 0.5 * x, 0.5 - 0.5 * x)
+
+    def lerch_alt_410(x, **_):
+        return 2.0 * _scalar.lerch_alt(1.0 - x).value
+
+    def lerch_one_diff_410(x, **_):
+        return _scalar.lerch_one_diff(0.5 - 0.5 * x, 1.0 - 0.5 * x)
 
     add_audit(
         "THM4.4",
         dict(anchor="2x Phi(-1,1,-x) = Phi(1,1,1-x/2) - Phi(1,1,1/2-x/2) (as printed)",
              skip=lambda p: "printed form singular at x = 0" if p["x"] == 0.0 else None,
-             lhs=lerch_410_as_printed),
+             lhs=lerch_alt_410_as_printed,
+             rhs=lerch_one_diff_410_as_printed),
         dict(anchor="2 Phi(-1,1,1-x) = Phi(1,1,1/2-x/2) - Phi(1,1,1-x/2)",
-             lhs=_hadamard.lerch_identity_410),
+             lhs=lerch_alt_410,
+             rhs=lerch_one_diff_410),
         comparison="abs",
         tol=1e-10,
         points=_thm44_points,
@@ -552,15 +599,29 @@ def _build_entries() -> list[IdentityEntry]:
                 for n in _N_VALUES:
                     yield {"k": k, "x": u, "n": n}
 
-    def telescope_51_as_printed(k, x, n, **_):
-        return _beta.telescope_51(k, x, n, "as_printed")
+    # sum_{m=1}^n beta_k(a_m) against psi_k(top) - psi_k(kx) - n ln2/k; the
+    # printed form has a_m = (2k)^m x and top = 2^n k^n x, and the corrected
+    # form, which telescopes for every k, a_m = 2^m k x and top = 2^n k x
+    def beta_k_telescope_sum_as_printed(k, x, n, **_):
+        return sum(_beta.beta_k(k, (2.0 * k) ** m * x) for m in range(1, n + 1))
+
+    def psi_k_telescoped_as_printed(k, x, n, **_):
+        return _kcore.psi_k(k, 2.0**n * k**n * x) - _kcore.psi_k(k, k * x) - n * LN2 / k
+
+    def beta_k_telescope_sum(k, x, n, **_):
+        return sum(_beta.beta_k(k, 2.0**m * k * x) for m in range(1, n + 1))
+
+    def psi_k_telescoped(k, x, n, **_):
+        return _kcore.psi_k(k, 2.0**n * k * x) - _kcore.psi_k(k, k * x) - n * LN2 / k
 
     add_audit(
         "THM5.1",
         dict(anchor="telescoping beta_k sum with (2k)^m x arguments (as printed)",
-             lhs=telescope_51_as_printed),
+             lhs=beta_k_telescope_sum_as_printed,
+             rhs=psi_k_telescoped_as_printed),
         dict(anchor="telescoping beta_k sum with 2^m k x arguments",
-             lhs=_beta.telescope_51),
+             lhs=beta_k_telescope_sum,
+             rhs=psi_k_telescoped),
         comparison="abs",
         tol=1e-10,
         points=_thm51_points,
@@ -624,8 +685,8 @@ def _build_entries() -> list[IdentityEntry]:
         "EQ5.5",
         dict(anchor="k-duplication with constant 2^(2x-1)/sqrt(k pi) (as printed)",
              rhs=gamma_k_duplication_as_printed,
-             fit=FitPlan("ratio", "k", sides, lambda k: k,
-                         "lhs/rhs constant per k; k corrects 1/sqrt(k pi) to sqrt(k/pi)")),
+             # lhs/rhs constant per k; k corrects 1/sqrt(k pi) to sqrt(k/pi)
+             fit=FitPlan("ratio", "k", sides, lambda k: k)),
         dict(anchor="k-duplication with constant 2^(2x-1) sqrt(k/pi)",
              rhs=gamma_k_duplication),
         comparison="rel",
@@ -638,23 +699,27 @@ def _build_entries() -> list[IdentityEntry]:
         # beta_k(x + k) by the psi route, beta_k(x) by the series route
         return beta_k_shifted(k, x) + beta_k_by_series(k, x)
 
-    def beta_k_harmonic_mean_bound(k, x, **_):
+    def beta_k_harmonic_mean(k, x, **_):
         b1 = _beta.beta_k(k, x)
         b2 = _beta.beta_k(k, k * k / x)
-        return 2.0 * b1 * b2 / (b1 + b2), _scalar.CONSTANTS.ln2 / k
+        return 2.0 * b1 * b2 / (b1 + b2)
+
+    def ln2_over_k(k, **_):
+        # beta_k(k) in closed form
+        return LN2 / k
 
     add("EQ5.11", "beta_k(x + k) + beta_k(x) = 1/x (two independent beta routes)", "abs", 1e-11,
         points=_k_x_points, lhs=beta_k_step_sum, rhs=recip_x)
     add("THM5.6", "harmonic mean of beta_k(x), beta_k(k^2/x) <= beta_k(k)", "le", 1e-12,
-        points=_k_x_points, lhs=beta_k_harmonic_mean_bound)
+        points=_k_x_points, lhs=beta_k_harmonic_mean, rhs=ln2_over_k)
     add("THM5.6-equality", "equality case x = k of the harmonic-mean bound", "abs", 1e-12,
-        points=lambda g: _k_x_points(g, units=(1.0,)), lhs=beta_k_harmonic_mean_bound)
+        points=lambda g: _k_x_points(g, units=(1.0,)), lhs=beta_k_harmonic_mean, rhs=ln2_over_k)
 
     def _remark5_points(grid):
         return _k_x_points(grid, units=(0.1, 0.35, 0.7, 0.9))
 
     def beta_k_lower_bound(k, x, **_):
-        return 1.0 / x - _scalar.CONSTANTS.ln2 / k
+        return 1.0 / x - LN2 / k
 
     def beta_k_refined_upper_bound(k, x, **_):
         return beta_k_lower_bound(k, x) + math.pi**2 * x / (12.0 * k ** 2)
@@ -782,10 +847,7 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
                                               None, None, "SKIP", reason))
                 continue
         try:
-            if entry.rhs is None:
-                lhs, rhs = entry.lhs(**params)
-            else:
-                lhs, rhs = entry.lhs(**params), entry.rhs(**params)
+            lhs, rhs = entry.lhs(**params), entry.rhs(**params)
         except (DomainError, PoleError, OverflowError) as exc:
             reports.append(IdentityReport(entry.id, dict(params), None, None,
                                           None, None, "SKIP", f"{type(exc).__name__}: {exc}"))

@@ -411,6 +411,7 @@ def gauss_2f1(a, b, c, z, tol=1e-13) -> SeriesValue:
     b = _require_finite("b", b)
     c = _require_finite("c", c)
     z = _require_finite("z", z)
+    _check_tol(tol)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"2F1 parameter c must not be a nonpositive integer, got {c}")
     if not -1.0 <= z <= 0.0:
@@ -462,6 +463,7 @@ def lerch_alt(a: float, tol: float = 1e-13) -> SeriesValue:
     explicitly first.
     """
     a = _require_finite("a", a)
+    _check_tol(tol)
     if a <= 0.0 and a == math.floor(a):
         raise PoleError(f"Phi(-1, 1, a) has poles at nonpositive integers, got a={a}")
     head = 0.0

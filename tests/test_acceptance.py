@@ -27,11 +27,10 @@ from kspecfun import (
     beta_expansion_55,
     default_grid,
     furdui_oracle,
-    functional_eq_41,
+    get_entry,
     hadamard_k,
     run_all,
     run_identity,
-    superadditivity_43,
     thm31_series,
     thm34_recursion,
 )
@@ -175,10 +174,11 @@ def test_criterion_09_hadamard_suite():
     grid = default_grid()
     worst_unit = max(abs(hadamard_k(k, k) - 1.0) for k in grid.k_values)
     worst_feq = 0.0
+    thm41 = get_entry("THM4.1")
     for k in grid.k_values:
         for j in range(50):
-            lhs, rhs = functional_eq_41(k, (-1.975 + 0.1 * j) * k)
-            worst_feq = max(worst_feq, abs(lhs - rhs))
+            x = (-1.975 + 0.1 * j) * k
+            worst_feq = max(worst_feq, abs(thm41.lhs(k=k, x=x) - thm41.rhs(k=k, x=x)))
     worst_scale = 0.0
     for k in (0.5, 2.0, 3.0):
         for u in (-1.8, -0.4, 0.3, 1.2, 2.7, 4.4):
@@ -197,9 +197,10 @@ def test_criterion_10_alpha0_and_superadditivity():
     res1 = alpha0_solve(1.0, 1e-10)
     ok = 1.5 < res1.root < 3.0 and abs(res1.residual) < 1e-10
     base = res1.root + 0.01
+    thm43 = get_entry("THM4.3-above")
 
     def verdict(x, y):
-        lhs, rhs = superadditivity_43(1.0, x, y)
+        lhs, rhs = thm43.lhs(k=1.0, x=x, y=y), thm43.rhs(k=1.0, x=x, y=y)
         return "PASS" if lhs <= rhs + SUPERADD_SLACK else "FAIL"
 
     n_pass = 0

@@ -22,19 +22,26 @@ POSITIVE_X = {
     "beta_k_series": lambda x: kspecfun.beta_k_series(1.0, x),
     "beta_k_integral": lambda x: kspecfun.beta_k_integral(1.0, x),
     "beta_k_deriv": lambda x: kspecfun.beta_k_deriv(1.0, 1, x),
-    "telescope_51": lambda x: kspecfun.telescope_51(1.0, x, 2),
-    "representation_48": lambda x: kspecfun.representation_48(1.0, x),
     "representation_48_corrected_rhs": lambda x: kspecfun.representation_48_corrected_rhs(1.0, x),
 }
 
 # name -> the route as a callable of tol alone
 CHECKED_TOL = {
     "adaptive_quad": lambda tol: kspecfun.adaptive_quad(math.sin, 0.0, 1.0, tol),
+    "gauss_2f1": lambda tol: kspecfun.gauss_2f1(1.0, 1.0, 2.0, -0.5, tol),
+    "lerch_alt": lambda tol: kspecfun.lerch_alt(0.5, tol),
     "psi_k_series": lambda tol: kspecfun.psi_k_series(1.0, 1.0, tol),
+    "psi_k_m_series": lambda tol: kspecfun.psi_k_m_series(1.0, 1, 1.0, tol),
     "beta_k_series": lambda tol: kspecfun.beta_k_series(1.0, 1.0, tol),
     "beta_k_cosh_form": lambda tol: kspecfun.beta_k_cosh_form(1.0, 1.0, tol),
+    "beta_taylor_54": lambda tol: kspecfun.beta_taylor_54(1.0, 0.5, 10, tol),
+    "beta_expansion_55": lambda tol: kspecfun.beta_expansion_55(1.0, 0.5, 560, tol),
     "alpha0_solve": lambda tol: kspecfun.alpha0_solve(1.0, tol),
     "furdui_oracle": lambda tol: kspecfun.furdui_oracle(1.0, 1, tol),
+    "thm31_series": lambda tol: kspecfun.thm31_series(1.0, 1, tol),
+    "thm32_series": lambda tol: kspecfun.thm32_series(1.0, 1, tol),
+    "thm33_series": lambda tol: kspecfun.thm33_series(1.0, 2, tol),
+    "ln_gamma_k_moment": lambda tol: kspecfun.ln_gamma_k_moment(1.0, 1, tol),
     "logsin_moment": lambda tol: kspecfun.logsin_moment(1, tol),
     "thm34_recursion": lambda tol: kspecfun.thm34_recursion(1.0, 1, 1, tol),
 }

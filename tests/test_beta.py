@@ -14,7 +14,7 @@ from kspecfun import (
     beta_k_integral,
     beta_k_series,
     beta_taylor_54,
-    telescope_51,
+    get_entry,
 )
 from kspecfun.beta import beta_taylor_terms
 
@@ -24,6 +24,12 @@ ZETA3 = 1.2020569031595943
 
 K_GRID = (0.5, 1.0, 2.0)
 X_UNITS = (0.1, 0.5, 1.0, 2.0, 5.0)
+
+
+def sides(identity_id, **params):
+    # the lhs and rhs routes of a registry entry at one point
+    entry = get_entry(identity_id)
+    return entry.lhs(**params), entry.rhs(**params)
 
 
 # ---------------------------------------------------------------- values
@@ -180,27 +186,23 @@ def test_beta_scaling(k, u):
 
 # ---------------------------------------------------------------- telescoping
 def test_telescope_51_k1_variants_coincide():
-    lhs_p, rhs_p = telescope_51(1.0, 1.0, 1, "as_printed")
-    lhs_c, rhs_c = telescope_51(1.0, 1.0, 1, "corrected")
+    lhs_p, rhs_p = sides("THM5.1-printed", k=1.0, x=1.0, n=1)
+    lhs_c, rhs_c = sides("THM5.1-corrected", k=1.0, x=1.0, n=1)
     assert lhs_p == pytest.approx(1.0 - LN2, abs=1e-12)
     assert abs(lhs_p - rhs_p) < 1e-12
     assert lhs_c == lhs_p and rhs_c == rhs_p
 
 
 def test_telescope_51_corrected_holds_off_k1():
-    lhs, rhs = telescope_51(2.0, 0.3, 2, "corrected")
+    lhs, rhs = sides("THM5.1-corrected", k=2.0, x=0.3, n=2)
     assert abs(lhs - rhs) < 1e-10
 
 
 def test_telescope_51_printed_fails_off_k1():
-    lhs, rhs = telescope_51(2.0, 0.3, 2, "as_printed")
+    lhs, rhs = sides("THM5.1-printed", k=2.0, x=0.3, n=2)
     assert abs(lhs - rhs) > 0.01
 
 
 def test_telescope_51_validation():
     with pytest.raises(DomainError):
-        telescope_51(1.0, -1.0, 2)
-    with pytest.raises(DomainError):
-        telescope_51(1.0, 1.0, 21)
-    with pytest.raises(DomainError):
-        telescope_51(1.0, 1.0, 2, "typo")
+        sides("THM5.1-corrected", k=1.0, x=-1.0, n=2)

@@ -8,14 +8,11 @@ from kspecfun import (
     DomainError,
     PoleError,
     alpha0_solve,
-    functional_eq_41,
     gamma_k,
+    get_entry,
     hadamard_k,
-    lerch_identity_410,
     recursion_47,
-    representation_48,
     rgamma_k,
-    superadditivity_43,
 )
 from kspecfun.hadamard import (
     _count_sign_changes,
@@ -28,6 +25,12 @@ LN2 = math.log(2.0)
 PI = math.pi
 
 K_GRID = (0.5, 1.0, 2.0)
+
+
+def sides(identity_id, **params):
+    # the lhs and rhs routes of a registry entry at one point
+    entry = get_entry(identity_id)
+    return entry.lhs(**params), entry.rhs(**params)
 
 
 # ---------------------------------------------------------------- values
@@ -105,16 +108,16 @@ def test_h_never_nan_or_inf(k):
 
 # ---------------------------------------------------------------- functional equation
 def test_functional_eq_values():
-    lhs, rhs = functional_eq_41(1.0, 0.5)
+    lhs, rhs = sides("THM4.1", k=1.0, x=0.5)
     expected = 0.5 * hadamard_k(1.0, 0.5) + 1.0 / math.gamma(0.5)
     assert lhs == pytest.approx(expected, abs=1e-12)
     assert rhs == pytest.approx(expected, abs=1e-12)
 
-    lhs, rhs = functional_eq_41(2.0, 0.0)
+    lhs, rhs = sides("THM4.1", k=2.0, x=0.0)
     assert lhs == pytest.approx(1.0, abs=1e-13)
     assert rhs == pytest.approx(1.0, abs=1e-13)
 
-    lhs, rhs = functional_eq_41(1.0, -0.5)
+    lhs, rhs = sides("THM4.1", k=1.0, x=-0.5)
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -122,7 +125,7 @@ def test_functional_eq_values():
 def test_functional_eq_two_routes_on_grid(k):
     for j in range(50):
         x = (-1.975 + 0.1 * j) * k
-        lhs, rhs = functional_eq_41(k, x)
+        lhs, rhs = sides("THM4.1", k=k, x=x)
         assert abs(lhs - rhs) < 1e-10, f"x={x}"
 
 
@@ -143,7 +146,7 @@ def test_recursion_47_pole_points():
 
 def test_recursion_47_n1_equals_functional_eq():
     for k, x in ((1.0, 0.3), (2.0, 1.7), (0.5, -0.2)):
-        lhs, rhs = functional_eq_41(k, x)
+        lhs, rhs = sides("THM4.1", k=k, x=x)
         assert recursion_47(k, x, 1) == pytest.approx(rhs, abs=1e-12)
 
 
@@ -156,25 +159,26 @@ def test_recursion_47_validation():
 
 def test_closed_form_corrected_matches_recursion():
     for k, x, n in ((1.0, 0.6, 3), (2.0, 1.1, 2), (0.5, 0.2, 3)):
-        assert recursion_47_closed_form(k, x, n, "corrected") == pytest.approx(
+        assert recursion_47_closed_form(k, x, n) == pytest.approx(
             recursion_47(k, x, n), rel=1e-12
         )
 
 
 def test_closed_form_printed_only_matches_at_k1():
-    assert recursion_47_closed_form(1.0, 0.6, 3, "as_printed") == pytest.approx(
+    printed_route = get_entry("EQ4.7-printed").lhs
+    assert printed_route(k=1.0, x=0.6, n=3) == pytest.approx(
         recursion_47(1.0, 0.6, 3), rel=1e-12
     )
-    printed = recursion_47_closed_form(2.0, 0.6, 3, "as_printed")
+    printed = printed_route(k=2.0, x=0.6, n=3)
     assert abs(printed - recursion_47(2.0, 0.6, 3)) > 0.01
 
 
 # ---------------------------------------------------------------- representation
 def test_representation_48_exact_at_k1():
-    lhs, rhs = representation_48(1.0, 0.5)
+    lhs, rhs = sides("EQ4.8-printed", k=1.0, x=0.5)
     assert lhs == pytest.approx(math.sqrt(PI) / 2.0, abs=1e-12)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-    lhs, rhs = representation_48(1.0, 3.0)
+    lhs, rhs = sides("EQ4.8-printed", k=1.0, x=3.0)
     assert lhs == pytest.approx(2.0, abs=1e-12)
     assert rhs == pytest.approx(2.0, abs=1e-12)
 
@@ -182,7 +186,7 @@ def test_representation_48_exact_at_k1():
 def test_representation_48_ratio_is_constant_for_k2():
     ratios = []
     for x in (0.5, 1.0, 1.5, 3.0):
-        lhs, rhs = representation_48(2.0, x)
+        lhs, rhs = sides("EQ4.8-printed", k=2.0, x=x)
         ratios.append(lhs / rhs)
     for r in ratios[1:]:
         assert r == pytest.approx(ratios[0], rel=1e-11)
@@ -264,47 +268,43 @@ def test_sign_changes_count_zeros_and_skip_flat_cells():
 
 
 def test_superadditivity_reports():
-    lhs, rhs = superadditivity_43(1.0, 2.0, 2.0)
+    lhs, rhs = sides("THM4.3-above", k=1.0, x=2.0, y=2.0)
     assert lhs <= rhs + SUPERADD_SLACK
     assert lhs == pytest.approx(2.0, abs=1e-12)
     assert rhs == pytest.approx(6.0, abs=1e-12)
 
     root = alpha0_solve(1.0, 1e-10).root
-    lhs, rhs = superadditivity_43(1.0, root + 0.01, root + 0.01)
+    lhs, rhs = sides("THM4.3-above", k=1.0, x=root + 0.01, y=root + 0.01)
     assert lhs <= rhs + SUPERADD_SLACK
-    lhs, rhs = superadditivity_43(1.0, 1.01, 1.01)
+    lhs, rhs = sides("THM4.3-above", k=1.0, x=1.01, y=1.01)
     assert not lhs <= rhs + SUPERADD_SLACK
-    with pytest.raises(DomainError):
-        superadditivity_43(1.0, -1.0, 2.0)
 
 
 # ---------------------------------------------------------------- Lerch identity
 def test_lerch_identity_printed_counterexample():
-    lhs, rhs = lerch_identity_410(-0.5, "as_printed")
+    lhs, rhs = sides("THM4.4-printed", x=-0.5)
     assert lhs == pytest.approx(-PI / 2.0, abs=1e-11)
     assert rhs == pytest.approx(-(4.0 - PI), abs=1e-11)
     assert abs(lhs - rhs) > 0.7
 
 
 def test_lerch_identity_corrected():
-    lhs, rhs = lerch_identity_410(-0.5, "corrected")
+    lhs, rhs = sides("THM4.4-corrected", x=-0.5)
     assert lhs == pytest.approx(4.0 - PI, abs=1e-11)
     assert abs(lhs - rhs) < 1e-11
-    lhs, rhs = lerch_identity_410(0.0, "corrected")
+    lhs, rhs = sides("THM4.4-corrected", x=0.0)
     assert lhs == pytest.approx(2.0 * LN2, abs=1e-12)
     assert rhs == pytest.approx(2.0 * LN2, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", (-0.75, -0.3, 0.25, 0.6, 0.9))
 def test_lerch_identity_corrected_grid(x):
-    lhs, rhs = lerch_identity_410(x, "corrected")
+    lhs, rhs = sides("THM4.4-corrected", x=x)
     assert abs(lhs - rhs) < 1e-11
 
 
 def test_lerch_identity_domain():
     with pytest.raises(PoleError):
-        lerch_identity_410(0.0, "as_printed")
+        sides("THM4.4-printed", x=0.0)
     with pytest.raises(DomainError):
-        lerch_identity_410(1.0, "corrected")
-    with pytest.raises(DomainError):
-        lerch_identity_410(0.5, "typo")
+        sides("THM4.4-corrected", x=1.0)

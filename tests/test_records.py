@@ -64,8 +64,7 @@ RECORDS = {
          "x_values": (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)},
     ),
     FitPlan: (
-        (("mode", "ratio"), ("group_by", "k"), ("transform", abs), ("expected", None),
-         ("description", "d")),
+        (("mode", "ratio"), ("group_by", "k"), ("transform", abs), ("expected", None)),
         {},
     ),
     FitRecord: (
@@ -76,7 +75,7 @@ RECORDS = {
         (("id", "X"), ("anchor", "(1.1)"), ("comparison", "rel"), ("tol", 1e-12),
          ("expectation", "PASS"), ("points", list), ("lhs", abs), ("rhs", float),
          ("skip", bool), ("fit", None)),
-        {"rhs": None, "skip": None, "fit": None},
+        {"skip": None, "fit": None},
     ),
     EntrySummary: (
         (("identity_id", "X"), ("expectation", "FAIL"), ("n_pass", 1), ("n_fail", 2),

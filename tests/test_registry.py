@@ -1,5 +1,7 @@
 """Tests for the identity registry, runner and scanner."""
 
+import importlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 from kspecfun import (
     DomainError,
+    hadamard,
     GridSpec,
     default_grid,
     get_entry,
@@ -47,7 +50,12 @@ def _entries():
 
 
 def _routes():
-    return [route for entry in _entries() for route in (entry.lhs, entry.rhs) if route is not None]
+    return [route for entry in _entries() for route in (entry.lhs, entry.rhs)]
+
+
+def test_every_entry_has_an_rhs_route():
+    for entry in _entries():
+        assert callable(entry.rhs), entry.id
 
 
 def test_every_side_is_a_named_route():
@@ -63,6 +71,38 @@ def test_distinct_routes_have_distinct_names():
 def test_no_entry_uses_one_route_for_both_sides():
     for entry in _entries():
         assert entry.lhs is not entry.rhs, entry.id
+
+
+def test_only_thm32_series_takes_a_variant():
+    # printed forms are registry routes; thm32_series keeps both prefixes
+    # because the CLI method table needs them
+    takers = []
+    for name in ("kcore", "beta", "hadamard", "furdui"):
+        module = importlib.import_module(f"kspecfun.{name}")
+        for public in module.__all__:
+            fn = getattr(module, public)
+            if inspect.isfunction(fn) and "variant" in inspect.signature(fn).parameters:
+                takers.append(f"{name}.{public}")
+    assert takers == ["furdui.thm32_series"]
+
+
+def test_thm41_lhs_never_takes_the_recurrence_step(monkeypatch):
+    # the lhs may evaluate H_k at x + k only, never at x, and never walks
+    # the recurrence of recursion_47
+    real = hadamard.hadamard_k
+    seen = []
+
+    def spy(k, x):
+        seen.append(x)
+        return real(k, x)
+
+    monkeypatch.setattr(hadamard, "hadamard_k", spy)
+    monkeypatch.delattr(hadamard, "recursion_47")
+    entry = get_entry("THM4.1")
+    for params in entry.points(default_grid()):
+        seen.clear()
+        entry.lhs(**params)
+        assert seen in ([], [params["x"] + params["k"]]), params
 
 
 def test_comparisons_and_expectations_are_known():
