@@ -13,8 +13,8 @@ import math
 
 from .errors import ConvergenceError, DomainError
 from .kcore import _check_pole, k_value, psi_k, psi_k_m
-from .oracles import QuadratureResult, adaptive_quad
-from .scalar import (_EPS, CONSTANTS, SeriesValue, _alt_recip_sum, _check_tol, _positive,
+from .oracles import adaptive_quad
+from .scalar import (_EPS, CONSTANTS, Estimate, _alt_recip_sum, _check_tol, _positive,
                      _require_finite, zeta_int)
 
 __all__ = [
@@ -62,7 +62,7 @@ def _beta_continued(k: float, z: float, depth: int = 0) -> float:
     return 1.0 / z - _beta_continued(k, z + k, depth + 1)
 
 
-def beta_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
+def beta_k_series(k, x: float) -> Estimate:
     """Alternating-series route sum_{n>=0} (-1)^n / (x + nk).
 
     Paired-term summation with the Laplace-representation tail; never
@@ -71,14 +71,13 @@ def beta_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
     """
     k = k_value(k)
     x = _positive("beta_k_series", x)
-    _check_tol(tol)
     raw, raw_err, used = _alt_recip_sum(x / k)
     value = raw / k
     err = raw_err / k + 4.0 * _EPS * abs(value)
-    return SeriesValue(value, err, used, err <= tol)
+    return Estimate(value, err, used)
 
 
-def beta_k_integral(k, x: float, tol: float = 1e-10) -> QuadratureResult:
+def beta_k_integral(k, x: float, tol: float = 1e-10) -> Estimate:
     """Integral route int_0^1 t^(x-1) / (1 + t^k) dt.
 
     For x < 1 the endpoint singularity is removed exactly by the
@@ -94,7 +93,7 @@ def beta_k_integral(k, x: float, tol: float = 1e-10) -> QuadratureResult:
     return adaptive_quad(lambda t: t ** (x - 1.0) / (1.0 + t**k), 0.0, 1.0, tol)
 
 
-def beta_k_cosh_form(k, x: float, tol: float = 1e-9) -> QuadratureResult:
+def beta_k_cosh_form(k, x: float, tol: float = 1e-9) -> Estimate:
     """Laplace route int_0^inf e^(-xt) / cosh(kt) dt = beta_k((x + k)/2).
 
     Valid for x > -k; the integral is truncated at T with
@@ -118,7 +117,7 @@ def beta_k_cosh_form(k, x: float, tol: float = 1e-9) -> QuadratureResult:
     # faster by e^(-2kT)
     tail = 2.0 * math.exp(-rate * T) / rate
     tail_err = 2.0 * math.exp(-(rate + 2.0 * k) * T) / (rate + 2.0 * k)
-    return QuadratureResult(q.value + tail, q.error_estimate + tail_err, q.subdivisions)
+    return Estimate(q.value + tail, q.error_estimate + tail_err, q.terms_used)
 
 
 def beta_k_deriv(k, order: int, x: float) -> float:
@@ -149,7 +148,7 @@ def beta_taylor_terms(k, order: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def beta_taylor_54(k, x: float, order: int, tol: float = 1e-9) -> SeriesValue:
+def beta_taylor_54(k, x: float, order: int) -> Estimate:
     """Expansion of beta_k(x + k) around the center k, for |x| < k.
 
     For 0 < x < k the terms alternate with decreasing magnitude, so the
@@ -161,7 +160,6 @@ def beta_taylor_54(k, x: float, order: int, tol: float = 1e-9) -> SeriesValue:
     x = _require_finite("x", x)
     if abs(x) >= k:
         raise DomainError(f"beta_taylor_54 requires |x| < k, got x={x}, k={k}")
-    _check_tol(tol)
     total = 0.0
     xp = 1.0
     for c in beta_taylor_terms(k, order):
@@ -172,10 +170,10 @@ def beta_taylor_54(k, x: float, order: int, tol: float = 1e-9) -> SeriesValue:
     bound *= abs(x) ** (order + 1)
     ratio = abs(x) / k
     err = bound / (1.0 - ratio) + 8.0 * _EPS * abs(total)
-    return SeriesValue(total, err, order + 1, err <= tol)
+    return Estimate(total, err, order + 1)
 
 
-def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> SeriesValue:
+def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> Estimate:
     """Expansion of beta_k around 0: 1/x - 1/(x+k) + zeta-weighted double sum.
 
     The inner binomial sum is evaluated exactly as the power difference
@@ -216,4 +214,4 @@ def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> SeriesValue
             error_estimate=err,
             terms_used=n_max,
         )
-    return SeriesValue(total, err, n_max, True)
+    return Estimate(total, err, n_max)

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .beta import beta_k
-from .errors import BracketError, ConvergenceError, DomainError, QuadratureError
+from .errors import BracketError, ConvergenceError, DomainError
 from .furdui import FURDUI_METHODS, furdui_method, furdui_oracle
 from .hadamard import alpha0_solve, hadamard_k
 from .kcore import gamma_k, k_value, psi_k, psi_k_m
@@ -275,6 +275,16 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+# subcommand -> handler; argparse's required subcommand admits no other name
+COMMANDS = {
+    "eval": _cmd_eval,
+    "verify": _cmd_verify,
+    "furdui": _cmd_furdui,
+    "alpha0": _cmd_alpha0,
+    "scan": _cmd_scan,
+}
+
+
 def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
@@ -282,20 +292,10 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "furdui":
-            return _cmd_furdui(args)
-        if args.command == "alpha0":
-            return _cmd_alpha0(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        return _usage_error(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except (DomainError, OverflowError) as exc:
         return _usage_error(str(exc))
-    except (ConvergenceError, QuadratureError, BracketError) as exc:
+    except (ConvergenceError, BracketError) as exc:
         print(f"ksf: computation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -25,17 +25,12 @@ class ConvergenceError(RuntimeError):
         self.terms_used = terms_used
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ConvergenceError):
     """Adaptive quadrature hit its subdivision limit.
 
-    The best estimate obtained so far is attached.
+    The best estimate obtained so far is attached; ``terms_used`` is the
+    panel count.
     """
-
-    def __init__(self, message, value=None, error_estimate=None, subdivisions=None):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-        self.subdivisions = subdivisions
 
 
 class BracketError(RuntimeError):

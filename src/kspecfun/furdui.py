@@ -13,11 +13,11 @@ from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .kcore import k_value, ln_gamma_k, psi_k, psi_k_m
-from .oracles import QuadratureResult, adaptive_quad
+from .oracles import adaptive_quad
 from .scalar import (
     _EPS,
     CONSTANTS,
-    SeriesValue,
+    Estimate,
     _check_tol,
     digamma,
     gauss_2f1,
@@ -44,15 +44,15 @@ def _check_m(m: int):
 
 
 @lru_cache(maxsize=512)
-def _oracle_cached(k: float, m: int, tol: float) -> QuadratureResult:
+def _oracle_cached(k: float, m: int, tol: float) -> Estimate:
     lnk = math.log(k)
     # x^m (psi_k(x) + 1/x) = x^m (ln k + psi(x/k + 1)) / k, smooth through 0
     f = lambda x: x**m * (lnk + digamma(x / k + 1.0)) / k
     q = adaptive_quad(f, 0.0, k, tol)
-    return QuadratureResult(q.value - k**m / m, q.error_estimate, q.subdivisions)
+    return Estimate(q.value - k**m / m, q.error_estimate, q.terms_used)
 
 
-def furdui_oracle(k, m: int, tol: float = 1e-10) -> QuadratureResult:
+def furdui_oracle(k, m: int, tol: float = 1e-10) -> Estimate:
     """Quadrature oracle for I(k, m).
 
     The integrand is regularised as x^m (psi_k(x) + 1/x) - x^(m-1); the
@@ -87,7 +87,7 @@ def _zeta_remainder(sign: float, denom, limit: float, name: str):
             raise ConvergenceError(f"{name} zeta tail stalled", value=rem)
 
 
-def thm31_series(k, m: int, tol: float = 1e-10) -> SeriesValue:
+def thm31_series(k, m: int, tol: float = 1e-10) -> Estimate:
     """Series route k^m (ln k - g)/(m+1) - k^m/m + k^m sum (-1)^s zeta(s)/(m+s)."""
     k = k_value(k)
     _check_m(m)
@@ -98,10 +98,10 @@ def thm31_series(k, m: int, tol: float = 1e-10) -> SeriesValue:
     rem, bound, s = _zeta_remainder(1.0, lambda s: m + s, 0.05 * tol / km, "thm31_series")
     err = km * bound * 2.0 + 16.0 * _EPS * (abs(prefix) + km)
     value = prefix + km * (closed + rem)
-    return SeriesValue(value, err, s, err <= tol)
+    return Estimate(value, err, s)
 
 
-def thm32_series(k, m: int, tol: float = 1e-10, variant: str = "sign_variant") -> SeriesValue:
+def thm32_series(k, m: int, tol: float = 1e-10, variant: str = "sign_variant") -> Estimate:
     """Log-gamma-expansion route with the (ln k -+ m*gamma) prefix under audit.
 
     ``as_printed`` uses (ln k - m*gamma); ``sign_variant`` uses
@@ -124,29 +124,29 @@ def thm32_series(k, m: int, tol: float = 1e-10, variant: str = "sign_variant") -
     )
     value = prefix + m * km * (closed + rem)
     err = m * km * bound * 2.0 + 16.0 * _EPS * (abs(prefix) + m * km)
-    return SeriesValue(value, err, s, err <= tol)
+    return Estimate(value, err, s)
 
 
 @lru_cache(maxsize=64)
-def _logsin_cached(m: int, tol: float) -> QuadratureResult:
+def _logsin_cached(m: int, tol: float) -> Estimate:
     half = math.pi / 2.0
     q1 = adaptive_quad(lambda x: x ** (m - 1) * math.log(math.sin(x)), 0.0, half, 0.5 * tol)
     q2 = adaptive_quad(
         lambda u: (math.pi - u) ** (m - 1) * math.log(math.sin(u)), 0.0, half, 0.5 * tol
     )
-    return QuadratureResult(
-        q1.value + q2.value, q1.error_estimate + q2.error_estimate, q1.subdivisions + q2.subdivisions
+    return Estimate(
+        q1.value + q2.value, q1.error_estimate + q2.error_estimate, q1.terms_used + q2.terms_used
     )
 
 
-def logsin_moment(m: int, tol: float = 1e-10) -> QuadratureResult:
+def logsin_moment(m: int, tol: float = 1e-10) -> Estimate:
     """int_0^pi x^(m-1) ln sin x dx, split at pi/2 with the x -> pi - x fold."""
     _check_m(m)
     _check_tol(tol)
     return _logsin_cached(m, tol)
 
 
-def thm33_series(k, m: int, tol: float = 1e-9) -> SeriesValue:
+def thm33_series(k, m: int, tol: float = 1e-9) -> Estimate:
     """Kummer-expansion route for I(k, m), printed coefficients under audit.
 
     Evaluates the published expansion verbatim, including the 3m/2
@@ -177,10 +177,10 @@ def thm33_series(k, m: int, tol: float = 1e-9) -> SeriesValue:
     value += m * km * (closed + rem)
     err = m * km * bound * 2.0 + m * km / (2.0 * math.pi**m) * ls.error_estimate
     err += 16.0 * _EPS * (abs(value) + km)
-    return SeriesValue(value, err, 2 * n + ls.subdivisions, err <= tol)
+    return Estimate(value, err, 2 * n + ls.terms_used)
 
 
-def ln_gamma_k_moment(k, m: int, tol: float = 1e-9) -> SeriesValue:
+def ln_gamma_k_moment(k, m: int, tol: float = 1e-9) -> Estimate:
     """I(k, m) = -m int_0^k x^(m-1) ln Gamma_k(x) dx by quadrature.
 
     Integration by parts of the psi_k moment; it bypasses every series
@@ -190,7 +190,7 @@ def ln_gamma_k_moment(k, m: int, tol: float = 1e-9) -> SeriesValue:
     _check_m(m)
     _check_tol(tol)
     q = adaptive_quad(lambda x: x ** (m - 1) * ln_gamma_k(k, x), 0.0, k, 0.1 * tol)
-    return SeriesValue(-m * q.value, m * q.error_estimate, q.subdivisions, True)
+    return Estimate(-m * q.value, m * q.error_estimate, q.terms_used)
 
 
 def _rising(a: float, j: int) -> float:
@@ -218,7 +218,7 @@ def _thm34_direct_sum(m: int, n: int) -> tuple[float, float, int]:
     return isum, f_err, terms
 
 
-def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> SeriesValue:
+def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> Estimate:
     """Integration-by-parts recursion with the hypergeometric remainder sum.
 
     The psi_k-derivative prefix uses the exact values at x = k; the sum
@@ -260,20 +260,14 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> SeriesValue:
     scale = math.factorial(n) * km / _rising(m + 1.0, n + 1)
     total -= scale * isum
     err = scale * (f_err + 2.0 * bound) + 32.0 * _EPS * (abs(total) + km)
-    return SeriesValue(total, err, terms + j, err <= tol)
+    return Estimate(total, err, terms + j)
 
 
-def _oracle_series(k, m: int, tol: float) -> SeriesValue:
-    # the oracle's panel count is reported as terms_used
-    q = furdui_oracle(k, m, min(tol, 1e-10))
-    return SeriesValue(q.value, q.error_estimate, q.subdivisions, True)
-
-
-# method id -> route (k, m, n, tol) -> SeriesValue, in CLI table order; each
+# method id -> route (k, m, n, tol) -> Estimate, in CLI table order; each
 # route looks its function up at call time, so a wrapper installed on the
 # module (perfbench/tracer.py) sees the call
 FURDUI_METHODS = {
-    "oracle": lambda k, m, n, tol: _oracle_series(k, m, tol),
+    "oracle": lambda k, m, n, tol: furdui_oracle(k, m, min(tol, 1e-10)),
     "thm31": lambda k, m, n, tol: thm31_series(k, m, tol),
     "thm32_printed": lambda k, m, n, tol: thm32_series(k, m, tol, "as_printed"),
     "thm32_variant": lambda k, m, n, tol: thm32_series(k, m, tol, "sign_variant"),
@@ -283,7 +277,7 @@ FURDUI_METHODS = {
 }
 
 
-def furdui_method(method_id: str, k, m: int, n: int = 1, tol: float = 1e-9) -> SeriesValue:
+def furdui_method(method_id: str, k, m: int, n: int = 1, tol: float = 1e-9) -> Estimate:
     """Evaluate I(k, m) by one method of :data:`FURDUI_METHODS` (CLI comparison tables)."""
     try:
         route = FURDUI_METHODS[method_id]

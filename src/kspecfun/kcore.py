@@ -15,7 +15,7 @@ from .scalar import (
     _MAX_NORMAL,
     _MIN_NORMAL,
     CONSTANTS,
-    SeriesValue,
+    Estimate,
     _check_tol,
     _em_power_tail,
     _polygamma_scaled,
@@ -143,7 +143,7 @@ def psi_k(k, x: float) -> float:
     return value
 
 
-def psi_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
+def psi_k_series(k, x: float, tol: float = 1e-12) -> Estimate:
     """Direct series route for psi_k, independent of :func:`psi_k`.
 
     Sums (ln k - gamma)/k - 1/x + sum_{n>=1} x/(nk(nk+x)) with an
@@ -177,7 +177,7 @@ def psi_k_series(k, x: float, tol: float = 1e-12) -> SeriesValue:
                     error_estimate=err,
                     terms_used=n_direct,
                 )
-            return SeriesValue(value, err, n_direct, True)
+            return Estimate(value, err, n_direct)
         n_direct *= 2
 
 
@@ -211,7 +211,7 @@ def psi_k_m(k, m: int, x: float) -> float:
     return value
 
 
-def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> SeriesValue:
+def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> Estimate:
     """Direct series route for psi_k^(m) (cross-check oracle).
 
     Evaluates (-1)^(m+1) m! sum_{n>=0} (nk + x)^-(m+1) with an
@@ -242,7 +242,7 @@ def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> SeriesValue:
             error_estimate=err,
             terms_used=n_direct,
         )
-    return SeriesValue(value, err, n_direct, True)
+    return Estimate(value, err, n_direct)
 
 
 def psi_k_duplication_rhs(k, x: float) -> float:

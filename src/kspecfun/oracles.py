@@ -13,10 +13,9 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, QuadratureError
-from .scalar import _EPS, _check_tol
+from .scalar import _EPS, Estimate, _check_tol
 
 __all__ = [
-    "QuadratureResult",
     "DiscrepancyFit",
     "CmProbeResult",
     "adaptive_quad",
@@ -53,21 +52,6 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-
-
-class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate subdivisions")):
-    """Value, conservative error estimate and panel count of an integral."""
-
-    __slots__ = ()
-    value: float
-    error_estimate: float
-    subdivisions: int
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be >= 0")
-        return self
 
 
 class DiscrepancyFit(namedtuple("DiscrepancyFit", "mode constant residual_rms n_points")):
@@ -129,7 +113,7 @@ def _gk15(f, a, b):
     return value, err, resabs
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> Estimate:
     """Adaptive Gauss-Kronrod 15 bisection of int_a^b f(x) dx.
 
     Endpoints are never evaluated, so integrable endpoint singularities
@@ -160,7 +144,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
                 f"depth cap reached; error estimate {total_err:.3e} > tol {tol:.3e}",
                 value=total,
                 error_estimate=total_err,
-                subdivisions=panels,
+                terms_used=panels,
             )
         mid = 0.5 * (lo + hi)
         v1, e1, r1 = _gk15(f, lo, mid)
@@ -172,7 +156,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> QuadratureResult
         heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1, r1, depth + 1))
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2, r2, depth + 1))
         seq += 2
-    return QuadratureResult(total, total_err, panels)
+    return Estimate(total, total_err, panels)
 
 
 def finite_diff(f, x: float, order: int = 1) -> float:

@@ -26,7 +26,7 @@ from . import furdui as _furdui
 from . import hadamard as _hadamard
 from . import kcore as _kcore
 from . import scalar as _scalar
-from .errors import DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 from .oracles import DiscrepancyFit, adaptive_quad, cm_probe, finite_diff, fit_discrepancy
 
 __all__ = [
@@ -628,7 +628,7 @@ def _build_entries() -> list[IdentityEntry]:
     )
 
     def beta_k_by_series(k, x, **_):
-        return _beta.beta_k_series(k, x, 1e-13).value
+        return _beta.beta_k_series(k, x).value
 
     def beta_k_by_integral(k, x, **_):
         return _beta.beta_k_integral(k, x, 1e-9).value
@@ -826,9 +826,9 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
                  tol_override: float | None = None) -> list[IdentityReport]:
     """Evaluate one registered identity over the grid.
 
-    Pole-excluded or out-of-domain points, and points where a side is
-    not finite, yield SKIP reports; output is deterministic, ordered by
-    (id, parameter tuple).
+    Pole-excluded or out-of-domain points, points where a route does not
+    converge, and points where a side is not finite, yield SKIP reports;
+    output is deterministic, ordered by (id, parameter tuple).
     """
     grid = grid or default_grid()
     entry = get_entry(identity_id)
@@ -848,7 +848,7 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
                 continue
         try:
             lhs, rhs = entry.lhs(**params), entry.rhs(**params)
-        except (DomainError, PoleError, OverflowError) as exc:
+        except (DomainError, ConvergenceError, OverflowError) as exc:
             reports.append(IdentityReport(entry.id, dict(params), None, None,
                                           None, None, "SKIP", f"{type(exc).__name__}: {exc}"))
             continue

@@ -118,7 +118,7 @@ def test_criterion_05_beta_triple_route():
             x = u * k
             routes = (
                 beta_k(k, x),
-                beta_k_series(k, x, 1e-13).value,
+                beta_k_series(k, x).value,
                 beta_k_integral(k, x, 1e-9).value,
             )
             worst = max(worst, max(routes) - min(routes))

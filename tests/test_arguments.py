@@ -29,12 +29,9 @@ POSITIVE_X = {
 CHECKED_TOL = {
     "adaptive_quad": lambda tol: kspecfun.adaptive_quad(math.sin, 0.0, 1.0, tol),
     "gauss_2f1": lambda tol: kspecfun.gauss_2f1(1.0, 1.0, 2.0, -0.5, tol),
-    "lerch_alt": lambda tol: kspecfun.lerch_alt(0.5, tol),
     "psi_k_series": lambda tol: kspecfun.psi_k_series(1.0, 1.0, tol),
     "psi_k_m_series": lambda tol: kspecfun.psi_k_m_series(1.0, 1, 1.0, tol),
-    "beta_k_series": lambda tol: kspecfun.beta_k_series(1.0, 1.0, tol),
     "beta_k_cosh_form": lambda tol: kspecfun.beta_k_cosh_form(1.0, 1.0, tol),
-    "beta_taylor_54": lambda tol: kspecfun.beta_taylor_54(1.0, 0.5, 10, tol),
     "beta_expansion_55": lambda tol: kspecfun.beta_expansion_55(1.0, 0.5, 560, tol),
     "alpha0_solve": lambda tol: kspecfun.alpha0_solve(1.0, tol),
     "furdui_oracle": lambda tol: kspecfun.furdui_oracle(1.0, 1, tol),

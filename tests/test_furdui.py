@@ -225,7 +225,7 @@ def test_furdui_method_dispatch():
     o = furdui_method("oracle", 1.0, 2)
     t34 = furdui_method("thm34", 1.0, 2, n=1)
     q = furdui_oracle(1.0, 2, 1e-10)
-    assert (o.value, o.error_estimate, o.terms_used) == (q.value, q.error_estimate, q.subdivisions)
+    assert o == q
     assert t34 == thm34_recursion(1.0, 2, 1, 1e-9)
     assert abs(o.value - t34.value) < 1e-7
     for gone in ("nope", "eq310"):

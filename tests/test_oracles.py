@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kspecfun import DomainError, QuadratureError
+from kspecfun import ConvergenceError, DomainError, QuadratureError
 from kspecfun.beta import beta_k, beta_k_deriv
 from kspecfun.oracles import (
     adaptive_quad,
@@ -50,9 +50,10 @@ def test_adaptive_quad_depth_cap_carries_best_estimate():
     with pytest.raises(QuadratureError) as info:
         adaptive_quad(lambda x: x**-0.99, 0.0, 1.0, 1e-6)
     err = info.value
+    assert isinstance(err, ConvergenceError)  # one payload: value, error_estimate, terms_used
     assert err.value is not None and 0.0 < err.value < 100.0
     assert err.error_estimate > 1e-6
-    assert err.subdivisions >= 50
+    assert err.terms_used >= 50
 
 
 # ------------------------------------------------------------- differencing

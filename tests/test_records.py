@@ -1,15 +1,18 @@
 """The package's immutable record types: fields, defaults, validation, equality."""
 
+import importlib.util
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import kspecfun
 from kspecfun.errors import DomainError
 from kspecfun.hadamard import RootResult
-from kspecfun.oracles import CmProbeResult, DiscrepancyFit, QuadratureResult
+from kspecfun.oracles import CmProbeResult, DiscrepancyFit
 from kspecfun.registry import (
     EntrySummary,
     FitPlan,
@@ -20,7 +23,7 @@ from kspecfun.registry import (
     RunSummary,
     ScanTable,
 )
-from kspecfun.scalar import Constants, SeriesValue
+from kspecfun.scalar import Constants, Estimate
 
 _FIT = DiscrepancyFit("ratio", 2.0, 0.0, 3)
 
@@ -31,12 +34,8 @@ RECORDS = {
         {"euler_gamma": 0.5772156649015329, "ln2": 0.6931471805599453,
          "pi": 3.141592653589793, "glaisher_A": 1.2824271291006226},
     ),
-    SeriesValue: (
-        (("value", 1.5), ("error_estimate", 1e-12), ("terms_used", 7), ("converged", True)),
-        {},
-    ),
-    QuadratureResult: (
-        (("value", 0.25), ("error_estimate", 1e-11), ("subdivisions", 4)),
+    Estimate: (
+        (("value", 1.5), ("error_estimate", 1e-12), ("terms_used", 7)),
         {},
     ),
     DiscrepancyFit: (
@@ -149,13 +148,14 @@ def test_record_equality_is_fieldwise(cls):
 
 
 @pytest.mark.parametrize("build,error,match", [
-    (lambda: SeriesValue(1.0, -1e-3, 1, True), ValueError, "error_estimate must be >= 0"),
-    (lambda: SeriesValue(1.0, 0.0, -1, True), ValueError, "terms_used must be >= 0"),
-    (lambda: SeriesValue(value=1.0, error_estimate=0.0, terms_used=-1, converged=False),
+    (lambda: Estimate(1.0, -1e-3, 1), ValueError, "error_estimate must be >= 0"),
+    (lambda: Estimate(1.0, 0.0, -1), ValueError, "terms_used must be >= 0"),
+    (lambda: Estimate(value=1.0, error_estimate=0.0, terms_used=-1),
      ValueError, "terms_used must be >= 0"),
-    (lambda: QuadratureResult(1.0, -1e-3, 1), ValueError, "error_estimate must be >= 0"),
-    (lambda: QuadratureResult(value=1.0, error_estimate=-1.0, subdivisions=1),
+    (lambda: Estimate(value=1.0, error_estimate=-1.0, terms_used=1),
      ValueError, "error_estimate must be >= 0"),
+    # both fields invalid: error_estimate is checked first
+    (lambda: Estimate(1.0, -1.0, -1), ValueError, "error_estimate must be >= 0"),
     (lambda: GridSpec(k_values=(1.0, 0.0)), DomainError, "all grid k values must be > 0"),
     (lambda: GridSpec((-1.0,)), DomainError, "all grid k values must be > 0"),
 ])
@@ -183,3 +183,37 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name,call", [
+    ("adaptive_quad", lambda: kspecfun.adaptive_quad(math.sin, 0.0, 1.0, 1e-10)),
+    ("gauss_2f1", lambda: kspecfun.gauss_2f1(1.0, 1.0, 2.0, -0.5)),
+    ("furdui_oracle", lambda: kspecfun.furdui_oracle(1.0, 2)),
+    ("thm31_series", lambda: kspecfun.thm31_series(1.0, 2)),
+    ("beta_k_cosh_form", lambda: kspecfun.beta_k_cosh_form(1.0, 1.0)),
+])
+def test_series_and_quadrature_routes_return_an_estimate(name, call):
+    assert type(call()) is Estimate, name
+
+
+def test_estimate_is_the_only_record_with_an_error_estimate():
+    records = {obj for obj in vars(kspecfun).values()
+               if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")}
+    assert {cls for cls in records if "error_estimate" in cls._fields} == {Estimate}
+
+
+def test_frozen_tracer_still_reads_its_counts():
+    # the benchmark's span recorder, loaded read-only from its file; it
+    # reads terms_used off gauss_2f1 and subdivisions off adaptive_quad
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        kspecfun.registry.run_identity("LEM2.3")
+    finally:
+        recorder.uninstall()
+    assert recorder.counts["scalar.gauss_2f1"] > 0
+    assert recorder.counts["oracles.adaptive_quad"] > 0

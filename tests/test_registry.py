@@ -153,6 +153,15 @@ def test_skip_on_pole_exclusion():
     assert skips[0].note == "printed form singular at x = 0"
 
 
+def test_skip_on_convergence_error():
+    # at k = 1e300 the m = 1 zeta tail of THM3.1 cannot reach its stop bound
+    reports = run_identity("THM3.1", GridSpec(k_values=(1e300,)))
+    assert reports and {r.verdict for r in reports} == {"SKIP"}
+    stalled = [r for r in reports if r.params["m"] == 1]
+    assert len(stalled) == 1
+    assert stalled[0].note.startswith("ConvergenceError: thm31_series zeta tail stalled")
+
+
 def test_empty_grid_gives_empty_reports():
     grid = GridSpec(k_values=(), x_values=())
     assert run_identity("EQ1.1", grid) == []

@@ -225,7 +225,7 @@ def test_2f1_at_zero_is_one():
     for a, b, c in [(1.0, 2.0, 3.0), (0.3, -1.2, 0.7)]:
         sv = gauss_2f1(a, b, c, 0.0)
         assert sv.value == 1.0
-        assert sv.converged
+        assert sv.error_estimate <= 1e-13
 
 
 def test_2f1_log_case():
@@ -307,7 +307,6 @@ def test_lerch_one_diff():
 
 
 def test_series_value_contract():
-    sv = lerch_alt(1.0, tol=1e-10)
-    assert sv.converged
+    sv = lerch_alt(1.0)
     assert sv.error_estimate <= 1e-10
     assert sv.terms_used >= 1
