@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 
 from .errors import ConvergenceError, DomainError
-from .kcore import _check_pole, k_value, psi_k, psi_k_m
+from .kcore import _check_pole, _overflow_error, k_value, psi_k, psi_k_m
 from .oracles import adaptive_quad
-from .scalar import (_EPS, CONSTANTS, Estimate, _alt_recip_sum, _check_tol, _positive,
-                     _require_finite, zeta_int)
+from .scalar import (_EPS, CONSTANTS, Estimate, _alt_recip_sum, _check_int, _check_tol,
+                     _positive, _require_finite, zeta_int)
 
 __all__ = [
     "beta_k",
@@ -45,10 +45,10 @@ def beta_k(k, x: float) -> float:
             raise
     except DomainError:
         # 0.5 * x rounds to 0.0 only at x = 5e-324, where beta_k(x) >= 1/(2x)
-        raise OverflowError(f"beta_k({x}) overflows binary64 (k={k})") from None
+        raise _overflow_error("beta_k", k, x) from None
     inv = 1.0 / x
     if inv == math.inf:
-        raise OverflowError(f"beta_k({x}) overflows binary64 (k={k})")
+        raise _overflow_error("beta_k", k, x)
     return inv - beta_k(k, x + k)
 
 
@@ -123,8 +123,7 @@ def beta_k_cosh_form(k, x: float, tol: float = 1e-9) -> Estimate:
 def beta_k_deriv(k, order: int, x: float) -> float:
     """order-th derivative of beta_k, order >= 0 (exact k-polygamma differences)."""
     k = k_value(k)
-    if not isinstance(order, int) or order < 0:
-        raise DomainError(f"derivative order must be an integer >= 0, got {order!r}")
+    _check_int("beta_k_deriv", "order", order, 0)
     x = _positive("beta_k_deriv", x)
     if order == 0:
         return beta_k(k, x)
@@ -136,8 +135,7 @@ def beta_k_deriv(k, order: int, x: float) -> float:
 def beta_taylor_terms(k, order: int) -> tuple[float, ...]:
     """Coefficients (c_0, ..., c_order) of beta_k(x + k) = sum_m c_m x^m, |x| < k."""
     k = k_value(k)
-    if not isinstance(order, int) or order < 0:
-        raise DomainError(f"order must be an integer >= 0, got {order!r}")
+    _check_int("beta_taylor_terms", "order", order, 0)
     coeffs = [CONSTANTS.ln2 / k]
     sign = -1.0
     kp = k * k
@@ -185,8 +183,7 @@ def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> Estimate:
     x = _require_finite("x", x)
     if not 0.0 < x < k:
         raise DomainError(f"beta_expansion_55 requires 0 < x < k, got x={x}, k={k}")
-    if not isinstance(n_max, int) or n_max < 1:
-        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    _check_int("beta_expansion_55", "n_max", n_max, 1)
     _check_tol(tol)
     total = 1.0 / x - 1.0 / (x + k)
     a = 0.5 * (x + k)

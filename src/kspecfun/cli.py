@@ -32,7 +32,16 @@ from .registry import (
 )
 from .scalar import gauss_2f1, zeta_int
 
-EVAL_FUNCTIONS = ("gamma_k", "psi_k", "psi_k_m", "beta_k", "hadamard_k", "zeta", "2f1")
+# eval --fn name -> (the options it requires, its evaluator of the parsed arguments)
+EVAL_FUNCTIONS = {
+    "gamma_k": (("x",), lambda a: gamma_k(a.k, a.x)),
+    "psi_k": (("x",), lambda a: psi_k(a.k, a.x)),
+    "psi_k_m": (("x", "m"), lambda a: psi_k_m(a.k, a.m, a.x)),
+    "beta_k": (("x",), lambda a: beta_k(a.k, a.x)),
+    "hadamard_k": (("x",), lambda a: hadamard_k(a.k, a.x)),
+    "zeta": (("m",), lambda a: zeta_int(a.m)),
+    "2f1": (("a", "b", "c", "z"), lambda a: gauss_2f1(a.a, a.b, a.c, a.z).value),
+}
 
 
 def _fmt(x: float) -> str:
@@ -51,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--fn", required=True, help=f"one of {', '.join(EVAL_FUNCTIONS)}")
     p_eval.add_argument("--k", type=float, default=1.0)
     p_eval.add_argument("--x", type=float)
-    p_eval.add_argument("--m", type=int)
+    p_eval.add_argument("--m", type=int, help="order of psi_k_m, or s >= 2 for zeta")
     p_eval.add_argument("--a", type=float)
     p_eval.add_argument("--b", type=float)
     p_eval.add_argument("--c", type=float)
@@ -95,31 +104,12 @@ def _cmd_eval(args) -> int:
     fn = args.fn
     if fn not in EVAL_FUNCTIONS:
         return _usage_error(f"unknown function {fn!r}; choose from {', '.join(EVAL_FUNCTIONS)}")
-    if fn == "2f1":
-        missing = [f for f in ("a", "b", "c", "z") if getattr(args, f) is None]
-        if missing:
-            return _usage_error(f"2f1 requires --a --b --c --z (missing {', '.join(missing)})")
-        value = gauss_2f1(args.a, args.b, args.c, args.z).value
-    elif fn == "zeta":
-        if args.m is None:
-            return _usage_error("zeta requires --m (the integer argument s >= 2)")
-        value = zeta_int(args.m)
-    else:
-        if args.x is None:
-            return _usage_error(f"{fn} requires --x")
-        if fn == "gamma_k":
-            value = gamma_k(args.k, args.x)
-        elif fn == "psi_k":
-            value = psi_k(args.k, args.x)
-        elif fn == "psi_k_m":
-            if args.m is None:
-                return _usage_error("psi_k_m requires --m")
-            value = psi_k_m(args.k, args.m, args.x)
-        elif fn == "beta_k":
-            value = beta_k(args.k, args.x)
-        else:
-            value = hadamard_k(args.k, args.x)
-    print(_fmt(value))
+    required, evaluate = EVAL_FUNCTIONS[fn]
+    missing = [name for name in required if getattr(args, name) is None]
+    if missing:
+        flags = " ".join(f"--{name}" for name in required)
+        return _usage_error(f"{fn} requires {flags} (missing {', '.join(missing)})")
+    print(_fmt(evaluate(args)))
     return 0
 
 

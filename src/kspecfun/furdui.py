@@ -18,6 +18,7 @@ from .scalar import (
     _EPS,
     CONSTANTS,
     Estimate,
+    _check_int,
     _check_tol,
     digamma,
     gauss_2f1,
@@ -38,11 +39,6 @@ __all__ = [
 ]
 
 
-def _check_m(m: int):
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"moment order m must be an integer >= 1, got {m!r}")
-
-
 @lru_cache(maxsize=512)
 def _oracle_cached(k: float, m: int, tol: float) -> Estimate:
     lnk = math.log(k)
@@ -61,7 +57,7 @@ def furdui_oracle(k, m: int, tol: float = 1e-10) -> Estimate:
     integrated exactly.
     """
     k = k_value(k)
-    _check_m(m)
+    _check_int("furdui_oracle", "m", m, 1)
     _check_tol(tol)
     return _oracle_cached(k, m, tol)
 
@@ -90,7 +86,7 @@ def _zeta_remainder(sign: float, denom, limit: float, name: str):
 def thm31_series(k, m: int, tol: float = 1e-10) -> Estimate:
     """Series route k^m (ln k - g)/(m+1) - k^m/m + k^m sum (-1)^s zeta(s)/(m+s)."""
     k = k_value(k)
-    _check_m(m)
+    _check_int("thm31_series", "m", m, 1)
     _check_tol(tol)
     km = k**m
     prefix = km * (math.log(k) - CONSTANTS.euler_gamma) / (m + 1) - km / m
@@ -109,7 +105,7 @@ def thm32_series(k, m: int, tol: float = 1e-10, variant: str = "sign_variant") -
     against the oracle.  The zeta sum is the same in both.
     """
     k = k_value(k)
-    _check_m(m)
+    _check_int("thm32_series", "m", m, 1)
     _check_tol(tol)
     if variant not in ("as_printed", "sign_variant"):
         raise DomainError(f"unknown variant {variant!r}")
@@ -141,7 +137,7 @@ def _logsin_cached(m: int, tol: float) -> Estimate:
 
 def logsin_moment(m: int, tol: float = 1e-10) -> Estimate:
     """int_0^pi x^(m-1) ln sin x dx, split at pi/2 with the x -> pi - x fold."""
-    _check_m(m)
+    _check_int("logsin_moment", "m", m, 1)
     _check_tol(tol)
     return _logsin_cached(m, tol)
 
@@ -154,7 +150,7 @@ def thm33_series(k, m: int, tol: float = 1e-9) -> Estimate:
     the reference it is audited against.
     """
     k = k_value(k)
-    _check_m(m)
+    _check_int("thm33_series", "m", m, 1)
     _check_tol(tol)
     km = k**m
     lnk = math.log(k)
@@ -187,7 +183,7 @@ def ln_gamma_k_moment(k, m: int, tol: float = 1e-9) -> Estimate:
     expansion.  The panel count is reported as ``terms_used``.
     """
     k = k_value(k)
-    _check_m(m)
+    _check_int("ln_gamma_k_moment", "m", m, 1)
     _check_tol(tol)
     q = adaptive_quad(lambda x: x ** (m - 1) * ln_gamma_k(k, x), 0.0, k, 0.1 * tol)
     return Estimate(-m * q.value, m * q.error_estimate, q.terms_used)
@@ -230,9 +226,8 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> Estimate:
     whose stopping rule depends on k^m, are evaluated on every call.
     """
     k = k_value(k)
-    _check_m(m)
-    if not isinstance(n, int) or not 1 <= n <= 8:
-        raise DomainError(f"thm34_recursion requires integer 1 <= n <= 8, got {n!r}")
+    _check_int("thm34_recursion", "m", m, 1)
+    _check_int("thm34_recursion", "n", n, 1, 8)
     _check_tol(tol)
     km = k**m
     total = k ** (m + 1) * psi_k(k, k) / (m + 1)

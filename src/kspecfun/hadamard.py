@@ -19,9 +19,9 @@ import math
 from collections import namedtuple
 
 from .beta import beta_k
-from .errors import BracketError, DomainError
-from .kcore import _STIRLING_U, _ln_gamma_k_stirling, gamma_k, k_value, ln_gamma_k, rgamma_k
-from .scalar import _MAX_NORMAL, _MIN_NORMAL, _check_tol, _positive, _require_finite, _sinpi
+from .errors import BracketError
+from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, gamma_k, k_value, rgamma_k
+from .scalar import _MIN_NORMAL, _check_int, _check_tol, _positive, _require_finite, _sinpi
 
 __all__ = [
     "RootResult",
@@ -31,9 +31,6 @@ __all__ = [
     "representation_48_corrected_rhs",
     "alpha0_solve",
 ]
-
-_LN_MAX = math.log(_MAX_NORMAL)
-
 
 class RootResult(
     namedtuple(
@@ -53,33 +50,26 @@ class RootResult(
     sign_changes: int
 
 
-def _exp_or_raise(log_value: float, k: float, x: float) -> float:
-    # H_k beyond the binary64 range raises; below it underflows to 0.0
-    if not log_value <= _LN_MAX:
-        raise OverflowError(f"H_k({x}) overflows binary64 (k={k})")
-    return math.exp(log_value)
-
-
 def _h_base(k: float, x: float) -> float:
     # valid for x < k: H_k(x) = beta_k(k - x) / Gamma_k(k - x), beta_k > 0 there
     z = k - x
     if z >= _STIRLING_U * k:
         # beta_k(z) = 1/(2z) to rounding
-        return _exp_or_raise(-math.log(2.0) - math.log(z) - _ln_gamma_k_stirling(k, z), k, x)
+        return _exp_k(-math.log(2.0) - math.log(z) - _ln_gamma_k(k, z), "H_k", k, x)
     b = beta_k(k, z)
-    lg = ln_gamma_k(k, z)
+    lg = _ln_gamma_k(k, z)
     if lg > -_LN_MAX:
         h = b * math.exp(-lg)
         if h < math.inf:
             return h
-    return _exp_or_raise(math.log(b) - lg, k, x)
+    return _exp_k(math.log(b) - lg, "H_k", k, x)
 
 
 def _h_far(k: float, x: float) -> float:
     # valid for x >= k: Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))
     if x >= _STIRLING_U * k:
         # k beta_k(x) ~ k/(2x) is below rounding here, so H_k = Gamma_k
-        return _exp_or_raise(_ln_gamma_k_stirling(k, x), k, x)
+        return _exp_k(_ln_gamma_k(k, x), "H_k", k, x)
     u = x / k
     bracket = 1.0 - k * _sinpi(u) * beta_k(k, x) / math.pi
     if u < 171.0:
@@ -92,7 +82,7 @@ def _h_far(k: float, x: float) -> float:
         h = scale * math.gamma(u) * bracket
         if _MIN_NORMAL <= scale and _MIN_NORMAL <= h < math.inf:
             return h
-    return _exp_or_raise((u - 1.0) * math.log(k) + math.lgamma(u) + math.log(bracket), k, x)
+    return _exp_k(_ln_gamma_k(k, x) + math.log(bracket), "H_k", k, x)
 
 
 def hadamard_k(k, x: float) -> float:
@@ -124,8 +114,7 @@ def recursion_47(k, x: float, n: int) -> float:
     """
     k = k_value(k)
     x = _require_finite("x", x)
-    if not isinstance(n, int) or not 1 <= n <= 50:
-        raise DomainError(f"recursion_47 requires integer 1 <= n <= 50, got {n!r}")
+    _check_int("recursion_47", "n", n, 1, 50)
     h = hadamard_k(k, x)
     y = x
     for _ in range(n):
@@ -144,8 +133,7 @@ def recursion_47_closed_form(k, x: float, n: int) -> float:
     """
     k = k_value(k)
     x = _require_finite("x", x)
-    if not isinstance(n, int) or not 1 <= n <= 50:
-        raise DomainError(f"closed form requires integer 1 <= n <= 50, got {n!r}")
+    _check_int("recursion_47_closed_form", "n", n, 1, 50)
     factors = [x + j * k for j in range(n)]
     total = hadamard_k(k, x)
     for factor in factors:

@@ -16,13 +16,14 @@ from .scalar import (
     _MIN_NORMAL,
     CONSTANTS,
     Estimate,
+    _check_int,
     _check_tol,
     _em_power_tail,
     _polygamma_scaled,
     _positive,
     _require_finite,
+    _sinpi,
     digamma,
-    ln_gamma,
     polygamma,
     rgamma,
 )
@@ -39,8 +40,11 @@ __all__ = [
 ]
 
 POLE_GUARD = 1e-8  # relative (in units of k) pole exclusion radius
+_TINY_U = 2.0**-26
 _STIRLING_U = 2.0**53
+_LN_MAX = math.log(_MAX_NORMAL)
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+_PI2_12 = math.pi**2 / 12.0  # zeta(2)/2
 
 
 def k_value(k) -> float:
@@ -51,78 +55,107 @@ def k_value(k) -> float:
     return k
 
 
+def _is_pole(u: float) -> bool:
+    # u = x/k on a pole of Gamma_k; every u below -2^52, -inf included, is one
+    return u <= 0.0 and math.modf(u)[0] == 0.0
+
+
 def _check_pole(k: float, x: float):
     if x > POLE_GUARD * k:
         return
-    nearest = round(x / k)
-    if nearest <= 0 and abs(x - nearest * k) <= POLE_GUARD * k:
-        raise PoleError(f"Gamma_k pole at x = {nearest * k} (k={k}, x={x})")
-
-
-def _ln_gamma_k_stirling(k: float, x: float) -> float:
-    # ln Gamma_k(x) for x/k >= 2^53, where the O(k/x) Stirling terms are
-    # below rounding: (x/k - 1/2) ln x - x/k - (ln k)/2 + ln(2 pi)/2, with
-    # x (ln x - 1)/k in place of x/k where that overflows; +-inf beyond
-    # binary64
-    ln_x = math.log(x)
     u = x / k
+    if not _is_pole(u):
+        u = round(u)
+        if u > 0 or abs(x - u * k) > POLE_GUARD * k:
+            return
+    raise PoleError(f"Gamma_k pole at x = {u * k} (k={k}, x={x})")
+
+
+def _overflow_error(what: str, k: float, x: float) -> OverflowError:
+    # the one message for a Gamma_k-family value beyond binary64
+    return OverflowError(f"{what}({x}) overflows binary64 (k={k})")
+
+
+def _exp_k(log_value: float, what: str, k: float, x: float) -> float:
+    """exp(log_value): beyond binary64 raises OverflowError, below it underflows to 0.0."""
+    if not log_value <= _LN_MAX:
+        raise _overflow_error(what, k, x)
+    return math.exp(log_value)
+
+
+def _ln_gamma_k(k: float, x: float) -> float:
+    """ln |Gamma_k(x)| off the poles; +-inf beyond binary64.
+
+    |x/k| < 2^-26: -ln|x| + (x/k)(ln k - gamma + (pi^2/12) x/k), whose
+    O((x/k)^3) remainder is below rounding even where ln|x| vanishes.
+    x/k >= 2^53: Stirling, (x/k - 1/2) ln x - x/k - (ln k)/2 + ln(2 pi)/2,
+    with x (ln x - 1)/k in place of x/k where that overflows.
+    """
+    u = x / k
+    if -_TINY_U < u < _TINY_U:
+        return -math.log(abs(x)) + u * (math.log(k) - CONSTANTS.euler_gamma + _PI2_12 * u)
+    if x < _STIRLING_U * k:
+        return (u - 1.0) * math.log(k) + math.lgamma(u)
+    ln_x = math.log(x)
     lead = u * (ln_x - 1.0) if u < math.inf else x * (ln_x - 1.0) / k
     return lead - 0.5 * (ln_x + math.log(k)) + _HALF_LN_2PI
 
 
 def ln_gamma_k(k, x: float) -> float:
-    """ln Gamma_k(x) for x > 0.
+    """ln Gamma_k(x) for x > 0; a value beyond binary64 raises OverflowError.
 
-    For x/k >= 2^53 the Stirling form is used, without forming x/k where
-    that overflows; where x/k is below the normal range,
-    -ln x + (x/k)(ln k - gamma) is exact to rounding.  A value beyond
-    binary64 raises OverflowError.
+    A series where x/k < 2^-26, and Stirling's form where x/k >= 2^53.
     """
     k = k_value(k)
     x = _positive("ln_gamma_k", x)
-    u = x / k
-    if u < _MIN_NORMAL:
-        # ln Gamma(u) = -ln u - gamma u + O(u^2): the ln k terms cancel
-        return -math.log(x) + x * ((math.log(k) - CONSTANTS.euler_gamma) / k)
-    if x < _STIRLING_U * k:
-        return (u - 1.0) * math.log(k) + ln_gamma(u)
-    value = _ln_gamma_k_stirling(k, x)
+    value = _ln_gamma_k(k, x)
     if abs(value) > _MAX_NORMAL:
-        raise OverflowError(f"ln Gamma_k({x}) overflows binary64 (k={k})")
+        raise _overflow_error("ln Gamma_k", k, x)
     return value
 
 
 def gamma_k(k, x: float) -> float:
     """Gamma_k(x) = k^(x/k - 1) Gamma(x/k) away from the poles 0, -k, -2k, ...
 
-    Positive arguments go through the log form; nonpositive non-pole
-    arguments use the reciprocal-gamma reflection.  Overflow is reported
-    as OverflowError.
+    x < 0 uses k^(x/k - 1) / rgamma(x/k) where that is a normal number,
+    otherwise the log form.  A value beyond binary64 raises OverflowError;
+    one below it underflows to 0.0.
     """
     k = k_value(k)
     x = _require_finite("x", x)
     _check_pole(k, x)
     if x > 0.0:
-        try:
-            return math.exp(ln_gamma_k(k, x))
-        except OverflowError:
-            if x < _STIRLING_U * k or _ln_gamma_k_stirling(k, x) > 0.0:
-                raise OverflowError(f"Gamma_k({x}) overflows binary64 (k={k})") from None
-            return 0.0  # ln Gamma_k(x) is below -_MAX_NORMAL
-    rg = rgamma(x / k)
-    if rg == 0.0:
-        raise PoleError(f"Gamma_k pole at x = {x} (k={k})")
-    value = k ** (x / k - 1.0) / rg
-    if not math.isfinite(value):
-        raise OverflowError(f"Gamma_k({x}) overflows binary64 (k={k})")
-    return value
+        return _exp_k(_ln_gamma_k(k, x), "Gamma_k", k, x)
+    u = x / k
+    try:
+        value = k ** (u - 1.0) / rgamma(u)
+    except OverflowError:
+        value = 0.0
+    if _MIN_NORMAL <= abs(value) < math.inf:
+        return value
+    # Gamma(u) has the sign of sin(pi u) for u < 0
+    return math.copysign(_exp_k(_ln_gamma_k(k, x), "Gamma_k", k, x), _sinpi(u))
 
 
 def rgamma_k(k, x: float) -> float:
-    """1/Gamma_k(x) as a total function: exactly 0.0 at the poles."""
+    """1/Gamma_k(x) as a total function: exactly 0.0 at the poles.
+
+    k^(1 - x/k) rgamma(x/k) where that is a normal number, otherwise the
+    log form; beyond and below binary64 as :func:`gamma_k`.
+    """
     k = k_value(k)
     x = _require_finite("x", x)
-    return k ** (1.0 - x / k) * rgamma(x / k)
+    u = x / k
+    if _is_pole(u):
+        return 0.0
+    try:
+        value = k ** (1.0 - u) * rgamma(u) if u < math.inf else 0.0
+    except OverflowError:
+        value = 0.0
+    if _MIN_NORMAL <= abs(value) < math.inf:
+        return value
+    sign = 1.0 if u > 0.0 else _sinpi(u)
+    return math.copysign(_exp_k(-_ln_gamma_k(k, x), "1/Gamma_k", k, x), sign)
 
 
 def psi_k(k, x: float) -> float:
@@ -139,7 +172,7 @@ def psi_k(k, x: float) -> float:
     else:
         value = (math.log(k) + digamma(u)) / k
     if abs(value) > _MAX_NORMAL:
-        raise OverflowError(f"psi_k({x}) overflows binary64 (k={k})")
+        raise _overflow_error("psi_k", k, x)
     return value
 
 
@@ -190,8 +223,7 @@ def psi_k_m(k, m: int, x: float) -> float:
     to 0.0; values beyond it raise OverflowError.
     """
     k = k_value(k)
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"psi_k_m requires integer m >= 1, got {m!r}")
+    _check_int("psi_k_m", "m", m, 1)
     x = _positive("psi_k_m", x)
     u = x / k
     if _MIN_NORMAL <= u <= _MAX_NORMAL:
@@ -207,7 +239,7 @@ def psi_k_m(k, m: int, x: float) -> float:
                     return value
     value = _polygamma_scaled(m, k, x, u)
     if abs(value) > _MAX_NORMAL:
-        raise OverflowError(f"psi_k^({m})({x}) overflows binary64 (k={k})")
+        raise _overflow_error(f"psi_k^({m})", k, x)
     return value
 
 
@@ -218,8 +250,7 @@ def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> Estimate:
     Euler-Maclaurin tail; independent of the polygamma implementation.
     """
     k = k_value(k)
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"psi_k_m_series requires integer m >= 1, got {m!r}")
+    _check_int("psi_k_m_series", "m", m, 1)
     x = _positive("psi_k_m_series", x)
     _check_tol(tol)
     mf = float(math.factorial(m))

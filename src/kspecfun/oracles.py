@@ -159,18 +159,11 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> Estimate:
     return Estimate(total, total_err, panels)
 
 
-def finite_diff(f, x: float, order: int = 1) -> float:
-    """Central finite-difference derivative of order 1 or 2 at x."""
-    if order not in (1, 2):
-        raise DomainError(f"finite_diff supports order 1 or 2, got {order}")
-    scale = max(1.0, abs(x))
-    if order == 1:
-        h = _EPS ** (1.0 / 3.0) * scale
-        h = (x + h) - x
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    h = _EPS**0.25 * scale
+def finite_diff(f, x: float) -> float:
+    """Central finite-difference first derivative at x."""
+    h = _EPS ** (1.0 / 3.0) * max(1.0, abs(x))
     h = (x + h) - x
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def _forward_diffs(values, j):

@@ -275,7 +275,7 @@ def _build_entries() -> list[IdentityEntry]:
         return math.pi / (k * _scalar._sinpi(x / k))
 
     def ln_gamma_k_derivative(k, x, **_):
-        return finite_diff(lambda t: _kcore.ln_gamma_k(k, t), x, 1)
+        return finite_diff(lambda t: _kcore.ln_gamma_k(k, t), x)
 
     add("EQ2.1", "Gamma_k(x) = k^(x/k-1) Gamma(x/k)", "rel", 1e-12,
         points=_k_x_points, lhs=_kcore.gamma_k, rhs=gamma_k_by_reduction)
@@ -1020,8 +1020,7 @@ def openproblem_scan(k, n_max: int, grid: GridSpec | None = None) -> list[ScanTa
     proof of anything; near-zero denominators are skipped.
     """
     k = _kcore.k_value(k)
-    if not isinstance(n_max, int) or not 0 <= n_max <= 4:
-        raise DomainError(f"openproblem_scan requires integer 0 <= n_max <= 4, got {n_max!r}")
+    _scalar._check_int("openproblem_scan", "n_max", n_max, 0, 4)
     grid = grid or default_grid()
     xs = sorted(u * k for u in grid.x_values)
     if not xs or xs[0] <= 0.0:

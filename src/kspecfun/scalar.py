@@ -106,6 +106,18 @@ def _positive(name: str, x: float) -> float:
     raise DomainError(f"{name} requires x > 0, got {x}")
 
 
+def _check_int(name: str, param: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise DomainError naming ``name`` unless ``value`` is an int in [lo, hi].
+
+    A bool, or any other subclass of int, is not an integer argument.  The
+    test is one type check and two comparisons because ``polygamma`` and
+    ``psi_k_m`` make it on every call.
+    """
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bounds = f"{param} >= {lo}" if hi is None else f"{lo} <= {param} <= {hi}"
+        raise DomainError(f"{name} requires an integer {bounds}, got {value!r}")
+
+
 def _check_tol(tol: float) -> None:
     if not tol > 0:  # also rejects nan
         raise DomainError("tol must be positive")
@@ -284,8 +296,7 @@ def polygamma(m: int, x: float) -> float:
     normal range underflow towards 0.0.  Raises OverflowError where
     |psi^(m)(x)| exceeds binary64.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"polygamma requires integer m >= 1, got {m!r}")
+    _check_int("polygamma", "m", m, 1)
     x = _positive("polygamma", x)
     mf, fm1, coeffs = _polygamma_coeffs(m)
     sign = 1.0 if m % 2 == 1 else -1.0
@@ -332,11 +343,6 @@ def _em_power_tail(a: float, k: float, p: float, n0: int) -> tuple[float, float]
     return value, bound
 
 
-def _check_zeta_order(name: str, s) -> None:
-    if isinstance(s, bool) or not isinstance(s, int) or s < 2:
-        raise DomainError(f"{name} requires an integer s >= 2, got {s!r}")
-
-
 # Holds every order the registry reaches (up to s = 561) with room to spare.
 @lru_cache(maxsize=1024)
 def _zeta_minus_1(s: int) -> float:
@@ -354,7 +360,7 @@ def zeta_int(s: int) -> float:
 
     Relative error <= 1e-14 against mpmath for 2 <= s <= 300.
     """
-    _check_zeta_order("zeta_int", s)
+    _check_int("zeta_int", "s", s, 2)
     return 1.0 + _zeta_minus_1(s)
 
 
@@ -365,7 +371,7 @@ def zeta_minus_1(s: int) -> float:
     else closes the sum at n = 20 with the Euler-Maclaurin tail.  Relative
     error <= 1e-14 against mpmath for 2 <= s <= 300.
     """
-    _check_zeta_order("zeta_minus_1", s)
+    _check_int("zeta_minus_1", "s", s, 2)
     return _zeta_minus_1(s)
 
 

@@ -76,6 +76,19 @@ def test_gamma_k_pole_guard():
     assert math.isfinite(gamma_k(1.0, -1.0 + 1e-6))
 
 
+@pytest.mark.parametrize("k,x", [
+    (49.0, -2.0**60),  # x/k rounds to an integer, yet x - (x/k) k = 128
+    (49 / 1024, -2.0**50),  # the same, and k^(x/k - 1) overflows
+    (1e-3, -1.7e308),  # x/k overflows to -inf
+])
+def test_gamma_k_pole_wherever_x_over_k_is_a_nonpositive_integer(k, x):
+    # in binary64 x/k is the argument, so an integral x/k <= 0 is a pole
+    # even where it lies outside the guard of x itself
+    with pytest.raises(PoleError):
+        gamma_k(k, x)
+    assert rgamma_k(k, x) == 0.0
+
+
 def test_gamma_k_overflow_reported_as_range_error():
     with pytest.raises(OverflowError):
         gamma_k(1.0, 200.0)

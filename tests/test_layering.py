@@ -53,3 +53,10 @@ def test_import_table_reads_the_imports():
     # the parser sees both import forms the package uses
     assert {"beta", "furdui", "hadamard", "kcore", "scalar", "errors", "oracles"} \
         <= _relative_imports("registry")
+
+
+def test_the_binary64_overflow_message_is_written_once():
+    # kcore raises it for the whole Gamma_k family; scalar is below kcore
+    # and writes its own for polygamma
+    counts = {path.stem: path.read_text().count("overflows binary64") for path in SRC.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"kcore": 1, "scalar": 1}

@@ -58,21 +58,18 @@ def test_adaptive_quad_depth_cap_carries_best_estimate():
 
 # ------------------------------------------------------------- differencing
 def test_finite_diff_polynomials_exact():
-    assert finite_diff(lambda x: x * x, 3.0, 1) == pytest.approx(6.0, rel=1e-9)
-    assert finite_diff(lambda x: 2.0 * x + 1.0, 0.3, 1) == pytest.approx(2.0, rel=1e-9)
-    assert finite_diff(lambda x: x * x, 1.7, 2) == pytest.approx(2.0, rel=1e-6)
+    assert finite_diff(lambda x: x * x, 3.0) == pytest.approx(6.0, rel=1e-9)
+    assert finite_diff(lambda x: 2.0 * x + 1.0, 0.3) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_finite_diff_special_functions():
-    assert finite_diff(digamma, 1.0, 1) == pytest.approx(math.pi**2 / 6.0, abs=1e-6)
-    assert finite_diff(lambda x: beta_k(1.0, x), 1.0, 1) == pytest.approx(
+    assert finite_diff(digamma, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-6)
+    assert finite_diff(lambda x: beta_k(1.0, x), 1.0) == pytest.approx(
         -math.pi**2 / 12.0, abs=1e-6
     )
-    assert finite_diff(lambda x: beta_k(1.0, x), 1.0, 1) == pytest.approx(
+    assert finite_diff(lambda x: beta_k(1.0, x), 1.0) == pytest.approx(
         beta_k_deriv(1.0, 1, 1.0), abs=1e-6
     )
-    with pytest.raises(DomainError):
-        finite_diff(digamma, 1.0, 3)
 
 
 # ------------------------------------------------------------- cm probe

@@ -12,6 +12,7 @@ mp = mpmath.mp
 
 import kspecfun
 from kspecfun import (
+    PoleError,
     beta_k,
     digamma,
     furdui_oracle,
@@ -25,6 +26,7 @@ from kspecfun import (
     psi_k,
     psi_k_m,
     recursion_47,
+    rgamma_k,
     zeta_int,
 )
 from kspecfun.scalar import CONSTANTS, zeta_minus_1, zeta_tail
@@ -316,11 +318,13 @@ def test_ln_gamma_k_large_x_over_k_vs_mpmath(k, x):
     (1e10, 1e-300, 40),  # x/k is subnormal
     (1.0, 5e-324, 40),
     (1e308, 1.0, 700),  # -ln x vanishes: (ln k - gamma)/k is left, after ln k cancels
+    (1e308, 3.0, 700),  # x/k is normal, but ln k and ln Gamma(x/k) would cancel at +-709
+    (1e10, 1.0, 60),  # -ln x vanishes, and the (pi^2/12)(x/k)^2 term is 4e-12 of the rest
 ])
 def test_ln_gamma_k_where_x_over_k_underflows_vs_mpmath(k, x, dps):
     with mpmath.workdps(dps):
         ref = _ln_gamma_k_ref(k, x)
-    assert ln_gamma_k(k, x) == pytest.approx(float(ref), rel=4e-16)
+    assert ln_gamma_k(k, x) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("k,x", [(1e-10, 1e300), (1e-300, 1e8), (1e-320, 1e-10)])
@@ -338,6 +342,50 @@ def test_gamma_k_where_x_over_k_overflows():
     with mpmath.workdps(40):
         assert _ln_gamma_k_ref(1e-309, 2.0) < -sys.float_info.max
     assert gamma_k(1e-309, 2.0) == 0.0
+
+
+def _gamma_k_ref(k, x):
+    # Gamma_k(x) at 50 digits, None at a pole
+    k, x = mpmath.mpf(k), mpmath.mpf(x)
+    u = x / k
+    if u <= 0 and u == mpmath.floor(u):
+        return None
+    return k ** (u - 1) * mpmath.gamma(u)
+
+
+@pytest.mark.parametrize("name,k,x", [
+    ("rgamma_k", 0.01, -5.005),  # k^(1 - x/k) underflows while rgamma(x/k) is -inf
+    ("gamma_k", 0.01, -5.005),
+    ("rgamma_k", 1e-3, -0.9995),  # 1.3e-436 underflows to 0.0
+    ("gamma_k", 1e-3, -0.9995),  # 7.8e435
+    ("rgamma_k", 1e-3, 0.9),  # 1.3e430
+    ("rgamma_k", 1e300, -1.25e299),  # k^(1 - x/k) is 1e300^1.125
+    ("rgamma_k", 1.0, -200.5),  # rgamma(-200.5) is -inf
+    ("rgamma_k", 1e300, -1e300),  # a pole where k^(1 - x/k) overflows
+    ("rgamma_k", 1.0, 1.7e308),  # lgamma(x/k) overflows
+    ("gamma_k", 1e-3, -1.7e308),  # x/k overflows to -inf
+])
+def test_gamma_k_and_rgamma_k_beyond_the_product_form_vs_mpmath(name, k, x):
+    # k^(x/k - 1) and Gamma(x/k) leave binary64 although the value need not
+    with mpmath.workdps(50):
+        ref = _gamma_k_ref(k, x)
+        if ref is None:  # a pole
+            if name == "gamma_k":
+                with pytest.raises(PoleError):
+                    gamma_k(k, x)
+            else:
+                assert rgamma_k(k, x) == 0.0
+            return
+        if name == "rgamma_k":
+            ref = 1 / ref
+        got = getattr(kspecfun, name)
+        if abs(ref) > sys.float_info.max:
+            with pytest.raises(OverflowError, match="overflows binary64"):
+                got(k, x)
+        elif abs(ref) < sys.float_info.min:
+            assert got(k, x) == 0.0
+        else:
+            assert got(k, x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 def _perfbench_inputs():

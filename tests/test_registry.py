@@ -256,7 +256,7 @@ def test_scan_component_derivative():
     # f(x) = x beta_k(x): f'(1) at k = 1 is beta(1) + beta'(1)
     expected = beta_k(1.0, 1.0) + beta_k_deriv(1.0, 1, 1.0)
     assert expected == pytest.approx(math.log(2.0) - math.pi**2 / 12.0, abs=1e-12)
-    fd = finite_diff(lambda x: x * beta_k(1.0, x), 1.0, 1)
+    fd = finite_diff(lambda x: x * beta_k(1.0, x), 1.0)
     assert fd == pytest.approx(expected, abs=1e-6)
 
 
