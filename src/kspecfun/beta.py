@@ -4,18 +4,21 @@ The primary route is the psi_k difference; the alternating series, the
 Mellin-type integral on [0, 1] and the Laplace (cosh) integral provide
 three more routes that the verification harness plays against each
 other.  Expansions around x = k and x = 0 complete the set, and the
-step beta_k(x) = 1/x - beta_k(x + k) continues beta_k to x <= 0.
+step beta_k(x) = 1/x - beta_k(x + k) continues beta_k to x <= 0.  The
+scanner for the paper's open problem on f(x) = x beta_k(x) lives here
+too: it samples the derivatives of f and checks no identity.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError
-from .kcore import _check_pole, _overflow_error, k_value, psi_k, psi_k_m
+from .kcore import _check_pole, k_value, psi_k, psi_k_m
 from .oracles import adaptive_quad
 from .scalar import (_EPS, CONSTANTS, Estimate, _alt_recip_sum, _check_int, _check_tol,
-                     _positive, _require_finite, zeta_int)
+                     _overflow_error, _positive, _require_finite, zeta_int)
 
 __all__ = [
     "beta_k",
@@ -26,14 +29,16 @@ __all__ = [
     "beta_taylor_54",
     "beta_taylor_terms",
     "beta_expansion_55",
+    "ScanTable",
+    "openproblem_scan",
 ]
 
 def beta_k(k, x: float) -> float:
     """beta_k(x) = (psi_k((x+k)/2) - psi_k(x/2)) / 2 for x > 0.
 
     Where psi_k(x/2) is beyond binary64 and x < k, one step of
-    beta_k(x) = 1/x - beta_k(x + k) is taken instead.  A value beyond
-    binary64 raises OverflowError.
+    beta_k(x) = 1/x - beta_k(x + k) (:func:`_beta_step`) is taken
+    instead.  A value beyond binary64 raises OverflowError.
     """
     k = k_value(k)
     x = _positive("beta_k", x)
@@ -45,21 +50,26 @@ def beta_k(k, x: float) -> float:
             raise
     except DomainError:
         # 0.5 * x rounds to 0.0 only at x = 5e-324, where beta_k(x) >= 1/(2x)
-        raise _overflow_error("beta_k", k, x) from None
-    inv = 1.0 / x
-    if inv == math.inf:
-        raise _overflow_error("beta_k", k, x)
-    return inv - beta_k(k, x + k)
+        raise _overflow_error("beta_k", x, k) from None
+    return _beta_step(k, x)
 
 
-def _beta_continued(k: float, z: float, depth: int = 0) -> float:
-    # analytic continuation of beta_k through beta_k(z) = 1/z - beta_k(z + k)
-    if depth > 64:
+def _beta_step(k: float, z: float, depth: int = 0) -> float:
+    """beta_k(z) = 1/z - beta_k(z + k) for z < k, z off the poles of Gamma_k.
+
+    beta_k takes one step where its psi_k difference overflows; for
+    z <= 0 the step repeats (at most 64 times) until z + k > 0, which
+    continues beta_k analytically.
+    """
+    if depth >= 64:
         raise DomainError("beta_k continuation recursed too deeply")
-    if z > 0.0:
-        return beta_k(k, z)
-    _check_pole(k, z)
-    return 1.0 / z - _beta_continued(k, z + k, depth + 1)
+    if z <= 0.0:
+        _check_pole(k, z)
+    inv = 1.0 / z
+    if math.isinf(inv):
+        raise _overflow_error("beta_k", z, k)
+    y = z + k
+    return inv - (beta_k(k, y) if y > 0.0 else _beta_step(k, y, depth + 1))
 
 
 def beta_k_series(k, x: float) -> Estimate:
@@ -212,3 +222,62 @@ def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> Estimate:
             terms_used=n_max,
         )
     return Estimate(total, err, n_max)
+
+
+class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):
+    __slots__ = ()
+    n: int
+    rows: tuple  # ((x, value_or_None), ...)
+    verdict: str  # 'strictly increasing' | 'strictly decreasing' | 'neither' | 'insufficient data'
+    first_violation: tuple | None  # (x_prev, x, g_prev, g)
+
+
+def openproblem_scan(k, n_max: int, units=(0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)) -> list[ScanTable]:
+    """Sample g_n(x) = f^(n+1) / (f^(n) f^(n+2)) with f(x) = x beta_k(x).
+
+    The sample points are x = u k for the unit values ``units`` (by
+    default the registry's default grid).  Emits a value table and a
+    monotonicity verdict per n in 0..n_max.  This is evidence-gathering
+    for an open monotonicity question, not a proof of anything;
+    near-zero denominators are skipped.
+    """
+    k = k_value(k)
+    _check_int("openproblem_scan", "n_max", n_max, 0, 4)
+    xs = sorted(u * k for u in units)
+    if not xs or not all(0.0 < x < math.inf for x in xs):
+        raise DomainError("scan x values must be finite and positive")
+    # f^(j)(x) = x beta_k^(j)(x) + j beta_k^(j-1)(x) for j = 0..n_max + 2, once per x
+    derivs = []
+    for x in xs:
+        b = [beta_k_deriv(k, j, x) for j in range(n_max + 3)]
+        derivs.append([x * b[0]] + [x * b[j] + j * b[j - 1] for j in range(1, n_max + 3)])
+    tables = []
+    for n in range(n_max + 1):
+        rows = []
+        for x, f in zip(xs, derivs):
+            num = f[n + 1]
+            den = f[n] * f[n + 2]
+            if abs(den) < 1e-12 * max(1.0, abs(num)):
+                rows.append((x, None))
+            else:
+                rows.append((x, num / den))
+        vals = [(x, g) for x, g in rows if g is not None]
+        verdict = "insufficient data"
+        violation = None
+        if len(vals) >= 2:
+            increasing = all(b > a for (_, a), (_, b) in zip(vals, vals[1:]))
+            decreasing = all(b < a for (_, a), (_, b) in zip(vals, vals[1:]))
+            if increasing:
+                verdict = "strictly increasing"
+            elif decreasing:
+                verdict = "strictly decreasing"
+            else:
+                verdict = "neither"
+                up_first = vals[1][1] > vals[0][1]
+                for (x1, g1), (x2, g2) in zip(vals, vals[1:]):
+                    ok = (g2 > g1) if up_first else (g2 < g1)
+                    if not ok:
+                        violation = (x1, x2, g1, g2)
+                        break
+        tables.append(ScanTable(n, tuple(rows), verdict, violation))
+    return tables

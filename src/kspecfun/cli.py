@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .beta import beta_k
+from .beta import beta_k, openproblem_scan
 from .errors import BracketError, ConvergenceError, DomainError
 from .furdui import FURDUI_METHODS, furdui_method, furdui_oracle
 from .hadamard import alpha0_solve, hadamard_k
@@ -23,7 +23,6 @@ from .registry import (
     GridSpec,
     default_grid,
     get_entry,
-    openproblem_scan,
     registry_ids,
     reports_to_csv,
     reports_to_json,
@@ -189,10 +188,9 @@ def _verify_text(reports, entries, ok) -> str:
                 f"{'ok' if s.satisfied else 'UNEXPECTED'}"
             )
             for rec in s.fits:
-                expected = "" if rec.expected is None else f" (documented {_fmt(rec.expected)})"
                 lines.append(
                     f"    fit {rec.label}: {rec.fit.mode} constant {_fmt(rec.fit.constant)}"
-                    f"{expected}, residual_rms={rec.fit.residual_rms:.3e}"
+                    f" (documented {_fmt(rec.expected)}), residual_rms={rec.fit.residual_rms:.3e}"
                     f" over {rec.fit.n_points} points"
                 )
     else:
@@ -243,16 +241,15 @@ def _cmd_scan(args) -> int:
     k = k_value(args.k)
     if args.n > 4 or args.n < 0:
         return _usage_error("scan derivative index --n must be in 0..4")
-    grid = default_grid()
+    units = default_grid().x_values
     if args.x_lo is not None or args.x_hi is not None:
         if args.x_lo is None or args.x_hi is None or args.x_lo >= args.x_hi:
             return _usage_error("provide both --x-lo < --x-hi")
         if args.points < 2:
             return _usage_error("--points must be >= 2")
         step = (args.x_hi - args.x_lo) / (args.points - 1)
-        xs = tuple((args.x_lo + i * step) / k for i in range(args.points))
-        grid = GridSpec(x_values=xs)
-    tables = openproblem_scan(k, args.n, grid)
+        units = tuple((args.x_lo + i * step) / k for i in range(args.points))
+    tables = openproblem_scan(k, args.n, units)
     for table in tables:
         print(f"n={table.n}: ratio of derivative orders ({table.n + 1}) vs ({table.n})*({table.n + 2})")
         for x, g in table.rows:

@@ -20,15 +20,13 @@ from collections import namedtuple
 
 from .beta import beta_k
 from .errors import BracketError
-from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, gamma_k, k_value, rgamma_k
-from .scalar import _MIN_NORMAL, _check_int, _check_tol, _positive, _require_finite, _sinpi
+from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, k_value, rgamma_k
+from .scalar import _MIN_NORMAL, _check_int, _check_tol, _require_finite, _sinpi
 
 __all__ = [
     "RootResult",
     "hadamard_k",
     "recursion_47",
-    "recursion_47_closed_form",
-    "representation_48_corrected_rhs",
     "alpha0_solve",
 ]
 
@@ -125,32 +123,6 @@ def recursion_47(k, x: float, n: int) -> float:
     return h
 
 
-def recursion_47_closed_form(k, x: float, n: int) -> float:
-    """Closed n-step expansion of H_k(x + nk) audited against recursion_47.
-
-    The leading product is x (x + k) (x + 2k) ... (x + (n-1)k), and the
-    r-th 1/Gamma_k term carries the product of the factors after the r-th.
-    """
-    k = k_value(k)
-    x = _require_finite("x", x)
-    _check_int("recursion_47_closed_form", "n", n, 1, 50)
-    factors = [x + j * k for j in range(n)]
-    total = hadamard_k(k, x)
-    for factor in factors:
-        total *= factor
-    for r in range(n):
-        total += math.prod(factors[r + 1:]) * rgamma_k(k, (1 - r) * k - x)
-    return total
-
-
-def representation_48_corrected_rhs(k, x: float) -> float:
-    """Scaling-consistent variant: Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))."""
-    k = k_value(k)
-    x = _positive("representation_48_corrected_rhs", x)
-    g = gamma_k(k, x)
-    return g * (1.0 - k * _sinpi(x / k) * beta_k(k, x) / math.pi)
-
-
 def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi: float) -> int:
     # Sign changes of g between consecutive nodes of the lattice lo,
     # lo + step, ... (accumulated, the last node clamped to hi); a zero at
@@ -181,9 +153,11 @@ def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi:
 def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     """Solve H_k(2t) = 2 k^(t/k) H_k(t) on [1.5k, inf).
 
-    Bisection down to a 1e-6*k bracket followed by secant polish; the
-    initial bracket [1.5k, 5k] grows by doubling until a sign change
-    appears.  ``sign_changes`` is the number of sign changes of the
+    Bisection on [1.5k, 5k] down to a 1e-6*k bracket, followed by secant
+    polish.  H_k(kt) = k^(t-1) H_1(t) gives g_k(kt) = k^(2t-1) g_1(t)
+    for the threshold function g, so the bracket ends carry the signs of
+    g_1(1.5) < 0 and g_1(5) > 0 for every k; ends of one sign raise
+    BracketError.  ``sign_changes`` is the number of sign changes of the
     threshold function g between consecutive nodes of the 0.01k lattice
     on the bracket (at least 1), so a non-unique crossing shows as a
     value above 1.  The count evaluates g on every tenth node (a 0.1k
@@ -201,11 +175,8 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     hi = 5.0 * k
     glo = g(lo)
     ghi = g(hi)
-    while glo * ghi > 0.0:
-        hi *= 2.0
-        if hi > 100.0 * k:
-            raise BracketError(f"no sign change of the threshold equation below {hi}")
-        ghi = g(hi)
+    if glo * ghi > 0.0:
+        raise BracketError(f"no sign change of the threshold equation on [{lo}, {hi}]")
     bracket_lo, bracket_hi = lo, hi
     changes = max(_count_sign_changes(g, lo, hi, 0.01 * k, glo, ghi), 1)
 

@@ -19,6 +19,7 @@ from .scalar import (
     _check_int,
     _check_tol,
     _em_power_tail,
+    _overflow_error,
     _polygamma_scaled,
     _positive,
     _require_finite,
@@ -36,7 +37,6 @@ __all__ = [
     "psi_k_series",
     "psi_k_m",
     "psi_k_m_series",
-    "psi_k_duplication_rhs",
 ]
 
 POLE_GUARD = 1e-8  # relative (in units of k) pole exclusion radius
@@ -71,15 +71,10 @@ def _check_pole(k: float, x: float):
     raise PoleError(f"Gamma_k pole at x = {u * k} (k={k}, x={x})")
 
 
-def _overflow_error(what: str, k: float, x: float) -> OverflowError:
-    # the one message for a Gamma_k-family value beyond binary64
-    return OverflowError(f"{what}({x}) overflows binary64 (k={k})")
-
-
 def _exp_k(log_value: float, what: str, k: float, x: float) -> float:
     """exp(log_value): beyond binary64 raises OverflowError, below it underflows to 0.0."""
     if not log_value <= _LN_MAX:
-        raise _overflow_error(what, k, x)
+        raise _overflow_error(what, x, k)
     return math.exp(log_value)
 
 
@@ -110,7 +105,7 @@ def ln_gamma_k(k, x: float) -> float:
     x = _positive("ln_gamma_k", x)
     value = _ln_gamma_k(k, x)
     if abs(value) > _MAX_NORMAL:
-        raise _overflow_error("ln Gamma_k", k, x)
+        raise _overflow_error("ln Gamma_k", x, k)
     return value
 
 
@@ -172,7 +167,7 @@ def psi_k(k, x: float) -> float:
     else:
         value = (math.log(k) + digamma(u)) / k
     if abs(value) > _MAX_NORMAL:
-        raise _overflow_error("psi_k", k, x)
+        raise _overflow_error("psi_k", x, k)
     return value
 
 
@@ -239,7 +234,7 @@ def psi_k_m(k, m: int, x: float) -> float:
                     return value
     value = _polygamma_scaled(m, k, x, u)
     if abs(value) > _MAX_NORMAL:
-        raise _overflow_error(f"psi_k^({m})", k, x)
+        raise _overflow_error(f"psi_k^({m})", x, k)
     return value
 
 
@@ -275,12 +270,3 @@ def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> Estimate:
         )
     return Estimate(value, err, n_direct)
 
-
-def psi_k_duplication_rhs(k, x: float) -> float:
-    """Right side of the k-duplication formula: 2 psi_k(2kx) - psi_k(kx) - 2 ln2 / k.
-
-    The registry pairs it against psi_k(kx + k/2).
-    """
-    k = k_value(k)
-    x = _positive("psi_k_duplication_rhs", x)
-    return 2.0 * psi_k(k, 2.0 * k * x) - psi_k(k, k * x) - 2.0 * CONSTANTS.ln2 / k

@@ -37,13 +37,11 @@ __all__ = [
     "FitRecord",
     "EntrySummary",
     "RunSummary",
-    "ScanTable",
     "default_grid",
     "registry_ids",
     "get_entry",
     "run_identity",
     "run_all",
-    "openproblem_scan",
     "reports_to_json",
     "reports_to_csv",
 ]
@@ -115,21 +113,21 @@ class FitPlan(namedtuple("FitPlan", "mode group_by transform expected")):
     mode: str  # 'ratio' | 'offset'
     group_by: str | None  # param name to group on, or None for one global fit
     transform: Callable  # IdentityReport -> (lhs, rhs) pair for the fit
-    expected: Callable | None  # group value -> documented constant
+    expected: Callable  # group value -> documented constant
 
 
 class FitRecord(namedtuple("FitRecord", "label fit expected")):
     __slots__ = ()
     label: str
     fit: DiscrepancyFit
-    expected: float | None
+    expected: float
 
 
 class IdentityEntry(
     namedtuple(
         "IdentityEntry",
-        "id anchor comparison tol expectation points lhs rhs skip fit",
-        defaults=(None, None),
+        "id anchor comparison tol expectation points lhs rhs fit",
+        defaults=(None,),
     )
 ):
     """One registered identity.  ``lhs`` and ``rhs`` are two named routes,
@@ -145,7 +143,6 @@ class IdentityEntry(
     points: Callable[[GridSpec], Iterable[dict]]
     lhs: Callable[..., float]
     rhs: Callable[..., float]
-    skip: Callable | None  # params -> reason for a SKIP report, or None
     fit: FitPlan | None
 
 
@@ -172,14 +169,6 @@ class RunSummary(namedtuple("RunSummary", "entries reports overall_ok")):
     entries: tuple
     reports: tuple
     overall_ok: bool
-
-
-class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):
-    __slots__ = ()
-    n: int
-    rows: tuple  # ((x, value_or_None), ...)
-    verdict: str  # 'strictly increasing' | 'strictly decreasing' | 'neither' | 'insufficient data'
-    first_violation: tuple | None  # (x_prev, x, g_prev, g)
 
 
 LN_PI = math.log(math.pi)
@@ -463,7 +452,7 @@ def _build_entries() -> list[IdentityEntry]:
         if x > 0.0:
             z = k - y
             try:
-                return _beta._beta_continued(k, z) * _kcore.rgamma_k(k, z)
+                return _beta._beta_step(k, z) * _kcore.rgamma_k(k, z)
             except PoleError:
                 pass
         return _hadamard.hadamard_k(k, y)
@@ -482,15 +471,23 @@ def _build_entries() -> list[IdentityEntry]:
                         yield {"k": k, "x": u * k, "n": n}
         return gen
 
-    def h_closed_form_as_printed(k, x, n, **_):
-        # recursion_47_closed_form with the printed (x + 1) in place of (x + k)
-        factors = [x + 1.0 if j == 1 else x + j * k for j in range(n)]
+    def h_closed_form(k, x, factors):
+        # H_k(x + nk) in closed form: H_k(x) times the n factors, plus the r-th
+        # 1/Gamma_k term times the product of the factors after the r-th
         total = _hadamard.hadamard_k(k, x)
         for factor in factors:
             total *= factor
-        for r in range(n):
+        for r in range(len(factors)):
             total += math.prod(factors[r + 1:]) * _kcore.rgamma_k(k, (1 - r) * k - x)
         return total
+
+    def h_closed_form_as_printed(k, x, n, **_):
+        # the printed (x + 1) in place of the factor (x + k)
+        return h_closed_form(k, x, [x + 1.0 if j == 1 else x + j * k for j in range(n)])
+
+    def h_closed_form_corrected(k, x, n, **_):
+        # the factors x (x + k) (x + 2k) ... (x + (n-1)k)
+        return h_closed_form(k, x, [x + j * k for j in range(n)])
 
     add_audit(
         "EQ4.7",
@@ -499,7 +496,7 @@ def _build_entries() -> list[IdentityEntry]:
              lhs=h_closed_form_as_printed),
         dict(anchor="n-step closed form with the (x+k) factor",
              points=_eq47_points((1, 2, 3)),
-             lhs=_hadamard.recursion_47_closed_form),
+             lhs=h_closed_form_corrected),
         comparison="rel",
         tol=1e-9,
         rhs=_hadamard.recursion_47,
@@ -517,6 +514,10 @@ def _build_entries() -> list[IdentityEntry]:
         g = _kcore.gamma_k(k, x)
         return g / k - g * _scalar._sinpi(x / k) * _beta.beta_k(k, x) / math.pi
 
+    def h_representation(k, x, **_):
+        g = _kcore.gamma_k(k, x)
+        return g * (1.0 - k * _scalar._sinpi(x / k) * _beta.beta_k(k, x) / math.pi)
+
     add_audit(
         "EQ4.8",
         dict(anchor="H_k(x) = Gamma_k(x)/k - Gamma_k(x) sin(pi x/k) beta_k(x)/pi (as printed)",
@@ -526,7 +527,7 @@ def _build_entries() -> list[IdentityEntry]:
              fit=FitPlan("ratio", "k", sides, lambda k: k)),
         dict(anchor="H_k(x) = Gamma_k(x) (1 - (k/pi) sin(pi x/k) beta_k(x))",
              lhs=h_walk,
-             rhs=_hadamard.representation_48_corrected_rhs),
+             rhs=h_representation),
         comparison="rel",
         tol=1e-10,
         points=lambda g: _k_x_points(g, units=(0.1, 0.35, 0.7, 1.5, 2.5)),
@@ -581,7 +582,6 @@ def _build_entries() -> list[IdentityEntry]:
     add_audit(
         "THM4.4",
         dict(anchor="2x Phi(-1,1,-x) = Phi(1,1,1-x/2) - Phi(1,1,1/2-x/2) (as printed)",
-             skip=lambda p: "printed form singular at x = 0" if p["x"] == 0.0 else None,
              lhs=lerch_alt_410_as_printed,
              rhs=lerch_one_diff_410_as_printed),
         dict(anchor="2 Phi(-1,1,1-x) = Phi(1,1,1/2-x/2) - Phi(1,1,1-x/2)",
@@ -651,6 +651,9 @@ def _build_entries() -> list[IdentityEntry]:
     def psi_k_duplicated(k, x, **_):
         return _kcore.psi_k(k, k * x + 0.5 * k)
 
+    def psi_k_duplication(k, x, **_):
+        return 2.0 * _kcore.psi_k(k, 2.0 * k * x) - _kcore.psi_k(k, k * x) - 2.0 * LN2 / k
+
     add("THM5.2", "beta_k psi-difference route vs alternating series route", "abs", 1e-10,
         points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_series)
     add("EQ5.2-integral", "beta_k vs int_0^1 t^(x-1)/(1+t^k) dt", "abs", 1e-7,
@@ -666,7 +669,7 @@ def _build_entries() -> list[IdentityEntry]:
         lhs=beta_k_by_expansion_55, rhs=_beta.beta_k)
     add("EQ5.55", "k-duplication, differentiated form", "abs", 1e-11,
         points=lambda g: _k_x_points(g, scaled=False),
-        lhs=psi_k_duplicated, rhs=_kcore.psi_k_duplication_rhs)
+        lhs=psi_k_duplicated, rhs=psi_k_duplication)
 
     def gamma_k_doubled(k, x, **_):
         return _kcore.gamma_k(k, 2.0 * k * x)
@@ -840,12 +843,6 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
             raise DomainError(f"tol override must be finite and >= 0, got {tol_override!r}")
     reports = []
     for params in entry.points(grid):
-        if entry.skip is not None:
-            reason = entry.skip(params)
-            if reason:
-                reports.append(IdentityReport(entry.id, dict(params), None, None,
-                                              None, None, "SKIP", reason))
-                continue
         try:
             lhs, rhs = entry.lhs(**params), entry.rhs(**params)
         except (DomainError, ConvergenceError, OverflowError) as exc:
@@ -881,9 +878,8 @@ def fits_for(entry: IdentityEntry, reports: list[IdentityReport]) -> tuple[FitRe
         if len(pairs) < 3:
             continue
         fit = fit_discrepancy(pairs, plan.mode)
-        expected = plan.expected(key) if plan.expected is not None else None
         label = entry.id if key is None else f"{entry.id}[{plan.group_by}={key!r}]"
-        records.append(FitRecord(label, fit, expected))
+        records.append(FitRecord(label, fit, plan.expected(key)))
     return tuple(records)
 
 
@@ -1004,54 +1000,3 @@ def reports_to_csv(reports) -> str:
         writer.writerow(row)
     return buf.getvalue()
 
-
-def _scan_derivative(k: float, j: int, x: float) -> float:
-    # f(x) = x beta_k(x):  f^(j) = x beta_k^(j) + j beta_k^(j-1)
-    if j == 0:
-        return x * _beta.beta_k(k, x)
-    return x * _beta.beta_k_deriv(k, j, x) + j * _beta.beta_k_deriv(k, j - 1, x)
-
-
-def openproblem_scan(k, n_max: int, grid: GridSpec | None = None) -> list[ScanTable]:
-    """Sample g_n(x) = f^(n+1) / (f^(n) f^(n+2)) with f(x) = x beta_k(x).
-
-    Emits a value table and a monotonicity verdict per n in 0..n_max.
-    This is evidence-gathering for an open monotonicity question, not a
-    proof of anything; near-zero denominators are skipped.
-    """
-    k = _kcore.k_value(k)
-    _scalar._check_int("openproblem_scan", "n_max", n_max, 0, 4)
-    grid = grid or default_grid()
-    xs = sorted(u * k for u in grid.x_values)
-    if not xs or xs[0] <= 0.0:
-        raise DomainError("scan grid x values must be positive")
-    tables = []
-    for n in range(n_max + 1):
-        rows = []
-        for x in xs:
-            num = _scan_derivative(k, n + 1, x)
-            den = _scan_derivative(k, n, x) * _scan_derivative(k, n + 2, x)
-            if abs(den) < 1e-12 * max(1.0, abs(num)):
-                rows.append((x, None))
-            else:
-                rows.append((x, num / den))
-        vals = [(x, g) for x, g in rows if g is not None]
-        verdict = "insufficient data"
-        violation = None
-        if len(vals) >= 2:
-            increasing = all(b > a for (_, a), (_, b) in zip(vals, vals[1:]))
-            decreasing = all(b < a for (_, a), (_, b) in zip(vals, vals[1:]))
-            if increasing:
-                verdict = "strictly increasing"
-            elif decreasing:
-                verdict = "strictly decreasing"
-            else:
-                verdict = "neither"
-                up_first = vals[1][1] > vals[0][1]
-                for (x1, g1), (x2, g2) in zip(vals, vals[1:]):
-                    ok = (g2 > g1) if up_first else (g2 < g1)
-                    if not ok:
-                        violation = (x1, x2, g1, g2)
-                        break
-        tables.append(ScanTable(n, tuple(rows), verdict, violation))
-    return tables

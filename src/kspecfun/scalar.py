@@ -34,6 +34,7 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _MIN_NORMAL = sys.float_info.min
 _MAX_NORMAL = sys.float_info.max
+_LN_MAX = math.log(_MAX_NORMAL)
 
 
 class Constants(
@@ -123,9 +124,22 @@ def _check_tol(tol: float) -> None:
         raise DomainError("tol must be positive")
 
 
+def _overflow_error(what: str, x: float, k: float | None = None) -> OverflowError:
+    # the one message for a value beyond binary64; the Gamma_k family adds its k
+    at = "" if k is None else f" (k={k})"
+    return OverflowError(f"{what}({x}) overflows binary64{at}")
+
+
 def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (libm lgamma)."""
-    return math.lgamma(_positive("ln_gamma", x))
+    """Natural log of the gamma function for x > 0 (libm lgamma).
+
+    A value beyond binary64 (x above about 2.6e305) raises OverflowError.
+    """
+    x = _positive("ln_gamma", x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise _overflow_error("ln Gamma", x) from None
 
 
 def _sinpi(x: float) -> float:
@@ -147,11 +161,16 @@ def rgamma(x: float) -> float:
     """Reciprocal gamma 1/Gamma(x), defined for every finite real x.
 
     Returns exactly 0.0 at the poles x = 0, -1, -2, ...; for x <= 1/2
-    the reflection sin(pi*x) * Gamma(1-x) / pi is used.
+    the reflection sin(pi*x) * Gamma(1-x) / pi is used.  For x > 1/2 a
+    value below about 1e-308 underflows to 0.0; a value beyond binary64
+    (x below -171) raises OverflowError.
     """
     x = _require_finite("x", x)
     if x > 0.5:
-        lg = math.lgamma(x)
+        try:
+            lg = math.lgamma(x)
+        except OverflowError:  # x above about 2.6e305
+            return 0.0
         if lg > 709.0:
             return 0.0
         return math.exp(-lg)
@@ -162,8 +181,8 @@ def rgamma(x: float) -> float:
     if lg < 700.0:
         return s * math.exp(lg) / math.pi
     t = lg + math.log(abs(s) / math.pi)
-    if t > 709.0:
-        return math.copysign(math.inf, s)
+    if t > _LN_MAX:
+        raise _overflow_error("1/Gamma", x)
     return math.copysign(math.exp(t), s)
 
 
@@ -317,7 +336,7 @@ def polygamma(m: int, x: float) -> float:
     except (OverflowError, ZeroDivisionError):
         value = _polygamma_scaled(m, 1.0, x, x)
     if abs(value) > _MAX_NORMAL:
-        raise OverflowError(f"psi^({m})({x}) overflows binary64")
+        raise _overflow_error(f"psi^({m})", x)
     return value
 
 

@@ -18,12 +18,10 @@ POSITIVE_X = {
     "psi_k_series": lambda x: kspecfun.psi_k_series(1.0, x),
     "psi_k_m": lambda x: kspecfun.psi_k_m(1.0, 1, x),
     "psi_k_m_series": lambda x: kspecfun.psi_k_m_series(1.0, 1, x),
-    "psi_k_duplication_rhs": lambda x: kspecfun.psi_k_duplication_rhs(1.0, x),
     "beta_k": lambda x: kspecfun.beta_k(1.0, x),
     "beta_k_series": lambda x: kspecfun.beta_k_series(1.0, x),
     "beta_k_integral": lambda x: kspecfun.beta_k_integral(1.0, x),
     "beta_k_deriv": lambda x: kspecfun.beta_k_deriv(1.0, 1, x),
-    "representation_48_corrected_rhs": lambda x: kspecfun.representation_48_corrected_rhs(1.0, x),
 }
 
 # name -> the route as a callable of tol alone
@@ -82,8 +80,6 @@ INTEGER_ARGS = [
      (0, 560.0)),
     ("recursion_47", lambda n: kspecfun.recursion_47(1.0, 0.5, n), "1 <= n <= 50",
      (0, 51, 1.0)),
-    ("recursion_47_closed_form", lambda n: kspecfun.recursion_47_closed_form(1.0, 0.5, n),
-     "1 <= n <= 50", (0, 51, 1.0)),
     ("furdui_oracle", lambda m: kspecfun.furdui_oracle(1.0, m), "m >= 1", (0, 1.0)),
     ("thm31_series", lambda m: kspecfun.thm31_series(1.0, m), "m >= 1", (0, 1.0)),
     ("thm32_series", lambda m: kspecfun.thm32_series(1.0, m), "m >= 1", (0, 1.0)),

@@ -14,11 +14,7 @@ from kspecfun import (
     recursion_47,
     rgamma_k,
 )
-from kspecfun.hadamard import (
-    _count_sign_changes,
-    recursion_47_closed_form,
-    representation_48_corrected_rhs,
-)
+from kspecfun.hadamard import _count_sign_changes
 from kspecfun.registry import SUPERADD_SLACK
 
 LN2 = math.log(2.0)
@@ -158,8 +154,9 @@ def test_recursion_47_validation():
 
 
 def test_closed_form_corrected_matches_recursion():
+    corrected_route = get_entry("EQ4.7-corrected").lhs
     for k, x, n in ((1.0, 0.6, 3), (2.0, 1.1, 2), (0.5, 0.2, 3)):
-        assert recursion_47_closed_form(k, x, n) == pytest.approx(
+        assert corrected_route(k=k, x=x, n=n) == pytest.approx(
             recursion_47(k, x, n), rel=1e-12
         )
 
@@ -193,10 +190,9 @@ def test_representation_48_ratio_is_constant_for_k2():
 
 
 def test_representation_48_corrected_rhs():
+    corrected_rhs = get_entry("EQ4.8-corrected").rhs
     for k, x in ((2.0, 0.5), (0.5, 0.3), (2.0, 1.7)):
-        assert hadamard_k(k, x) == pytest.approx(
-            representation_48_corrected_rhs(k, x), rel=1e-11
-        )
+        assert hadamard_k(k, x) == pytest.approx(corrected_rhs(k=k, x=x), rel=1e-11)
 
 
 # ---------------------------------------------------------------- threshold

@@ -10,9 +10,9 @@ from kspecfun import (
     beta_k,
     digamma,
     gamma_k,
+    get_entry,
     ln_gamma_k,
     psi_k,
-    psi_k_duplication_rhs,
     psi_k_m,
     psi_k_m_series,
     psi_k_series,
@@ -206,12 +206,14 @@ def test_psi_k_m_domain():
 
 # ---------------------------------------------------------------- duplication
 def test_duplication_rhs_values():
+    # the EQ5.55 rhs route, 2 psi_k(2kx) - psi_k(kx) - 2 ln2 / k
+    rhs = get_entry("EQ5.55").rhs
     # k = 1, x = 1: psi(3/2) = 2 - gamma - 2 ln 2
-    assert psi_k_duplication_rhs(1.0, 1.0) == pytest.approx(2.0 - GAMMA - 2.0 * LN2, abs=1e-12)
+    assert rhs(k=1.0, x=1.0) == pytest.approx(2.0 - GAMMA - 2.0 * LN2, abs=1e-12)
     # pairs with psi_k(kx + k/2)
-    assert psi_k_duplication_rhs(2.0, 2.0) == pytest.approx(psi_k(2.0, 5.0), abs=1e-12)
-    assert psi_k_duplication_rhs(2.0, 1.0) == pytest.approx(psi_k(2.0, 3.0), abs=1e-12)
-    assert psi_k_duplication_rhs(0.5, 2.0) == pytest.approx(psi_k(0.5, 1.25), abs=1e-12)
+    assert rhs(k=2.0, x=2.0) == pytest.approx(psi_k(2.0, 5.0), abs=1e-12)
+    assert rhs(k=2.0, x=1.0) == pytest.approx(psi_k(2.0, 3.0), abs=1e-12)
+    assert rhs(k=0.5, x=2.0) == pytest.approx(psi_k(0.5, 1.25), abs=1e-12)
 
 
 @pytest.mark.parametrize("k", K_GRID)

@@ -13,6 +13,7 @@ import kspecfun
 from kspecfun.errors import DomainError
 from kspecfun.hadamard import RootResult
 from kspecfun.oracles import CmProbeResult, DiscrepancyFit
+from kspecfun.beta import ScanTable
 from kspecfun.registry import (
     EntrySummary,
     FitPlan,
@@ -21,7 +22,6 @@ from kspecfun.registry import (
     IdentityEntry,
     IdentityReport,
     RunSummary,
-    ScanTable,
 )
 from kspecfun.scalar import Constants, Estimate
 
@@ -63,7 +63,7 @@ RECORDS = {
          "x_values": (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)},
     ),
     FitPlan: (
-        (("mode", "ratio"), ("group_by", "k"), ("transform", abs), ("expected", None)),
+        (("mode", "ratio"), ("group_by", "k"), ("transform", abs), ("expected", float)),
         {},
     ),
     FitRecord: (
@@ -73,8 +73,8 @@ RECORDS = {
     IdentityEntry: (
         (("id", "X"), ("anchor", "(1.1)"), ("comparison", "rel"), ("tol", 1e-12),
          ("expectation", "PASS"), ("points", list), ("lhs", abs), ("rhs", float),
-         ("skip", bool), ("fit", None)),
-        {"skip": None, "fit": None},
+         ("fit", None)),
+        {"fit": None},
     ),
     EntrySummary: (
         (("identity_id", "X"), ("expectation", "FAIL"), ("n_pass", 1), ("n_fail", 2),

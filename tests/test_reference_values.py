@@ -40,6 +40,28 @@ def test_ln_gamma_vs_mpmath(x):
     assert ln_gamma(x) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
+@pytest.mark.parametrize("name,x", [
+    ("ln_gamma", 2.5e305),  # 1.76e308
+    ("ln_gamma", 2.6e305),  # 1.83e308, where libm lgamma overflows
+    ("rgamma", 2.6e305),  # lgamma overflows; 1/Gamma underflows to 0.0
+    ("rgamma", 1.7e308),
+    ("rgamma", -170.5),  # -3.0e307
+    ("rgamma", -171.5),  # 5.2e309
+    ("rgamma", -200.5),  # -3.6e375
+])
+def test_ln_gamma_and_rgamma_at_the_binary64_edge_vs_mpmath(name, x):
+    with mpmath.workdps(50):
+        ref = mpmath.loggamma(x) if name == "ln_gamma" else mpmath.rgamma(x)
+    got = getattr(kspecfun, name)
+    if abs(ref) > sys.float_info.max:
+        with pytest.raises(OverflowError, match=r"\) overflows binary64$"):
+            got(x)
+    elif abs(ref) < sys.float_info.min:
+        assert got(x) == 0.0
+    else:
+        assert got(x) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("x", [0.01, 0.4, 1.0, 2.7, 11.0, 400.0])
 def test_digamma_vs_mpmath(x):
     assert digamma(x) == pytest.approx(float(mpmath.digamma(x)), abs=1e-13, rel=1e-13)
@@ -104,7 +126,7 @@ def _psi_k_m_ref(k, m, x):
 def test_psi_k_m_scaled_vs_mpmath(k, m, x):
     with mpmath.workdps(50):
         ref = _psi_k_m_ref(k, m, x)
-    assert psi_k_m(k, m, x) == pytest.approx(float(ref), rel=1e-15)
+    assert psi_k_m(k, m, x) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
 
 def test_psi_k_m_underflow_vs_mpmath():
@@ -234,8 +256,8 @@ def test_beta_k_and_hadamard_at_huge_k_vs_mpmath():
         # H_k(x) = beta_k(k - x) / Gamma_k(k - x) below the seam
         k, z = mpmath.mpf(1.7e308), mpmath.mpf(1.7e308) - 1
         h_ref = beta_ref(k, z) / (k ** (z / k - 1) * mpmath.gamma(z / k))
-    assert beta_k(1e308, 5e307) == pytest.approx(float(b_ref), rel=1e-13)
-    assert hadamard_k(1.7e308, 1.0) == pytest.approx(float(h_ref), rel=1e-12)
+    assert beta_k(1e308, 5e307) == pytest.approx(float(b_ref), rel=1e-13, abs=0.0)
+    assert hadamard_k(1.7e308, 1.0) == pytest.approx(float(h_ref), rel=1e-12, abs=0.0)
     assert float(h_ref) == pytest.approx(4.07733635623e-309, rel=1e-11)
 
 
@@ -354,13 +376,13 @@ def _gamma_k_ref(k, x):
 
 
 @pytest.mark.parametrize("name,k,x", [
-    ("rgamma_k", 0.01, -5.005),  # k^(1 - x/k) underflows while rgamma(x/k) is -inf
+    ("rgamma_k", 0.01, -5.005),  # k^(1 - x/k) underflows while rgamma(x/k) overflows
     ("gamma_k", 0.01, -5.005),
     ("rgamma_k", 1e-3, -0.9995),  # 1.3e-436 underflows to 0.0
     ("gamma_k", 1e-3, -0.9995),  # 7.8e435
     ("rgamma_k", 1e-3, 0.9),  # 1.3e430
     ("rgamma_k", 1e300, -1.25e299),  # k^(1 - x/k) is 1e300^1.125
-    ("rgamma_k", 1.0, -200.5),  # rgamma(-200.5) is -inf
+    ("rgamma_k", 1.0, -200.5),  # rgamma(-200.5) overflows binary64
     ("rgamma_k", 1e300, -1e300),  # a pole where k^(1 - x/k) overflows
     ("rgamma_k", 1.0, 1.7e308),  # lgamma(x/k) overflows
     ("gamma_k", 1e-3, -1.7e308),  # x/k overflows to -inf

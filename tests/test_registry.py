@@ -10,6 +10,7 @@ import pytest
 
 from kspecfun import (
     DomainError,
+    beta,
     hadamard,
     GridSpec,
     default_grid,
@@ -145,12 +146,14 @@ def test_relative_verdicts_monotone_in_tolerance():
 
 
 def test_skip_on_pole_exclusion():
-    # the printed Lerch identity skips its x = 0 singular point by default
+    # the printed Lerch identity meets the pole of Phi(-1, 1, a) at x = 0
     reports = run_identity("THM4.4-printed")
     skips = [r for r in reports if r.verdict == "SKIP"]
     assert len(skips) == 1
+    assert skips[0].params == {"x": 0.0}
     assert skips[0].lhs is None and skips[0].abs_diff is None
-    assert skips[0].note == "printed form singular at x = 0"
+    assert skips[0].note == ("PoleError: Phi(-1, 1, a) has poles at nonpositive integers, "
+                             "got a=0.0")
 
 
 def test_skip_on_convergence_error():
@@ -281,6 +284,23 @@ def test_scan_scaling_consistency():
         assert g2 == pytest.approx(2.0 * g1, rel=1e-9)
 
 
+def test_scan_takes_each_beta_derivative_once_per_x(monkeypatch):
+    real = beta.beta_k_deriv
+    calls = []
+
+    def spy(k, order, x):
+        calls.append((order, x))
+        return real(k, order, x)
+
+    monkeypatch.setattr(beta, "beta_k_deriv", spy)
+    units = (0.2, 0.9, 3.0)
+    for n_max in (0, 2, 4):
+        calls.clear()
+        openproblem_scan(1.5, n_max, units)
+        assert len(calls) == (n_max + 3) * len(units)
+        assert sorted(calls) == sorted((j, u * 1.5) for u in units for j in range(n_max + 3))
+
+
 def test_scan_validation():
     with pytest.raises(DomainError):
         openproblem_scan(1.0, 5)
@@ -288,3 +308,6 @@ def test_scan_validation():
         openproblem_scan(1.0, -1)
     with pytest.raises(DomainError):
         openproblem_scan(-1.0, 2)
+    for units in ((), (0.0, 1.0), (0.5, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="^scan x values must be finite and positive$"):
+            openproblem_scan(1.0, 2, units)
