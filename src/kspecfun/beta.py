@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .kcore import _check_pole, k_value, psi_k, psi_k_m
 from .oracles import adaptive_quad
-from .scalar import (_EPS, CONSTANTS, Estimate, _alt_recip_sum, _check_int, _check_tol,
-                     _overflow_error, _positive, _require_finite, zeta_int)
+from .scalar import (_EPS, _MIN_NORMAL, CONSTANTS, Estimate, _alt_recip_sum, _check_int,
+                     _check_tol, _overflow_error, _positive, _require_finite, zeta_int)
 
 __all__ = [
     "beta_k",
@@ -27,7 +28,6 @@ __all__ = [
     "beta_k_cosh_form",
     "beta_k_deriv",
     "beta_taylor_54",
-    "beta_taylor_terms",
     "beta_expansion_55",
     "ScanTable",
     "openproblem_scan",
@@ -142,86 +142,80 @@ def beta_k_deriv(k, order: int, x: float) -> float:
     return scale * (psi_k_m(k, order, 0.5 * x + 0.5 * k) - psi_k_m(k, order, 0.5 * x))
 
 
-def beta_taylor_terms(k, order: int) -> tuple[float, ...]:
-    """Coefficients (c_0, ..., c_order) of beta_k(x + k) = sum_m c_m x^m, |x| < k."""
-    k = k_value(k)
-    _check_int("beta_taylor_terms", "order", order, 0)
-    coeffs = [CONSTANTS.ln2 / k]
-    sign = -1.0
-    kp = k * k
-    for m in range(1, order + 1):
-        coeffs.append(sign * (1.0 - 0.5**m) * zeta_int(m + 1) / kp)
-        sign = -sign
-        kp *= k
-    return tuple(coeffs)
+@lru_cache(maxsize=8)
+def _taylor_coeffs(order: int) -> tuple[float, ...]:
+    # beta(1 + u) = sum_m a_m u^m for |u| < 1: a_0 = ln 2, a_m = (-1)^m (1 - 2^-m) zeta(m + 1)
+    return (CONSTANTS.ln2,
+            *((-1.0) ** m * (1.0 - 0.5**m) * zeta_int(m + 1) for m in range(1, order + 1)))
 
 
 def beta_taylor_54(k, x: float, order: int) -> Estimate:
     """Expansion of beta_k(x + k) around the center k, for |x| < k.
 
-    For 0 < x < k the terms alternate with decreasing magnitude, so the
-    first omitted term bounds the truncation error; for negative x the
-    series is positive-term and the geometric bound |t| r/(1-r) applies.
-    The reported estimate covers both.
+    Sums beta(1 + u), u = x/k, and divides by k once.  For 0 < x < k the
+    terms alternate with decreasing magnitude, so the first omitted term
+    bounds the truncation error; for negative x the series is
+    positive-term and the geometric bound |t| r/(1-r) applies.  The
+    reported estimate covers both.  A value beyond binary64 raises
+    OverflowError.
     """
     k = k_value(k)
     x = _require_finite("x", x)
     if abs(x) >= k:
         raise DomainError(f"beta_taylor_54 requires |x| < k, got x={x}, k={k}")
+    _check_int("beta_taylor_54", "order", order, 0)
+    u = x / k
     total = 0.0
-    xp = 1.0
-    for c in beta_taylor_terms(k, order):
-        total += c * xp
-        xp *= x
+    up = 1.0
+    for c in _taylor_coeffs(order):
+        total += c * up
+        up *= u
     # first omitted term (order + 1), inflated by the geometric factor
-    bound = (1.0 - 0.5 ** (order + 1)) * zeta_int(order + 2) / k ** (order + 2)
-    bound *= abs(x) ** (order + 1)
-    ratio = abs(x) / k
-    err = bound / (1.0 - ratio) + 8.0 * _EPS * abs(total)
-    return Estimate(total, err, order + 1)
+    bound = (1.0 - 0.5 ** (order + 1)) * zeta_int(order + 2) * abs(u) ** (order + 1)
+    err = bound / (1.0 - abs(u)) + 8.0 * _EPS * abs(total)
+    value = total / k
+    if math.isinf(value):
+        raise _overflow_error("beta_taylor_54", x, k)
+    return Estimate(value, err / k, order + 1)
 
 
 def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> Estimate:
     """Expansion of beta_k around 0: 1/x - 1/(x+k) + zeta-weighted double sum.
 
-    The inner binomial sum is evaluated exactly as the power difference
-    ((x+k)/2)^n - (x/2)^n, avoiding cancellation and overflow.  The
-    observed convergence region is 0 < x < k (outer ratio (x+k)/(2k)),
-    and the domain is restricted accordingly.
+    Sums beta(u), u = x/k, with the inner binomial sum taken exactly as
+    the power difference ((u+1)/2)^n - (u/2)^n, and divides by k once.
+    ``tol`` bounds the error of that k-free sum.  The observed convergence
+    region is 0 < x < k (outer ratio (u+1)/2), with x/k normal so that
+    1/u is finite.  A value beyond binary64 raises OverflowError.
     """
     k = k_value(k)
     x = _require_finite("x", x)
-    if not 0.0 < x < k:
-        raise DomainError(f"beta_expansion_55 requires 0 < x < k, got x={x}, k={k}")
+    u = x / k
+    if not (0.0 < x < k and u >= _MIN_NORMAL):
+        raise DomainError(
+            f"beta_expansion_55 requires 0 < x < k and x/k >= 2^-1022, got x={x}, k={k}")
     _check_int("beta_expansion_55", "n_max", n_max, 1)
     _check_tol(tol)
-    total = 1.0 / x - 1.0 / (x + k)
-    a = 0.5 * (x + k)
-    b = 0.5 * x
-    ap = 1.0
-    bp = 1.0
-    kp = k
-    sign = 1.0
-    ratio = a / k  # in (1/2, 1): geometric decay of the outer terms
-    last = math.inf
+    total = 1.0 / u - 1.0 / (u + 1.0)
+    a = 0.5 * (u + 1.0)  # in (1/2, 1): geometric decay of the outer terms
+    b = 0.5 * u
+    ap = bp = 1.0
+    half = 0.5
     for n in range(1, n_max + 1):
         ap *= a
         bp *= b
-        kp *= k
-        term = sign * zeta_int(n + 1) * (ap - bp) / (2.0 * kp)
+        term = half * zeta_int(n + 1) * (ap - bp)
         total += term
-        sign = -sign
-        last = abs(term)
-    bound = 2.0 * last * ratio / (1.0 - ratio)
-    err = bound + 8.0 * _EPS * abs(total)
-    if err > tol:
+        half = -half
+    err = 2.0 * abs(term) * a / (1.0 - a) + 8.0 * _EPS * abs(total)
+    value = total / k
+    if not err <= tol:
         raise ConvergenceError(
             f"beta_expansion_55 tail bound {err:.3e} exceeds tol {tol:.3e} at n_max={n_max}",
-            value=total,
-            error_estimate=err,
-            terms_used=n_max,
-        )
-    return Estimate(total, err, n_max)
+            value=value, error_estimate=err / k, terms_used=n_max)
+    if math.isinf(value):
+        raise _overflow_error("beta_expansion_55", x, k)
+    return Estimate(value, err / k, n_max)
 
 
 class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):

@@ -1,9 +1,11 @@
 """Moment integrals I(k, m) = int_0^k x^m psi_k(x) dx.
 
 One quadrature oracle plus four series/recursion evaluators that are
-played against it.  The conditionally convergent zeta sums are split as
-zeta(s) = 1 + (zeta(s) - 1): the "1" part has a digamma closed form and
-the remainder converges geometrically.
+played against it.  x = k u gives I(k, m) = k^m (ln k/(m+1) + A_m) with
+A_m = I(1, m), so each evaluator sums its A_m to rounding once per m
+(cached) and scales it.  The conditionally convergent zeta sums are split
+as zeta(s) = 1 + (zeta(s) - 1): the "1" part has a closed form and the
+remainder converges geometrically.
 """
 
 from __future__ import annotations
@@ -11,17 +13,20 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import ConvergenceError, DomainError
-from .kcore import k_value, ln_gamma_k, psi_k, psi_k_m
+from .errors import DomainError
+from .kcore import k_value, ln_gamma_k
 from .oracles import adaptive_quad
 from .scalar import (
     _EPS,
     CONSTANTS,
     Estimate,
+    _alt_recip_sum,
     _check_int,
     _check_tol,
+    _overflow_error,
     digamma,
     gauss_2f1,
+    polygamma,
     zeta_minus_1,
     zeta_tail,
 )
@@ -62,42 +67,68 @@ def furdui_oracle(k, m: int, tol: float = 1e-10) -> Estimate:
     return _oracle_cached(k, m, tol)
 
 
-def _beta_digamma(z: float) -> float:
-    # classical Nielsen beta via the digamma difference
-    return 0.5 * (digamma(0.5 * (z + 1.0)) - digamma(0.5 * z))
+def _scaled(k: float, m: int, a: Estimate) -> Estimate:
+    """I(k, m) = k^m (ln k/(m+1) + A_m), the one place where k enters a series route.
+
+    A value below binary64 underflows to 0.0, and one beyond it raises
+    OverflowError.
+    """
+    lnk = math.log(k) / (m + 1)
+    try:
+        power = k**m
+    except OverflowError:
+        power = math.inf
+    value = power * (lnk + a.value)
+    if not math.isfinite(value):
+        raise _overflow_error("I", f"{k}, {m}")
+    err = power * (a.error_estimate + 4.0 * _EPS * (abs(lnk) + abs(a.value)))
+    return Estimate(value, err, a.terms_used)
 
 
-def _zeta_remainder(sign: float, denom, limit: float, name: str):
-    # sum_{s>=2} sign (-1)^s (zeta(s) - 1)/denom(s), stopped once the bound
-    # 2^(1-s)/denom(s) on the next term drops below limit; (sum, bound, s)
-    rem = 0.0
+def _zeta_terms(sign: float, denom):
+    # sign (-1)^s (zeta(s) - 1)/denom(s) for s >= 2, until the bound 2^(1-s)/denom(s)
+    # on the next term is below the rounding of the first, which dominates; (terms, bound)
+    terms = []
     s = 2
     while True:
-        rem += sign * zeta_minus_1(s) / denom(s)
+        terms.append(sign * zeta_minus_1(s) / denom(s))
         sign = -sign
         s += 1
         bound = 2.0 * 2.0 ** (-s) / denom(s)
-        if bound < limit:
-            return rem, bound, s
-        if s > 400:
-            raise ConvergenceError(f"{name} zeta tail stalled", value=rem)
+        if bound < 0.5 * _EPS * abs(terms[0]):
+            return terms, bound
 
 
-def thm31_series(k, m: int, tol: float = 1e-10) -> Estimate:
+@lru_cache(maxsize=64)
+def _thm31_sum(m: int) -> Estimate:
+    # A_m = -g/(m+1) - 1/m + sum_{s>=2} (-1)^s zeta(s)/(m+s), zeta = 1 + (zeta - 1);
+    # the "1" part sum_{s>=2} (-1)^s/(m+s) is the alternating reciprocal sum at m + 2
+    rem, bound = _zeta_terms(1.0, lambda s: m + s)
+    parts = [-CONSTANTS.euler_gamma / (m + 1), -1.0 / m, _alt_recip_sum(m + 2.0)[0], *rem]
+    err = 2.0 * bound + 16.0 * _EPS * max(map(abs, parts))
+    return Estimate(math.fsum(parts), err, len(rem) + 2)
+
+
+def thm31_series(k, m: int) -> Estimate:
     """Series route k^m (ln k - g)/(m+1) - k^m/m + k^m sum (-1)^s zeta(s)/(m+s)."""
     k = k_value(k)
     _check_int("thm31_series", "m", m, 1)
-    _check_tol(tol)
-    km = k**m
-    prefix = km * (math.log(k) - CONSTANTS.euler_gamma) / (m + 1) - km / m
-    closed = _beta_digamma(float(m + 2))  # sum_{s>=2} (-1)^s /(m+s)
-    rem, bound, s = _zeta_remainder(1.0, lambda s: m + s, 0.05 * tol / km, "thm31_series")
-    err = km * bound * 2.0 + 16.0 * _EPS * (abs(prefix) + km)
-    value = prefix + km * (closed + rem)
-    return Estimate(value, err, s)
+    return _scaled(k, m, _thm31_sum(m))
 
 
-def thm32_series(k, m: int, tol: float = 1e-10, variant: str = "sign_variant") -> Estimate:
+@lru_cache(maxsize=128)
+def _thm32_sum(m: int, variant: str) -> Estimate:
+    # A_m = (-+ m g)/(m+1) - 1/m + m sum_{s>=2} (-1)^{s+1} zeta(s)/(s(m+s)), where the
+    # "1" part of zeta = 1 + (zeta - 1) sums to ln 2 - 1 + sum_{s>=2} (-1)^s/(m+s)
+    mg = m * CONSTANTS.euler_gamma / (m + 1)
+    rem, bound = _zeta_terms(-float(m), lambda s: s * (m + s))
+    parts = [-mg if variant == "as_printed" else mg, -1.0 / m, CONSTANTS.ln2, -1.0,
+             _alt_recip_sum(m + 2.0)[0], *rem]
+    err = m * bound * 2.0 + 16.0 * _EPS * max(map(abs, parts))
+    return Estimate(math.fsum(parts), err, len(rem) + 2)
+
+
+def thm32_series(k, m: int, variant: str = "sign_variant") -> Estimate:
     """Log-gamma-expansion route with the (ln k -+ m*gamma) prefix under audit.
 
     ``as_printed`` uses (ln k - m*gamma); ``sign_variant`` uses
@@ -106,25 +137,15 @@ def thm32_series(k, m: int, tol: float = 1e-10, variant: str = "sign_variant") -
     """
     k = k_value(k)
     _check_int("thm32_series", "m", m, 1)
-    _check_tol(tol)
     if variant not in ("as_printed", "sign_variant"):
         raise DomainError(f"unknown variant {variant!r}")
-    km = k**m
-    mg = m * CONSTANTS.euler_gamma
-    lnk = math.log(k)
-    prefix = km * ((lnk - mg) if variant == "as_printed" else (lnk + mg)) / (m + 1) - km / m
-    # sum_{s>=2} (-1)^{s+1} zeta(s)/(s(m+s)), zeta = 1 + (zeta - 1)
-    closed = (CONSTANTS.ln2 - 1.0 + _beta_digamma(float(m + 2))) / m
-    rem, bound, s = _zeta_remainder(
-        -1.0, lambda s: s * (m + s), 0.05 * tol / (m * km), "thm32_series"
-    )
-    value = prefix + m * km * (closed + rem)
-    err = m * km * bound * 2.0 + 16.0 * _EPS * (abs(prefix) + m * km)
-    return Estimate(value, err, s)
+    return _scaled(k, m, _thm32_sum(m, variant))
 
 
-@lru_cache(maxsize=64)
-def _logsin_cached(m: int, tol: float) -> Estimate:
+def logsin_moment(m: int, tol: float = 1e-10) -> Estimate:
+    """int_0^pi x^(m-1) ln sin x dx, split at pi/2 with the x -> pi - x fold."""
+    _check_int("logsin_moment", "m", m, 1)
+    _check_tol(tol)
     half = math.pi / 2.0
     q1 = adaptive_quad(lambda x: x ** (m - 1) * math.log(math.sin(x)), 0.0, half, 0.5 * tol)
     q2 = adaptive_quad(
@@ -135,14 +156,28 @@ def _logsin_cached(m: int, tol: float) -> Estimate:
     )
 
 
-def logsin_moment(m: int, tol: float = 1e-10) -> Estimate:
-    """int_0^pi x^(m-1) ln sin x dx, split at pi/2 with the x -> pi - x fold."""
-    _check_int("logsin_moment", "m", m, 1)
-    _check_tol(tol)
-    return _logsin_cached(m, tol)
+@lru_cache(maxsize=64)
+def _thm33_sum(m: int) -> Estimate:
+    # A_m = m g/(m+1) - 3/(2m) + ln(pi)/2 + m/(2 pi^m) int_0^pi x^(m-1) ln sin x dx
+    #       + m sum_{n>=1} zeta(2n+1)/((2n+1)(2n+m+1)), with the printed coefficients;
+    # the "1" part of zeta(2n+1) = 1 + (zeta(2n+1) - 1) has a digamma closed form
+    ls = logsin_moment(m, 1e-10)
+    ls_weight = m / (2.0 * math.pi**m)
+    rem = []
+    n = 1
+    while True:
+        rem.append(m * zeta_minus_1(2 * n + 1) / ((2 * n + 1) * (2 * n + m + 1)))
+        n += 1
+        bound = 2.0 * m * 4.0 ** (-n) / ((2 * n + 1) * (2 * n + m + 1))
+        if bound < 0.5 * _EPS * rem[0]:
+            break
+    parts = [m * CONSTANTS.euler_gamma / (m + 1), -1.5 / m, 0.5 * math.log(math.pi),
+             ls_weight * ls.value, 0.5 * (digamma(0.5 * (m + 3)) - digamma(1.5)), *rem]
+    err = bound * 2.0 + ls_weight * ls.error_estimate + 16.0 * _EPS * max(map(abs, parts))
+    return Estimate(math.fsum(parts), err, 2 * n + ls.terms_used)
 
 
-def thm33_series(k, m: int, tol: float = 1e-9) -> Estimate:
+def thm33_series(k, m: int) -> Estimate:
     """Kummer-expansion route for I(k, m), printed coefficients under audit.
 
     Evaluates the published expansion verbatim, including the 3m/2
@@ -151,29 +186,7 @@ def thm33_series(k, m: int, tol: float = 1e-9) -> Estimate:
     """
     k = k_value(k)
     _check_int("thm33_series", "m", m, 1)
-    _check_tol(tol)
-    km = k**m
-    lnk = math.log(k)
-    value = -m * km * (lnk - CONSTANTS.euler_gamma) / (m + 1)
-    value += 1.5 * m * (km * lnk / m - km / m**2)
-    value += km * math.log(math.pi / k) / 2.0
-    ls_tol = max(0.05 * tol / max(1.0, m * km / math.pi**m), 1e-10)
-    ls = logsin_moment(m, ls_tol)
-    value += m * km / (2.0 * math.pi**m) * ls.value
-    # sum_{n>=1} zeta(2n+1)/((2n+1)(2n+m+1)); "1" part has a digamma closed form
-    closed = (digamma(0.5 * (m + 3)) - digamma(1.5)) / (2.0 * m)
-    rem = 0.0
-    n = 1
-    while True:
-        rem += zeta_minus_1(2 * n + 1) / ((2 * n + 1) * (2 * n + m + 1))
-        n += 1
-        bound = 2.0 * 4.0 ** (-n) / ((2 * n + 1) * (2 * n + m + 1))
-        if bound < 0.05 * tol / (m * km):
-            break
-    value += m * km * (closed + rem)
-    err = m * km * bound * 2.0 + m * km / (2.0 * math.pi**m) * ls.error_estimate
-    err += 16.0 * _EPS * (abs(value) + km)
-    return Estimate(value, err, 2 * n + ls.terms_used)
+    return _scaled(k, m, _thm33_sum(m))
 
 
 def ln_gamma_k_moment(k, m: int, tol: float = 1e-9) -> Estimate:
@@ -200,42 +213,20 @@ _THM34_DIRECT = 24
 
 
 @lru_cache(maxsize=64)
-def _thm34_direct_sum(m: int, n: int) -> tuple[float, float, int]:
-    # sum_{i <= 24} F(n+1, m+n+1; m+n+2; -1/i)/i^(n+1) does not depend on k;
-    # (sum, summed 2F1 error estimates, summed 2F1 terms)
-    isum = 0.0
-    f_err = 0.0
+def _thm34_sum(m: int, n: int) -> Estimate:
+    # A_{m,n}: the recursion at k = 1, where k^(m+j) psi_k^(j-1)(k) is k^m psi^(j-1)(1)
+    total = -CONSTANTS.euler_gamma / (m + 1)
+    for j in range(2, n + 1):
+        total += (-1.0) ** (j - 1) * polygamma(j - 1, 1.0) / _rising(m + 1.0, j)
+    total -= math.factorial(n) / (m * _rising(m + 1.0, n))
+    # sum_i F(n+1, m+n+1; m+n+2; -1/i)/i^(n+1): directly (Pfaff route) up to i = 24
+    isum = f_err = 0.0
     terms = 0
     for i in range(1, _THM34_DIRECT + 1):
         sv = gauss_2f1(n + 1.0, m + n + 1.0, m + n + 2.0, -1.0 / i, tol=1e-14)
         isum += sv.value / float(i) ** (n + 1)
         f_err += sv.error_estimate / float(i) ** (n + 1)
         terms += sv.terms_used
-    return isum, f_err, terms
-
-
-def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> Estimate:
-    """Integration-by-parts recursion with the hypergeometric remainder sum.
-
-    The psi_k-derivative prefix uses the exact values at x = k; the sum
-    over i of F(n+1, m+n+1; m+n+2; -1/i)/i^(n+1) is taken directly (via
-    the Pfaff route) up to i = 24 and closed with the hypergeometric
-    tail interchange, whose zeta-tail terms decay geometrically.  The
-    direct part does not depend on k, so it is computed once per (m, n)
-    and cached for the life of the process; the prefix and the tail,
-    whose stopping rule depends on k^m, are evaluated on every call.
-    """
-    k = k_value(k)
-    _check_int("thm34_recursion", "m", m, 1)
-    _check_int("thm34_recursion", "n", n, 1, 8)
-    _check_tol(tol)
-    km = k**m
-    total = k ** (m + 1) * psi_k(k, k) / (m + 1)
-    for j in range(2, n + 1):
-        total += (-1.0) ** (j - 1) * k ** (m + j) * psi_k_m(k, j - 1, k) / _rising(m + 1.0, j)
-    total -= math.factorial(n) * km / (m * _rising(m + 1.0, n))
-
-    isum, f_err, terms = _thm34_direct_sum(m, n)
     # tail: F expands in powers of -1/i; sum_{i>I} i^-(n+1+j) is a zeta tail
     a = m + n + 1.0
     j = 0
@@ -247,15 +238,28 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> Estimate:
         # c_j = (n+1)_j / j! * a/(a+j) from the hypergeometric coefficients
         cj = _rising(n + 1.0, j) / math.factorial(j) * a / (a + j)
         bound = cj * zeta_tail(n + 1.0 + j, _THM34_DIRECT + 1)
-        if bound < 0.02 * tol * _rising(m + 1.0, n + 1) / (math.factorial(n) * km):
+        if bound < _EPS * isum:
             break
-        if j > 200:
-            raise ConvergenceError("thm34 hypergeometric tail stalled", value=tail)
     isum += tail
-    scale = math.factorial(n) * km / _rising(m + 1.0, n + 1)
+    scale = math.factorial(n) / _rising(m + 1.0, n + 1)
     total -= scale * isum
-    err = scale * (f_err + 2.0 * bound) + 32.0 * _EPS * (abs(total) + km)
+    err = scale * (f_err + 2.0 * bound) + 32.0 * _EPS * (abs(total) + 1.0)
     return Estimate(total, err, terms + j)
+
+
+def thm34_recursion(k, m: int, n: int) -> Estimate:
+    """Integration-by-parts recursion with the hypergeometric remainder sum.
+
+    The psi_k-derivative prefix takes its exact values at x = k; the sum
+    over i of F(n+1, m+n+1; m+n+2; -1/i)/i^(n+1) is taken directly (via
+    the Pfaff route) up to i = 24 and closed with the hypergeometric
+    tail interchange, whose zeta-tail terms decay geometrically.  The
+    k = 1 recursion is summed once per (m, n) and cached.
+    """
+    k = k_value(k)
+    _check_int("thm34_recursion", "m", m, 1)
+    _check_int("thm34_recursion", "n", n, 1, 8)
+    return _scaled(k, m, _thm34_sum(m, n))
 
 
 # method id -> route (k, m, n, tol) -> Estimate, in CLI table order; each
@@ -263,12 +267,12 @@ def thm34_recursion(k, m: int, n: int, tol: float = 1e-8) -> Estimate:
 # module (perfbench/tracer.py) sees the call
 FURDUI_METHODS = {
     "oracle": lambda k, m, n, tol: furdui_oracle(k, m, min(tol, 1e-10)),
-    "thm31": lambda k, m, n, tol: thm31_series(k, m, tol),
-    "thm32_printed": lambda k, m, n, tol: thm32_series(k, m, tol, "as_printed"),
-    "thm32_variant": lambda k, m, n, tol: thm32_series(k, m, tol, "sign_variant"),
-    "thm33_printed": lambda k, m, n, tol: thm33_series(k, m, tol),
+    "thm31": lambda k, m, n, tol: thm31_series(k, m),
+    "thm32_printed": lambda k, m, n, tol: thm32_series(k, m, "as_printed"),
+    "thm32_variant": lambda k, m, n, tol: thm32_series(k, m, "sign_variant"),
+    "thm33_printed": lambda k, m, n, tol: thm33_series(k, m),
     "thm33_variant": lambda k, m, n, tol: ln_gamma_k_moment(k, m, tol),
-    "thm34": lambda k, m, n, tol: thm34_recursion(k, m, n, tol),
+    "thm34": lambda k, m, n, tol: thm34_recursion(k, m, n),
 }
 
 

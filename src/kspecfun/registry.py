@@ -335,22 +335,22 @@ def _build_entries() -> list[IdentityEntry]:
         return _furdui.furdui_oracle(k, m, 1e-11).value
 
     def furdui_by_thm31(k, m, **_):
-        return _furdui.thm31_series(k, m, 1e-11).value
+        return _furdui.thm31_series(k, m).value
 
     def furdui_by_thm32_printed(k, m, **_):
-        return _furdui.thm32_series(k, m, 1e-11, "as_printed").value
+        return _furdui.thm32_series(k, m, "as_printed").value
 
     def furdui_by_thm32_variant(k, m, **_):
-        return _furdui.thm32_series(k, m, 1e-11, "sign_variant").value
+        return _furdui.thm32_series(k, m, "sign_variant").value
 
     def furdui_by_thm33_printed(k, m, **_):
-        return _furdui.thm33_series(k, m, 1e-10).value
+        return _furdui.thm33_series(k, m).value
 
     def furdui_by_ln_gamma_k_moment(k, m, **_):
         return _furdui.ln_gamma_k_moment(k, m, 1e-9).value
 
     def furdui_by_thm34(k, m, n, **_):
-        return _furdui.thm34_recursion(k, m, n, 1e-9).value
+        return _furdui.thm34_recursion(k, m, n).value
 
     def furdui_by_thm34_printed(k, m, n, **_):
         # printed middle term (+(-1)^(n+1) k^m n!/m) in place of -n! k^m/(m (m+1)...(m+n))

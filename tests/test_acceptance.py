@@ -57,8 +57,8 @@ def test_criterion_01_furdui_anchor_value():
     printed = ln_a - LN_SQRT_2PI
     values = {
         "oracle": furdui_oracle(1.0, 2, 1e-10).value,
-        "thm31": thm31_series(1.0, 2, 1e-10).value,
-        "thm34": thm34_recursion(1.0, 2, 1, 1e-8).value,
+        "thm31": thm31_series(1.0, 2).value,
+        "thm34": thm34_recursion(1.0, 2, 1).value,
     }
     deviations = {name: abs(v - anchor) for name, v in values.items()}
     offset_misses = {name: abs((v - printed) - ln_a) for name, v in values.items()}
@@ -82,7 +82,7 @@ def test_criterion_02_thm31_grid():
     worst = 0.0
     for k in (0.5, 1.0, 2.0, 3.0):
         for m in range(1, 7):
-            diff = abs(thm31_series(k, m, 1e-11).value - furdui_oracle(k, m, 1e-11).value)
+            diff = abs(thm31_series(k, m).value - furdui_oracle(k, m, 1e-11).value)
             worst = max(worst, diff)
     _criterion(2, worst < 1e-8, f"24-case series-vs-oracle grid, worst diff {worst:.2e}")
 
@@ -93,7 +93,7 @@ def test_criterion_03_thm34_grid():
         for m in (1, 2, 3):
             for n in (1, 2, 3):
                 diff = abs(
-                    thm34_recursion(k, m, n, 1e-9).value - furdui_oracle(k, m, 1e-11).value
+                    thm34_recursion(k, m, n).value - furdui_oracle(k, m, 1e-11).value
                 )
                 worst = max(worst, diff)
     _criterion(3, worst < 1e-6, f"18-case recursion-vs-oracle grid, worst diff {worst:.2e}")

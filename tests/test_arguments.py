@@ -34,12 +34,8 @@ CHECKED_TOL = {
     "beta_expansion_55": lambda tol: kspecfun.beta_expansion_55(1.0, 0.5, 560, tol),
     "alpha0_solve": lambda tol: kspecfun.alpha0_solve(1.0, tol),
     "furdui_oracle": lambda tol: kspecfun.furdui_oracle(1.0, 1, tol),
-    "thm31_series": lambda tol: kspecfun.thm31_series(1.0, 1, tol),
-    "thm32_series": lambda tol: kspecfun.thm32_series(1.0, 1, tol),
-    "thm33_series": lambda tol: kspecfun.thm33_series(1.0, 2, tol),
     "ln_gamma_k_moment": lambda tol: kspecfun.ln_gamma_k_moment(1.0, 1, tol),
     "logsin_moment": lambda tol: kspecfun.logsin_moment(1, tol),
-    "thm34_recursion": lambda tol: kspecfun.thm34_recursion(1.0, 1, 1, tol),
 }
 
 
@@ -75,7 +71,7 @@ INTEGER_ARGS = [
     ("psi_k_m", lambda m: kspecfun.psi_k_m(1.0, m, 1.0), "m >= 1", (0, 1.0)),
     ("psi_k_m_series", lambda m: kspecfun.psi_k_m_series(1.0, m, 1.0), "m >= 1", (0, 1.0)),
     ("beta_k_deriv", lambda n: kspecfun.beta_k_deriv(1.0, n, 1.0), "order >= 0", (-1, 0.0)),
-    ("beta_taylor_terms", lambda n: kspecfun.beta_taylor_terms(1.0, n), "order >= 0", (-1, 0.0)),
+    ("beta_taylor_54", lambda n: kspecfun.beta_taylor_54(1.0, 0.5, n), "order >= 0", (-1, 0.0)),
     ("beta_expansion_55", lambda n: kspecfun.beta_expansion_55(1.0, 0.5, n), "n_max >= 1",
      (0, 560.0)),
     ("recursion_47", lambda n: kspecfun.recursion_47(1.0, 0.5, n), "1 <= n <= 50",

@@ -16,7 +16,7 @@ from kspecfun import (
     beta_taylor_54,
     get_entry,
 )
-from kspecfun.beta import beta_taylor_terms
+from kspecfun.beta import _taylor_coeffs
 
 LN2 = math.log(2.0)
 PI = math.pi
@@ -102,7 +102,7 @@ def test_beta_k_deriv_where_x_plus_k_overflows():
 
 # ---------------------------------------------------------------- expansions
 def test_taylor_terms_alternate_and_decrease():
-    coeffs = beta_taylor_terms(1.0, 40)
+    coeffs = _taylor_coeffs(40)  # the k-free coefficients, those of beta_1(x + 1)
     assert len(coeffs) == 41 and coeffs[0] == pytest.approx(LN2, abs=1e-15)
     for m in range(1, 39):
         assert coeffs[m] * coeffs[m + 1] < 0.0

@@ -16,9 +16,9 @@ from kspecfun import (
     thm34_recursion,
 )
 from kspecfun import furdui, run_identity
-from kspecfun.kcore import psi_k, psi_k_m
+from kspecfun.kcore import psi_k
 from kspecfun.oracles import adaptive_quad
-from kspecfun.scalar import _EPS, CONSTANTS, gauss_2f1, zeta_tail
+from kspecfun.scalar import _EPS, CONSTANTS, gauss_2f1, polygamma, zeta_tail
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
@@ -71,21 +71,21 @@ def test_oracle_domain():
 @pytest.mark.parametrize("k", (0.5, 1.0, 2.0, 3.0))
 @pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 6))
 def test_thm31_agrees_with_oracle(k, m):
-    s = thm31_series(k, m, 1e-11)
+    s = thm31_series(k, m)
     o = furdui_oracle(k, m, 1e-11)
     assert abs(s.value - o.value) < 1e-8
 
 
 def test_thm31_values():
-    assert thm31_series(1.0, 1, 1e-10).value == pytest.approx(-LN_SQRT_2PI, abs=1e-10)
-    assert thm31_series(1.0, 2, 1e-10).value == pytest.approx(2.0 * LOG_A - LN_SQRT_2PI, abs=1e-10)
+    assert thm31_series(1.0, 1).value == pytest.approx(-LN_SQRT_2PI, abs=1e-10)
+    assert thm31_series(1.0, 2).value == pytest.approx(2.0 * LOG_A - LN_SQRT_2PI, abs=1e-10)
 
 
 # ---------------------------------------------------------------- thm 3.2
 def test_thm32_variants_differ_by_documented_constant():
     for k, m in ((1.0, 1), (2.0, 3), (0.5, 2)):
-        printed = thm32_series(k, m, 1e-11, "as_printed").value
-        variant = thm32_series(k, m, 1e-11, "sign_variant").value
+        printed = thm32_series(k, m, "as_printed").value
+        variant = thm32_series(k, m, "sign_variant").value
         assert printed - variant == pytest.approx(
             -2.0 * m * GAMMA * k**m / (m + 1), abs=1e-12
         )
@@ -93,13 +93,13 @@ def test_thm32_variants_differ_by_documented_constant():
 
 def test_thm32_sign_variant_matches_oracle():
     for k, m in ((1.0, 1), (2.0, 2), (0.5, 4)):
-        s = thm32_series(k, m, 1e-11, "sign_variant")
+        s = thm32_series(k, m, "sign_variant")
         o = furdui_oracle(k, m, 1e-11)
         assert abs(s.value - o.value) < 1e-8
 
 
 def test_thm32_printed_fails_against_oracle():
-    s = thm32_series(1.0, 1, 1e-11, "as_printed")
+    s = thm32_series(1.0, 1, "as_printed")
     o = furdui_oracle(1.0, 1, 1e-11)
     assert abs(s.value - o.value) == pytest.approx(GAMMA, abs=1e-8)
 
@@ -115,7 +115,7 @@ def test_thm33_audit_route_matches_oracle():
 def test_thm33_printed_offset_structure():
     # printed coefficients miss by exactly k^m (ln pi - 1/m)
     for k, m in ((1.0, 1), (2.0, 1), (1.0, 2), (2.0, 3)):
-        printed = thm33_series(k, m, 1e-10).value
+        printed = thm33_series(k, m).value
         oracle = furdui_oracle(k, m, 1e-11).value
         assert printed - oracle == pytest.approx(
             k**m * (math.log(math.pi) - 1.0 / m), abs=1e-8
@@ -140,31 +140,31 @@ def test_logsin_two_depth_self_consistency():
 @pytest.mark.parametrize("m", (1, 2, 3))
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_thm34_agrees_with_oracle(k, m, n):
-    s = thm34_recursion(k, m, n, 1e-9)
+    s = thm34_recursion(k, m, n)
     o = furdui_oracle(k, m, 1e-11)
     assert abs(s.value - o.value) < 1e-6
 
 
 def test_thm34_values():
-    assert thm34_recursion(1.0, 1, 1, 1e-8).value == pytest.approx(-LN_SQRT_2PI, abs=1e-7)
-    assert thm34_recursion(1.0, 2, 1, 1e-8).value == pytest.approx(
+    assert thm34_recursion(1.0, 1, 1).value == pytest.approx(-LN_SQRT_2PI, abs=1e-7)
+    assert thm34_recursion(1.0, 2, 1).value == pytest.approx(
         2.0 * LOG_A - LN_SQRT_2PI, abs=1e-7
     )
 
 
-def _thm34_uncached(k, m, n, tol):
-    # the recursion written out with the direct 2F1 sum inside the call
+def _thm34_uncached(k, m, n):
+    # the recursion written out at k = 1, with the direct 2F1 sum inside the
+    # call, then scaled once by I(k, m) = k^m (ln k/(m+1) + A)
     def rising(a, j):
         p = 1.0
         for i in range(j):
             p *= a + i
         return p
 
-    km = k**m
-    total = k ** (m + 1) * psi_k(k, k) / (m + 1)
+    total = -GAMMA / (m + 1)
     for j in range(2, n + 1):
-        total += (-1.0) ** (j - 1) * k ** (m + j) * psi_k_m(k, j - 1, k) / rising(m + 1.0, j)
-    total -= math.factorial(n) * km / (m * rising(m + 1.0, n))
+        total += (-1.0) ** (j - 1) * polygamma(j - 1, 1.0) / rising(m + 1.0, j)
+    total -= math.factorial(n) / (m * rising(m + 1.0, n))
     isum = f_err = 0.0
     terms = 0
     for i in range(1, 25):
@@ -181,22 +181,25 @@ def _thm34_uncached(k, m, n, tol):
         j += 1
         cj = rising(n + 1.0, j) / math.factorial(j) * a / (a + j)
         bound = cj * zeta_tail(n + 1.0 + j, 25)
-        if bound < 0.02 * tol * rising(m + 1.0, n + 1) / (math.factorial(n) * km):
+        if bound < _EPS * isum:
             break
     isum += tail
-    scale = math.factorial(n) * km / rising(m + 1.0, n + 1)
+    scale = math.factorial(n) / rising(m + 1.0, n + 1)
     total -= scale * isum
-    err = scale * (f_err + 2.0 * bound) + 32.0 * _EPS * (abs(total) + km)
-    return total, err, terms + j
+    err = scale * (f_err + 2.0 * bound) + 32.0 * _EPS * (abs(total) + 1.0)
+    lnk = math.log(k) / (m + 1)
+    value = k**m * (lnk + total)
+    err = k**m * (err + 4.0 * _EPS * (abs(lnk) + abs(total)))
+    return value, err, terms + j
 
 
 @pytest.mark.parametrize("k", (0.5, math.pi))
 @pytest.mark.parametrize("m", (1, 3))
 @pytest.mark.parametrize("n", (1, 3))
 def test_thm34_cached_direct_sum_is_bit_identical(k, m, n):
-    for tol in (1e-8, 1e-9):
-        s = thm34_recursion(k, m, n, tol)
-        assert (s.value, s.error_estimate, s.terms_used) == _thm34_uncached(k, m, n, tol)
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        s = thm34_recursion(k, m, n)
+        assert (s.value, s.error_estimate, s.terms_used) == _thm34_uncached(k, m, n)
 
 
 def test_thm34_entries_sum_each_m_n_once(monkeypatch):
@@ -206,7 +209,7 @@ def test_thm34_entries_sum_each_m_n_once(monkeypatch):
         calls.append(args)
         return gauss_2f1(*args, **kwargs)
 
-    furdui._thm34_direct_sum.cache_clear()
+    furdui._thm34_sum.cache_clear()
     monkeypatch.setattr(furdui, "gauss_2f1", counting_2f1)
     for identity_id in ("THM3.4-corrected", "THM3.4-printed"):
         assert run_identity(identity_id)
@@ -215,9 +218,9 @@ def test_thm34_entries_sum_each_m_n_once(monkeypatch):
 
 def test_thm34_validation():
     with pytest.raises(DomainError):
-        thm34_recursion(1.0, 1, 9, 1e-8)
+        thm34_recursion(1.0, 1, 9)
     with pytest.raises(DomainError):
-        thm34_recursion(1.0, 1, 0, 1e-8)
+        thm34_recursion(1.0, 1, 0)
 
 
 # ---------------------------------------------------------------- method table
@@ -226,7 +229,7 @@ def test_furdui_method_dispatch():
     t34 = furdui_method("thm34", 1.0, 2, n=1)
     q = furdui_oracle(1.0, 2, 1e-10)
     assert o == q
-    assert t34 == thm34_recursion(1.0, 2, 1, 1e-9)
+    assert t34 == thm34_recursion(1.0, 2, 1)
     assert abs(o.value - t34.value) < 1e-7
     for gone in ("nope", "eq310"):
         with pytest.raises(DomainError):

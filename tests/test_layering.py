@@ -60,3 +60,29 @@ def test_the_binary64_overflow_message_is_written_once():
     # the whole Gamma_k family above it
     counts = {path.stem: path.read_text().count("overflows binary64") for path in SRC.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"scalar": 1}
+
+
+def _top_level_users(name, predicate):
+    """Names of the top-level definitions of ``kspecfun.<name>`` with a node that matches."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(), filename=f"{name}.py")
+    return {getattr(top, "name", "<module>") for top in tree.body
+            for node in ast.walk(top) if predicate(node)}
+
+
+def _is_power_of(var):
+    return lambda node: (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                         and isinstance(node.left, ast.Name) and node.left.id == var)
+
+
+def _is_name(var):
+    return lambda node: isinstance(node, ast.Name) and node.id == var
+
+
+def test_series_routes_scale_by_k_once():
+    # the Furdui series sum their k = 1 forms and scale once; only the
+    # scale step and the quadrature oracle raise k to a power
+    assert _top_level_users("furdui", _is_power_of("k")) <= {"_scaled", "_oracle_cached"}
+    assert not _top_level_users("furdui", _is_name("km"))
+    # the beta_k expansions sum in u = x/k and carry no power of k
+    assert not _top_level_users("beta", _is_power_of("k"))
+    assert not _top_level_users("beta", _is_name("kp"))

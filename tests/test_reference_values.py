@@ -1,5 +1,6 @@
 """Cross-checks against mpmath, a fully independent implementation."""
 
+import functools
 import importlib.util
 import math
 import sys
@@ -432,3 +433,40 @@ def test_eval_workload_calls_match_mpmath(workload):
         except Exception as exc:  # a raised error is a result the check rejects
             got = exc
         assert not inputs.mismatch(got, ref, floor), (name, args, got, ref)
+
+
+@functools.lru_cache(maxsize=None)
+def _furdui_a_ref(m):
+    # A_m = I(1, m) = int_0^1 u^m psi(u) du, smoothed by psi(u) = psi(u + 1) - 1/u
+    with mp.workdps(40):
+        return mpmath.quad(lambda u: u**m * mpmath.digamma(u + 1), [0, 1]) - mpmath.mpf(1) / m
+
+
+# route -> (I(k, m) by the route, the printed form's offset from I in units of k^m,
+# relative bound, (m, n) pairs); thm33 carries the logsin quadrature's error
+FURDUI_SERIES = {
+    "thm31": (lambda k, m, n: kspecfun.thm31_series(k, m), lambda m: 0, 1e-13,
+              [(m, 1) for m in range(1, 7)]),
+    "thm32_printed": (lambda k, m, n: kspecfun.thm32_series(k, m, variant="as_printed"),
+                      lambda m: -2 * m * mpmath.euler / (m + 1), 1e-13,
+                      [(m, 1) for m in range(1, 7)]),
+    "thm32_variant": (lambda k, m, n: kspecfun.thm32_series(k, m, variant="sign_variant"),
+                      lambda m: 0, 1e-13, [(m, 1) for m in range(1, 7)]),
+    "thm33_printed": (lambda k, m, n: kspecfun.thm33_series(k, m),
+                      lambda m: mpmath.log(mpmath.pi) - mpmath.mpf(1) / m, 1e-12,
+                      [(m, 1) for m in range(1, 7)]),
+    "thm34": (kspecfun.thm34_recursion, lambda m: 0, 1e-13,
+              [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]),
+}
+
+
+@pytest.mark.parametrize("k", (0.5, 1.0, 2.0, math.pi, 1e-10, 1e3))
+@pytest.mark.parametrize("route", sorted(FURDUI_SERIES))
+def test_furdui_series_accuracy_map(route, k):
+    # I(k, m) = k^m (ln k/(m+1) + A_m), at 40 digits and without kspecfun
+    evaluate, offset, rel, pairs = FURDUI_SERIES[route]
+    for m, n in pairs:
+        with mp.workdps(40):
+            km = mpmath.mpf(k) ** m
+            ref = float(km * (mpmath.log(k) / (m + 1) + _furdui_a_ref(m) + offset(m)))
+        assert evaluate(k, m, n).value == pytest.approx(ref, rel=rel, abs=0.0), (m, n)

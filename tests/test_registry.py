@@ -157,12 +157,26 @@ def test_skip_on_pole_exclusion():
 
 
 def test_skip_on_convergence_error():
-    # at k = 1e300 the m = 1 zeta tail of THM3.1 cannot reach its stop bound
-    reports = run_identity("THM3.1", GridSpec(k_values=(1e300,)))
-    assert reports and {r.verdict for r in reports} == {"SKIP"}
-    stalled = [r for r in reports if r.params["m"] == 1]
-    assert len(stalled) == 1
-    assert stalled[0].note.startswith("ConvergenceError: thm31_series zeta tail stalled")
+    # at x/k = 1e4 the psi_k series of EQ1.2 cannot reach its tolerance
+    reports = run_identity("EQ1.2", GridSpec(k_values=(1e-3,), x_values=(1e4,)))
+    assert len(reports) == 1 and reports[0].verdict == "SKIP"
+    assert reports[0].lhs is None and reports[0].abs_diff is None
+    assert reports[0].note.startswith("ConvergenceError: psi_k_series stalled")
+
+
+def test_series_entries_report_at_every_k_of_the_sweep():
+    # the Furdui series and the beta_k expansions scale once from their k = 1
+    # forms, so every k of the contract sweep gives a report per point, and
+    # the expansions, whose values are of order 1/k, pass at large k
+    ids = [i for i in registry_ids() if i.startswith(("THM3.", "FURDUI-ANCHOR"))]
+    ids += ["THM5.4", "THM5.5"]
+    for k in (5e-324, 1e-300, 1e-10, 1e-3, 1.0, 5.0, 30.0, 1e3, 1e100, 1e300, 1.7e308):
+        grid = GridSpec(k_values=(k,))
+        for identity_id in ids:
+            reports = run_identity(identity_id, grid)
+            assert reports, (identity_id, k)
+            if identity_id.startswith("THM5") and k in (5.0, 30.0, 1e3):
+                assert {r.verdict for r in reports} == {"PASS"}, (identity_id, k)
 
 
 def test_empty_grid_gives_empty_reports():
