@@ -19,7 +19,7 @@ from .errors import ConvergenceError, DomainError
 from .kcore import _check_pole, k_value, psi_k, psi_k_m
 from .oracles import adaptive_quad
 from .scalar import (_EPS, _MIN_NORMAL, CONSTANTS, Estimate, _alt_recip_sum, _check_int,
-                     _check_tol, _overflow_error, _positive, _require_finite, zeta_int)
+                     _overflow_error, _positive, _require_finite, zeta_int)
 
 __all__ = [
     "beta_k",
@@ -87,8 +87,8 @@ def beta_k_series(k, x: float) -> Estimate:
     return Estimate(value, err, used)
 
 
-def beta_k_integral(k, x: float, tol: float = 1e-10) -> Estimate:
-    """Integral route int_0^1 t^(x-1) / (1 + t^k) dt.
+def beta_k_integral(k, x: float) -> Estimate:
+    """Integral route int_0^1 t^(x-1) / (1 + t^k) dt, by quadrature to 1e-9.
 
     For x < 1 the endpoint singularity is removed exactly by the
     substitution t = s^(1/x), which turns the integrand into
@@ -99,30 +99,29 @@ def beta_k_integral(k, x: float, tol: float = 1e-10) -> Estimate:
     if x < 1.0:
         p = k / x
         inv = 1.0 / x
-        return adaptive_quad(lambda s: inv / (1.0 + s**p), 0.0, 1.0, tol)
-    return adaptive_quad(lambda t: t ** (x - 1.0) / (1.0 + t**k), 0.0, 1.0, tol)
+        return adaptive_quad(lambda s: inv / (1.0 + s**p), 0.0, 1.0, 1e-9)
+    return adaptive_quad(lambda t: t ** (x - 1.0) / (1.0 + t**k), 0.0, 1.0, 1e-9)
 
 
-def beta_k_cosh_form(k, x: float, tol: float = 1e-9) -> Estimate:
+def beta_k_cosh_form(k, x: float) -> Estimate:
     """Laplace route int_0^inf e^(-xt) / cosh(kt) dt = beta_k((x + k)/2).
 
     Valid for x > -k; the integral is truncated at T with
-    e^(-(x+k)T) < tol/10 and the (bounded) remainder is folded into the
-    error estimate.
+    e^(-(x+k)T) < 1e-10, integrated to 1e-9, and the (bounded) remainder
+    is folded into the error estimate.
     """
     k = k_value(k)
     x = _require_finite("x", x)
     if x <= -k:
         raise DomainError(f"beta_k_cosh_form requires x > -k, got x={x}, k={k}")
-    _check_tol(tol)
     rate = x + k
-    T = math.log(10.0 / tol) / rate
+    T = math.log(1e10) / rate
 
     def integrand(t):
         # e^(-xt)/cosh(kt) = 2 e^(-(x+k)t) / (1 + e^(-2kt)), overflow-safe
         return 2.0 * math.exp(-rate * t) / (1.0 + math.exp(-2.0 * k * t))
 
-    q = adaptive_quad(integrand, 0.0, T, tol)
+    q = adaptive_quad(integrand, 0.0, T, 1e-9)
     # analytic tail with 1/cosh ~ 2 e^(-kt); the neglected part decays
     # faster by e^(-2kT)
     tail = 2.0 * math.exp(-rate * T) / rate
@@ -149,13 +148,13 @@ def _taylor_coeffs(order: int) -> tuple[float, ...]:
             *((-1.0) ** m * (1.0 - 0.5**m) * zeta_int(m + 1) for m in range(1, order + 1)))
 
 
-def beta_taylor_54(k, x: float, order: int) -> Estimate:
+def beta_taylor_54(k, x: float) -> Estimate:
     """Expansion of beta_k(x + k) around the center k, for |x| < k.
 
-    Sums beta(1 + u), u = x/k, and divides by k once.  For 0 < x < k the
-    terms alternate with decreasing magnitude, so the first omitted term
-    bounds the truncation error; for negative x the series is
-    positive-term and the geometric bound |t| r/(1-r) applies.  The
+    Sums beta(1 + u), u = x/k, to order 240 and divides by k once.  For
+    0 < x < k the terms alternate with decreasing magnitude, so the first
+    omitted term bounds the truncation error; for negative x the series
+    is positive-term and the geometric bound |t| r/(1-r) applies.  The
     reported estimate covers both.  A value beyond binary64 raises
     OverflowError.
     """
@@ -163,30 +162,30 @@ def beta_taylor_54(k, x: float, order: int) -> Estimate:
     x = _require_finite("x", x)
     if abs(x) >= k:
         raise DomainError(f"beta_taylor_54 requires |x| < k, got x={x}, k={k}")
-    _check_int("beta_taylor_54", "order", order, 0)
     u = x / k
     total = 0.0
     up = 1.0
-    for c in _taylor_coeffs(order):
+    for c in _taylor_coeffs(240):
         total += c * up
         up *= u
-    # first omitted term (order + 1), inflated by the geometric factor
-    bound = (1.0 - 0.5 ** (order + 1)) * zeta_int(order + 2) * abs(u) ** (order + 1)
-    err = bound / (1.0 - abs(u)) + 8.0 * _EPS * abs(total)
+    # first omitted term |u|^241, inflated by the geometric factor; its
+    # coefficient (1 - 2^-241) zeta(242) rounds to 1
+    err = abs(u) ** 241 / (1.0 - abs(u)) + 8.0 * _EPS * abs(total)
     value = total / k
     if math.isinf(value):
         raise _overflow_error("beta_taylor_54", x, k)
-    return Estimate(value, err / k, order + 1)
+    return Estimate(value, err / k, 241)
 
 
-def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> Estimate:
+def beta_expansion_55(k, x: float) -> Estimate:
     """Expansion of beta_k around 0: 1/x - 1/(x+k) + zeta-weighted double sum.
 
-    Sums beta(u), u = x/k, with the inner binomial sum taken exactly as
-    the power difference ((u+1)/2)^n - (u/2)^n, and divides by k once.
-    ``tol`` bounds the error of that k-free sum.  The observed convergence
-    region is 0 < x < k (outer ratio (u+1)/2), with x/k normal so that
-    1/u is finite.  A value beyond binary64 raises OverflowError.
+    Sums beta(u), u = x/k, to n = 560 with the inner binomial sum taken
+    exactly as the power difference ((u+1)/2)^n - (u/2)^n, and divides by
+    k once.  Where the tail bound of that k-free sum exceeds 1e-9 it raises
+    ConvergenceError.  The observed convergence region is 0 < x < k (outer
+    ratio (u+1)/2), with x/k normal so that 1/u is finite.  A value beyond
+    binary64 raises OverflowError.
     """
     k = k_value(k)
     x = _require_finite("x", x)
@@ -194,14 +193,12 @@ def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> Estimate:
     if not (0.0 < x < k and u >= _MIN_NORMAL):
         raise DomainError(
             f"beta_expansion_55 requires 0 < x < k and x/k >= 2^-1022, got x={x}, k={k}")
-    _check_int("beta_expansion_55", "n_max", n_max, 1)
-    _check_tol(tol)
     total = 1.0 / u - 1.0 / (u + 1.0)
     a = 0.5 * (u + 1.0)  # in (1/2, 1): geometric decay of the outer terms
     b = 0.5 * u
     ap = bp = 1.0
     half = 0.5
-    for n in range(1, n_max + 1):
+    for n in range(1, 561):
         ap *= a
         bp *= b
         term = half * zeta_int(n + 1) * (ap - bp)
@@ -209,13 +206,13 @@ def beta_expansion_55(k, x: float, n_max: int, tol: float = 1e-9) -> Estimate:
         half = -half
     err = 2.0 * abs(term) * a / (1.0 - a) + 8.0 * _EPS * abs(total)
     value = total / k
-    if not err <= tol:
+    if not err <= 1e-9:
         raise ConvergenceError(
-            f"beta_expansion_55 tail bound {err:.3e} exceeds tol {tol:.3e} at n_max={n_max}",
-            value=value, error_estimate=err / k, terms_used=n_max)
+            f"beta_expansion_55 tail bound {err:.3e} exceeds 1e-09 after 560 terms",
+            value=value, error_estimate=err / k, terms_used=560)
     if math.isinf(value):
         raise _overflow_error("beta_expansion_55", x, k)
-    return Estimate(value, err / k, n_max)
+    return Estimate(value, err / k, 560)
 
 
 class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):

@@ -218,7 +218,7 @@ def _cmd_furdui(args) -> int:
             f"unknown method(s) {', '.join(unknown)}; choose from {', '.join(FURDUI_METHODS)}"
         )
     print(f"{'method':<16} {'value':>18} {'error_est':>12} {'terms/panels':>12}")
-    reference = furdui_oracle(args.k, args.m, 1e-10).value
+    reference = furdui_oracle(args.k, args.m).value
     for method in methods:
         res = furdui_method(method, args.k, args.m, n=args.n)
         gap = res.value - reference

@@ -22,7 +22,6 @@ from .scalar import (
     Estimate,
     _alt_recip_sum,
     _check_int,
-    _check_tol,
     _overflow_error,
     digamma,
     gauss_2f1,
@@ -45,16 +44,16 @@ __all__ = [
 
 
 @lru_cache(maxsize=512)
-def _oracle_cached(k: float, m: int, tol: float) -> Estimate:
+def _oracle_cached(k: float, m: int) -> Estimate:
     lnk = math.log(k)
     # x^m (psi_k(x) + 1/x) = x^m (ln k + psi(x/k + 1)) / k, smooth through 0
     f = lambda x: x**m * (lnk + digamma(x / k + 1.0)) / k
-    q = adaptive_quad(f, 0.0, k, tol)
+    q = adaptive_quad(f, 0.0, k, 1e-11)
     return Estimate(q.value - k**m / m, q.error_estimate, q.terms_used)
 
 
-def furdui_oracle(k, m: int, tol: float = 1e-10) -> Estimate:
-    """Quadrature oracle for I(k, m).
+def furdui_oracle(k, m: int) -> Estimate:
+    """Quadrature oracle for I(k, m), integrated to 1e-11.
 
     The integrand is regularised as x^m (psi_k(x) + 1/x) - x^(m-1); the
     bracketed part extends continuously to 0 (psi(z) + 1/z = psi(z+1)),
@@ -63,8 +62,7 @@ def furdui_oracle(k, m: int, tol: float = 1e-10) -> Estimate:
     """
     k = k_value(k)
     _check_int("furdui_oracle", "m", m, 1)
-    _check_tol(tol)
-    return _oracle_cached(k, m, tol)
+    return _oracle_cached(k, m)
 
 
 def _scaled(k: float, m: int, a: Estimate) -> Estimate:
@@ -142,14 +140,13 @@ def thm32_series(k, m: int, variant: str = "sign_variant") -> Estimate:
     return _scaled(k, m, _thm32_sum(m, variant))
 
 
-def logsin_moment(m: int, tol: float = 1e-10) -> Estimate:
-    """int_0^pi x^(m-1) ln sin x dx, split at pi/2 with the x -> pi - x fold."""
+def logsin_moment(m: int) -> Estimate:
+    """int_0^pi x^(m-1) ln sin x dx to 1e-10, split at pi/2 with the x -> pi - x fold."""
     _check_int("logsin_moment", "m", m, 1)
-    _check_tol(tol)
     half = math.pi / 2.0
-    q1 = adaptive_quad(lambda x: x ** (m - 1) * math.log(math.sin(x)), 0.0, half, 0.5 * tol)
+    q1 = adaptive_quad(lambda x: x ** (m - 1) * math.log(math.sin(x)), 0.0, half, 5e-11)
     q2 = adaptive_quad(
-        lambda u: (math.pi - u) ** (m - 1) * math.log(math.sin(u)), 0.0, half, 0.5 * tol
+        lambda u: (math.pi - u) ** (m - 1) * math.log(math.sin(u)), 0.0, half, 5e-11
     )
     return Estimate(
         q1.value + q2.value, q1.error_estimate + q2.error_estimate, q1.terms_used + q2.terms_used
@@ -161,7 +158,7 @@ def _thm33_sum(m: int) -> Estimate:
     # A_m = m g/(m+1) - 3/(2m) + ln(pi)/2 + m/(2 pi^m) int_0^pi x^(m-1) ln sin x dx
     #       + m sum_{n>=1} zeta(2n+1)/((2n+1)(2n+m+1)), with the printed coefficients;
     # the "1" part of zeta(2n+1) = 1 + (zeta(2n+1) - 1) has a digamma closed form
-    ls = logsin_moment(m, 1e-10)
+    ls = logsin_moment(m)
     ls_weight = m / (2.0 * math.pi**m)
     rem = []
     n = 1
@@ -189,16 +186,15 @@ def thm33_series(k, m: int) -> Estimate:
     return _scaled(k, m, _thm33_sum(m))
 
 
-def ln_gamma_k_moment(k, m: int, tol: float = 1e-9) -> Estimate:
-    """I(k, m) = -m int_0^k x^(m-1) ln Gamma_k(x) dx by quadrature.
+def ln_gamma_k_moment(k, m: int) -> Estimate:
+    """I(k, m) = -m int_0^k x^(m-1) ln Gamma_k(x) dx by quadrature to 1e-10.
 
     Integration by parts of the psi_k moment; it bypasses every series
     expansion.  The panel count is reported as ``terms_used``.
     """
     k = k_value(k)
     _check_int("ln_gamma_k_moment", "m", m, 1)
-    _check_tol(tol)
-    q = adaptive_quad(lambda x: x ** (m - 1) * ln_gamma_k(k, x), 0.0, k, 0.1 * tol)
+    q = adaptive_quad(lambda x: x ** (m - 1) * ln_gamma_k(k, x), 0.0, k, 1e-10)
     return Estimate(-m * q.value, m * q.error_estimate, q.terms_used)
 
 
@@ -262,24 +258,24 @@ def thm34_recursion(k, m: int, n: int) -> Estimate:
     return _scaled(k, m, _thm34_sum(m, n))
 
 
-# method id -> route (k, m, n, tol) -> Estimate, in CLI table order; each
+# method id -> route (k, m, n) -> Estimate, in CLI table order; each
 # route looks its function up at call time, so a wrapper installed on the
 # module (perfbench/tracer.py) sees the call
 FURDUI_METHODS = {
-    "oracle": lambda k, m, n, tol: furdui_oracle(k, m, min(tol, 1e-10)),
-    "thm31": lambda k, m, n, tol: thm31_series(k, m),
-    "thm32_printed": lambda k, m, n, tol: thm32_series(k, m, "as_printed"),
-    "thm32_variant": lambda k, m, n, tol: thm32_series(k, m, "sign_variant"),
-    "thm33_printed": lambda k, m, n, tol: thm33_series(k, m),
-    "thm33_variant": lambda k, m, n, tol: ln_gamma_k_moment(k, m, tol),
-    "thm34": lambda k, m, n, tol: thm34_recursion(k, m, n),
+    "oracle": lambda k, m, n: furdui_oracle(k, m),
+    "thm31": lambda k, m, n: thm31_series(k, m),
+    "thm32_printed": lambda k, m, n: thm32_series(k, m, "as_printed"),
+    "thm32_variant": lambda k, m, n: thm32_series(k, m, "sign_variant"),
+    "thm33_printed": lambda k, m, n: thm33_series(k, m),
+    "thm33_variant": lambda k, m, n: ln_gamma_k_moment(k, m),
+    "thm34": lambda k, m, n: thm34_recursion(k, m, n),
 }
 
 
-def furdui_method(method_id: str, k, m: int, n: int = 1, tol: float = 1e-9) -> Estimate:
+def furdui_method(method_id: str, k, m: int, n: int = 1) -> Estimate:
     """Evaluate I(k, m) by one method of :data:`FURDUI_METHODS` (CLI comparison tables)."""
     try:
         route = FURDUI_METHODS[method_id]
     except (KeyError, TypeError):  # TypeError: an unhashable id
         raise DomainError(f"unknown furdui method {method_id!r}") from None
-    return route(k, m, n, tol)
+    return route(k, m, n)

@@ -21,7 +21,7 @@ from collections import namedtuple
 from .beta import beta_k
 from .errors import BracketError
 from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, k_value, rgamma_k
-from .scalar import _MIN_NORMAL, _check_int, _check_tol, _require_finite, _sinpi
+from .scalar import _EPS, _MIN_NORMAL, _check_int, _check_tol, _require_finite, _sinpi
 
 __all__ = [
     "RootResult",
@@ -154,10 +154,11 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     """Solve H_k(2t) = 2 k^(t/k) H_k(t) on [1.5k, inf).
 
     Bisection on [1.5k, 5k] down to a 1e-6*k bracket, followed by secant
-    polish.  H_k(kt) = k^(t-1) H_1(t) gives g_k(kt) = k^(2t-1) g_1(t)
-    for the threshold function g, so the bracket ends carry the signs of
-    g_1(1.5) < 0 and g_1(5) > 0 for every k; ends of one sign raise
-    BracketError.  ``sign_changes`` is the number of sign changes of the
+    polish until |g| < tol or a step is at most 4 eps |x|.  H_k(kt) =
+    k^(t-1) H_1(t) gives g_k(kt) = k^(2t-1) g_1(t) for the threshold
+    function g, so the bracket ends carry the signs of g_1(1.5) < 0 and
+    g_1(5) > 0 for every k; ends of one sign raise BracketError.
+    ``sign_changes`` is the number of sign changes of the
     threshold function g between consecutive nodes of the 0.01k lattice
     on the bracket (at least 1), so a non-unique crossing shows as a
     value above 1.  The count evaluates g on every tenth node (a 0.1k
@@ -177,7 +178,6 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     ghi = g(hi)
     if glo * ghi > 0.0:
         raise BracketError(f"no sign change of the threshold equation on [{lo}, {hi}]")
-    bracket_lo, bracket_hi = lo, hi
     changes = max(_count_sign_changes(g, lo, hi, 0.01 * k, glo, ghi), 1)
 
     iterations = 0
@@ -190,9 +190,8 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
             b, gb = mid, gm
         else:
             a, ga = mid, gm
-    x0, x1 = a, b
-    f0, f1 = ga, gb
-    root, fr = x1, f1
+    x0, x1, f0, f1 = a, b, ga, gb
+    settled = False
     for _ in range(60):
         if f1 == f0:
             break
@@ -201,10 +200,12 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
             x2 = 0.5 * (a + b)
         f2 = g(x2)
         iterations += 1
+        # g grows with k, so at large k the residual may never drop below
+        # tol; a step at the rounding level of x2 ends the polish too
+        settled = abs(x2 - x1) <= 4.0 * _EPS * abs(x2)
         x0, f0, x1, f1 = x1, f1, x2, f2
-        root, fr = x2, f2
-        if abs(fr) < tol:
+        if settled or abs(f1) < tol:
             break
-    if abs(fr) >= tol:
-        raise BracketError(f"threshold solver stalled at residual {fr:.3e}")
-    return RootResult(root, fr, bracket_lo, bracket_hi, iterations, changes)
+    if not (settled or abs(f1) < tol):
+        raise BracketError(f"threshold solver stalled at residual {f1:.3e}")
+    return RootResult(x1, f1, lo, hi, iterations, changes)

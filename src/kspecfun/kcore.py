@@ -17,7 +17,6 @@ from .scalar import (
     CONSTANTS,
     Estimate,
     _check_int,
-    _check_tol,
     _em_power_tail,
     _overflow_error,
     _polygamma_scaled,
@@ -171,16 +170,17 @@ def psi_k(k, x: float) -> float:
     return value
 
 
-def psi_k_series(k, x: float, tol: float = 1e-12) -> Estimate:
+def psi_k_series(k, x: float) -> Estimate:
     """Direct series route for psi_k, independent of :func:`psi_k`.
 
     Sums (ln k - gamma)/k - 1/x + sum_{n>=1} x/(nk(nk+x)) with an
     Euler-Maclaurin closed-form tail, so the route never touches the
-    digamma implementation.  Exists as a cross-check oracle.
+    digamma implementation.  Exists as a cross-check oracle.  It doubles
+    the direct terms until the error estimate is at most 1e-12 and raises
+    ConvergenceError where 2^16 terms do not reach that.
     """
     k = k_value(k)
     x = _positive("psi_k_series", x)
-    _check_tol(tol)
     n_direct = 128
     while True:
         s = 0.0
@@ -196,11 +196,11 @@ def psi_k_series(k, x: float, tol: float = 1e-12) -> Estimate:
         g5 = -120.0 * k**5 * (1.0 / u**6 - 1.0 / (u + x) ** 6)
         tail = integral + 0.5 * g0 - g1 / 12.0 + g3 / 720.0 - g5 / 30240.0
         err = abs(g5) / 30240.0 + 8.0 * _EPS * (abs(s) + abs(tail) + 1.0 / x)
-        if err <= tol or n_direct >= 1 << 16:
+        if err <= 1e-12 or n_direct >= 1 << 16:
             value = (math.log(k) - CONSTANTS.euler_gamma) / k - 1.0 / x + s + tail
-            if err > tol:
+            if err > 1e-12:
                 raise ConvergenceError(
-                    f"psi_k_series stalled at error {err:.3e} for tol {tol:.3e}",
+                    f"psi_k_series stalled at error {err:.3e} above 1e-12",
                     value=value,
                     error_estimate=err,
                     terms_used=n_direct,
@@ -238,16 +238,17 @@ def psi_k_m(k, m: int, x: float) -> float:
     return value
 
 
-def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> Estimate:
+def psi_k_m_series(k, m: int, x: float) -> Estimate:
     """Direct series route for psi_k^(m) (cross-check oracle).
 
     Evaluates (-1)^(m+1) m! sum_{n>=0} (nk + x)^-(m+1) with an
     Euler-Maclaurin tail; independent of the polygamma implementation.
+    Raises ConvergenceError where the error estimate exceeds
+    1e-11 max(1, |value|).
     """
     k = k_value(k)
     _check_int("psi_k_m_series", "m", m, 1)
     x = _positive("psi_k_m_series", x)
-    _check_tol(tol)
     mf = float(math.factorial(m))
     sign = 1.0 if m % 2 == 1 else -1.0
     # with the tail starting at x + 64k the Euler-Maclaurin bound stays
@@ -259,11 +260,11 @@ def psi_k_m_series(k, m: int, x: float, tol: float = 1e-11) -> Estimate:
     tail, tail_err = _em_power_tail(x, k, m + 1.0, n_direct)
     value = sign * mf * (s + tail)
     err = mf * tail_err + 8.0 * _EPS * abs(value)
-    # tolerance is absolute for O(1) values and relative for the huge
+    # the target is absolute for O(1) values and relative for the huge
     # magnitudes reached near x = 0 at high m
-    if err > tol * max(1.0, abs(value)):
+    if err > 1e-11 * max(1.0, abs(value)):
         raise ConvergenceError(
-            f"psi_k_m_series error {err:.3e} exceeds tol {tol:.3e}",
+            f"psi_k_m_series error {err:.3e} exceeds 1e-11",
             value=value,
             error_estimate=err,
             terms_used=n_direct,

@@ -160,8 +160,8 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> Estimate:
 
 
 def finite_diff(f, x: float) -> float:
-    """Central finite-difference first derivative at x."""
-    h = _EPS ** (1.0 / 3.0) * max(1.0, abs(x))
+    """Central finite-difference first derivative at x, step eps^(1/3) |x| (1 at x = 0)."""
+    h = _EPS ** (1.0 / 3.0) * (abs(x) or 1.0)
     h = (x + h) - x
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
@@ -179,8 +179,11 @@ def cm_probe(f, x_lo: float, x_hi: float, h: float, max_order: int) -> CmProbeRe
 
     A completely monotone function satisfies it at every order; the
     probe samples x on a step-h grid over [x_lo, x_hi] and tolerates
-    rounding at the relative level 1e-9 * |f(x)|.
+    rounding at the relative level 1e-9 * |f(x)|.  Non-finite x_lo, x_hi
+    or h raise DomainError.
     """
+    if not all(map(math.isfinite, (x_lo, x_hi, h))):
+        raise DomainError(f"cm_probe requires finite x_lo, x_hi and h, got {x_lo}, {x_hi}, {h}")
     if h <= 0 or max_order < 0:
         raise DomainError("cm_probe requires h > 0 and max_order >= 0")
     if x_lo + max_order * h > x_hi:

@@ -236,10 +236,10 @@ def _build_entries() -> list[IdentityEntry]:
         return x * _kcore.gamma_k(k, x)
 
     def psi_k_by_series(k, x, **_):
-        return _kcore.psi_k_series(k, x, 1e-12).value
+        return _kcore.psi_k_series(k, x).value
 
     def psi_k_m_by_series(k, m, x, **_):
-        return _kcore.psi_k_m_series(k, m, x, 1e-11).value
+        return _kcore.psi_k_m_series(k, m, x).value
 
     add("EQ1.1", "Gamma_k(x + k) = x Gamma_k(x)", "rel", 1e-11,
         points=_k_x_points, lhs=gamma_k_shifted, rhs=x_gamma_k)
@@ -332,7 +332,7 @@ def _build_entries() -> list[IdentityEntry]:
 
     # ---- section 3: moment integrals -------------------------------------
     def furdui_by_oracle(k, m, **_):
-        return _furdui.furdui_oracle(k, m, 1e-11).value
+        return _furdui.furdui_oracle(k, m).value
 
     def furdui_by_thm31(k, m, **_):
         return _furdui.thm31_series(k, m).value
@@ -347,7 +347,7 @@ def _build_entries() -> list[IdentityEntry]:
         return _furdui.thm33_series(k, m).value
 
     def furdui_by_ln_gamma_k_moment(k, m, **_):
-        return _furdui.ln_gamma_k_moment(k, m, 1e-9).value
+        return _furdui.ln_gamma_k_moment(k, m).value
 
     def furdui_by_thm34(k, m, n, **_):
         return _furdui.thm34_recursion(k, m, n).value
@@ -411,12 +411,10 @@ def _build_entries() -> list[IdentityEntry]:
         for method in ("oracle", "thm31", "thm34"):
             yield {"method": method}
 
-    anchor_routes = {"oracle": furdui_by_oracle, "thm31": furdui_by_thm31,
-                     "thm34": furdui_by_thm34}
     ln_a = math.log(_scalar.CONSTANTS.glaisher_A)
 
     def furdui_1_2_by_method(method, **_):
-        return anchor_routes[method](k=1.0, m=2, n=1)
+        return _furdui.furdui_method(method, 1.0, 2).value
 
     def ln_a_over_sqrt_2pi(**_):
         return ln_a - 0.5 * math.log(2.0 * math.pi)
@@ -631,22 +629,22 @@ def _build_entries() -> list[IdentityEntry]:
         return _beta.beta_k_series(k, x).value
 
     def beta_k_by_integral(k, x, **_):
-        return _beta.beta_k_integral(k, x, 1e-9).value
+        return _beta.beta_k_integral(k, x).value
 
     def beta_k_by_cosh_form(k, x, **_):
-        return _beta.beta_k_cosh_form(k, x, 1e-9).value
+        return _beta.beta_k_cosh_form(k, x).value
 
     def beta_k_at_half_shift(k, x, **_):
         return _beta.beta_k(k, 0.5 * (x + k))
 
     def beta_k_by_taylor_54(k, x, **_):
-        return _beta.beta_taylor_54(k, x, 240).value
+        return _beta.beta_taylor_54(k, x).value
 
     def beta_k_shifted(k, x, **_):
         return _beta.beta_k(k, x + k)
 
     def beta_k_by_expansion_55(k, x, **_):
-        return _beta.beta_expansion_55(k, x, 560, 1e-9).value
+        return _beta.beta_expansion_55(k, x).value
 
     def psi_k_duplicated(k, x, **_):
         return _kcore.psi_k(k, k * x + 0.5 * k)

@@ -56,7 +56,7 @@ def test_criterion_01_furdui_anchor_value():
     anchor = 2.0 * ln_a - LN_SQRT_2PI
     printed = ln_a - LN_SQRT_2PI
     values = {
-        "oracle": furdui_oracle(1.0, 2, 1e-10).value,
+        "oracle": furdui_oracle(1.0, 2).value,
         "thm31": thm31_series(1.0, 2).value,
         "thm34": thm34_recursion(1.0, 2, 1).value,
     }
@@ -82,7 +82,7 @@ def test_criterion_02_thm31_grid():
     worst = 0.0
     for k in (0.5, 1.0, 2.0, 3.0):
         for m in range(1, 7):
-            diff = abs(thm31_series(k, m).value - furdui_oracle(k, m, 1e-11).value)
+            diff = abs(thm31_series(k, m).value - furdui_oracle(k, m).value)
             worst = max(worst, diff)
     _criterion(2, worst < 1e-8, f"24-case series-vs-oracle grid, worst diff {worst:.2e}")
 
@@ -93,7 +93,7 @@ def test_criterion_03_thm34_grid():
         for m in (1, 2, 3):
             for n in (1, 2, 3):
                 diff = abs(
-                    thm34_recursion(k, m, n).value - furdui_oracle(k, m, 1e-11).value
+                    thm34_recursion(k, m, n).value - furdui_oracle(k, m).value
                 )
                 worst = max(worst, diff)
     _criterion(3, worst < 1e-6, f"18-case recursion-vs-oracle grid, worst diff {worst:.2e}")
@@ -119,14 +119,14 @@ def test_criterion_05_beta_triple_route():
             routes = (
                 beta_k(k, x),
                 beta_k_series(k, x).value,
-                beta_k_integral(k, x, 1e-9).value,
+                beta_k_integral(k, x).value,
             )
             worst = max(worst, max(routes) - min(routes))
     cosh_worst = 0.0
     shifted = [(0.5, -0.2), (0.5, 0.4), (1.0, -0.5), (1.0, 0.0), (1.0, 1.3),
                (2.0, -1.0), (2.0, 0.6), (2.0, 3.0), (math.pi, 0.5), (math.pi, 2.0)]
     for k, x in shifted:
-        diff = abs(beta_k_cosh_form(k, x, 1e-9).value - beta_k(k, 0.5 * (x + k)))
+        diff = abs(beta_k_cosh_form(k, x).value - beta_k(k, 0.5 * (x + k)))
         cosh_worst = max(cosh_worst, diff)
     ok = worst < 1e-8 and cosh_worst < 1e-8
     _criterion(5, ok, f"triple-route worst spread {worst:.2e}; "
@@ -138,9 +138,9 @@ def test_criterion_06_expansions():
     for k in (0.5, 1.0, 2.0):
         for u in (0.1, 0.5, 0.9):
             x = u * k
-            taylor = beta_taylor_54(k, x, 240).value
+            taylor = beta_taylor_54(k, x).value
             worst = max(worst, abs(taylor - beta_k(k, x + k)))
-            expansion = beta_expansion_55(k, x, 560, 1e-9).value
+            expansion = beta_expansion_55(k, x).value
             worst = max(worst, abs(expansion - beta_k(k, x)))
     _criterion(6, worst < 1e-8, f"center-k and center-0 expansions, worst diff {worst:.2e}")
 

@@ -28,14 +28,7 @@ POSITIVE_X = {
 CHECKED_TOL = {
     "adaptive_quad": lambda tol: kspecfun.adaptive_quad(math.sin, 0.0, 1.0, tol),
     "gauss_2f1": lambda tol: kspecfun.gauss_2f1(1.0, 1.0, 2.0, -0.5, tol),
-    "psi_k_series": lambda tol: kspecfun.psi_k_series(1.0, 1.0, tol),
-    "psi_k_m_series": lambda tol: kspecfun.psi_k_m_series(1.0, 1, 1.0, tol),
-    "beta_k_cosh_form": lambda tol: kspecfun.beta_k_cosh_form(1.0, 1.0, tol),
-    "beta_expansion_55": lambda tol: kspecfun.beta_expansion_55(1.0, 0.5, 560, tol),
     "alpha0_solve": lambda tol: kspecfun.alpha0_solve(1.0, tol),
-    "furdui_oracle": lambda tol: kspecfun.furdui_oracle(1.0, 1, tol),
-    "ln_gamma_k_moment": lambda tol: kspecfun.ln_gamma_k_moment(1.0, 1, tol),
-    "logsin_moment": lambda tol: kspecfun.logsin_moment(1, tol),
 }
 
 
@@ -71,9 +64,6 @@ INTEGER_ARGS = [
     ("psi_k_m", lambda m: kspecfun.psi_k_m(1.0, m, 1.0), "m >= 1", (0, 1.0)),
     ("psi_k_m_series", lambda m: kspecfun.psi_k_m_series(1.0, m, 1.0), "m >= 1", (0, 1.0)),
     ("beta_k_deriv", lambda n: kspecfun.beta_k_deriv(1.0, n, 1.0), "order >= 0", (-1, 0.0)),
-    ("beta_taylor_54", lambda n: kspecfun.beta_taylor_54(1.0, 0.5, n), "order >= 0", (-1, 0.0)),
-    ("beta_expansion_55", lambda n: kspecfun.beta_expansion_55(1.0, 0.5, n), "n_max >= 1",
-     (0, 560.0)),
     ("recursion_47", lambda n: kspecfun.recursion_47(1.0, 0.5, n), "1 <= n <= 50",
      (0, 51, 1.0)),
     ("furdui_oracle", lambda m: kspecfun.furdui_oracle(1.0, m), "m >= 1", (0, 1.0)),

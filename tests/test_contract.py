@@ -7,13 +7,15 @@ OverflowError from ``**`` or libm, nan and inf all break it.  Calls that
 break it today are listed in KNOWN_VIOLATIONS, which the sweep asserts
 exactly, so the list can only shrink.  The series routes of the Furdui
 moments and of the beta_k expansions keep the same contract, with a
-finite value and error estimate in their Estimate, over a sweep of k.
+finite value and error estimate in their Estimate, over a sweep of k,
+and so do the cross-check routes, for which the documented
+ConvergenceError is inside the contract too.
 """
 
 import math
 
 import kspecfun
-from kspecfun import DomainError, Estimate
+from kspecfun import ConvergenceError, DomainError, Estimate
 
 # k from the bottom to the top of binary64; x as +-u k, with u at the
 # poles, tiny, half-integer, at the seam and far, plus the extremes of
@@ -48,10 +50,10 @@ def _breaks_contract(name, k, x):
     return _breaks(lambda: EVALUATORS[name](k, x))
 
 
-def _breaks(call):
+def _breaks(call, documented=DomainError):
     try:
         value = call()
-    except DomainError:
+    except documented:
         return False
     except OverflowError as exc:
         return "overflows binary64" not in str(exc)
@@ -83,8 +85,8 @@ SERIES_ROUTES = {
     "thm33_series": (kspecfun.thm33_series, M_VALUES),
     "thm34_recursion": (lambda k, mn: kspecfun.thm34_recursion(k, *mn),
                         [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]),
-    "beta_taylor_54": (lambda k, u: kspecfun.beta_taylor_54(k, u * k, 240), (-0.5, 0.1, 0.5, 0.9)),
-    "beta_expansion_55": (lambda k, u: kspecfun.beta_expansion_55(k, u * k, 560), (0.1, 0.5, 0.9)),
+    "beta_taylor_54": (lambda k, u: kspecfun.beta_taylor_54(k, u * k), (-0.5, 0.1, 0.5, 0.9)),
+    "beta_expansion_55": (lambda k, u: kspecfun.beta_expansion_55(k, u * k), (0.1, 0.5, 0.9)),
 }
 
 SERIES_KNOWN_VIOLATIONS = set()
@@ -97,3 +99,57 @@ def test_every_series_route_keeps_the_contract_over_the_k_sweep():
     broken = {(name, k, p) for name, k, p in calls
               if _breaks(lambda: SERIES_ROUTES[name][0](k, p))}
     assert broken == SERIES_KNOWN_VIOLATIONS
+
+
+UNITS = (0.1, 0.35, 0.7, 1.0, 2.5, 5.0)
+
+# cross-check route -> (the route as a callable of k and x = u k or of k and m,
+# the values of u or m)
+CROSS_CHECK_ROUTES = {
+    "psi_k_series": (lambda k, u: kspecfun.psi_k_series(k, u * k), UNITS),
+    "psi_k_m_series": (lambda k, u: kspecfun.psi_k_m_series(k, 3, u * k), UNITS),
+    "beta_k_series": (lambda k, u: kspecfun.beta_k_series(k, u * k), UNITS),
+    "beta_k_integral": (lambda k, u: kspecfun.beta_k_integral(k, u * k), UNITS),
+    "beta_k_cosh_form": (lambda k, u: kspecfun.beta_k_cosh_form(k, u * k), UNITS),
+    "furdui_oracle": (kspecfun.furdui_oracle, M_VALUES),
+    "ln_gamma_k_moment": (kspecfun.ln_gamma_k_moment, M_VALUES),
+}
+
+# (route, k) -> the u or m at which the call breaks the contract today
+CROSS_CHECK_KNOWN_VIOLATIONS = {
+    # ZeroDivisionError from x/(nk (nk + x)) once nk underflows
+    ("psi_k_series", 5e-324): (0.7, 1.0, 2.5, 5.0),
+    ("psi_k_series", 1e-300): UNITS,
+    # errno-34 OverflowError from the k**3 and k**5 of the Euler-Maclaurin tail
+    ("psi_k_series", 1e100): UNITS,
+    ("psi_k_series", 1e300): UNITS,
+    ("psi_k_series", 1.7e308): (0.1, 0.35, 0.7, 1.0),
+    # errno-34 OverflowError from (nk + x)**-(m + 1)
+    ("psi_k_m_series", 5e-324): (0.7, 1.0, 2.5, 5.0),
+    ("psi_k_m_series", 1e-300): UNITS,
+    # nan value and error estimate
+    ("psi_k_m_series", 1.7e308): (0.1, 0.35, 0.7, 1.0),
+    # inf where beta_k is beyond binary64, or a nan error estimate
+    ("beta_k_series", 5e-324): (0.7, 1.0, 2.5, 5.0),
+    ("beta_k_integral", 5e-324): (0.7, 1.0, 2.5, 5.0),
+    # errno-34 OverflowError from k**m, or inf with a nan error estimate
+    ("furdui_oracle", 1e100): (4, 5, 6),
+    ("furdui_oracle", 1e300): (2, 3, 4, 5, 6),
+    ("furdui_oracle", 1.7e308): M_VALUES,
+    # inf, or errno-34 OverflowError from x**(m - 1)
+    ("ln_gamma_k_moment", 1e100): (4, 5, 6),
+    ("ln_gamma_k_moment", 1e300): (2, 3, 4, 5, 6),
+    ("ln_gamma_k_moment", 1.7e308): M_VALUES,
+}
+
+
+def test_every_cross_check_route_keeps_the_contract_over_the_k_sweep():
+    calls = [(name, k, p) for name, (_, params) in CROSS_CHECK_ROUTES.items()
+             for k in SERIES_K for p in params]
+    assert len(calls) == 462
+    broken = {}
+    for name, k, p in calls:
+        if _breaks(lambda: CROSS_CHECK_ROUTES[name][0](k, p), (DomainError, ConvergenceError)):
+            broken.setdefault((name, k), []).append(p)
+    assert broken == {key: list(params) for key, params in CROSS_CHECK_KNOWN_VIOLATIONS.items()}
+    assert sum(map(len, broken.values())) == 76

@@ -29,20 +29,20 @@ LOG_A = math.log(CONSTANTS.glaisher_A)
 # ---------------------------------------------------------------- oracle
 def test_oracle_m1_is_raabe_value():
     # integration by parts gives -int_0^1 ln Gamma = -ln sqrt(2 pi)
-    q = furdui_oracle(1.0, 1, 1e-10)
+    q = furdui_oracle(1.0, 1)
     assert q.value == pytest.approx(-LN_SQRT_2PI, abs=1e-10)
     assert abs(q.value + LN_SQRT_2PI) <= q.error_estimate + 1e-12
 
 
 def test_oracle_m2_value():
     # the closed form carries A^2, not A (diagnosed by the registry audit)
-    q = furdui_oracle(1.0, 2, 1e-10)
+    q = furdui_oracle(1.0, 2)
     assert q.value == pytest.approx(2.0 * LOG_A - LN_SQRT_2PI, abs=1e-9)
     assert abs(q.value - (LOG_A - LN_SQRT_2PI)) == pytest.approx(LOG_A, abs=1e-8)
 
 
 def test_oracle_k2_scaling_example():
-    q = furdui_oracle(2.0, 1, 1e-10)
+    q = furdui_oracle(2.0, 1)
     assert q.value == pytest.approx(LN2 + 2.0 * -LN_SQRT_2PI, abs=1e-9)
 
 
@@ -50,21 +50,21 @@ def test_oracle_against_raw_quadrature():
     # unregularised integrand, test-only cross-check
     for k, m in ((1.0, 1), (2.0, 2), (0.5, 3)):
         raw = adaptive_quad(lambda x: x**m * psi_k(k, x), 1e-12, k, 1e-9)
-        smooth = furdui_oracle(k, m, 1e-10)
+        smooth = furdui_oracle(k, m)
         assert abs(raw.value - smooth.value) < 1e-8
 
 
 @pytest.mark.parametrize("k", (0.5, 1.0, 2.0, 3.0))
 @pytest.mark.parametrize("m", (1, 2, 4, 6))
 def test_oracle_scaling_law(k, m):
-    lhs = furdui_oracle(k, m, 1e-11).value
-    rhs = k**m * (math.log(k) / (m + 1) + furdui_oracle(1.0, m, 1e-11).value)
+    lhs = furdui_oracle(k, m).value
+    rhs = k**m * (math.log(k) / (m + 1) + furdui_oracle(1.0, m).value)
     assert abs(lhs - rhs) < 1e-9
 
 
 def test_oracle_domain():
     with pytest.raises(DomainError):
-        furdui_oracle(1.0, 0, 1e-10)
+        furdui_oracle(1.0, 0)
 
 
 # ---------------------------------------------------------------- thm 3.1
@@ -72,7 +72,7 @@ def test_oracle_domain():
 @pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 6))
 def test_thm31_agrees_with_oracle(k, m):
     s = thm31_series(k, m)
-    o = furdui_oracle(k, m, 1e-11)
+    o = furdui_oracle(k, m)
     assert abs(s.value - o.value) < 1e-8
 
 
@@ -94,21 +94,21 @@ def test_thm32_variants_differ_by_documented_constant():
 def test_thm32_sign_variant_matches_oracle():
     for k, m in ((1.0, 1), (2.0, 2), (0.5, 4)):
         s = thm32_series(k, m, "sign_variant")
-        o = furdui_oracle(k, m, 1e-11)
+        o = furdui_oracle(k, m)
         assert abs(s.value - o.value) < 1e-8
 
 
 def test_thm32_printed_fails_against_oracle():
     s = thm32_series(1.0, 1, "as_printed")
-    o = furdui_oracle(1.0, 1, 1e-11)
+    o = furdui_oracle(1.0, 1)
     assert abs(s.value - o.value) == pytest.approx(GAMMA, abs=1e-8)
 
 
 # ---------------------------------------------------------------- thm 3.3
 def test_thm33_audit_route_matches_oracle():
     for k, m in ((1.0, 1), (2.0, 2), (0.5, 3)):
-        s = ln_gamma_k_moment(k, m, 1e-9)
-        o = furdui_oracle(k, m, 1e-11)
+        s = ln_gamma_k_moment(k, m)
+        o = furdui_oracle(k, m)
         assert abs(s.value - o.value) < 1e-8
 
 
@@ -116,7 +116,7 @@ def test_thm33_printed_offset_structure():
     # printed coefficients miss by exactly k^m (ln pi - 1/m)
     for k, m in ((1.0, 1), (2.0, 1), (1.0, 2), (2.0, 3)):
         printed = thm33_series(k, m).value
-        oracle = furdui_oracle(k, m, 1e-11).value
+        oracle = furdui_oracle(k, m).value
         assert printed - oracle == pytest.approx(
             k**m * (math.log(math.pi) - 1.0 / m), abs=1e-8
         )
@@ -124,15 +124,9 @@ def test_thm33_printed_offset_structure():
 
 # ---------------------------------------------------------------- logsin
 def test_logsin_values():
-    assert logsin_moment(1, 1e-10).value == pytest.approx(-math.pi * LN2, abs=1e-9)
-    assert logsin_moment(2, 1e-10).value == pytest.approx(-math.pi**2 * LN2 / 2.0, abs=1e-9)
-
-
-def test_logsin_two_depth_self_consistency():
-    coarse = logsin_moment(3, 1e-7)
-    fine = logsin_moment(3, 1e-11)
-    assert abs(coarse.value - fine.value) < 1e-7
-    assert fine.value == pytest.approx(-9.052157654952006, abs=1e-9)
+    assert logsin_moment(1).value == pytest.approx(-math.pi * LN2, abs=1e-9)
+    assert logsin_moment(2).value == pytest.approx(-math.pi**2 * LN2 / 2.0, abs=1e-9)
+    assert logsin_moment(3).value == pytest.approx(-9.052157654952006, abs=1e-9)
 
 
 # ---------------------------------------------------------------- thm 3.4
@@ -141,7 +135,7 @@ def test_logsin_two_depth_self_consistency():
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_thm34_agrees_with_oracle(k, m, n):
     s = thm34_recursion(k, m, n)
-    o = furdui_oracle(k, m, 1e-11)
+    o = furdui_oracle(k, m)
     assert abs(s.value - o.value) < 1e-6
 
 
@@ -227,7 +221,7 @@ def test_thm34_validation():
 def test_furdui_method_dispatch():
     o = furdui_method("oracle", 1.0, 2)
     t34 = furdui_method("thm34", 1.0, 2, n=1)
-    q = furdui_oracle(1.0, 2, 1e-10)
+    q = furdui_oracle(1.0, 2)
     assert o == q
     assert t34 == thm34_recursion(1.0, 2, 1)
     assert abs(o.value - t34.value) < 1e-7

@@ -126,7 +126,7 @@ def test_psi_k_recurrence(k, u):
     [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (math.pi, 0.4), (2.0, 9.0)],
 )
 def test_psi_k_series_route_equivalence(k, x):
-    sv = psi_k_series(k, x, 1e-10)
+    sv = psi_k_series(k, x)
     assert sv.error_estimate <= 1e-10
     assert sv.value == pytest.approx(psi_k(k, x), abs=1e-10 + sv.error_estimate)
 
@@ -151,8 +151,8 @@ def test_beta_k_at_the_smallest_subnormal_overflows(k):
 
 
 def test_psi_k_series_values():
-    assert psi_k_series(1.0, 1.0, 1e-10).value == pytest.approx(-GAMMA, abs=1e-10)
-    assert psi_k_series(2.0, 2.0, 1e-10).value == pytest.approx(0.0579657578292062, abs=1e-10)
+    assert psi_k_series(1.0, 1.0).value == pytest.approx(-GAMMA, abs=1e-10)
+    assert psi_k_series(2.0, 2.0).value == pytest.approx(0.0579657578292062, abs=1e-10)
 
 
 # ---------------------------------------------------------------- psi_k_m
@@ -167,7 +167,7 @@ def test_psi_k_m_values():
 @pytest.mark.parametrize("m", [1, 2, 4])
 @pytest.mark.parametrize("x", [0.3, 1.0, 3.7])
 def test_psi_k_m_series_route_equivalence(k, m, x):
-    sv = psi_k_m_series(k, m, k * x, 1e-11)
+    sv = psi_k_m_series(k, m, k * x)
     ref = psi_k_m(k, m, k * x)
     assert sv.value == pytest.approx(ref, rel=1e-10)
 

@@ -7,6 +7,7 @@ depend on the harness that checks it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,15 @@ def test_series_routes_scale_by_k_once():
     # the beta_k expansions sum in u = x/k and carry no power of k
     assert not _top_level_users("beta", _is_power_of("k"))
     assert not _top_level_users("beta", _is_name("kp"))
+
+
+def _public_functions_taking(parameter):
+    return {name for name, value in vars(kspecfun).items() if not name.startswith("_")
+            and inspect.isfunction(value) and parameter in inspect.signature(value).parameters}
+
+
+def test_only_the_general_tools_take_an_accuracy_knob():
+    # the cross-check routes run at one fixed accuracy; a tol is left only
+    # where callers use more than one value or a user sets it
+    assert _public_functions_taking("tol") == {"adaptive_quad", "gauss_2f1", "alpha0_solve"}
+    assert _public_functions_taking("n_max") == {"openproblem_scan"}

@@ -63,6 +63,10 @@ def test_finite_diff_polynomials_exact():
 
 
 def test_finite_diff_special_functions():
+    # the step eps^(1/3) |x| (1 at x = 0) keeps the error relative near 0
+    assert finite_diff(math.log, 1e-4) == pytest.approx(1e4, rel=1e-9)
+    assert finite_diff(math.log, 1e4) == pytest.approx(1e-4, rel=1e-9)
+    assert finite_diff(math.exp, 0.0) == pytest.approx(1.0, rel=1e-9)
     assert finite_diff(digamma, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-6)
     assert finite_diff(lambda x: beta_k(1.0, x), 1.0) == pytest.approx(
         -math.pi**2 / 12.0, abs=1e-6

@@ -4,10 +4,15 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import kspecfun
 from kspecfun import (
     DomainError,
     beta,
@@ -177,6 +182,53 @@ def test_series_entries_report_at_every_k_of_the_sweep():
             assert reports, (identity_id, k)
             if identity_id.startswith("THM5") and k in (5.0, 30.0, 1e3):
                 assert {r.verdict for r in reports} == {"PASS"}, (identity_id, k)
+
+
+def test_threshold_entries_report_at_large_k():
+    # alpha0_solve converges at large k, so the THM4.3 grids and
+    # ALPHA0-SCALING report there; ALPHA0-SCALING's absolute tolerance makes
+    # k = 1e10 a known false FAIL, at a relative difference of 7e-14
+    for k, scaling_verdict in ((1e4, "PASS"), (1e10, "FAIL")):
+        grid = GridSpec(k_values=(k,))
+        assert {r.verdict for r in run_identity("THM4.3-above", grid)} == {"PASS"}
+        assert {r.verdict for r in run_identity("THM4.3-below", grid)} == {"FAIL"}
+        (scaling,) = run_identity("ALPHA0-SCALING", grid)
+        assert scaling.verdict == scaling_verdict
+
+
+def test_lem22_passes_at_small_k():
+    # finite_diff's step scales with x, so ln Gamma_k's curvature 1/x^2 at
+    # x = 1e-4 no longer swamps the difference quotient
+    reports = run_identity("LEM2.2", GridSpec(k_values=(1e-3,)))
+    assert len(reports) == 7 and {r.verdict for r in reports} == {"PASS"}
+
+
+def test_lem25_skips_where_the_probe_range_is_not_finite():
+    # above k = 3.6e307 the probe's upper end 5k overflows to inf; cm_probe
+    # once sampled that range without end, so the check runs in a child
+    # process with a memory cap and a timeout
+    child = textwrap.dedent("""
+        import math, resource
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from kspecfun import DomainError, GridSpec, cm_probe, run_identity
+        for bounds in ((-math.inf, 1.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)):
+            try:
+                cm_probe(math.exp, *bounds, 6)
+            except DomainError as exc:
+                print(exc)
+        for k in (3e307, 4e307, 1.7e308):
+            (report,) = run_identity("LEM2.5", GridSpec(k_values=(k,)))
+            print(report.verdict, report.note)
+    """)
+    src = str(Path(kspecfun.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert all(line.startswith("cm_probe requires finite x_lo, x_hi and h") for line in lines[:3])
+    assert lines[3].startswith("PASS ")
+    assert lines[4:] == [f"SKIP DomainError: cm_probe requires finite x_lo, x_hi and h, got "
+                         f"{0.2 * k}, inf, {0.1 * k}" for k in (4e307, 1.7e308)]
 
 
 def test_empty_grid_gives_empty_reports():
