@@ -17,14 +17,14 @@ from .scalar import (
     CONSTANTS,
     Estimate,
     _check_int,
+    _digamma,
     _em_power_tail,
     _overflow_error,
+    _polygamma,
     _polygamma_scaled,
     _positive,
     _require_finite,
     _sinpi,
-    digamma,
-    polygamma,
     rgamma,
 )
 
@@ -155,16 +155,20 @@ def rgamma_k(k, x: float) -> float:
 def psi_k(k, x: float) -> float:
     """k-digamma psi_k(x) = (ln k + psi(x/k)) / k for x > 0.
 
-    A value beyond binary64 raises OverflowError.
+    Where x/k overflows the value is ln x / k to rounding.  A value beyond
+    binary64 raises OverflowError.
     """
     k = k_value(k)
     x = _positive("psi_k", x)
     u = x / k
     if u < _MIN_NORMAL:
         # digamma(u) would form -1/u beyond binary64; psi(u) = psi(u + 1) - 1/u
-        value = (math.log(k) + digamma(u + 1.0)) / k - 1.0 / x
+        value = (math.log(k) + _digamma(u + 1.0)) / k - 1.0 / x
+    elif u == math.inf:
+        # x/k overflows: ln k + psi(x/k) = ln x - k/(2x), and k/(2x) is below rounding
+        value = math.log(x) / k
     else:
-        value = (math.log(k) + digamma(u)) / k
+        value = (math.log(k) + _digamma(u)) / k
     if abs(value) > _MAX_NORMAL:
         raise _overflow_error("psi_k", x, k)
     return value
@@ -223,7 +227,7 @@ def psi_k_m(k, m: int, x: float) -> float:
     u = x / k
     if _MIN_NORMAL <= u <= _MAX_NORMAL:
         try:
-            p = polygamma(m, u)
+            p = _polygamma(m, u)
             kp = k ** (m + 1)
         except OverflowError:
             pass

@@ -652,7 +652,7 @@ def _build_entries() -> list[IdentityEntry]:
     def psi_k_duplication(k, x, **_):
         return 2.0 * _kcore.psi_k(k, 2.0 * k * x) - _kcore.psi_k(k, k * x) - 2.0 * LN2 / k
 
-    add("THM5.2", "beta_k psi-difference route vs alternating series route", "abs", 1e-10,
+    add("THM5.2", "beta_k scaling route vs alternating series route", "abs", 1e-10,
         points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_series)
     add("EQ5.2-integral", "beta_k vs int_0^1 t^(x-1)/(1+t^k) dt", "abs", 1e-7,
         points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_integral)
@@ -697,7 +697,7 @@ def _build_entries() -> list[IdentityEntry]:
     )
 
     def beta_k_step_sum(k, x, **_):
-        # beta_k(x + k) by the psi route, beta_k(x) by the series route
+        # beta_k(x + k) by the scaling route, beta_k(x) by the series route
         return beta_k_shifted(k, x) + beta_k_by_series(k, x)
 
     def beta_k_harmonic_mean(k, x, **_):
@@ -733,6 +733,11 @@ def _build_entries() -> list[IdentityEntry]:
         points=_remark5_points, lhs=_beta.beta_k, rhs=beta_k_refined_upper_bound)
 
     # ---- structural invariants --------------------------------------------
+    def beta_k_by_psi_k_series(k, x, **_):
+        # the direct k-form, so the scaling law that beta_k uses sits on the rhs only
+        return 0.5 * (_kcore.psi_k_series(k, 0.5 * x + 0.5 * k).value
+                      - _kcore.psi_k_series(k, 0.5 * x).value)
+
     def beta_k_by_scaling(k, x, **_):
         return _beta.beta_k(1.0, x / k) / k
 
@@ -759,8 +764,8 @@ def _build_entries() -> list[IdentityEntry]:
     def alpha0_by_scaling(k, **_):
         return k * _alpha0_root(1.0)
 
-    add("SCALING-BETA", "beta_k(x) = beta_1(x/k)/k", "rel", 1e-11,
-        points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_scaling)
+    add("SCALING-BETA", "(psi_k((x+k)/2) - psi_k(x/2))/2 = beta_1(x/k)/k", "rel", 1e-11,
+        points=_k_x_points, lhs=beta_k_by_psi_k_series, rhs=beta_k_by_scaling)
     add("SCALING-H", "H_k(x) = k^(x/k - 1) H(x/k)", "abs", 1e-10,
         points=lambda g: _k_x_points(g, units=(-1.7, -0.6, 0.3, 1.4, 2.6, 4.3)),
         lhs=_hadamard.hadamard_k, rhs=hadamard_k_by_scaling)

@@ -220,7 +220,11 @@ def digamma(x: float) -> float:
     ln x - 1/(2x) - sum B_{2n}/(2n x^{2n}).  For 1e-8 <= x <= 1e30 the
     error is at most 1e-15 * max(1, |psi(x)|) against mpmath.
     """
-    x = _positive("digamma", x)
+    return _digamma(_positive("digamma", x))
+
+
+def _digamma(x: float) -> float:
+    """:func:`digamma` for an x already checked finite and > 0."""
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x
@@ -316,7 +320,11 @@ def polygamma(m: int, x: float) -> float:
     |psi^(m)(x)| exceeds binary64.
     """
     _check_int("polygamma", "m", m, 1)
-    x = _positive("polygamma", x)
+    return _polygamma(m, _positive("polygamma", x))
+
+
+def _polygamma(m: int, x: float) -> float:
+    """:func:`polygamma` for an integer m >= 1 and an x already checked finite and > 0."""
     mf, fm1, coeffs = _polygamma_coeffs(m)
     sign = 1.0 if m % 2 == 1 else -1.0
     try:
@@ -517,4 +525,4 @@ def lerch_one_diff(a: float, b: float) -> float:
     b = _require_finite("b", b)
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"lerch_one_diff requires a, b > 0, got a={a}, b={b}")
-    return digamma(b) - digamma(a)
+    return _digamma(b) - _digamma(a)

@@ -219,7 +219,7 @@ def test_alpha0_command_output_pinned(capsys):
     assert code == 0
     assert out == (
         "root         1.503176092\n"
-        "residual     -5.049e-13\n"
+        "residual     -5.054e-13\n"
         "bracket      [1.5, 5]\n"
         "iterations   23\n"
         "sign_changes 1\n"

@@ -14,11 +14,14 @@ mp = mpmath.mp
 import kspecfun
 from kspecfun import (
     PoleError,
+    beta,
     beta_k,
+    default_grid,
     digamma,
     furdui_oracle,
     gamma_k,
     gauss_2f1,
+    hadamard,
     hadamard_k,
     lerch_alt,
     ln_gamma,
@@ -27,7 +30,9 @@ from kspecfun import (
     psi_k,
     psi_k_m,
     recursion_47,
+    registry,
     rgamma_k,
+    run_all,
     zeta_int,
 )
 from kspecfun.scalar import CONSTANTS, zeta_minus_1, zeta_tail
@@ -247,7 +252,7 @@ def test_hadamard_far_field_matches_walk(k):
 
 
 def test_beta_k_and_hadamard_at_huge_k_vs_mpmath():
-    # beta_k halves x and k before adding them, so x + k cannot overflow
+    # x + k overflows; beta_k works in u = x/k
     def beta_ref(k, x):
         k, x = mpmath.mpf(k), mpmath.mpf(x)
         return (mpmath.digamma((x + k) / (2 * k)) - mpmath.digamma(x / (2 * k))) / (2 * k)
@@ -284,6 +289,14 @@ def test_psi_beta_subnormal_x_over_k_vs_mpmath(name, k, x):
     assert getattr(kspecfun, name)(k, x) == pytest.approx(float(ref), rel=1e-15)
 
 
+@pytest.mark.parametrize("k,x", [(1e-300, 1e10), (1e-300, 1.7e308)])
+def test_psi_k_where_x_over_k_overflows_vs_mpmath(k, x):
+    # x/k is inf in binary64; ln k + psi(x/k) = ln x to rounding
+    with mpmath.workdps(40):
+        ref = _psi_k_ref(k, x)
+    assert psi_k(k, x) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
+
+
 @pytest.mark.parametrize("k,x", [(1.0, 1e-308), (1.0, 5.6e-309), (2.0, 1.1e-308), (1e-300, 1e-308)])
 def test_beta_k_where_psi_k_of_half_x_overflows_vs_mpmath(k, x):
     # psi_k(x/2) is beyond binary64 although beta_k(x) is not
@@ -291,6 +304,78 @@ def test_beta_k_where_psi_k_of_half_x_overflows_vs_mpmath(k, x):
         ref = (_psi_k_ref(k, (mpmath.mpf(x) + k) / 2) - _psi_k_ref(k, mpmath.mpf(x) / 2)) / 2
         assert abs(_psi_k_ref(k, mpmath.mpf(x) / 2)) > sys.float_info.max
     assert beta_k(k, x) == pytest.approx(float(ref), rel=4e-16)
+
+
+def _beta_k_ref(k, x):
+    # beta(u)/k, u = x/k: psi((u+1)/2) - psi(u/2) ~ 1/u cancels about log10(u) digits
+    k, x = mpmath.mpf(k), mpmath.mpf(x)
+    u = x / k
+    with mpmath.workdps(40 + max(0, int(mpmath.log10(u)))):
+        return (mpmath.digamma((u + 1) / 2) - mpmath.digamma(u / 2)) / (2 * k)
+
+
+@pytest.mark.parametrize("k,x", [
+    # the far field, where psi_k((x+k)/2) - psi_k(x/2) cancels 8, 15 and all digits
+    (1.0, 1e8),
+    (1.0, 1e15),
+    (1.0, 1e300),
+    (1e-310, 1e-300),  # subnormal k: psi_k(x/2) alone is beyond binary64
+])
+def test_beta_k_by_scaling_vs_mpmath(k, x):
+    assert beta_k(k, x) == pytest.approx(float(_beta_k_ref(k, x)), rel=4e-16, abs=0.0)
+
+
+def test_hadamard_k_where_beta_k_is_beyond_binary64_vs_mpmath():
+    # beta_k(k - x) = 1.6e310 although H_k is not beyond binary64: the base
+    # form takes ln beta(u) - ln k - ln Gamma_k; its log-space error grows
+    # with |ln H_k| = 356
+    with mpmath.workdps(40):
+        ref = _h_ref(1e-310, 5e-311)
+        assert abs(_beta_k_ref(1e-310, 5e-311)) > sys.float_info.max
+        # at x/k = -1e15 beta_k(k - x) = 5e14 is far-field, and H_k itself
+        # is beyond binary64
+        assert abs(_h_ref(1e-30, -1e-15)) > sys.float_info.max
+    assert hadamard_k(1e-310, 5e-311) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+    assert float(ref) == pytest.approx(8.862269254e154, rel=1e-10)
+    with pytest.raises(OverflowError, match=r"\) overflows binary64 \(k=1e-30\)$"):
+        hadamard_k(1e-30, -1e-15)
+
+
+def _h_grid_ref(k, x):
+    u = mpmath.mpf(x) / k
+    if u >= 1 and u == mpmath.floor(u):
+        return mpmath.mpf(k) ** (u - 1) * mpmath.gamma(u)  # sin(pi u) = 0 in (4.8)
+    return _h_ref(k, x)
+
+
+def test_beta_k_and_hadamard_k_on_the_default_grid_vs_mpmath(monkeypatch):
+    # every (k, x) at which the default-grid verify run evaluates beta_k or
+    # H_k, recorded at the kernels that take the checked arguments
+    seen = {"beta_k": set(), "hadamard_k": set()}
+
+    def spy(name, real):
+        def call(k, x):
+            seen[name].add((k, x))
+            return real(k, x)
+        return call
+
+    monkeypatch.setattr(beta, "_beta", spy("beta_k", beta._beta))
+    monkeypatch.setattr(hadamard, "_h_base", spy("hadamard_k", hadamard._h_base))
+    monkeypatch.setattr(hadamard, "_h_far", spy("hadamard_k", hadamard._h_far))
+    registry._alpha0_root.cache_clear()  # its H_k calls count too
+    run_all(default_grid())
+    monkeypatch.undo()
+    assert {name: len(points) for name, points in seen.items()} \
+        == {"beta_k": 362, "hadamard_k": 1071}
+    worst = {}
+    with mpmath.workdps(40):
+        for name, ref in (("beta_k", _beta_k_ref), ("hadamard_k", _h_grid_ref)):
+            fn = getattr(kspecfun, name)
+            worst[name] = max(float(abs((fn(k, x) - r) / r))
+                              for k, x in seen[name] for r in [ref(k, x)])
+    # the H_k error is mostly the rounding of u = x/k in Gamma_k(x)
+    assert worst["beta_k"] <= 1e-15
+    assert worst["hadamard_k"] <= 4e-15
 
 
 def test_gamma_k_near_overflow_vs_mpmath():

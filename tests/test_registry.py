@@ -19,6 +19,8 @@ from kspecfun import (
     hadamard,
     GridSpec,
     default_grid,
+    kcore,
+    scalar,
     get_entry,
     openproblem_scan,
     registry_ids,
@@ -109,6 +111,25 @@ def test_thm41_lhs_never_takes_the_recurrence_step(monkeypatch):
         seen.clear()
         entry.lhs(**params)
         assert seen in ([], [params["x"] + params["k"]]), params
+
+
+def test_beta_k_and_hadamard_k_share_no_kernel_with_the_cross_check_routes(monkeypatch):
+    # beta_k_series and lerch_alt (THM5.2, EQ5.11, THM4.4) sum the alternating
+    # series with _alt_recip_sum; beta_k and hadamard_k reach neither it nor
+    # the digamma loop nor psi_k, so those entries play two disjoint kernels
+    def refuse(*args):
+        raise AssertionError("a cross-check kernel was reached")
+
+    for module in (scalar, kcore, beta, hadamard):
+        for name in ("_alt_recip_sum", "_alt_recip_asymptotic", "digamma", "_digamma", "psi_k"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    grid = default_grid()
+    for k in grid.k_values:
+        for u in grid.x_values:
+            assert beta_k(k, u * k) > 0.0
+            assert math.isfinite(hadamard.hadamard_k(k, u * k))
+            assert math.isfinite(hadamard.hadamard_k(k, -u * k))
 
 
 def test_comparisons_and_expectations_are_known():
