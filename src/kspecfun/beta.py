@@ -21,10 +21,11 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-from .kcore import _STIRLING_U, _check_pole, k_value, psi_k_m
+from .kcore import _STIRLING_U, _check_pole, k_value
 from .oracles import adaptive_quad
-from .scalar import (_DIGAMMA_TAIL, _EPS, _MIN_NORMAL, CONSTANTS, Estimate, _alt_recip_sum,
-                     _check_int, _overflow_error, _positive, _require_finite, zeta_int)
+from .scalar import (_DIGAMMA_TAIL, _EPS, _MAX_NORMAL, _MIN_NORMAL, CONSTANTS, Estimate,
+                     _alt_recip_sum, _check_int, _overflow_error, _polygamma_k, _polygamma_plan,
+                     _positive, _require_finite, _times_powers, zeta_int)
 
 __all__ = [
     "beta_k",
@@ -168,15 +169,33 @@ def beta_k_cosh_form(k, x: float) -> Estimate:
 
 
 def beta_k_deriv(k, order: int, x: float) -> float:
-    """order-th derivative of beta_k, order >= 0 (exact k-polygamma differences)."""
+    """order-th derivative of beta_k, order >= 0 (exact k-polygamma differences).
+
+    beta_k^(j)(x) = 2^-(j+1) [psi_k^(j)((x + k)/2) - psi_k^(j)(x/2)], both
+    values from the polygamma kernel, so 1 <= j <= 150.  Where x/k >= 2^53
+    the two arguments round together, and the value is
+    (-1)^j j! / (2 x^(j+1)) (1 + (j + 1) k / (2x)) instead, with the power
+    split into mantissa and exponent.  A value beyond binary64 raises
+    OverflowError.
+    """
     k = k_value(k)
     _check_int("beta_k_deriv", "order", order, 0)
     x = _positive("beta_k_deriv", x)
     if order == 0:
         return _beta(k, x)
-    scale = 0.5 ** (order + 1)
+    if x / k >= _STIRLING_U:
+        # beta^(j)(u) = (-1)^j (j!/(2u^(j+1)) + (j+1)!/(4u^(j+2)) + O(u^-(j+4)))
+        plan = _polygamma_plan(order)  # plan[0] = (-1)^(j+1), plan[4] = j!/2
+        value = -plan[0] * _times_powers(plan[4] * (1.0 + 0.5 * (order + 1) * k / x),
+                                         (x, -(order + 1)))
+        if abs(value) > _MAX_NORMAL:
+            raise _overflow_error(f"beta_k^({order})", x, k)
+        return value
     # halve before adding, so that x + k cannot overflow; halving is exact
-    return scale * (psi_k_m(k, order, 0.5 * x + 0.5 * k) - psi_k_m(k, order, 0.5 * x))
+    low = _polygamma_k(order, k, 0.5 * x)
+    if abs(low) > _MAX_NORMAL:
+        raise _overflow_error(f"psi_k^({order})", 0.5 * x, k)
+    return 0.5 ** (order + 1) * (_polygamma_k(order, k, 0.5 * x + 0.5 * k) - low)
 
 
 @lru_cache(maxsize=8)

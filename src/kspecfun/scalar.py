@@ -236,23 +236,59 @@ def _digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - p
 
 
+def _digamma_minus_log(x: float) -> float:
+    """psi(x) - ln x = -1/(2x) - sum B_2n/(2n x^2n) for x >= 10 (+inf included), without ln x."""
+    u = 1.0 / (x * x)
+    p = 0.0
+    for c in reversed(_DIGAMMA_TAIL):
+        p = (p + c) * u
+    return -0.5 / x - p
+
+
 # Above order 150 the last Bernoulli coefficient overflows, so the cache
 # below never holds more than 150 entries.
 _POLYGAMMA_MAX_ORDER = 150
+# the tail stops where its next term is below 2^-60 of its leading one
+_POLYGAMMA_TAIL_CUT = 2.0**-60
+# one entry per binade of v = k/y down to the smallest subnormal, and v = 0.0
+_POLYGAMMA_BINADES = 1075
 
 
 @lru_cache(maxsize=None)
-def _polygamma_coeffs(m: int) -> tuple[float, float, tuple[float, ...]]:
-    """(m!, (m-1)!, (B_2j (2j+m-1)!/(2j)! for j = 1..10)) for polygamma of order m."""
+def _polygamma_plan(m: int) -> tuple:
+    """Constants of the order-m polygamma kernel, built on first use of m.
+
+    (sign, threshold, m!, (m-1)!, m!/2, m, -(m+1), tails), with sign
+    (-1)^(m+1), threshold 10 + m and the two powers as floats.
+    ``tails[i]`` is the reversed tuple of the Bernoulli coefficients
+    c_j = B_2j (2j+m-1)!/(2j)! that the tail
+    P(v) = (m-1)! + m! v/2 + sum c_j v^(2j) needs where v < 2^-i (the binade
+    read off ``math.frexp(v)``; ``tails[0]`` serves v = 0.0): the first n,
+    n <= 10, such that c_(n+1) v^(2n+2) is below 2^-60 (m-1)! for every such
+    v up to 1/threshold.
+    """
     if m > _POLYGAMMA_MAX_ORDER:
         raise DomainError(
             f"polygamma orders above {_POLYGAMMA_MAX_ORDER} are not supported, got {m}"
         )
+    threshold = 10.0 + m
+    mf = float(math.factorial(m))
+    fm1 = float(math.factorial(m - 1))
     coeffs = tuple(
         b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
         for j, b2j in enumerate(_BERNOULLI, start=1)
     )
-    return float(math.factorial(m)), float(math.factorial(m - 1)), coeffs
+    cut = _POLYGAMMA_TAIL_CUT * fm1
+    tails = [()]  # v = 0.0
+    n = len(coeffs)
+    while n:
+        v2 = min(2.0 ** -len(tails), 1.0 / threshold) ** 2
+        while n and abs(coeffs[n - 1]) * v2**n < cut:
+            n -= 1
+        tails.append(tuple(reversed(coeffs[:n])))
+    tails += [()] * (_POLYGAMMA_BINADES - len(tails))
+    sign = 1.0 if m % 2 == 1 else -1.0
+    return sign, threshold, mf, fm1, 0.5 * mf, float(m), -1.0 - m, tuple(tails)
 
 
 def _times_powers(c: float, *factors: tuple[float, int]) -> float:
@@ -274,27 +310,26 @@ def _times_powers(c: float, *factors: tuple[float, int]) -> float:
 
 
 def _polygamma_asymptotic(m: int, v: float) -> float:
-    """|psi^(m)(x)| x^m = (m-1)! + m! v/2 + sum_j c_j v^(2j) at v = 1/x <= 1/(10 + m)."""
-    mf, fm1, coeffs = _polygamma_coeffs(m)
-    s = fm1 + 0.5 * mf * v
+    """P(v) = |psi^(m)(x)| x^m = (m-1)! + m! v/2 + sum_j c_j v^(2j) at v = 1/x <= 1/(10 + m).
+
+    The polynomial and truncation of :func:`_polygamma_k`'s tail, from the same plan.
+    """
+    _, _, _, fm1, half_mf, _, _, tails = _polygamma_plan(m)
     v2 = v * v
-    w = v2
-    for coeff in coeffs:
-        s += coeff * w
-        w *= v2
-    return s
+    q = 0.0
+    for c in tails[-math.frexp(v)[1]]:
+        q = (q + c) * v2
+    return fm1 + (half_mf * v + q)
 
 
 def _polygamma_scaled(m: int, k: float, x: float, u: float) -> float:
     """psi^(m)(u) / k^(m+1) for u = x/k, with every power split into mantissa and exponent.
 
-    The shift and expansion of :func:`polygamma`, with the shifted
-    arguments written k (u + i) and the unshifted ones as x, so neither u
-    nor k^(m+1) need be a normal binary64 number (u may be 0.0 or inf).
+    The shift and tail of :func:`_polygamma_k`, with the shifted arguments
+    written k (u + i) and the unshifted ones as x, so neither u nor
+    k^(m+1) need be a normal binary64 number (u may be 0.0 or inf).
     """
-    mf = _polygamma_coeffs(m)[0]
-    sign = 1.0 if m % 2 == 1 else -1.0
-    threshold = 10.0 + m
+    sign, threshold, mf = _polygamma_plan(m)[:3]
     if u >= threshold:
         return sign * _times_powers(_polygamma_asymptotic(m, k / x), (k, -1), (x, -m))
     total = _times_powers(mf, (x, -(m + 1)))
@@ -306,43 +341,69 @@ def _polygamma_scaled(m: int, k: float, x: float, u: float) -> float:
     return sign * (total + far)
 
 
-def polygamma(m: int, x: float) -> float:
-    """psi^{(m)}(x) for integer 1 <= m <= 150 and x > 0.
+def _polygamma_k(m: int, k: float, x: float) -> float:
+    """psi^(m)(x/k) / k^(m+1) for an integer 1 <= m <= 150 and checked k, x > 0.
 
-    Same strategy as :func:`digamma`: shift the argument upward, then
-    apply the Bernoulli asymptotic expansion of the m-th derivative.
-    Where a power of x would leave binary64 the same sums are taken with
-    every power split into mantissa and exponent, so a large x gives a
-    small or underflowing value, not an overflow.  For m <= 12 and
-    1e-8 <= x <= 1e300 the error is at most
-    1e-15 * max(|psi^(m)(x)|, 2.2e-308) against mpmath: values below the
-    normal range underflow towards 0.0.  Raises OverflowError where
-    |psi^(m)(x)| exceeds binary64.
+    The one polygamma kernel, taken in x and k without forming
+    psi^(m)(x/k) or k^(m+1): (-1)^(m+1) [m! sum (x + ik)^-(m+1) + P(k/y) / (k y^m)],
+    with the shift running over i = 0 .. n-1, n = ceil(10 + m - x/k), and
+    y = x + nk (DLMF 5.15.8 scaled by k).  Each x + ik is formed directly
+    and the shift is summed from its smallest term; P is the polynomial of
+    :func:`_polygamma_asymptotic`, in Horner form in v^2 with as many
+    terms as the plan gives the binade of v = k/y, and m! is applied once.
+    Where x/k overflows, or a shift term or k y^m leaves the normal range
+    (so also where y overflows), the same sums are taken by
+    :func:`_polygamma_scaled` instead.  Returns +-inf where the value is
+    beyond binary64; callers raise.
+    """
+    sign, threshold, mf, fm1, half_mf, order, power, tails = _polygamma_plan(m)
+    s = 0.0
+    t = 1.0  # the smallest shift term
+    try:
+        n = math.ceil(threshold - x / k)  # shift terms; raises where x/k overflows
+        if n > 0:
+            # x + ik for each i, not y += k, whose roundings would add up; and
+            # the smallest term first, so no rounding is taken at the largest
+            i = n - 1.0
+            t = (x + i * k) ** power
+            s = t
+            while i > 0.0:
+                i -= 1.0
+                s += (x + i * k) ** power
+            y = x + n * k
+        else:
+            y = x
+        d = k * y**order
+        if t >= _MIN_NORMAL and _MIN_NORMAL <= d <= _MAX_NORMAL:
+            v = k / y
+            v2 = v * v
+            q = 0.0
+            for c in tails[-math.frexp(v)[1]]:
+                q = (q + c) * v2
+            return sign * (mf * s + (fm1 + (half_mf * v + q)) / d)
+    except OverflowError:
+        pass
+    return _polygamma_scaled(m, k, x, x / k)
+
+
+def polygamma(m: int, x: float) -> float:
+    """psi^{(m)}(x) for integer 1 <= m <= 150 and x > 0: the kernel at k = 1.
+
+    :func:`_polygamma_k` shifts x upward past 10 + m, then applies the
+    Bernoulli asymptotic expansion of the m-th derivative with as many
+    terms as the per-order plan gives the binade of 1/y (down to 2^-60 of
+    the leading term, at most ten).  Where a power of x would leave
+    binary64 the same sums are taken with every power split into
+    mantissa and exponent, so a large x gives a small or underflowing
+    value, not an overflow.  For m <= 12 and 1e-8 <= x <= 1e300 the error
+    is at most 1e-15 * max(|psi^(m)(x)|, 2.2e-308) against mpmath (the
+    worst measured is 2.5e-16): values below the normal range underflow
+    towards 0.0.  Raises OverflowError where |psi^(m)(x)| exceeds
+    binary64.
     """
     _check_int("polygamma", "m", m, 1)
-    return _polygamma(m, _positive("polygamma", x))
-
-
-def _polygamma(m: int, x: float) -> float:
-    """:func:`polygamma` for an integer m >= 1 and an x already checked finite and > 0."""
-    mf, fm1, coeffs = _polygamma_coeffs(m)
-    sign = 1.0 if m % 2 == 1 else -1.0
-    try:
-        y = x
-        shift = 0.0
-        threshold = 10.0 + m
-        while y < threshold:
-            shift += mf / y ** (m + 1)
-            y += 1.0
-        core = fm1 / y**m + mf / (2.0 * y ** (m + 1))
-        yp = y ** (m + 2)  # y^(2j + m) for j = 1, updated in the loop
-        y2 = y * y
-        for coeff in coeffs:
-            core += coeff / yp
-            yp *= y2
-        value = sign * (core + shift)
-    except (OverflowError, ZeroDivisionError):
-        value = _polygamma_scaled(m, 1.0, x, x)
+    x = _positive("polygamma", x)
+    value = _polygamma_k(m, 1.0, x)
     if abs(value) > _MAX_NORMAL:
         raise _overflow_error(f"psi^({m})", x)
     return value
@@ -352,9 +413,12 @@ def _em_power_tail(a: float, k: float, p: float, n0: int) -> tuple[float, float]
     """sum_{n >= n0} (a + n k)^(-p) for p > 1, by Euler-Maclaurin (DLMF 2.10.1).
 
     Bernoulli terms are added while they decrease; the returned bound is
-    the magnitude of the last term added.
+    the magnitude of the last term added.  Where a + n0 k overflows the
+    tail is below binary64 and (0.0, 0.0) is returned.
     """
     u = a + n0 * k
+    if u == math.inf:
+        return 0.0, 0.0
     upow = u ** (-p)
     bound = 0.5 * upow
     value = u * upow / (k * (p - 1.0)) + bound

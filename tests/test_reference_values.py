@@ -16,6 +16,7 @@ from kspecfun import (
     PoleError,
     beta,
     beta_k,
+    beta_k_deriv,
     default_grid,
     digamma,
     furdui_oracle,
@@ -112,6 +113,31 @@ def test_polygamma_accuracy_map(m):
 def test_polygamma_large_x_vs_mpmath(m, x):
     ref = mpmath.polygamma(m, x)
     assert abs(polygamma(m, x) - ref) <= 1e-15 * max(abs(ref), sys.float_info.min)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_psi_k_m_at_k_one_is_polygamma(m):
+    # one kernel: psi_k_m at k = 1 is polygamma bit for bit
+    for x in _POLYGAMMA_MAP_X:
+        assert psi_k_m(1.0, m, x) == polygamma(m, x), x
+
+
+_PSI_K_M_MAP_K = (0.01, 0.37, 1.0, math.pi, 10.0)
+_PSI_K_M_MAP_U = tuple(10 ** (e / 4) for e in range(-32, 61))  # [1e-8, 1e15]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_psi_k_m_accuracy_map(m):
+    # the bound stated in psi_k_m's docstring; the worst point of the map
+    # is 4.4e-16 (m = 8, k = pi, u = 17.8), where the per-call form that
+    # divided psi^(m)(x/k) by k^(m+1) reached 1.3e-15 (m = 12, k = 10)
+    with mpmath.workdps(40):
+        for k in _PSI_K_M_MAP_K:
+            for u in _PSI_K_M_MAP_U:
+                x = u * k
+                ref = _psi_k_m_ref(k, m, x)
+                err = float(abs((psi_k_m(k, m, x) - ref) / ref))
+                assert err <= 6e-16, (k, u, err)
 
 
 def _psi_k_m_ref(k, m, x):
@@ -297,6 +323,14 @@ def test_psi_k_where_x_over_k_overflows_vs_mpmath(k, x):
     assert psi_k(k, x) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
 
 
+@pytest.mark.parametrize("k,x", [(1e-6, 1.0), (1e-300, 1.0), (1e-3, 1e5), (0.5, 7.0)])
+def test_psi_k_where_ln_k_and_psi_cancel_vs_mpmath(k, x):
+    # ln k + psi(x/k) = ln x - k/(2x) - ...: at x = 1 all but the -k/(2x) cancels
+    with mpmath.workdps(40 + int(math.log10(x / k))):
+        ref = float(_psi_k_ref(k, x))
+    assert abs(psi_k(k, x) - ref) <= 4 * math.ulp(ref)
+
+
 @pytest.mark.parametrize("k,x", [(1.0, 1e-308), (1.0, 5.6e-309), (2.0, 1.1e-308), (1e-300, 1e-308)])
 def test_beta_k_where_psi_k_of_half_x_overflows_vs_mpmath(k, x):
     # psi_k(x/2) is beyond binary64 although beta_k(x) is not
@@ -323,6 +357,18 @@ def _beta_k_ref(k, x):
 ])
 def test_beta_k_by_scaling_vs_mpmath(k, x):
     assert beta_k(k, x) == pytest.approx(float(_beta_k_ref(k, x)), rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("k,j,x", [(1.0, 1, 1e17), (1e-300, 1, 3.16e-3), (1.0, 2, 1e20),
+                                   (2.0, 5, 1e18)])
+def test_beta_k_deriv_where_the_arguments_round_together_vs_mpmath(k, j, x):
+    # x/k >= 2^53: (x + k)/2 and x/2 are one binary64 number, and the
+    # psi_k^(j) difference would be exactly 0.0
+    k, x = mpmath.mpf(k), mpmath.mpf(x)
+    u = x / k
+    with mpmath.workdps(40 + int(mpmath.log10(u))):
+        ref = (mpmath.polygamma(j, (u + 1) / 2) - mpmath.polygamma(j, u / 2)) / (2 * k) ** (j + 1)
+    assert beta_k_deriv(float(k), j, float(x)) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
 
 
 def test_hadamard_k_where_beta_k_is_beyond_binary64_vs_mpmath():

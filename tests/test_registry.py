@@ -19,6 +19,7 @@ from kspecfun import (
     hadamard,
     GridSpec,
     default_grid,
+    furdui,
     kcore,
     scalar,
     get_entry,
@@ -130,6 +131,37 @@ def test_beta_k_and_hadamard_k_share_no_kernel_with_the_cross_check_routes(monke
             assert beta_k(k, u * k) > 0.0
             assert math.isfinite(hadamard.hadamard_k(k, u * k))
             assert math.isfinite(hadamard.hadamard_k(k, -u * k))
+
+
+def test_psi_k_m_shares_no_kernel_with_the_series_route(monkeypatch):
+    # psi_k_m_series (EQ1.3's rhs) and zeta_tail (THM3.4's lhs) close their
+    # sums with _em_power_tail; the polygamma kernel never reaches it, so
+    # every k-polygamma value that EQ1.3, LEM2.6, LEM2.7 and THM3.4 read on
+    # the default grid comes out the same with that tail refused
+    calls = {}
+    real = scalar._polygamma_k
+
+    def record(m, k, x):
+        value = real(m, k, x)
+        calls[identity_id].append((m, k, x, value))
+        return value
+
+    furdui._thm34_sum.cache_clear()  # so that THM3.4 reaches polygamma
+    with monkeypatch.context() as patch:
+        for module in (scalar, kcore, beta):
+            patch.setattr(module, "_polygamma_k", record)
+        for identity_id in ("EQ1.3", "LEM2.6", "LEM2.7", "THM3.4-corrected"):
+            calls[identity_id] = []
+            run_identity(identity_id)
+    assert all(calls.values())
+
+    def refuse(*args):
+        raise AssertionError("the series route's Euler-Maclaurin tail was reached")
+
+    for module in (scalar, kcore):
+        monkeypatch.setattr(module, "_em_power_tail", refuse)
+    for m, k, x, value in (call for seen in calls.values() for call in seen):
+        assert kspecfun.psi_k_m(k, m, x) == value
 
 
 def test_comparisons_and_expectations_are_known():

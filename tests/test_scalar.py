@@ -17,7 +17,7 @@ from kspecfun import (
     zeta_int,
 )
 from kspecfun.oracles import adaptive_quad, finite_diff
-from kspecfun.scalar import CONSTANTS, _polygamma_coeffs
+from kspecfun.scalar import CONSTANTS, _polygamma_plan
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
@@ -125,8 +125,9 @@ _B2J = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510
 
 
 def _polygamma_per_call_loop(m, x):
-    # the evaluation as it was before the per-order table: every constant
-    # recomputed on each call, same operations in the same order
+    # the evaluation before the one k-polygamma kernel: every constant
+    # recomputed on each call, the shift summed from the largest term, a
+    # division per Bernoulli term, the same operations in the same order
     mf = float(math.factorial(m))
     sign = 1.0 if m % 2 == 1 else -1.0
     shift = 0.0
@@ -148,10 +149,25 @@ def _polygamma_per_call_loop(m, x):
 _TABLE_XS = tuple(10 ** (-8 + 28 * i / 599) for i in range(600))  # [1e-8, 1e20]
 
 
-@pytest.mark.parametrize("m", range(1, 13))
-def test_polygamma_table_is_bit_identical_to_per_call_loop(m):
-    for x in _TABLE_XS:
-        assert polygamma(m, x) == _polygamma_per_call_loop(m, x), x
+def test_polygamma_on_the_table_points_vs_mpmath():
+    # against the per-call loop on the same 12 x 600 points: no worse at
+    # the worst point (3.1e-16 against 5.6e-16), and closer to mpmath more
+    # often than not (1,514 values closer, 1,119 farther)
+    mpmath = pytest.importorskip("mpmath")
+    worst = worst_loop = 0.0
+    closer = farther = 0
+    with mpmath.workdps(30):
+        for m in range(1, 13):
+            for x in _TABLE_XS:
+                ref = mpmath.polygamma(m, x)
+                err = float(abs((polygamma(m, x) - ref) / ref))
+                err_loop = float(abs((_polygamma_per_call_loop(m, x) - ref) / ref))
+                worst = max(worst, err)
+                worst_loop = max(worst_loop, err_loop)
+                closer += err < err_loop
+                farther += err > err_loop
+    assert worst <= worst_loop
+    assert closer > farther
 
 
 def test_polygamma_table_needs_no_factorials_once_warm(monkeypatch):
@@ -172,12 +188,12 @@ def test_polygamma_table_needs_no_factorials_once_warm(monkeypatch):
 
 
 def test_polygamma_table_is_keyed_on_order_only():
-    _polygamma_coeffs.cache_clear()
+    _polygamma_plan.cache_clear()
     orders = (1, 2, 6)
     for m in orders:
         for x in _TABLE_XS[::20]:
             polygamma(m, x)
-    assert _polygamma_coeffs.cache_info().currsize <= len(orders)
+    assert _polygamma_plan.cache_info().currsize <= len(orders)
 
 
 @pytest.mark.parametrize("m,x", [(1, 1e-160), (1, 1e-200), (3, 1e-100), (12, 1e-30)])
