@@ -175,7 +175,9 @@ def beta_k_deriv(k, order: int, x: float) -> float:
     values from the polygamma kernel, so 1 <= j <= 150.  Where x/k >= 2^53
     the two arguments round together, and the value is
     (-1)^j j! / (2 x^(j+1)) (1 + (j + 1) k / (2x)) instead, with the power
-    split into mantissa and exponent.  A value beyond binary64 raises
+    split into mantissa and exponent.  Where psi_k^(j)(x/2) alone is beyond
+    binary64 and 2k is not, the difference is psi_2k^(j)(x + k) - psi_2k^(j)(x),
+    which carries the factor 2^-(j+1).  A value beyond binary64 raises
     OverflowError.
     """
     k = k_value(k)
@@ -193,9 +195,15 @@ def beta_k_deriv(k, order: int, x: float) -> float:
         return value
     # halve before adding, so that x + k cannot overflow; halving is exact
     low = _polygamma_k(order, k, 0.5 * x)
-    if abs(low) > _MAX_NORMAL:
+    if abs(low) <= _MAX_NORMAL:
+        return 0.5 ** (order + 1) * (_polygamma_k(order, k, 0.5 * x + 0.5 * k) - low)
+    if k + k > _MAX_NORMAL:
         raise _overflow_error(f"psi_k^({order})", 0.5 * x, k)
-    return 0.5 ** (order + 1) * (_polygamma_k(order, k, 0.5 * x + 0.5 * k) - low)
+    # 2^-(j+1) psi_k^(j)(y/2) = psi_2k^(j)(y): the same difference, with no term 2^(j+1) larger
+    value = _polygamma_k(order, k + k, x + k) - _polygamma_k(order, k + k, x)
+    if not abs(value) <= _MAX_NORMAL:  # nan where both terms are beyond binary64
+        raise _overflow_error(f"beta_k^({order})", x, k)
+    return value
 
 
 @lru_cache(maxsize=8)

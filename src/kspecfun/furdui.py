@@ -18,11 +18,13 @@ from .kcore import k_value, ln_gamma_k
 from .oracles import adaptive_quad
 from .scalar import (
     _EPS,
+    _MAX_NORMAL,
     CONSTANTS,
     Estimate,
     _alt_recip_sum,
     _check_int,
     _overflow_error,
+    _times_powers,
     digamma,
     gauss_2f1,
     polygamma,
@@ -141,16 +143,26 @@ def thm32_series(k, m: int, variant: str = "sign_variant") -> Estimate:
 
 
 def logsin_moment(m: int) -> Estimate:
-    """int_0^pi x^(m-1) ln sin x dx to 1e-10, split at pi/2 with the x -> pi - x fold."""
+    """int_0^pi x^(m-1) ln sin x dx: the ln x singularity in closed form, the rest by quadrature.
+
+    The x -> pi - x fold gives int_0^(pi/2) [x^(m-1) + (pi - x)^(m-1)] ln sin x dx,
+    and ln sin x = ln(sin x / x) + ln x.  With a = pi/2, the ln x part is
+    a^m (ln a/m - 1/m^2) + (pi^m/m) [(1 - 2^-m) ln a - sum_{i=1..m} (1 - 2^-i)/i]
+    (a positive-term sum); one quadrature to 1e-10 of the smooth
+    ln(sin x / x) part remains.
+    """
     _check_int("logsin_moment", "m", m, 1)
     half = math.pi / 2.0
-    q1 = adaptive_quad(lambda x: x ** (m - 1) * math.log(math.sin(x)), 0.0, half, 5e-11)
-    q2 = adaptive_quad(
-        lambda u: (math.pi - u) ** (m - 1) * math.log(math.sin(u)), 0.0, half, 5e-11
+    q = adaptive_quad(
+        lambda x: (x ** (m - 1) + (math.pi - x) ** (m - 1)) * math.log(math.sin(x) / x),
+        0.0, half, 1e-10,
     )
-    return Estimate(
-        q1.value + q2.value, q1.error_estimate + q2.error_estimate, q1.terms_used + q2.terms_used
-    )
+    ln_half = math.log(half)
+    positive_sum = math.fsum((1.0 - 0.5**i) / i for i in range(1, m + 1))
+    parts = [q.value, half**m * (ln_half / m - 1.0 / (m * m)),
+             math.pi**m / m * ((1.0 - 0.5**m) * ln_half - positive_sum)]
+    err = q.error_estimate + 8.0 * _EPS * max(map(abs, parts))
+    return Estimate(math.fsum(parts), err, q.terms_used)
 
 
 @lru_cache(maxsize=64)
@@ -187,15 +199,32 @@ def thm33_series(k, m: int) -> Estimate:
 
 
 def ln_gamma_k_moment(k, m: int) -> Estimate:
-    """I(k, m) = -m int_0^k x^(m-1) ln Gamma_k(x) dx by quadrature to 1e-10.
+    """I(k, m) = -m int_0^k x^(m-1) ln Gamma_k(x) dx, the ln x singularity in closed form.
 
     Integration by parts of the psi_k moment; it bypasses every series
-    expansion.  The panel count is reported as ``terms_used``.
+    expansion.  ln Gamma_k(x) = ln Gamma_k(x + k) - ln x, and
+    int_0^k x^(m-1) ln x dx = k^m (ln k/m - 1/m^2), so
+    I(k, m) = -m int_0^k x^(m-1) ln Gamma_k(x + k) dx + k^m (ln k - 1/m):
+    one quadrature to 1e-10 of a smooth integrand remains, whose panel
+    count is reported as ``terms_used``.  A value beyond binary64 raises
+    OverflowError.
     """
     k = k_value(k)
     _check_int("ln_gamma_k_moment", "m", m, 1)
-    q = adaptive_quad(lambda x: x ** (m - 1) * ln_gamma_k(k, x), 0.0, k, 1e-10)
-    return Estimate(-m * q.value, m * q.error_estimate, q.terms_used)
+    if k + k > _MAX_NORMAL:  # x + k leaves binary64; I(k, m) > k (ln k/2 - 1) is far beyond it
+        raise _overflow_error("I", f"{k}, {m}")
+    try:
+        q = adaptive_quad(lambda x: x ** (m - 1) * ln_gamma_k(k, x + k), 0.0, k, 1e-10)
+    except OverflowError:  # x^(m-1) ln Gamma_k(x + k), and so I(k, m), beyond binary64
+        raise _overflow_error("I", f"{k}, {m}") from None
+    # k^m (ln k - 1/m - m q/k^m), scaled once so that no partial term overflows
+    closed = math.log(k) - 1.0 / m
+    scaled_q = m * _times_powers(q.value, (k, -m))
+    value = _times_powers(closed - scaled_q, (k, m))
+    err = m * q.error_estimate + _times_powers(4.0 * _EPS * (abs(closed) + abs(scaled_q)), (k, m))
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise _overflow_error("I", f"{k}, {m}")
+    return Estimate(value, err, q.terms_used)
 
 
 def _rising(a: float, j: int) -> float:

@@ -129,10 +129,6 @@ CROSS_CHECK_KNOWN_VIOLATIONS = {
     ("furdui_oracle", 1e100): (4, 5, 6),
     ("furdui_oracle", 1e300): (2, 3, 4, 5, 6),
     ("furdui_oracle", 1.7e308): M_VALUES,
-    # inf, or errno-34 OverflowError from x**(m - 1)
-    ("ln_gamma_k_moment", 1e100): (4, 5, 6),
-    ("ln_gamma_k_moment", 1e300): (2, 3, 4, 5, 6),
-    ("ln_gamma_k_moment", 1.7e308): M_VALUES,
 }
 
 
@@ -145,4 +141,4 @@ def test_every_cross_check_route_keeps_the_contract_over_the_k_sweep():
         if _breaks(lambda: CROSS_CHECK_ROUTES[name][0](k, p), (DomainError, ConvergenceError)):
             broken.setdefault((name, k), []).append(p)
     assert broken == {key: list(params) for key, params in CROSS_CHECK_KNOWN_VIOLATIONS.items()}
-    assert sum(map(len, broken.values())) == 62
+    assert sum(map(len, broken.values())) == 48

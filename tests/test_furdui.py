@@ -6,6 +6,7 @@ import pytest
 
 from kspecfun import (
     DomainError,
+    default_grid,
     furdui_method,
     furdui_oracle,
     ln_gamma_k_moment,
@@ -110,6 +111,22 @@ def test_thm33_audit_route_matches_oracle():
         s = ln_gamma_k_moment(k, m)
         o = furdui_oracle(k, m)
         assert abs(s.value - o.value) < 1e-8
+
+
+def test_ln_gamma_k_moment_is_relative_at_small_k():
+    # I(k, 1) = k (ln k/2 - ln sqrt(2 pi)); an absolute tolerance once left 6.8e-5 here
+    k = 1e-10
+    ref = k * (math.log(k) / 2.0 - LN_SQRT_2PI)
+    assert ln_gamma_k_moment(k, 1).value == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_singular_end_moments_need_few_panels():
+    # only a smooth integrand is left to the quadrature once the ln x part is exact
+    for k in default_grid().k_values:
+        for m in range(1, 7):
+            assert ln_gamma_k_moment(k, m).terms_used <= 7, (k, m)
+    for m in range(1, 13):
+        assert logsin_moment(m).terms_used <= 3, m
 
 
 def test_thm33_printed_offset_structure():

@@ -359,16 +359,38 @@ def test_beta_k_by_scaling_vs_mpmath(k, x):
     assert beta_k(k, x) == pytest.approx(float(_beta_k_ref(k, x)), rel=4e-16, abs=0.0)
 
 
+def _beta_k_deriv_ref(k, j, x):
+    k, x = mpmath.mpf(k), mpmath.mpf(x)
+    u = x / k
+    return (mpmath.polygamma(j, (u + 1) / 2) - mpmath.polygamma(j, u / 2)) / (2 * k) ** (j + 1)
+
+
 @pytest.mark.parametrize("k,j,x", [(1.0, 1, 1e17), (1e-300, 1, 3.16e-3), (1.0, 2, 1e20),
                                    (2.0, 5, 1e18)])
 def test_beta_k_deriv_where_the_arguments_round_together_vs_mpmath(k, j, x):
     # x/k >= 2^53: (x + k)/2 and x/2 are one binary64 number, and the
     # psi_k^(j) difference would be exactly 0.0
-    k, x = mpmath.mpf(k), mpmath.mpf(x)
-    u = x / k
-    with mpmath.workdps(40 + int(mpmath.log10(u))):
-        ref = (mpmath.polygamma(j, (u + 1) / 2) - mpmath.polygamma(j, u / 2)) / (2 * k) ** (j + 1)
-    assert beta_k_deriv(float(k), j, float(x)) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
+    with mpmath.workdps(40 + int(math.log10(x / k))):
+        ref = _beta_k_deriv_ref(k, j, x)
+    assert beta_k_deriv(k, j, x) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("k,j,x", [(1.0, 1, 1.2e-154), (1e-3, 1, 1.2e-154), (1.0, 2, 2.5e-103)])
+def test_beta_k_deriv_where_psi_k_of_half_x_overflows_vs_mpmath(k, j, x):
+    # psi_k^(j)(x/2) is beyond binary64 although beta_k^(j)(x), 2^(j+1) times smaller, is not
+    with mpmath.workdps(40):
+        ref = _beta_k_deriv_ref(k, j, x)
+        assert abs(mpmath.polygamma(j, mpmath.mpf(x) / (2 * k))) / k ** (j + 1) \
+            > sys.float_info.max
+    assert beta_k_deriv(k, j, x) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("k,j,x", [(1.0, 1, 1e-155), (1.0, 2, 2e-103), (1e-300, 1, 1e-310)])
+def test_beta_k_deriv_beyond_binary64_raises(k, j, x):
+    with mpmath.workdps(40):
+        assert abs(_beta_k_deriv_ref(k, j, x)) > sys.float_info.max
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        beta_k_deriv(k, j, x)
 
 
 def test_hadamard_k_where_beta_k_is_beyond_binary64_vs_mpmath():
@@ -601,3 +623,20 @@ def test_furdui_series_accuracy_map(route, k):
             km = mpmath.mpf(k) ** m
             ref = float(km * (mpmath.log(k) / (m + 1) + _furdui_a_ref(m) + offset(m)))
         assert evaluate(k, m, n).value == pytest.approx(ref, rel=rel, abs=0.0), (m, n)
+
+
+@pytest.mark.parametrize("k", (0.5, 1.0, 2.0, math.pi, 1e-10, 1e3))
+def test_ln_gamma_k_moment_accuracy_map(k):
+    # the ln x singularity in closed form leaves one smooth quadrature; relative, at every k
+    for m in range(1, 7):
+        with mp.workdps(40):
+            ref = float(mpmath.mpf(k) ** m * (mpmath.log(k) / (m + 1) + _furdui_a_ref(m)))
+        assert kspecfun.ln_gamma_k_moment(k, m).value == pytest.approx(ref, rel=5e-14, abs=0.0), m
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_logsin_moment_vs_mpmath(m):
+    with mp.workdps(40):
+        ref = float(mpmath.quad(lambda x: x ** (m - 1) * mpmath.log(mpmath.sin(x)),
+                                [0, mpmath.pi / 2, mpmath.pi]))
+    assert kspecfun.logsin_moment(m).value == pytest.approx(ref, rel=1e-15, abs=0.0)
