@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .kcore import _STIRLING_U, _check_pole, k_value
-from .oracles import adaptive_quad
 from .scalar import (_DIGAMMA_TAIL, _EPS, _MAX_NORMAL, _MIN_NORMAL, CONSTANTS, Estimate,
                      _alt_recip_sum, _check_int, _overflow_error, _polygamma_k, _polygamma_plan,
                      _positive, _require_finite, _times_powers, zeta_int)
@@ -133,6 +132,8 @@ def beta_k_integral(k, x: float) -> Estimate:
     substitution t = s^(1/x), which turns the integrand into
     (1/x) / (1 + s^(k/x)).
     """
+    from .oracles import adaptive_quad  # here: the evaluators never load the oracles
+
     k = k_value(k)
     x = _positive("beta_k_integral", x)
     if x < 1.0:
@@ -149,6 +150,8 @@ def beta_k_cosh_form(k, x: float) -> Estimate:
     e^(-(x+k)T) < 1e-10, integrated to 1e-9, and the (bounded) remainder
     is folded into the error estimate.
     """
+    from .oracles import adaptive_quad  # here: the evaluators never load the oracles
+
     k = k_value(k)
     x = _require_finite("x", x)
     if x <= -k:

@@ -21,11 +21,11 @@ from .hadamard import alpha0_solve, hadamard_k
 from .kcore import gamma_k, k_value, psi_k, psi_k_m
 from .registry import (
     GridSpec,
+    _json_chunks,
     default_grid,
     get_entry,
     registry_ids,
     reports_to_csv,
-    reports_to_json,
     run_all,
     run_identity,
 )
@@ -122,14 +122,16 @@ def _parse_float_list(text: str, what: str):
     return values
 
 
-def _atomic_write(path: str, content: str):
+def _atomic_write(path: str, chunks):
+    """Write the text chunks to path through a temporary file in the same
+    directory; if a chunk fails, path is left as it was."""
     import tempfile  # here, not at module level: no other ksf command needs it
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ksf-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(content)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -164,16 +166,16 @@ def _cmd_verify(args) -> int:
         entries = None
 
     if args.format == "json":
-        body = reports_to_json(reports)
+        chunks = _json_chunks(reports)  # streamed: read once, below
     elif args.format == "csv":
-        body = reports_to_csv(reports)
+        chunks = [reports_to_csv(reports)]
     else:
-        body = _verify_text(reports, entries, ok)
+        chunks = [_verify_text(reports, entries, ok)]
     if args.out:
-        _atomic_write(args.out, body)
+        _atomic_write(args.out, chunks)
         print(f"report written to {args.out}")
     if args.format == "text" or not args.out:
-        sys.stdout.write(body)
+        sys.stdout.writelines(chunks)
     return 0 if ok else 1
 
 

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .beta import _beta_unit
-from .errors import BracketError
+from .errors import BracketError, DomainError
 from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, k_value, rgamma_k
 from .scalar import _EPS, _MIN_NORMAL, _check_int, _check_tol, _require_finite, _sinpi
 
@@ -136,6 +136,9 @@ def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi:
     # tenth node, and a coarse cell [a, b] is walked node by node only
     # when g may cross inside it: min(|g(a)|, |g(b)|) <= |g(b) - g(a)|,
     # which also holds whenever the ends differ in sign or one is zero.
+    if lo + step == lo:
+        # the lattice would never advance (step rounds to nothing at lo)
+        raise DomainError(f"sign-change lattice step {step} vanishes at {lo}")
     ts = [lo]
     while ts[-1] < hi:
         ts.append(min(ts[-1] + step, hi))
@@ -171,6 +174,8 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     coarse pass) and walks a coarse cell [a, b] on the 0.01k lattice
     only when g may cross inside it, that is when min(|g(a)|, |g(b)|)
     <= |g(b) - g(a)| (in particular when the ends differ in sign).
+    Where 0.01k rounds away at 1.5k (k below about 2.5e-322) the
+    lattice cannot advance, and DomainError is raised.
     """
     k = k_value(k)
     _check_tol(tol)
@@ -190,6 +195,8 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     a, b, ga, gb = lo, hi, glo, ghi
     while b - a > 1e-6 * k:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break  # adjacent floats: 1e-6 k is below the spacing at a
         gm = g(mid)
         iterations += 1
         if ga * gm <= 0.0:

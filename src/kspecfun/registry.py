@@ -13,11 +13,9 @@ merely flagging it.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -828,13 +826,38 @@ def _param_key(report: IdentityReport):
     return report.identity_id, tuple(sorted(report.params.items()))
 
 
+# what a route or a point generator may raise for a point or a k outside
+# its reach; each gives a SKIP report
+_SKIPPED = (DomainError, ConvergenceError, OverflowError)
+
+
+def _skip(entry: IdentityEntry, params: dict, exc: Exception) -> IdentityReport:
+    return IdentityReport(entry.id, dict(params), None, None,
+                          None, None, "SKIP", f"{type(exc).__name__}: {exc}")
+
+
+def _grid_points(entry: IdentityEntry, grid: GridSpec) -> list:
+    """The entry's points on the grid as (params, None) pairs.  Where the
+    generator itself raises, the grid is split into its k values, and each
+    k at which it still raises gives one ({"k": k}, exc) pair."""
+    try:
+        return [(params, None) for params in entry.points(grid)]
+    except _SKIPPED as exc:
+        if len(grid.k_values) > 1:
+            return [pair for k in grid.k_values
+                    for pair in _grid_points(entry, GridSpec((k,), grid.x_values))]
+        return [({"k": k}, exc) for k in grid.k_values]
+
+
 def run_identity(identity_id: str, grid: GridSpec | None = None,
                  tol_override: float | None = None) -> list[IdentityReport]:
     """Evaluate one registered identity over the grid.
 
     Pole-excluded or out-of-domain points, points where a route does not
     converge, and points where a side is not finite, yield SKIP reports;
-    output is deterministic, ordered by (id, parameter tuple).
+    so does each k at which the point generator raises (one report with
+    params {"k": k}).  Output is deterministic, ordered by (id, parameter
+    tuple).
     """
     grid = grid or default_grid()
     entry = get_entry(identity_id)
@@ -845,12 +868,14 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
         if not 0.0 <= tol < math.inf:
             raise DomainError(f"tol override must be finite and >= 0, got {tol_override!r}")
     reports = []
-    for params in entry.points(grid):
+    for params, failure in _grid_points(entry, grid):
+        if failure is not None:
+            reports.append(_skip(entry, params, failure))
+            continue
         try:
             lhs, rhs = entry.lhs(**params), entry.rhs(**params)
-        except (DomainError, ConvergenceError, OverflowError) as exc:
-            reports.append(IdentityReport(entry.id, dict(params), None, None,
-                                          None, None, "SKIP", f"{type(exc).__name__}: {exc}"))
+        except _SKIPPED as exc:
+            reports.append(_skip(entry, params, exc))
             continue
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             # no verdict rule holds for inf or nan, and JSON cannot carry them
@@ -958,14 +983,12 @@ _JSON_REPORT = (
 )
 
 
-def reports_to_json(reports) -> str:
-    """The reports as a JSON array, byte for byte what
-    ``json.dumps(payload, indent=2, allow_nan=False) + "\\n"`` gives for
-    the list of report dicts (field order as in IdentityReport), without
-    the pure-Python encoder that ``indent`` forces.  A non-finite float
-    raises ValueError."""
-    items = [
-        _JSON_REPORT.format(
+def _json_chunks(reports) -> Iterator[str]:
+    """The text of :func:`reports_to_json`, one chunk per report, so that a
+    writer streams it without holding the whole body."""
+    opening = "[\n"
+    for r in reports:
+        yield opening + _JSON_REPORT.format(
             encode_basestring_ascii(r.identity_id),
             _json_params(r.params),
             _json_scalar(r.lhs),
@@ -975,11 +998,17 @@ def reports_to_json(reports) -> str:
             encode_basestring_ascii(r.verdict),
             encode_basestring_ascii(r.note),
         )
-        for r in reports
-    ]
-    if not items:
-        return "[]\n"
-    return "[\n" + ",\n".join(items) + "\n]\n"
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
+
+
+def reports_to_json(reports) -> str:
+    """The reports as a JSON array, byte for byte what
+    ``json.dumps(payload, indent=2, allow_nan=False) + "\\n"`` gives for
+    the list of report dicts (field order as in IdentityReport), without
+    the pure-Python encoder that ``indent`` forces.  A non-finite float
+    raises ValueError."""
+    return "".join(_json_chunks(reports))
 
 
 def _csv_cell(value):
@@ -991,6 +1020,9 @@ def _csv_cell(value):
 
 
 def reports_to_csv(reports) -> str:
+    import csv  # here, not at module level: only the csv format needs them
+    import io
+
     names = sorted({name for r in reports for name in r.params})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import kspecfun
-from kspecfun.cli import run_cli
+from kspecfun.cli import _atomic_write, run_cli
+from kspecfun.registry import IdentityReport, _json_chunks, reports_to_json, run_all
 
 
 def run(capsys, *argv):
@@ -154,6 +155,37 @@ def test_verify_no_file_written_on_usage_error(tmp_path, capsys):
     assert code == 2
     assert not path.exists()
     assert not any(name.startswith(".ksf-") for name in os.listdir(tmp_path))
+
+
+def test_verify_out_streams_the_text_of_reports_to_json(tmp_path, capsys):
+    path = tmp_path / "all.json"
+    code, _, _ = run(capsys, "verify", "--id", "ALL", "--format", "json", "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == reports_to_json(run_all().reports).encode("ascii")
+
+
+def test_a_stream_that_fails_partway_leaves_the_target_untouched(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    good = IdentityReport("X", {"k": 1.0}, 1.0, 1.0, 0.0, 0.0, "PASS", "")
+    chunks = _json_chunks([good, good._replace(lhs=math.nan), good])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _atomic_write(str(target), chunks)
+    assert target.read_text() == "earlier report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_verify_reports_where_the_point_generator_fails(tmp_path, capsys):
+    # THM4.3's points sit above alpha0(k), which overflows at k = 1e100;
+    # that k is a SKIP, not a usage error without a report
+    path = tmp_path / "thm43.json"
+    code, _, err = run(capsys, "verify", "--id", "THM4.3-above", "--k-list", "1e100",
+                       "--format", "json", "--out", str(path))
+    assert code in (0, 1) and err == ""
+    assert json.loads(path.read_text()) == [{
+        "identity_id": "THM4.3-above", "params": {"k": 1e100}, "lhs": None, "rhs": None,
+        "abs_diff": None, "rel_diff": None, "verdict": "SKIP",
+        "note": "OverflowError: H_k(1e+101) overflows binary64 (k=1e+100)"}]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

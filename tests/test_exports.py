@@ -1,8 +1,13 @@
-"""Every name a kspecfun module lists in ``__all__`` exists and star-imports."""
+"""Every name a kspecfun module lists in ``__all__`` exists and star-imports,
+and the package reaches each of them while loading only the evaluators
+on import."""
 
 import importlib
+import os
 import pkgutil
-import types
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -24,12 +29,45 @@ def test_module_all_resolves(name):
 LIBRARY = ("errors", "scalar", "oracles", "kcore", "beta", "hadamard", "furdui", "registry")
 
 
+def _fresh(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter, so that no earlier import
+    in this process decides what the package namespace holds."""
+    src = os.path.dirname(os.path.dirname(kspecfun.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_package_exports_exactly_the_module_all_lists():
-    declared = set()
-    for name in LIBRARY:
-        declared.update(importlib.import_module(f"kspecfun.{name}").__all__)
-    public = {n for n in vars(kspecfun) if not n.startswith("_")}
-    submodules = {n for n in public if isinstance(getattr(kspecfun, n), types.ModuleType)}
-    assert submodules <= set(MODULES)
-    assert public - submodules == declared
-    assert isinstance(kspecfun.__version__, str)
+    out = _fresh(f"""
+        import importlib, kspecfun
+        modules = [importlib.import_module("kspecfun." + name) for name in {LIBRARY!r}]
+        declared = sorted(n for m in modules for n in m.__all__)
+        star = {{}}
+        exec("from kspecfun import *", star)
+        star.pop("__builtins__")
+        print(dir(kspecfun) == declared, sorted(kspecfun.__all__) == declared,
+              sorted(star) == declared,
+              all(star[n] is getattr(m, n) is getattr(kspecfun, n)
+                  for m in modules for n in m.__all__),
+              isinstance(kspecfun.__version__, str))
+    """)
+    assert out.split() == ["True"] * 5
+
+
+def test_import_loads_only_the_evaluators():
+    out = _fresh("""
+        import sys, kspecfun
+        kspecfun.gamma_k(1.0, 2.5), kspecfun.hadamard_k(1.0, 2.5), kspecfun.beta_k(1.0, 2.5)
+        print(sorted(m for m in sys.modules if m.startswith("kspecfun")))
+        kspecfun.run_all
+        print("kspecfun.registry" in sys.modules)
+    """)
+    assert out.splitlines() == [
+        "['kspecfun', 'kspecfun.beta', 'kspecfun.errors', 'kspecfun.hadamard', "
+        "'kspecfun.kcore', 'kspecfun.scalar']",
+        "True",
+    ]

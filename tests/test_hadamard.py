@@ -1,9 +1,15 @@
 """Tests for the Hadamard k-gamma function and related checks."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import kspecfun
 from kspecfun import (
     DomainError,
     PoleError,
@@ -247,6 +253,40 @@ def test_alpha0_sign_changes_match_full_lattice(k):
     ref = _lattice_sign_changes(g, lo, hi, 0.01 * k)
     assert _count_sign_changes(g, lo, hi, 0.01 * k, g(lo), g(hi)) == ref
     assert res.sign_changes == max(ref, 1)
+
+
+def test_alpha0_solve_ends_where_its_steps_vanish():
+    # at k = 1e-322 the 0.01k lattice step rounds to 0.0 and the lattice
+    # once grew without end, and at k = 1e-318 the 1e-6k bisection width
+    # rounds to 0.0; so the solver runs in a child process with a memory
+    # cap and a timeout
+    child = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from kspecfun import DomainError, alpha0_solve
+        from kspecfun.hadamard import _count_sign_changes
+        for k in (1e-322, 5e-324):
+            try:
+                alpha0_solve(k)
+            except DomainError as exc:
+                print(exc)
+        try:
+            _count_sign_changes(abs, 1.0, 2.0, 1e-17, 1.0, 2.0)
+        except DomainError as exc:
+            print(exc)
+        res = alpha0_solve(1e-318)
+        print(res.bracket_lo <= res.root <= res.bracket_hi)
+    """)
+    src = str(Path(kspecfun.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "sign-change lattice step 0.0 vanishes at 1.5e-322",
+        "sign-change lattice step 0.0 vanishes at 1e-323",
+        "sign-change lattice step 1e-17 vanishes at 1.0",
+        "True",
+    ]
 
 
 def test_sign_changes_refine_a_cell_with_same_sign_ends():

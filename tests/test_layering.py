@@ -126,8 +126,9 @@ def test_call_table_reads_the_calls():
 
 
 def _public_functions_taking(parameter):
-    return {name for name, value in vars(kspecfun).items() if not name.startswith("_")
-            and inspect.isfunction(value) and parameter in inspect.signature(value).parameters}
+    # dir() lists every exported name, loaded on first use or not
+    return {name for name in dir(kspecfun) if inspect.isfunction(value := getattr(kspecfun, name))
+            and parameter in inspect.signature(value).parameters}
 
 
 def test_only_the_general_tools_take_an_accuracy_knob():

@@ -284,6 +284,16 @@ def test_lem25_skips_where_the_probe_range_is_not_finite():
                          f"{0.2 * k}, inf, {0.1 * k}" for k in (4e307, 1.7e308)]
 
 
+def test_a_failing_point_generator_skips_only_its_k():
+    # the THM4.3 generators solve for alpha0(k), which overflows at 1e100
+    reports = run_identity("THM4.3-below", GridSpec(k_values=(1.0, 1e100, 2.0)))
+    skipped = [r for r in reports if r.verdict == "SKIP"]
+    assert [(r.params, r.note) for r in skipped] == [
+        ({"k": 1e100}, "OverflowError: H_k(1e+101) overflows binary64 (k=1e+100)")]
+    assert [r for r in reports if r not in skipped] \
+        == run_identity("THM4.3-below", GridSpec(k_values=(1.0, 2.0)))
+
+
 def test_empty_grid_gives_empty_reports():
     grid = GridSpec(k_values=(), x_values=())
     assert run_identity("EQ1.1", grid) == []
