@@ -4,7 +4,9 @@ Subcommands: point evaluation (``eval``), identity verification runs
 (``verify``), moment-integral method comparison (``furdui``), the
 superadditivity threshold (``alpha0``) and the open-problem scanner
 (``scan``).  Exit codes: 0 success (all expectation-PASS identities
-passed), 1 unexpected failure, 2 usage or domain error.
+passed), 1 unexpected failure or a computation that fails (no
+convergence, no bracket, or a value beyond binary64), 2 usage or domain
+error.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--id", required=True, help="identity id or ALL")
     p_verify.add_argument("--k-list", dest="k_list", help="comma-separated k values")
     p_verify.add_argument("--x-list", dest="x_list", help="comma-separated unit x values")
-    p_verify.add_argument("--tol", type=float, help="tolerance override (single id only)")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--out", help="write the report to this path")
     p_verify.add_argument("--list", action="store_true", help="list known identity ids and exit")
@@ -152,15 +153,13 @@ def _cmd_verify(args) -> int:
     grid = GridSpec(**grid_kwargs) if grid_kwargs else default_grid()
 
     if args.id == "ALL":
-        if args.tol is not None:
-            return _usage_error("--tol applies only to a single identity id")
         summary = run_all(grid)
         reports = summary.reports
         entries = summary.entries
         ok = summary.overall_ok
     else:
         entry = get_entry(args.id)  # raises DomainError for unknown ids
-        reports = run_identity(args.id, grid, args.tol)
+        reports = run_identity(args.id, grid)
         n_fail = sum(r.verdict == "FAIL" for r in reports)
         ok = n_fail == 0 if entry.expectation == "PASS" else True
         entries = None
@@ -282,9 +281,9 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except (DomainError, OverflowError) as exc:
+    except DomainError as exc:
         return _usage_error(str(exc))
-    except (ConvergenceError, BracketError) as exc:
+    except (ConvergenceError, BracketError, OverflowError) as exc:
         print(f"ksf: computation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -120,12 +120,15 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> Estimate:
     (x^(p-1) with p > 0, log factors) are handled by plain bisection
     toward the singular end.  Recursion depth is capped at 50; hitting
     the cap raises :class:`QuadratureError` with the best estimate
-    attached.
+    attached.  The half-length (b - a)/2 must be positive and finite in
+    binary64; otherwise (b <= a, a non-finite end, or an interval too
+    short or too long for binary64) it raises :class:`DomainError`.
     """
     a = float(a)
     b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-        raise DomainError(f"adaptive_quad requires finite a < b, got [{a}, {b}]")
+    if not 0.0 < 0.5 * (b - a) < math.inf:  # also rejects a non-finite a or b
+        raise DomainError(
+            f"adaptive_quad requires a < b with (b - a)/2 positive and finite, got [{a}, {b}]")
     _check_tol(tol)
     value, err, resabs = _gk15(f, a, b)
     # heap of (-err, seq, a, b, value, err, resabs, depth)

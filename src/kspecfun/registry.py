@@ -130,7 +130,8 @@ class IdentityEntry(
 ):
     """One registered identity.  ``lhs`` and ``rhs`` are two named routes,
     one per side, that run_identity calls as ``route(**params)`` at every
-    grid point; no route computes both sides."""
+    grid point; no route computes both sides.  A route returns a float or
+    an Estimate, whose ``value`` is compared."""
 
     __slots__ = ()
     id: str
@@ -139,8 +140,8 @@ class IdentityEntry(
     tol: float
     expectation: str  # 'PASS' | 'FAIL'
     points: Callable[[GridSpec], Iterable[dict]]
-    lhs: Callable[..., float]
-    rhs: Callable[..., float]
+    lhs: Callable[..., float | _scalar.Estimate]
+    rhs: Callable[..., float | _scalar.Estimate]
     fit: FitPlan | None
 
 
@@ -199,8 +200,9 @@ def _k_m_points(grid: GridSpec):
 
 
 def _build_entries() -> list[IdentityEntry]:
-    # each side is a named route (see IdentityEntry); a route takes the
-    # params it uses by name and the rest as **_
+    # each side is a named route (see IdentityEntry); a library route is
+    # used as it is where the params are exactly its arguments, and a local
+    # route takes the params it uses by name and the rest as **_
     e: list[IdentityEntry] = []
 
     def add(id, anchor, comparison, tol, points, lhs, rhs, expectation="PASS", **more):
@@ -233,20 +235,14 @@ def _build_entries() -> list[IdentityEntry]:
     def x_gamma_k(k, x, **_):
         return x * _kcore.gamma_k(k, x)
 
-    def psi_k_by_series(k, x, **_):
-        return _kcore.psi_k_series(k, x).value
-
-    def psi_k_m_by_series(k, m, x, **_):
-        return _kcore.psi_k_m_series(k, m, x).value
-
     add("EQ1.1", "Gamma_k(x + k) = x Gamma_k(x)", "rel", 1e-11,
         points=_k_x_points, lhs=gamma_k_shifted, rhs=x_gamma_k)
     add("EQ1.2", "psi_k reduction route vs direct series route", "abs", 1e-10,
-        points=_k_x_points, lhs=_kcore.psi_k, rhs=psi_k_by_series)
+        points=_k_x_points, lhs=_kcore.psi_k, rhs=_kcore.psi_k_series)
     add("EQ1.3", "psi_k^(m) scaling route vs direct series route", "rel", 1e-10,
         points=lambda g: ({"k": k, "m": m, "x": u * k}
                           for k in g.k_values for m in _M_VALUES for u in (0.1, 0.7, 2.5)),
-        lhs=_kcore.psi_k_m, rhs=psi_k_m_by_series)
+        lhs=_kcore.psi_k_m, rhs=_kcore.psi_k_m_series)
 
     # ---- section 2: reductions, reflection, the 2F1 integral -------------
     def gamma_k_by_reduction(k, x, **_):
@@ -332,32 +328,20 @@ def _build_entries() -> list[IdentityEntry]:
     def furdui_by_oracle(k, m, **_):
         return _furdui.furdui_oracle(k, m).value
 
-    def furdui_by_thm31(k, m, **_):
-        return _furdui.thm31_series(k, m).value
-
     def furdui_by_thm32_printed(k, m, **_):
         return _furdui.thm32_series(k, m, "as_printed").value
 
     def furdui_by_thm32_variant(k, m, **_):
         return _furdui.thm32_series(k, m, "sign_variant").value
 
-    def furdui_by_thm33_printed(k, m, **_):
-        return _furdui.thm33_series(k, m).value
-
-    def furdui_by_ln_gamma_k_moment(k, m, **_):
-        return _furdui.ln_gamma_k_moment(k, m).value
-
-    def furdui_by_thm34(k, m, n, **_):
-        return _furdui.thm34_recursion(k, m, n).value
-
     def furdui_by_thm34_printed(k, m, n, **_):
         # printed middle term (+(-1)^(n+1) k^m n!/m) in place of -n! k^m/(m (m+1)...(m+n))
-        return (furdui_by_thm34(k, m, n)
+        return (_furdui.thm34_recursion(k, m, n).value
                 + math.factorial(n) * k**m / (m * _furdui._rising(m + 1.0, n))
                 + (-1.0) ** (n + 1) * k**m * math.factorial(n) / m)
 
     add("THM3.1", "I(k,m) zeta-series route vs quadrature oracle", "abs", 1e-8,
-        points=_k_m_points, lhs=furdui_by_thm31, rhs=furdui_by_oracle)
+        points=_k_m_points, lhs=_furdui.thm31_series, rhs=furdui_by_oracle)
     add_audit(
         "THM3.2",
         dict(anchor="I(k,m) with the (ln k - m gamma) prefix (as printed)",
@@ -378,7 +362,7 @@ def _build_entries() -> list[IdentityEntry]:
     add_audit(
         "THM3.3",
         dict(anchor="I(k,m) Kummer-expansion route, printed coefficients",
-             lhs=furdui_by_thm33_printed,
+             lhs=_furdui.thm33_series,
              # (lhs-rhs)/k^m + 1/m constant ln(pi) diagnoses the 3/2 ln x and
              # sign-of-ln(pi/k) coefficients
              fit=FitPlan("offset", None,
@@ -386,7 +370,7 @@ def _build_entries() -> list[IdentityEntry]:
                                       + 1.0 / rep.params["m"], 0.0),
                          lambda _g: LN_PI)),
         dict(anchor="I(k,m) = -m int x^(m-1) ln Gamma_k(x) dx (expansion bypassed)",
-             lhs=furdui_by_ln_gamma_k_moment),
+             lhs=_furdui.ln_gamma_k_moment),
         comparison="abs",
         tol=1e-7,
         points=_k_m_points,
@@ -400,7 +384,7 @@ def _build_entries() -> list[IdentityEntry]:
                     yield {"k": k, "m": m, "n": n}
 
     add("THM3.4-corrected", "I(k,m) hypergeometric recursion vs oracle", "abs", 1e-6,
-        points=_thm34_points, lhs=furdui_by_thm34, rhs=furdui_by_oracle)
+        points=_thm34_points, lhs=_furdui.thm34_recursion, rhs=furdui_by_oracle)
     add("THM3.4-printed", "I(k,m) recursion with the printed middle term (-1)^(n+1) k^m n!/m",
         "abs", 1e-6, points=_thm34_points, lhs=furdui_by_thm34_printed, rhs=furdui_by_oracle,
         expectation="FAIL")
@@ -623,26 +607,11 @@ def _build_entries() -> list[IdentityEntry]:
         points=_thm51_points,
     )
 
-    def beta_k_by_series(k, x, **_):
-        return _beta.beta_k_series(k, x).value
-
-    def beta_k_by_integral(k, x, **_):
-        return _beta.beta_k_integral(k, x).value
-
-    def beta_k_by_cosh_form(k, x, **_):
-        return _beta.beta_k_cosh_form(k, x).value
-
     def beta_k_at_half_shift(k, x, **_):
         return _beta.beta_k(k, 0.5 * (x + k))
 
-    def beta_k_by_taylor_54(k, x, **_):
-        return _beta.beta_taylor_54(k, x).value
-
     def beta_k_shifted(k, x, **_):
         return _beta.beta_k(k, x + k)
-
-    def beta_k_by_expansion_55(k, x, **_):
-        return _beta.beta_expansion_55(k, x).value
 
     def psi_k_duplicated(k, x, **_):
         return _kcore.psi_k(k, k * x + 0.5 * k)
@@ -651,18 +620,18 @@ def _build_entries() -> list[IdentityEntry]:
         return 2.0 * _kcore.psi_k(k, 2.0 * k * x) - _kcore.psi_k(k, k * x) - 2.0 * LN2 / k
 
     add("THM5.2", "beta_k scaling route vs alternating series route", "abs", 1e-10,
-        points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_series)
+        points=_k_x_points, lhs=_beta.beta_k, rhs=_beta.beta_k_series)
     add("EQ5.2-integral", "beta_k vs int_0^1 t^(x-1)/(1+t^k) dt", "abs", 1e-7,
-        points=_k_x_points, lhs=_beta.beta_k, rhs=beta_k_by_integral)
+        points=_k_x_points, lhs=_beta.beta_k, rhs=_beta.beta_k_integral)
     add("THM5.3", "Laplace route int_0^inf e^(-xt)/cosh(kt) dt = beta_k((x+k)/2)", "abs", 1e-7,
         points=lambda g: _k_x_points(g, units=(-0.5, 0.0, 0.35, 1.0, 2.1)),
-        lhs=beta_k_by_cosh_form, rhs=beta_k_at_half_shift)
+        lhs=_beta.beta_k_cosh_form, rhs=beta_k_at_half_shift)
     add("THM5.4", "expansion of beta_k(x + k) around k", "abs", 1e-8,
         points=lambda g: _k_x_points(g, units=(-0.5, 0.1, 0.5, 0.9)),
-        lhs=beta_k_by_taylor_54, rhs=beta_k_shifted)
+        lhs=_beta.beta_taylor_54, rhs=beta_k_shifted)
     add("THM5.5", "expansion of beta_k around 0 (power-difference inner sum)", "abs", 1e-8,
         points=lambda g: _k_x_points(g, units=(0.1, 0.5, 0.9)),
-        lhs=beta_k_by_expansion_55, rhs=_beta.beta_k)
+        lhs=_beta.beta_expansion_55, rhs=_beta.beta_k)
     add("EQ5.55", "k-duplication, differentiated form", "abs", 1e-11,
         points=lambda g: _k_x_points(g, scaled=False),
         lhs=psi_k_duplicated, rhs=psi_k_duplication)
@@ -696,7 +665,7 @@ def _build_entries() -> list[IdentityEntry]:
 
     def beta_k_step_sum(k, x, **_):
         # beta_k(x + k) by the scaling route, beta_k(x) by the series route
-        return beta_k_shifted(k, x) + beta_k_by_series(k, x)
+        return beta_k_shifted(k, x) + _beta.beta_k_series(k, x).value
 
     def beta_k_harmonic_mean(k, x, **_):
         b1 = _beta.beta_k(k, x)
@@ -780,41 +749,38 @@ def _build_entries() -> list[IdentityEntry]:
     return e
 
 
-_ENTRIES: list[IdentityEntry] | None = None
-
-
-def _entries() -> list[IdentityEntry]:
-    global _ENTRIES
-    if _ENTRIES is None:
-        built = _build_entries()
-        ids = [entry.id for entry in built]
-        if len(ids) != len(set(ids)):
-            raise RuntimeError("duplicate identity ids in registry")
-        _ENTRIES = built
-    return _ENTRIES
+@lru_cache(maxsize=None)
+def _entries() -> dict[str, IdentityEntry]:
+    """The registry as an id -> entry table, in registration order, built once."""
+    table = {}
+    for entry in _build_entries():
+        if entry.id in table:
+            raise RuntimeError(f"duplicate identity id {entry.id!r} in registry")
+        table[entry.id] = entry
+    return table
 
 
 def registry_ids() -> list[str]:
-    return [entry.id for entry in _entries()]
+    return list(_entries())
 
 
 def get_entry(identity_id: str) -> IdentityEntry:
-    for entry in _entries():
-        if entry.id == identity_id:
-            return entry
-    raise DomainError(f"unknown identity id {identity_id!r}")
+    try:
+        return _entries()[identity_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise DomainError(f"unknown identity id {identity_id!r}") from None
 
 
-def _verdict(entry: IdentityEntry, lhs: float, rhs: float, tol: float):
+def _verdict(entry: IdentityEntry, lhs: float, rhs: float):
     abs_diff = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs))
     rel_diff = abs_diff / denom if denom > 0.0 else 0.0
     if entry.comparison == "abs":
-        ok = abs_diff <= tol
+        ok = abs_diff <= entry.tol
     elif entry.comparison == "rel":
-        ok = rel_diff <= tol
+        ok = rel_diff <= entry.tol
     elif entry.comparison == "le":
-        ok = lhs <= rhs + tol
+        ok = lhs <= rhs + entry.tol
     elif entry.comparison == "lt":
         ok = lhs < rhs
     else:  # pragma: no cover - registry construction guards this
@@ -849,8 +815,7 @@ def _grid_points(entry: IdentityEntry, grid: GridSpec) -> list:
         return [({"k": k}, exc) for k in grid.k_values]
 
 
-def run_identity(identity_id: str, grid: GridSpec | None = None,
-                 tol_override: float | None = None) -> list[IdentityReport]:
+def run_identity(identity_id: str, grid: GridSpec | None = None) -> list[IdentityReport]:
     """Evaluate one registered identity over the grid.
 
     Pole-excluded or out-of-domain points, points where a route does not
@@ -861,19 +826,14 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
     """
     grid = grid or default_grid()
     entry = get_entry(identity_id)
-    if tol_override is None:
-        tol = entry.tol
-    else:
-        tol = float(tol_override)
-        if not 0.0 <= tol < math.inf:
-            raise DomainError(f"tol override must be finite and >= 0, got {tol_override!r}")
     reports = []
     for params, failure in _grid_points(entry, grid):
         if failure is not None:
             reports.append(_skip(entry, params, failure))
             continue
         try:
-            lhs, rhs = entry.lhs(**params), entry.rhs(**params)
+            lhs, rhs = (side.value if isinstance(side, _scalar.Estimate) else side
+                        for side in (entry.lhs(**params), entry.rhs(**params)))
         except _SKIPPED as exc:
             reports.append(_skip(entry, params, exc))
             continue
@@ -884,7 +844,7 @@ def run_identity(identity_id: str, grid: GridSpec | None = None,
             reports.append(IdentityReport(entry.id, dict(params), None, None,
                                           None, None, "SKIP", f"non-finite {sides}"))
             continue
-        abs_diff, rel_diff, verdict = _verdict(entry, lhs, rhs, tol)
+        abs_diff, rel_diff, verdict = _verdict(entry, lhs, rhs)
         reports.append(IdentityReport(entry.id, dict(params), lhs, rhs,
                                       abs_diff, rel_diff, verdict, entry.anchor))
     reports.sort(key=_param_key)
@@ -921,7 +881,7 @@ def run_all(grid: GridSpec | None = None) -> RunSummary:
     grid = grid or default_grid()
     all_reports: list[IdentityReport] = []
     summaries = []
-    for entry in _entries():
+    for entry in _entries().values():
         reports = run_identity(entry.id, grid)
         all_reports.extend(reports)
         n_pass = sum(r.verdict == "PASS" for r in reports)

@@ -21,7 +21,6 @@ __all__ = [
     "CONSTANTS",
     "Constants",
     "Estimate",
-    "ln_gamma",
     "rgamma",
     "digamma",
     "polygamma",
@@ -128,18 +127,6 @@ def _overflow_error(what: str, x: float, k: float | None = None) -> OverflowErro
     # the one message for a value beyond binary64; the Gamma_k family adds its k
     at = "" if k is None else f" (k={k})"
     return OverflowError(f"{what}({x}) overflows binary64{at}")
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (libm lgamma).
-
-    A value beyond binary64 (x above about 2.6e305) raises OverflowError.
-    """
-    x = _positive("ln_gamma", x)
-    try:
-        return math.lgamma(x)
-    except OverflowError:
-        raise _overflow_error("ln Gamma", x) from None
 
 
 def _sinpi(x: float) -> float:

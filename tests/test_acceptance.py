@@ -102,7 +102,9 @@ def test_criterion_03_thm34_grid():
 def test_criterion_04_recurrences():
     failures = []
     for identity_id in ("EQ1.1", "LEM2.4", "EQ5.11"):
-        reports = run_identity(identity_id, tol_override=1e-11)
+        # each entry's own tolerance is 1e-11 or tighter
+        assert get_entry(identity_id).tol <= 1e-11, identity_id
+        reports = run_identity(identity_id)
         bad = [r for r in reports if r.verdict == "FAIL"]
         if bad or not reports:
             failures.append(identity_id)

@@ -10,7 +10,6 @@ from kspecfun.scalar import zeta_minus_1
 
 # name -> the function as a callable of x alone
 POSITIVE_X = {
-    "ln_gamma": kspecfun.ln_gamma,
     "digamma": kspecfun.digamma,
     "polygamma": lambda x: kspecfun.polygamma(1, x),
     "ln_gamma_k": lambda x: kspecfun.ln_gamma_k(1.0, x),

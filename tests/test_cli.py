@@ -55,6 +55,18 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and "missing" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("alpha0", "--k", "1e100"), "H_k(1e+101) overflows binary64 (k=1e+100)"),
+    (("eval", "--fn", "gamma_k", "--k", "1", "--x", "1000"),
+     "Gamma_k(1000.0) overflows binary64 (k=1.0)"),
+])
+def test_overflow_is_a_failed_computation(capsys, argv, message):
+    # a value beyond binary64 is no usage error: exit 1, as for no convergence
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"ksf: computation failed: {message}\n"
+
+
 def test_unknown_flag_is_an_error(capsys):
     code = run_cli(["eval", "--fn", "beta_k", "--k", "1", "--x", "1", "--bogus"])
     capsys.readouterr()
@@ -94,22 +106,6 @@ def test_verify_grid_overrides(capsys):
                        "--k-list", "1.5", "--x-list", "0.4,0.9")
     assert code == 0
     assert out.count("PASS") == 2
-
-
-def test_verify_tol_override(capsys):
-    # an absurdly tight override turns comparison noise into failures
-    code, out, _ = run(capsys, "verify", "--id", "EQ1.1", "--tol", "1e-18")
-    assert code == 1
-    assert "UNEXPECTED" in out
-    code, _, err = run(capsys, "verify", "--id", "ALL", "--tol", "1e-9")
-    assert code == 2 and "single identity" in err
-
-
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_verify_tol_override_must_be_finite_and_non_negative(capsys, tol):
-    code, out, err = run(capsys, "verify", "--id", "EQ1.1", f"--tol={tol}")
-    assert code == 2 and out == ""
-    assert "tol override must be finite and >= 0" in err
 
 
 @pytest.mark.parametrize("flags", [("--k-list", "nan"), ("--x-list", "inf"),

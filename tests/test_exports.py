@@ -2,12 +2,14 @@
 and the package reaches each of them while loading only the evaluators
 on import."""
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +73,29 @@ def test_import_loads_only_the_evaluators():
         "'kspecfun.kcore', 'kspecfun.scalar']",
         "True",
     ]
+
+
+# public names that no module of the package uses, each kept on purpose
+UNUSED_BY_THE_PACKAGE = {
+    # the library's JSON writer; the streamed ``ksf verify`` report must equal its bytes
+    "reports_to_json",
+}
+
+
+def _names_used_by_the_package():
+    """Every name a module of the package loads or reads as an attribute,
+    outside the top-level definition of that name itself."""
+    used = set()
+    for path in Path(kspecfun.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(), filename=path.name).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+            names.discard(getattr(top, "name", None))
+            used |= names
+    return used
+
+
+def test_every_public_name_is_used_by_the_package():
+    public = {n for name in MODULES
+              for n in getattr(importlib.import_module(f"kspecfun.{name}"), "__all__", ())}
+    assert public - _names_used_by_the_package() == UNUSED_BY_THE_PACKAGE

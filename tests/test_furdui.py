@@ -68,6 +68,13 @@ def test_oracle_domain():
         furdui_oracle(1.0, 0)
 
 
+@pytest.mark.parametrize("route", [furdui_oracle, ln_gamma_k_moment])
+def test_quadrature_routes_raise_where_k_leaves_no_panel(route):
+    # [0, 5e-324] has no binary64 half-length; a value with error 0.0 came back once
+    with pytest.raises(DomainError, match=r"^adaptive_quad requires a < b"):
+        route(5e-324, 1)
+
+
 # ---------------------------------------------------------------- thm 3.1
 @pytest.mark.parametrize("k", (0.5, 1.0, 2.0, 3.0))
 @pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 6))

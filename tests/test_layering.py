@@ -57,7 +57,7 @@ def test_import_table_reads_the_imports():
 
 
 def test_the_binary64_overflow_message_is_written_once():
-    # scalar's helper writes it for ln_gamma, rgamma and polygamma, and for
+    # scalar's helper writes it for rgamma and polygamma, and for
     # the whole Gamma_k family above it
     counts = {path.stem: path.read_text().count("overflows binary64") for path in SRC.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"scalar": 1}

@@ -20,6 +20,7 @@ TRIVIAL_INTEGRALS = [
     (lambda x: x * x, 0.0, 1.0, 1.0 / 3.0),
     (lambda x: math.log(1.0 / x), 0.0, 1.0, 1.0),
     (lambda x: math.log(math.sin(x)), 0.0, math.pi, -math.pi * math.log(2.0)),
+    (lambda x: 1.0, 0.0, 1e-323, 1e-323),  # the shortest interval with a half-length
 ]
 
 
@@ -42,6 +43,13 @@ def test_adaptive_quad_bad_interval():
         adaptive_quad(lambda x: x, 1.0, 0.0, 1e-8)
     with pytest.raises(DomainError):
         adaptive_quad(lambda x: x, 0.0, math.inf, 1e-8)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 5e-324), (-1.7e308, 1.7e308)])
+def test_adaptive_quad_needs_a_binary64_half_length(a, b):
+    # (b - a)/2 underflows to 0.0, or b - a overflows to inf: no panel exists
+    with pytest.raises(DomainError, match=r"\(b - a\)/2 positive and finite"):
+        adaptive_quad(lambda x: 1.0, a, b)
 
 
 def test_adaptive_quad_depth_cap_carries_best_estimate():
