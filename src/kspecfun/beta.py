@@ -49,7 +49,10 @@ def beta_k(k, x: float) -> float:
     1/(2x) to rounding.  A value beyond binary64 raises OverflowError;
     one below it underflows towards 0.0.
     """
-    return _beta(k_value(k), _positive("beta_k", x))
+    if not (0.0 < (k := float(k)) < math.inf and 0.0 < (x := float(x)) < math.inf):
+        k_value(k)
+        _positive("beta_k", x)
+    return _beta(k, x)
 
 
 def _beta(k: float, x: float) -> float:
@@ -216,6 +219,12 @@ def _taylor_coeffs(order: int) -> tuple[float, ...]:
             *((-1.0) ** m * (1.0 - 0.5**m) * zeta_int(m + 1) for m in range(1, order + 1)))
 
 
+@lru_cache(maxsize=None)
+def _expansion_coeffs() -> tuple[float, ...]:
+    # the k- and x-free weights (-1)^(n+1) zeta(n + 1)/2 of beta_expansion_55, n = 1..560
+    return tuple((0.5 if n % 2 else -0.5) * zeta_int(n + 1) for n in range(1, 561))
+
+
 def beta_taylor_54(k, x: float) -> Estimate:
     """Expansion of beta_k(x + k) around the center k, for |x| < k.
 
@@ -265,13 +274,11 @@ def beta_expansion_55(k, x: float) -> Estimate:
     a = 0.5 * (u + 1.0)  # in (1/2, 1): geometric decay of the outer terms
     b = 0.5 * u
     ap = bp = 1.0
-    half = 0.5
-    for n in range(1, 561):
+    for c in _expansion_coeffs():
         ap *= a
         bp *= b
-        term = half * zeta_int(n + 1) * (ap - bp)
+        term = c * (ap - bp)
         total += term
-        half = -half
     err = 2.0 * abs(term) * a / (1.0 - a) + 8.0 * _EPS * abs(total)
     value = total / k
     if not err <= 1e-9:

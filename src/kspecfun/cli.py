@@ -218,10 +218,12 @@ def _cmd_furdui(args) -> int:
         return _usage_error(
             f"unknown method(s) {', '.join(unknown)}; choose from {', '.join(FURDUI_METHODS)}"
         )
-    print(f"{'method':<16} {'value':>18} {'error_est':>12} {'terms/panels':>12}")
+    # every row is computed before the first line is printed, so a route that
+    # raises leaves nothing on stdout
     reference = furdui_oracle(args.k, args.m).value
-    for method in methods:
-        res = furdui_method(method, args.k, args.m, n=args.n)
+    results = [(method, furdui_method(method, args.k, args.m, n=args.n)) for method in methods]
+    print(f"{'method':<16} {'value':>18} {'error_est':>12} {'terms/panels':>12}")
+    for method, res in results:
         gap = res.value - reference
         print(f"{method:<16} {res.value:>18.10f} {res.error_estimate:>12.3e} "
               f"{res.terms_used:>12d}   vs oracle {gap:+.3e}")

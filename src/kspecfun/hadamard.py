@@ -102,8 +102,9 @@ def hadamard_k(k, x: float) -> float:
     raises OverflowError (never inf or nan); one below it underflows to
     0.0.  The cost is O(1) on both sides of the seam.
     """
-    k = k_value(k)
-    x = _require_finite("x", x)
+    if not (0.0 < (k := float(k)) < math.inf and -math.inf < (x := float(x)) < math.inf):
+        k_value(k)
+        _require_finite("x", x)
     if x < k:
         return _h_base(k, x)
     return _h_far(k, x)

@@ -24,8 +24,8 @@ from .scalar import (
     _polygamma_k,
     _positive,
     _require_finite,
+    _rgamma,
     _sinpi,
-    rgamma,
 )
 
 __all__ = [
@@ -47,7 +47,11 @@ _PI2_12 = math.pi**2 / 12.0  # zeta(2)/2
 
 
 def k_value(k) -> float:
-    """Return k as a float after checking that it is finite and > 0."""
+    """Return k as a float after checking that it is finite and > 0.
+
+    The one place the k rule's message is written.  The hot evaluators test
+    0 < k < inf inline and call this only where that test fails, to raise.
+    """
     k = float(k)
     if not math.isfinite(k) or k <= 0.0:
         raise DomainError(f"k must be finite and > 0, got {k!r}")
@@ -100,8 +104,9 @@ def ln_gamma_k(k, x: float) -> float:
 
     A series where x/k < 2^-26, and Stirling's form where x/k >= 2^53.
     """
-    k = k_value(k)
-    x = _positive("ln_gamma_k", x)
+    if not (0.0 < (k := float(k)) < math.inf and 0.0 < (x := float(x)) < math.inf):
+        k_value(k)
+        _positive("ln_gamma_k", x)
     value = _ln_gamma_k(k, x)
     if abs(value) > _MAX_NORMAL:
         raise _overflow_error("ln Gamma_k", x, k)
@@ -115,14 +120,15 @@ def gamma_k(k, x: float) -> float:
     otherwise the log form.  A value beyond binary64 raises OverflowError;
     one below it underflows to 0.0.
     """
-    k = k_value(k)
-    x = _require_finite("x", x)
+    if not (0.0 < (k := float(k)) < math.inf and -math.inf < (x := float(x)) < math.inf):
+        k_value(k)
+        _require_finite("x", x)
     _check_pole(k, x)
     if x > 0.0:
         return _exp_k(_ln_gamma_k(k, x), "Gamma_k", k, x)
-    u = x / k
+    u = x / k  # finite: _check_pole raised where x/k overflows to -inf
     try:
-        value = k ** (u - 1.0) / rgamma(u)
+        value = k ** (u - 1.0) / _rgamma(u)
     except OverflowError:
         value = 0.0
     if _MIN_NORMAL <= abs(value) < math.inf:
@@ -137,13 +143,14 @@ def rgamma_k(k, x: float) -> float:
     k^(1 - x/k) rgamma(x/k) where that is a normal number, otherwise the
     log form; beyond and below binary64 as :func:`gamma_k`.
     """
-    k = k_value(k)
-    x = _require_finite("x", x)
+    if not (0.0 < (k := float(k)) < math.inf and -math.inf < (x := float(x)) < math.inf):
+        k_value(k)
+        _require_finite("x", x)
     u = x / k
-    if _is_pole(u):
+    if _is_pole(u):  # u = -inf included
         return 0.0
     try:
-        value = k ** (1.0 - u) * rgamma(u) if u < math.inf else 0.0
+        value = k ** (1.0 - u) * _rgamma(u) if u < math.inf else 0.0
     except OverflowError:
         value = 0.0
     if _MIN_NORMAL <= abs(value) < math.inf:
@@ -161,8 +168,9 @@ def psi_k(k, x: float) -> float:
     overflows the value is ln x / k.  A value beyond binary64 raises
     OverflowError.
     """
-    k = k_value(k)
-    x = _positive("psi_k", x)
+    if not (0.0 < (k := float(k)) < math.inf and 0.0 < (x := float(x)) < math.inf):
+        k_value(k)
+        _positive("psi_k", x)
     u = x / k
     if u >= 10.0:
         value = (math.log(x) + _digamma_minus_log(u)) / k
@@ -230,9 +238,11 @@ def psi_k_m(k, m: int, x: float) -> float:
     mpmath.  Values below binary64 underflow to 0.0; values beyond it
     raise OverflowError.
     """
-    k = k_value(k)
-    _check_int("psi_k_m", "m", m, 1)
-    x = _positive("psi_k_m", x)
+    if not (0.0 < (k := float(k)) < math.inf and type(m) is int and m >= 1
+            and 0.0 < (x := float(x)) < math.inf):
+        k_value(k)
+        _check_int("psi_k_m", "m", m, 1)
+        _positive("psi_k_m", x)
     value = _polygamma_k(m, k, x)
     if abs(value) > _MAX_NORMAL:
         raise _overflow_error(f"psi_k^({m})", x, k)

@@ -110,8 +110,8 @@ def _check_int(name: str, param: str, value, lo: int, hi: int | None = None) -> 
     """Raise DomainError naming ``name`` unless ``value`` is an int in [lo, hi].
 
     A bool, or any other subclass of int, is not an integer argument.  The
-    test is one type check and two comparisons because ``polygamma`` and
-    ``psi_k_m`` make it on every call.
+    test is one type check and two comparisons because ``polygamma`` makes
+    it on every call.
     """
     if type(value) is not int or value < lo or (hi is not None and value > hi):
         bounds = f"{param} >= {lo}" if hi is None else f"{lo} <= {param} <= {hi}"
@@ -152,7 +152,11 @@ def rgamma(x: float) -> float:
     value below about 1e-308 underflows to 0.0; a value beyond binary64
     (x below -171) raises OverflowError.
     """
-    x = _require_finite("x", x)
+    return _rgamma(_require_finite("x", x))
+
+
+def _rgamma(x: float) -> float:
+    """:func:`rgamma` for an x already checked finite."""
     if x > 0.5:
         try:
             lg = math.lgamma(x)
@@ -232,16 +236,17 @@ def _digamma_minus_log(x: float) -> float:
     return -0.5 / x - p
 
 
-# Above order 150 the last Bernoulli coefficient overflows, so the cache
-# below never holds more than 150 entries.
+# Above order 150 the last Bernoulli coefficient overflows, so the plans
+# below never number more than 150.
 _POLYGAMMA_MAX_ORDER = 150
 # the tail stops where its next term is below 2^-60 of its leading one
 _POLYGAMMA_TAIL_CUT = 2.0**-60
 # one entry per binade of v = k/y down to the smallest subnormal, and v = 0.0
 _POLYGAMMA_BINADES = 1075
+# order m -> the plan of _polygamma_plan(m), filled on first use of m
+_POLYGAMMA_PLANS: dict[int, tuple] = {}
 
 
-@lru_cache(maxsize=None)
 def _polygamma_plan(m: int) -> tuple:
     """Constants of the order-m polygamma kernel, built on first use of m.
 
@@ -252,8 +257,12 @@ def _polygamma_plan(m: int) -> tuple:
     P(v) = (m-1)! + m! v/2 + sum c_j v^(2j) needs where v < 2^-i (the binade
     read off ``math.frexp(v)``; ``tails[0]`` serves v = 0.0): the first n,
     n <= 10, such that c_(n+1) v^(2n+2) is below 2^-60 (m-1)! for every such
-    v up to 1/threshold.
+    v up to 1/threshold.  The plan is kept in ``_POLYGAMMA_PLANS``, which
+    :func:`_polygamma_k` reads first, so a warm order costs no call.
     """
+    plan = _POLYGAMMA_PLANS.get(m)
+    if plan is not None:
+        return plan
     if m > _POLYGAMMA_MAX_ORDER:
         raise DomainError(
             f"polygamma orders above {_POLYGAMMA_MAX_ORDER} are not supported, got {m}"
@@ -275,7 +284,9 @@ def _polygamma_plan(m: int) -> tuple:
         tails.append(tuple(reversed(coeffs[:n])))
     tails += [()] * (_POLYGAMMA_BINADES - len(tails))
     sign = 1.0 if m % 2 == 1 else -1.0
-    return sign, threshold, mf, fm1, 0.5 * mf, float(m), -1.0 - m, tuple(tails)
+    plan = sign, threshold, mf, fm1, 0.5 * mf, float(m), -1.0 - m, tuple(tails)
+    _POLYGAMMA_PLANS[m] = plan
+    return plan
 
 
 def _times_powers(c: float, *factors: tuple[float, int]) -> float:
@@ -343,7 +354,8 @@ def _polygamma_k(m: int, k: float, x: float) -> float:
     :func:`_polygamma_scaled` instead.  Returns +-inf where the value is
     beyond binary64; callers raise.
     """
-    sign, threshold, mf, fm1, half_mf, order, power, tails = _polygamma_plan(m)
+    plan = _POLYGAMMA_PLANS.get(m) or _polygamma_plan(m)
+    sign, threshold, mf, fm1, half_mf, order, power, tails = plan
     s = 0.0
     t = 1.0  # the smallest shift term
     try:

@@ -234,6 +234,13 @@ def test_furdui_unknown_method(capsys):
     assert code == 2 and "eq310" in err
 
 
+def test_furdui_prints_nothing_when_the_reference_fails(capsys):
+    # the oracle raises at k = 5e-324, so no table header may precede the error
+    code, out, err = run(capsys, "furdui", "--k", "5e-324", "--m", "1", "--methods", "thm31")
+    assert code == 2 and out == ""
+    assert err.startswith("ksf: error: adaptive_quad requires")
+
+
 # ---------------------------------------------------------------- alpha0 / scan
 def test_alpha0_command(capsys):
     code, out, _ = run(capsys, "alpha0", "--k", "1")

@@ -100,7 +100,7 @@ def _calls_one_of(names):
 
 # module -> functions that check their arguments on entry, or take checked ones
 CHECKED_ONCE = {
-    "kcore": {"psi_k", "psi_k_m"},
+    "kcore": {"gamma_k", "rgamma_k", "psi_k", "psi_k_m"},
     "beta": {"beta_k", "_beta", "_beta_unit", "beta_k_deriv"},
     "hadamard": {"_h_base", "_h_far"},
 }
@@ -110,12 +110,13 @@ CHECKED_ONCE = {
 def test_evaluators_check_their_arguments_once(name):
     # past the entry check they call the private kernels, never a public
     # function that checks the same arguments again
-    public = {"digamma", "polygamma", "psi_k_m", "beta_k"}
+    public = {"rgamma", "digamma", "polygamma", "psi_k_m", "beta_k"}
     assert not _top_level_users(name, _calls_one_of(public)) & CHECKED_ONCE[name]
 
 
 def test_call_table_reads_the_calls():
     # the kernels the checked-once functions reach, seen through the same reader
+    assert _top_level_users("kcore", _calls_one_of({"_rgamma"})) == {"gamma_k", "rgamma_k"}
     assert _top_level_users("kcore", _calls_one_of({"_digamma"})) == {"psi_k"}
     assert _top_level_users("kcore", _calls_one_of({"_polygamma_k"})) == {"psi_k_m"}
     assert _top_level_users("beta", _calls_one_of({"_polygamma_k"})) == {"beta_k_deriv"}

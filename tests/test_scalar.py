@@ -17,7 +17,8 @@ from kspecfun import (
     zeta_int,
 )
 from kspecfun.oracles import adaptive_quad, finite_diff
-from kspecfun.scalar import CONSTANTS, _polygamma_plan
+from kspecfun import scalar
+from kspecfun.scalar import CONSTANTS
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
@@ -232,13 +233,14 @@ def test_polygamma_table_needs_no_factorials_once_warm(monkeypatch):
     assert calls == []
 
 
-def test_polygamma_table_is_keyed_on_order_only():
-    _polygamma_plan.cache_clear()
+def test_polygamma_table_is_keyed_on_order_only(monkeypatch):
+    plans = {}
+    monkeypatch.setattr(scalar, "_POLYGAMMA_PLANS", plans)
     orders = (1, 2, 6)
     for m in orders:
         for x in _TABLE_XS[::20]:
             polygamma(m, x)
-    assert _polygamma_plan.cache_info().currsize <= len(orders)
+    assert sorted(plans) == list(orders)
 
 
 @pytest.mark.parametrize("m,x", [(1, 1e-160), (1, 1e-200), (3, 1e-100), (12, 1e-30)])
