@@ -8,8 +8,8 @@ misprinted formulas.
 
 ``import kspecfun`` loads only the evaluators (``errors``, ``scalar``,
 ``kcore``, ``beta``, ``hadamard``).  The cross-check modules
-(``oracles``, ``furdui``) and the identity ``registry`` load on first
-access to one of their names (PEP 562).
+(``oracles``, ``routes``, ``furdui``) and the identity ``registry`` load
+on first access to one of their names (PEP 562).
 """
 
 __version__ = "0.1.0"
@@ -21,8 +21,9 @@ from .kcore import *
 from .beta import *
 from .hadamard import *
 
-_LIBRARY = ("errors", "scalar", "oracles", "kcore", "beta", "hadamard", "furdui", "registry")
-_ON_FIRST_USE = ("oracles", "furdui", "registry")
+_LIBRARY = ("errors", "scalar", "oracles", "kcore", "beta", "hadamard", "routes", "furdui",
+            "registry")
+_ON_FIRST_USE = ("oracles", "routes", "furdui", "registry")
 
 
 def _load(name: str):

@@ -5,11 +5,11 @@ Pariguan, Divulgaciones Mat. 15 (2007) 179), with
 beta(u) = (psi((u+1)/2) - psi(u/2))/2 taken in one pass by
 :func:`_beta_unit`: no ln k, no psi_k and no difference of two digamma
 calls.  Against mpmath beta(u) is within 6e-16 relative for u in
-[1e-8, 1e15].  The alternating series, the Mellin-type integral on
-[0, 1] and the Laplace (cosh) integral provide three more routes that the
-verification harness plays against it; they share no kernel with it.
-Expansions around x = k and x = 0 complete the set, and the step
-beta_k(x) = 1/x - beta_k(x + k) continues beta_k to x <= 0.  The scanner
+[1e-8, 1e15].  The step beta_k(x) = 1/x - beta_k(x + k) continues
+beta_k to x <= 0.  The alternating series, the Mellin-type integral on
+[0, 1], the Laplace (cosh) integral and the expansions around x = k and
+x = 0 are the routes that the verification harness plays against it;
+they share no kernel with it and live in :mod:`kspecfun.routes`.  The scanner
 for the paper's open problem on f(x) = x beta_k(x) lives here too: it
 samples the derivatives of f and checks no identity.
 """
@@ -18,22 +18,15 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .kcore import _STIRLING_U, _check_pole, k_value
-from .scalar import (_DIGAMMA_TAIL, _EPS, _MAX_NORMAL, _MIN_NORMAL, CONSTANTS, Estimate,
-                     _alt_recip_sum, _check_int, _overflow_error, _polygamma_k, _polygamma_plan,
-                     _positive, _require_finite, _times_powers, zeta_int)
+from .scalar import (_DIGAMMA_TAIL, _MAX_NORMAL, _MIN_NORMAL, _check_int, _overflow_error,
+                     _polygamma_k, _polygamma_plan, _positive, _times_powers)
 
 __all__ = [
     "beta_k",
-    "beta_k_series",
-    "beta_k_integral",
-    "beta_k_cosh_form",
     "beta_k_deriv",
-    "beta_taylor_54",
-    "beta_expansion_55",
     "ScanTable",
     "openproblem_scan",
 ]
@@ -113,67 +106,6 @@ def _beta_step(k: float, z: float, depth: int = 0) -> float:
     return inv - (_beta(k, y) if y > 0.0 else _beta_step(k, y, depth + 1))
 
 
-def beta_k_series(k, x: float) -> Estimate:
-    """Alternating-series route sum_{n>=0} (-1)^n / (x + nk).
-
-    Paired-term summation with the Laplace-representation tail; never
-    touches the digamma reduction, so it serves as an independent
-    cross-check for :func:`beta_k`.
-    """
-    k = k_value(k)
-    x = _positive("beta_k_series", x)
-    raw, raw_err, used = _alt_recip_sum(x / k)
-    value = raw / k
-    err = raw_err / k + 4.0 * _EPS * abs(value)
-    return Estimate(value, err, used)
-
-
-def beta_k_integral(k, x: float) -> Estimate:
-    """Integral route int_0^1 t^(x-1) / (1 + t^k) dt, by quadrature to 1e-9.
-
-    For x < 1 the endpoint singularity is removed exactly by the
-    substitution t = s^(1/x), which turns the integrand into
-    (1/x) / (1 + s^(k/x)).
-    """
-    from .oracles import adaptive_quad  # here: the evaluators never load the oracles
-
-    k = k_value(k)
-    x = _positive("beta_k_integral", x)
-    if x < 1.0:
-        p = k / x
-        inv = 1.0 / x
-        return adaptive_quad(lambda s: inv / (1.0 + s**p), 0.0, 1.0, 1e-9)
-    return adaptive_quad(lambda t: t ** (x - 1.0) / (1.0 + t**k), 0.0, 1.0, 1e-9)
-
-
-def beta_k_cosh_form(k, x: float) -> Estimate:
-    """Laplace route int_0^inf e^(-xt) / cosh(kt) dt = beta_k((x + k)/2).
-
-    Valid for x > -k; the integral is truncated at T with
-    e^(-(x+k)T) < 1e-10, integrated to 1e-9, and the (bounded) remainder
-    is folded into the error estimate.
-    """
-    from .oracles import adaptive_quad  # here: the evaluators never load the oracles
-
-    k = k_value(k)
-    x = _require_finite("x", x)
-    if x <= -k:
-        raise DomainError(f"beta_k_cosh_form requires x > -k, got x={x}, k={k}")
-    rate = x + k
-    T = math.log(1e10) / rate
-
-    def integrand(t):
-        # e^(-xt)/cosh(kt) = 2 e^(-(x+k)t) / (1 + e^(-2kt)), overflow-safe
-        return 2.0 * math.exp(-rate * t) / (1.0 + math.exp(-2.0 * k * t))
-
-    q = adaptive_quad(integrand, 0.0, T, 1e-9)
-    # analytic tail with 1/cosh ~ 2 e^(-kt); the neglected part decays
-    # faster by e^(-2kT)
-    tail = 2.0 * math.exp(-rate * T) / rate
-    tail_err = 2.0 * math.exp(-(rate + 2.0 * k) * T) / (rate + 2.0 * k)
-    return Estimate(q.value + tail, q.error_estimate + tail_err, q.terms_used)
-
-
 def beta_k_deriv(k, order: int, x: float) -> float:
     """order-th derivative of beta_k, order >= 0 (exact k-polygamma differences).
 
@@ -210,84 +142,6 @@ def beta_k_deriv(k, order: int, x: float) -> float:
     if not abs(value) <= _MAX_NORMAL:  # nan where both terms are beyond binary64
         raise _overflow_error(f"beta_k^({order})", x, k)
     return value
-
-
-@lru_cache(maxsize=8)
-def _taylor_coeffs(order: int) -> tuple[float, ...]:
-    # beta(1 + u) = sum_m a_m u^m for |u| < 1: a_0 = ln 2, a_m = (-1)^m (1 - 2^-m) zeta(m + 1)
-    return (CONSTANTS.ln2,
-            *((-1.0) ** m * (1.0 - 0.5**m) * zeta_int(m + 1) for m in range(1, order + 1)))
-
-
-@lru_cache(maxsize=None)
-def _expansion_coeffs() -> tuple[float, ...]:
-    # the k- and x-free weights (-1)^(n+1) zeta(n + 1)/2 of beta_expansion_55, n = 1..560
-    return tuple((0.5 if n % 2 else -0.5) * zeta_int(n + 1) for n in range(1, 561))
-
-
-def beta_taylor_54(k, x: float) -> Estimate:
-    """Expansion of beta_k(x + k) around the center k, for |x| < k.
-
-    Sums beta(1 + u), u = x/k, to order 240 and divides by k once.  For
-    0 < x < k the terms alternate with decreasing magnitude, so the first
-    omitted term bounds the truncation error; for negative x the series
-    is positive-term and the geometric bound |t| r/(1-r) applies.  The
-    reported estimate covers both.  A value beyond binary64 raises
-    OverflowError.
-    """
-    k = k_value(k)
-    x = _require_finite("x", x)
-    if abs(x) >= k:
-        raise DomainError(f"beta_taylor_54 requires |x| < k, got x={x}, k={k}")
-    u = x / k
-    total = 0.0
-    up = 1.0
-    for c in _taylor_coeffs(240):
-        total += c * up
-        up *= u
-    # first omitted term |u|^241, inflated by the geometric factor; its
-    # coefficient (1 - 2^-241) zeta(242) rounds to 1
-    err = abs(u) ** 241 / (1.0 - abs(u)) + 8.0 * _EPS * abs(total)
-    value = total / k
-    if math.isinf(value):
-        raise _overflow_error("beta_taylor_54", x, k)
-    return Estimate(value, err / k, 241)
-
-
-def beta_expansion_55(k, x: float) -> Estimate:
-    """Expansion of beta_k around 0: 1/x - 1/(x+k) + zeta-weighted double sum.
-
-    Sums beta(u), u = x/k, to n = 560 with the inner binomial sum taken
-    exactly as the power difference ((u+1)/2)^n - (u/2)^n, and divides by
-    k once.  Where the tail bound of that k-free sum exceeds 1e-9 it raises
-    ConvergenceError.  The observed convergence region is 0 < x < k (outer
-    ratio (u+1)/2), with x/k normal so that 1/u is finite.  A value beyond
-    binary64 raises OverflowError.
-    """
-    k = k_value(k)
-    x = _require_finite("x", x)
-    u = x / k
-    if not (0.0 < x < k and u >= _MIN_NORMAL):
-        raise DomainError(
-            f"beta_expansion_55 requires 0 < x < k and x/k >= 2^-1022, got x={x}, k={k}")
-    total = 1.0 / u - 1.0 / (u + 1.0)
-    a = 0.5 * (u + 1.0)  # in (1/2, 1): geometric decay of the outer terms
-    b = 0.5 * u
-    ap = bp = 1.0
-    for c in _expansion_coeffs():
-        ap *= a
-        bp *= b
-        term = c * (ap - bp)
-        total += term
-    err = 2.0 * abs(term) * a / (1.0 - a) + 8.0 * _EPS * abs(total)
-    value = total / k
-    if not err <= 1e-9:
-        raise ConvergenceError(
-            f"beta_expansion_55 tail bound {err:.3e} exceeds 1e-09 after 560 terms",
-            value=value, error_estimate=err / k, terms_used=560)
-    if math.isinf(value):
-        raise _overflow_error("beta_expansion_55", x, k)
-    return Estimate(value, err / k, 560)
 
 
 class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):

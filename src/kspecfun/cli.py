@@ -31,7 +31,7 @@ from .registry import (
     run_all,
     run_identity,
 )
-from .scalar import gauss_2f1, zeta_int
+from .routes import gauss_2f1, zeta_int
 
 # eval --fn name -> (the options it requires, its evaluator of the parsed arguments)
 EVAL_FUNCTIONS = {

@@ -11,8 +11,8 @@ kernel of :mod:`kspecfun.beta`.  A value beyond binary64 raises
 OverflowError; one below it underflows to 0.0; nan and inf are never
 returned.  The functional
 equation H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x) is kept only as the
-independent cross-check route (:func:`recursion_47`).  The module also
-houses the superadditivity threshold solver.
+independent cross-check route (:func:`kspecfun.routes.recursion_47`).
+The module also houses the superadditivity threshold solver.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from collections import namedtuple
 
 from .beta import _beta_unit
 from .errors import BracketError, DomainError
-from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, k_value, rgamma_k
-from .scalar import _EPS, _MIN_NORMAL, _check_int, _check_tol, _require_finite, _sinpi
+from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, k_value
+from .scalar import _EPS, _MIN_NORMAL, _check_tol, _require_finite, _sinpi
 
 __all__ = [
     "RootResult",
     "hadamard_k",
-    "recursion_47",
     "alpha0_solve",
 ]
 
@@ -108,26 +107,6 @@ def hadamard_k(k, x: float) -> float:
     if x < k:
         return _h_base(k, x)
     return _h_far(k, x)
-
-
-def recursion_47(k, x: float, n: int) -> float:
-    """H_k(x + nk) by n explicit applications of the functional equation.
-
-    This walk is the cross-check route for the O(1) far field of
-    :func:`hadamard_k`.  Started from a base point x < k, it shares no
-    far-field code with it.
-    """
-    k = k_value(k)
-    x = _require_finite("x", x)
-    _check_int("recursion_47", "n", n, 1, 50)
-    h = hadamard_k(k, x)
-    y = x
-    for _ in range(n):
-        h = y * h + rgamma_k(k, k - y)
-        y += k
-        if not math.isfinite(h):
-            raise OverflowError(f"recursion_47 overflow at argument {y}")
-    return h
 
 
 def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi: float) -> int:

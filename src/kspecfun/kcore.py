@@ -1,25 +1,23 @@
 """The k-deformed gamma family: Gamma_k, psi_k and its derivatives.
 
 Evaluation reduces everything to the classical functions through
-Gamma_k(x) = k^(x/k - 1) Gamma(x/k) and psi_k(x) = (ln k + psi(x/k))/k,
-with direct series routes kept alongside as cross-check oracles.
+Gamma_k(x) = k^(x/k - 1) Gamma(x/k) and psi_k(x) = (ln k + psi(x/k))/k.
+The direct series routes that cross-check psi_k and psi_k^(m) live in
+:mod:`kspecfun.routes`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import DomainError, PoleError
 from .scalar import (
-    _EPS,
     _MAX_NORMAL,
     _MIN_NORMAL,
     CONSTANTS,
-    Estimate,
     _check_int,
     _digamma,
     _digamma_minus_log,
-    _em_power_tail,
     _overflow_error,
     _polygamma_k,
     _positive,
@@ -33,9 +31,7 @@ __all__ = [
     "ln_gamma_k",
     "rgamma_k",
     "psi_k",
-    "psi_k_series",
     "psi_k_m",
-    "psi_k_m_series",
 ]
 
 POLE_GUARD = 1e-8  # relative (in units of k) pole exclusion radius
@@ -184,45 +180,6 @@ def psi_k(k, x: float) -> float:
     return value
 
 
-def psi_k_series(k, x: float) -> Estimate:
-    """Direct series route for psi_k, independent of :func:`psi_k`.
-
-    Sums (ln k - gamma)/k - 1/x + sum_{n>=1} x/(nk(nk+x)) with an
-    Euler-Maclaurin closed-form tail, so the route never touches the
-    digamma implementation.  Exists as a cross-check oracle.  It doubles
-    the direct terms until the error estimate is at most 1e-12 and raises
-    ConvergenceError where 2^16 terms do not reach that.
-    """
-    k = k_value(k)
-    x = _positive("psi_k_series", x)
-    n_direct = 128
-    while True:
-        s = 0.0
-        for n in range(n_direct - 1, 0, -1):
-            nk = n * k
-            s += x / (nk * (nk + x))
-        u = n_direct * k
-        # tail of sum [1/(nk) - 1/(nk+x)] from n = n_direct
-        integral = math.log1p(x / u) / k
-        g0 = 1.0 / u - 1.0 / (u + x)
-        g1 = -k * (1.0 / u**2 - 1.0 / (u + x) ** 2)
-        g3 = -6.0 * k**3 * (1.0 / u**4 - 1.0 / (u + x) ** 4)
-        g5 = -120.0 * k**5 * (1.0 / u**6 - 1.0 / (u + x) ** 6)
-        tail = integral + 0.5 * g0 - g1 / 12.0 + g3 / 720.0 - g5 / 30240.0
-        err = abs(g5) / 30240.0 + 8.0 * _EPS * (abs(s) + abs(tail) + 1.0 / x)
-        if err <= 1e-12 or n_direct >= 1 << 16:
-            value = (math.log(k) - CONSTANTS.euler_gamma) / k - 1.0 / x + s + tail
-            if err > 1e-12:
-                raise ConvergenceError(
-                    f"psi_k_series stalled at error {err:.3e} above 1e-12",
-                    value=value,
-                    error_estimate=err,
-                    terms_used=n_direct,
-                )
-            return Estimate(value, err, n_direct)
-        n_direct *= 2
-
-
 def psi_k_m(k, m: int, x: float) -> float:
     """k-polygamma psi_k^(m)(x) = psi^(m)(x/k) / k^(m+1), 1 <= m <= 150, x > 0.
 
@@ -248,43 +205,4 @@ def psi_k_m(k, m: int, x: float) -> float:
         raise _overflow_error(f"psi_k^({m})", x, k)
     return value
 
-
-def psi_k_m_series(k, m: int, x: float) -> Estimate:
-    """Direct series route for psi_k^(m) (cross-check oracle).
-
-    Evaluates (-1)^(m+1) m! sum_{n>=0} (nk + x)^-(m+1) with an
-    Euler-Maclaurin tail; independent of the polygamma kernel.  Raises
-    ConvergenceError where the error estimate exceeds
-    1e-11 max(1, |value|), and OverflowError where the value is beyond
-    binary64.
-    """
-    k = k_value(k)
-    _check_int("psi_k_m_series", "m", m, 1)
-    x = _positive("psi_k_m_series", x)
-    mf = float(math.factorial(m))
-    sign = 1.0 if m % 2 == 1 else -1.0
-    # with the tail starting at x + 64k the Euler-Maclaurin bound stays
-    # below the rounding term for every m whose m! is finite
-    n_direct = 64
-    s = 0.0
-    try:
-        for n in range(n_direct - 1, -1, -1):
-            s += (n * k + x) ** (-(m + 1))
-        tail, tail_err = _em_power_tail(x, k, m + 1.0, n_direct)
-    except OverflowError:  # one term alone is beyond binary64
-        raise _overflow_error(f"psi_k^({m})", x, k) from None
-    value = sign * mf * (s + tail)
-    if abs(value) > _MAX_NORMAL:
-        raise _overflow_error(f"psi_k^({m})", x, k)
-    err = mf * tail_err + 8.0 * _EPS * abs(value)
-    # the target is absolute for O(1) values and relative for the huge
-    # magnitudes reached near x = 0 at high m
-    if err > 1e-11 * max(1.0, abs(value)):
-        raise ConvergenceError(
-            f"psi_k_m_series error {err:.3e} exceeds 1e-11",
-            value=value,
-            error_estimate=err,
-            terms_used=n_direct,
-        )
-    return Estimate(value, err, n_direct)
 

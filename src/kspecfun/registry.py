@@ -23,6 +23,7 @@ from . import beta as _beta
 from . import furdui as _furdui
 from . import hadamard as _hadamard
 from . import kcore as _kcore
+from . import routes as _routes
 from . import scalar as _scalar
 from .errors import ConvergenceError, DomainError, PoleError
 from .oracles import DiscrepancyFit, adaptive_quad, cm_probe, finite_diff, fit_discrepancy
@@ -238,11 +239,11 @@ def _build_entries() -> list[IdentityEntry]:
     add("EQ1.1", "Gamma_k(x + k) = x Gamma_k(x)", "rel", 1e-11,
         points=_k_x_points, lhs=gamma_k_shifted, rhs=x_gamma_k)
     add("EQ1.2", "psi_k reduction route vs direct series route", "abs", 1e-10,
-        points=_k_x_points, lhs=_kcore.psi_k, rhs=_kcore.psi_k_series)
+        points=_k_x_points, lhs=_kcore.psi_k, rhs=_routes.psi_k_series)
     add("EQ1.3", "psi_k^(m) scaling route vs direct series route", "rel", 1e-10,
         points=lambda g: ({"k": k, "m": m, "x": u * k}
                           for k in g.k_values for m in _M_VALUES for u in (0.1, 0.7, 2.5)),
-        lhs=_kcore.psi_k_m, rhs=_kcore.psi_k_m_series)
+        lhs=_kcore.psi_k_m, rhs=_routes.psi_k_m_series)
 
     # ---- section 2: reductions, reflection, the 2F1 integral -------------
     def gamma_k_by_reduction(k, x, **_):
@@ -283,7 +284,7 @@ def _build_entries() -> list[IdentityEntry]:
             yield {"a": a, "b": b, "v": v, "u": 1.0}
 
     def lem23_by_2f1(a, b, v, u, **_):
-        return u**a / a * _scalar.gauss_2f1(v, a, 1.0 + a, -b * u, tol=1e-13).value
+        return u**a / a * _routes.gauss_2f1(v, a, 1.0 + a, -b * u, tol=1e-13).value
 
     def lem23_by_quadrature(a, b, v, u, **_):
         return adaptive_quad(lambda x: x ** (a - 1.0) / (1.0 + b * x) ** v, 0.0, u, 1e-11).value
@@ -479,7 +480,7 @@ def _build_entries() -> list[IdentityEntry]:
              lhs=h_closed_form_corrected),
         comparison="rel",
         tol=1e-9,
-        rhs=_hadamard.recursion_47,
+        rhs=_routes.recursion_47,
     )
 
     def h_walk(k, x, **_):
@@ -488,7 +489,7 @@ def _build_entries() -> list[IdentityEntry]:
         if x < k:
             return _hadamard.hadamard_k(k, x)
         n = int(math.floor((x - k) / k)) + 1
-        return _hadamard.recursion_47(k, max(x - n * k, 0.0), n)
+        return _routes.recursion_47(k, max(x - n * k, 0.0), n)
 
     def h_representation_as_printed(k, x, **_):
         g = _kcore.gamma_k(k, x)
@@ -548,13 +549,13 @@ def _build_entries() -> list[IdentityEntry]:
 
     # the divergent Phi(1,1,.) pieces only occur as a difference of digammas
     def lerch_alt_410_as_printed(x, **_):
-        return 2.0 * x * _scalar.lerch_alt(-x).value
+        return 2.0 * x * _routes.lerch_alt(-x).value
 
     def lerch_one_diff_410_as_printed(x, **_):
         return _scalar.lerch_one_diff(1.0 - 0.5 * x, 0.5 - 0.5 * x)
 
     def lerch_alt_410(x, **_):
-        return 2.0 * _scalar.lerch_alt(1.0 - x).value
+        return 2.0 * _routes.lerch_alt(1.0 - x).value
 
     def lerch_one_diff_410(x, **_):
         return _scalar.lerch_one_diff(0.5 - 0.5 * x, 1.0 - 0.5 * x)
@@ -620,18 +621,18 @@ def _build_entries() -> list[IdentityEntry]:
         return 2.0 * _kcore.psi_k(k, 2.0 * k * x) - _kcore.psi_k(k, k * x) - 2.0 * LN2 / k
 
     add("THM5.2", "beta_k scaling route vs alternating series route", "abs", 1e-10,
-        points=_k_x_points, lhs=_beta.beta_k, rhs=_beta.beta_k_series)
+        points=_k_x_points, lhs=_beta.beta_k, rhs=_routes.beta_k_series)
     add("EQ5.2-integral", "beta_k vs int_0^1 t^(x-1)/(1+t^k) dt", "abs", 1e-7,
-        points=_k_x_points, lhs=_beta.beta_k, rhs=_beta.beta_k_integral)
+        points=_k_x_points, lhs=_beta.beta_k, rhs=_routes.beta_k_integral)
     add("THM5.3", "Laplace route int_0^inf e^(-xt)/cosh(kt) dt = beta_k((x+k)/2)", "abs", 1e-7,
         points=lambda g: _k_x_points(g, units=(-0.5, 0.0, 0.35, 1.0, 2.1)),
-        lhs=_beta.beta_k_cosh_form, rhs=beta_k_at_half_shift)
+        lhs=_routes.beta_k_cosh_form, rhs=beta_k_at_half_shift)
     add("THM5.4", "expansion of beta_k(x + k) around k", "abs", 1e-8,
         points=lambda g: _k_x_points(g, units=(-0.5, 0.1, 0.5, 0.9)),
-        lhs=_beta.beta_taylor_54, rhs=beta_k_shifted)
+        lhs=_routes.beta_taylor_54, rhs=beta_k_shifted)
     add("THM5.5", "expansion of beta_k around 0 (power-difference inner sum)", "abs", 1e-8,
         points=lambda g: _k_x_points(g, units=(0.1, 0.5, 0.9)),
-        lhs=_beta.beta_expansion_55, rhs=_beta.beta_k)
+        lhs=_routes.beta_expansion_55, rhs=_beta.beta_k)
     add("EQ5.55", "k-duplication, differentiated form", "abs", 1e-11,
         points=lambda g: _k_x_points(g, scaled=False),
         lhs=psi_k_duplicated, rhs=psi_k_duplication)
@@ -665,7 +666,7 @@ def _build_entries() -> list[IdentityEntry]:
 
     def beta_k_step_sum(k, x, **_):
         # beta_k(x + k) by the scaling route, beta_k(x) by the series route
-        return beta_k_shifted(k, x) + _beta.beta_k_series(k, x).value
+        return beta_k_shifted(k, x) + _routes.beta_k_series(k, x).value
 
     def beta_k_harmonic_mean(k, x, **_):
         b1 = _beta.beta_k(k, x)
@@ -702,8 +703,8 @@ def _build_entries() -> list[IdentityEntry]:
     # ---- structural invariants --------------------------------------------
     def beta_k_by_psi_k_series(k, x, **_):
         # the direct k-form, so the scaling law that beta_k uses sits on the rhs only
-        return 0.5 * (_kcore.psi_k_series(k, 0.5 * x + 0.5 * k).value
-                      - _kcore.psi_k_series(k, 0.5 * x).value)
+        return 0.5 * (_routes.psi_k_series(k, 0.5 * x + 0.5 * k).value
+                      - _routes.psi_k_series(k, 0.5 * x).value)
 
     def beta_k_by_scaling(k, x, **_):
         return _beta.beta_k(1.0, x / k) / k

@@ -2,10 +2,9 @@
 
 Everything here is scalar binary64 arithmetic on top of ``math``.  The
 log-gamma comes from libm; digamma and polygamma use the textbook
-recurrence-shift plus Bernoulli asymptotic expansions; the zeta family
-sums its head directly and closes it with one Euler-Maclaurin tail; the
-Gauss hypergeometric series is summed directly, with the Pfaff
-transformation restoring geometric convergence near z = -1.
+recurrence-shift plus Bernoulli asymptotic expansions.  The zeta family,
+the Gauss hypergeometric series and the alternating Lerch sum serve only
+the cross-check routes and live with them in :mod:`kspecfun.routes`.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from functools import lru_cache
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import DomainError
 
 __all__ = [
     "CONSTANTS",
@@ -24,9 +22,6 @@ __all__ = [
     "rgamma",
     "digamma",
     "polygamma",
-    "zeta_int",
-    "gauss_2f1",
-    "lerch_alt",
     "lerch_one_diff",
 ]
 
@@ -188,7 +183,7 @@ _DIGAMMA_TAIL = (
     1.0 / 12.0,
 )
 
-# Bernoulli numbers B_2 .. B_20, and B_2j/(2j)! for Euler-Maclaurin
+# Bernoulli numbers B_2 .. B_20
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -201,7 +196,6 @@ _BERNOULLI = (
     43867.0 / 798.0,
     -174611.0 / 330.0,
 )
-_EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1))
 
 
 def digamma(x: float) -> float:
@@ -406,180 +400,6 @@ def polygamma(m: int, x: float) -> float:
     if abs(value) > _MAX_NORMAL:
         raise _overflow_error(f"psi^({m})", x)
     return value
-
-
-def _em_power_tail(a: float, k: float, p: float, n0: int) -> tuple[float, float]:
-    """sum_{n >= n0} (a + n k)^(-p) for p > 1, by Euler-Maclaurin (DLMF 2.10.1).
-
-    Bernoulli terms are added while they decrease; the returned bound is
-    the magnitude of the last term added.  Where a + n0 k overflows the
-    tail is below binary64 and (0.0, 0.0) is returned.
-    """
-    u = a + n0 * k
-    if u == math.inf:
-        return 0.0, 0.0
-    upow = u ** (-p)
-    bound = 0.5 * upow
-    value = u * upow / (k * (p - 1.0)) + bound
-    coef = p * k * upow / u  # (p)_(2j-1) k^(2j-1) u^(1-p-2j) at j = 1
-    w = (k / u) ** 2
-    for j, c in enumerate(_EM_COEFFS, start=1):
-        term = c * coef
-        if abs(term) >= bound:
-            break
-        value += term
-        bound = abs(term)
-        coef *= (p + 2 * j - 1) * (p + 2 * j) * w
-    return value, bound
-
-
-# Holds every order the registry reaches (up to s = 561) with room to spare.
-@lru_cache(maxsize=1024)
-def _zeta_minus_1(s: int) -> float:
-    total = 0.0
-    for n in range(2, 20):
-        t = float(n) ** (-s)
-        total += t
-        if t <= 1e-17 * total:
-            return total
-    return total + _em_power_tail(0.0, 1.0, s, 20)[0]
-
-
-def zeta_int(s: int) -> float:
-    """Riemann zeta at integer s >= 2: 1 + :func:`zeta_minus_1`.
-
-    Relative error <= 1e-14 against mpmath for 2 <= s <= 300.
-    """
-    _check_int("zeta_int", "s", s, 2)
-    return 1.0 + _zeta_minus_1(s)
-
-
-def zeta_minus_1(s: int) -> float:
-    """zeta(s) - 1 for integer s >= 2, without forming zeta(s).
-
-    Sums n^(-s) from n = 2 until a term drops below 1e-17 of the total, or
-    else closes the sum at n = 20 with the Euler-Maclaurin tail.  Relative
-    error <= 1e-14 against mpmath for 2 <= s <= 300.
-    """
-    _check_int("zeta_minus_1", "s", s, 2)
-    return _zeta_minus_1(s)
-
-
-def zeta_tail(s: float, a: int) -> float:
-    """Hurwitz tail sum_{i >= a} i^(-s) for real s > 1 and integer a >= 10.
-
-    Relative error <= 1e-14 against mpmath for 2 <= s <= a/2 (checked at
-    a = 10, 25, 50, 100).
-    """
-    if a < 10:
-        raise DomainError("zeta_tail requires a >= 10")
-    return _em_power_tail(0.0, 1.0, s, a)[0]
-
-
-_2F1_MAX_TERMS = 10_000
-
-
-def _2f1_series(a, b, c, z, tol):
-    term = 1.0
-    total = 1.0
-    n = 0
-    while n < _2F1_MAX_TERMS:
-        ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-        term *= ratio
-        total += term
-        n += 1
-        if term == 0.0:
-            return total, 0.0, n
-        nxt = abs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
-        if nxt < 0.95 and abs(term) <= 0.25 * tol * max(1.0, abs(total)):
-            r = max(nxt, abs(z))
-            err = abs(term) * r / (1.0 - r)
-            return total, err, n
-    raise ConvergenceError(
-        f"2F1 series did not converge within {_2F1_MAX_TERMS} terms",
-        value=total,
-        terms_used=n,
-    )
-
-
-def gauss_2f1(a, b, c, z, tol=1e-13) -> Estimate:
-    """Gauss hypergeometric 2F1(a, b; c; z) for z in [-1, 0].
-
-    For z >= -0.5 the defining series is summed directly.  For z < -0.5
-    the Pfaff transformation F(a,b;c;z) = (1-z)^(-b) F(c-a, b; c; z/(z-1))
-    maps z into (1/3, 1/2], where the series converges geometrically; this
-    is mandatory at z = -1, where the direct series may diverge termwise.
-    """
-    a = _require_finite("a", a)
-    b = _require_finite("b", b)
-    c = _require_finite("c", c)
-    z = _require_finite("z", z)
-    _check_tol(tol)
-    if c <= 0.0 and c == math.floor(c):
-        raise DomainError(f"2F1 parameter c must not be a nonpositive integer, got {c}")
-    if not -1.0 <= z <= 0.0:
-        raise DomainError(f"2F1 argument z must lie in [-1, 0], got {z}")
-    if z == 0.0:
-        return Estimate(1.0, 0.0, 0)
-    if z >= -0.5:
-        value, err, n = _2f1_series(a, b, c, z, tol)
-    else:
-        w = z / (z - 1.0)
-        pref = (1.0 - z) ** (-b)
-        value, err, n = _2f1_series(c - a, b, c, w, tol / max(pref, 1.0))
-        value *= pref
-        err *= pref
-    err += 4.0 * _EPS * abs(value)
-    return Estimate(value, err, n)
-
-
-# Watson-lemma expansion of sum_{j>=0} (-1)^j/(y+j), from the Laplace
-# representation int_0^inf e^(-yt)/(1+e^(-t)) dt.
-def _alt_recip_asymptotic(y: float) -> tuple[float, float]:
-    v = 1.0 / y
-    v2 = v * v
-    val = v * (0.5 + v * (0.25 + v2 * (-0.125 + v2 * (0.25 + v2 * (-1.0625 + v2 * 7.75)))))
-    err = 86.375 * v**12
-    return val, err
-
-
-def _alt_recip_sum(b: float) -> tuple[float, float, int]:
-    """sum_{j>=0} (-1)^j/(b+j) for b > 0: paired head + asymptotic tail."""
-    n_head = 8 if b >= 42.0 else int(math.ceil(42.0 - b))
-    if n_head % 2:
-        n_head += 1
-    head = 0.0
-    for j in range(n_head - 2, -1, -2):
-        head += 1.0 / ((b + j) * (b + j + 1.0))
-    tail, tail_err = _alt_recip_asymptotic(b + n_head)
-    value = head + tail
-    err = tail_err + 8.0 * _EPS * abs(value)
-    return value, err, n_head
-
-
-def lerch_alt(a: float) -> Estimate:
-    """Lerch sum Phi(-1, 1, a) = sum_{n>=0} (-1)^n / (n + a).
-
-    For a > 0 consecutive terms are summed in pairs and the smooth tail
-    is taken from the Laplace-representation expansion; for negative
-    non-integer a the finitely many negative-denominator terms are added
-    explicitly first.
-    """
-    a = _require_finite("a", a)
-    if a <= 0.0 and a == math.floor(a):
-        raise PoleError(f"Phi(-1, 1, a) has poles at nonpositive integers, got a={a}")
-    head = 0.0
-    n0 = 0
-    if a <= 0.0:
-        n0 = int(math.ceil(-a))
-        if float(n0) + a <= 0.0:  # guard against ceil landing on the pole side
-            n0 += 1
-        for n in range(n0):
-            head += (-1.0) ** n / (n + a)
-    tail, err, used = _alt_recip_sum(a + n0)
-    value = head + (tail if n0 % 2 == 0 else -tail)
-    err += 4.0 * _EPS * (abs(head) + abs(value))
-    return Estimate(value, err, n0 + used)
 
 
 def lerch_one_diff(a: float, b: float) -> float:

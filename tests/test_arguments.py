@@ -7,7 +7,7 @@ import pytest
 
 import kspecfun
 from kspecfun import DomainError
-from kspecfun.scalar import zeta_minus_1
+from kspecfun.routes import zeta_minus_1
 
 # name -> the function as a callable of x alone
 POSITIVE_X = {

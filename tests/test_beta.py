@@ -16,7 +16,7 @@ from kspecfun import (
     beta_taylor_54,
     get_entry,
 )
-from kspecfun.beta import _taylor_coeffs
+from kspecfun.routes import _taylor_coeffs
 
 LN2 = math.log(2.0)
 PI = math.pi

@@ -28,7 +28,8 @@ def test_module_all_resolves(name):
     assert set(exported) <= set(namespace)
 
 
-LIBRARY = ("errors", "scalar", "oracles", "kcore", "beta", "hadamard", "furdui", "registry")
+LIBRARY = ("errors", "scalar", "oracles", "kcore", "beta", "hadamard", "routes", "furdui",
+           "registry")
 
 
 def _fresh(code: str) -> str:
@@ -61,9 +62,16 @@ def test_package_exports_exactly_the_module_all_lists():
 
 
 def test_import_loads_only_the_evaluators():
+    # one call of each evaluator loads no cross-check route; a route's name
+    # loads its module and the oracles it integrates with, not the Furdui
+    # routes or the registry
     out = _fresh("""
         import sys, kspecfun
-        kspecfun.gamma_k(1.0, 2.5), kspecfun.hadamard_k(1.0, 2.5), kspecfun.beta_k(1.0, 2.5)
+        kspecfun.gamma_k(1.0, 2.5), kspecfun.ln_gamma_k(1.0, 2.5), kspecfun.rgamma_k(1.0, 2.5)
+        kspecfun.psi_k(1.0, 2.5), kspecfun.psi_k_m(1.0, 2, 2.5)
+        kspecfun.beta_k(1.0, 2.5), kspecfun.hadamard_k(1.0, 2.5)
+        print(sorted(m for m in sys.modules if m.startswith("kspecfun")))
+        kspecfun.gauss_2f1
         print(sorted(m for m in sys.modules if m.startswith("kspecfun")))
         kspecfun.run_all
         print("kspecfun.registry" in sys.modules)
@@ -71,6 +79,8 @@ def test_import_loads_only_the_evaluators():
     assert out.splitlines() == [
         "['kspecfun', 'kspecfun.beta', 'kspecfun.errors', 'kspecfun.hadamard', "
         "'kspecfun.kcore', 'kspecfun.scalar']",
+        "['kspecfun', 'kspecfun.beta', 'kspecfun.errors', 'kspecfun.hadamard', "
+        "'kspecfun.kcore', 'kspecfun.oracles', 'kspecfun.routes', 'kspecfun.scalar']",
         "True",
     ]
 

@@ -19,7 +19,8 @@ from kspecfun import (
 from kspecfun import furdui, run_identity
 from kspecfun.kcore import psi_k
 from kspecfun.oracles import adaptive_quad
-from kspecfun.scalar import _EPS, CONSTANTS, gauss_2f1, polygamma, zeta_tail
+from kspecfun.routes import gauss_2f1, zeta_tail
+from kspecfun.scalar import _EPS, CONSTANTS, polygamma
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)

@@ -1,9 +1,11 @@
 """The package's import layering, read from each module's source with ``ast``.
 
 L0 ``scalar`` (over ``errors``), L1 ``kcore`` and the route-agnostic
-``oracles``, L2 ``beta``/``hadamard``/``furdui``, L3 ``registry``, L4
-``cli``.  A lower layer that imports a higher one would let an evaluator
-depend on the harness that checks it.
+``oracles``, L2 ``beta``/``hadamard``, the cross-check ``routes`` and
+``furdui``, L3 ``registry``, L4 ``cli``.  A lower layer that imports a
+higher one would let an evaluator depend on the harness that checks it,
+and a route that imported an evaluator kernel would check it against
+itself.
 """
 
 import ast
@@ -24,7 +26,20 @@ ONLY = {
     "kcore": {"errors", "scalar"},
 }
 # module -> package modules it must not import
-NEVER = {name: {"registry", "cli", "reports"} for name in ("beta", "hadamard", "furdui")}
+NEVER = {name: {"registry", "cli", "reports"} for name in ("beta", "hadamard", "routes", "furdui")}
+# the evaluators and the oracles they may be checked with never load a cross-check route
+EVALUATOR_MODULES = ("scalar", "kcore", "beta", "hadamard", "oracles")
+# the evaluator kernels and their public wrappers
+KERNELS = {
+    "_digamma", "_digamma_minus_log", "_polygamma_k", "_polygamma_scaled", "_rgamma",
+    "_ln_gamma_k", "_beta", "_beta_unit",
+    "digamma", "psi_k", "lerch_one_diff", "polygamma", "psi_k_m", "rgamma", "gamma_k",
+    "ln_gamma_k", "rgamma_k", "beta_k", "beta_k_deriv", "hadamard_k",
+}
+# recursion_47 walks the functional equation H_k(x + k) = x H_k(x) + 1/Gamma_k(k - x)
+# from hadamard_k at a base point, by design: the overlap that ROADMAP direction 2
+# lists for EQ4.7 and EQ4.8-corrected
+ROUTE_KERNELS_ALLOWED = {"hadamard_k", "rgamma_k"}
 
 
 def _relative_imports(name):
@@ -48,6 +63,21 @@ def test_lower_layers_import_only_the_layers_below(name):
 @pytest.mark.parametrize("name", sorted(NEVER))
 def test_derived_functions_import_no_registry_or_cli(name):
     assert not _relative_imports(name) & NEVER[name]
+
+
+@pytest.mark.parametrize("name", EVALUATOR_MODULES)
+def test_no_evaluator_imports_the_routes(name):
+    assert "routes" not in _relative_imports(name)
+
+
+def test_routes_import_no_evaluator_kernel():
+    # every package import of routes names what it takes (no ``from . import
+    # module``), so the names below are all it can reach
+    tree = ast.parse((SRC / "routes.py").read_text(), filename="routes.py")
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert all(node.module for node in imports)
+    names = {alias.name for node in imports for alias in node.names}
+    assert names & KERNELS == ROUTE_KERNELS_ALLOWED
 
 
 def test_import_table_reads_the_imports():
@@ -85,8 +115,10 @@ def test_series_routes_scale_by_k_once():
     assert _top_level_users("furdui", _is_power_of("k")) <= {"_scaled", "_oracle_cached"}
     assert not _top_level_users("furdui", _is_name("km"))
     # the beta_k expansions sum in u = x/k and carry no power of k
-    assert not _top_level_users("beta", _is_power_of("k"))
-    assert not _top_level_users("beta", _is_name("kp"))
+    expansions = {"beta_taylor_54", "_taylor_coeffs", "beta_expansion_55", "_expansion_coeffs"}
+    assert expansions <= _top_level_users("routes", lambda node: True)
+    assert not _top_level_users("routes", _is_power_of("k")) & expansions
+    assert not _top_level_users("routes", _is_name("kp")) & expansions
 
 
 def _calls_one_of(names):

@@ -35,7 +35,8 @@ from kspecfun import (
     run_all,
     zeta_int,
 )
-from kspecfun.scalar import CONSTANTS, zeta_minus_1, zeta_tail
+from kspecfun.routes import zeta_minus_1, zeta_tail
+from kspecfun.scalar import CONSTANTS
 
 mp.dps = 30
 

@@ -21,6 +21,7 @@ from kspecfun import (
     default_grid,
     furdui,
     kcore,
+    routes,
     scalar,
     get_entry,
     openproblem_scan,
@@ -106,7 +107,7 @@ def test_thm41_lhs_never_takes_the_recurrence_step(monkeypatch):
         return real(k, x)
 
     monkeypatch.setattr(hadamard, "hadamard_k", spy)
-    monkeypatch.delattr(hadamard, "recursion_47")
+    monkeypatch.delattr(routes, "recursion_47")
     entry = get_entry("THM4.1")
     for params in entry.points(default_grid()):
         seen.clear()
@@ -121,7 +122,7 @@ def test_beta_k_and_hadamard_k_share_no_kernel_with_the_cross_check_routes(monke
     def refuse(*args):
         raise AssertionError("a cross-check kernel was reached")
 
-    for module in (scalar, kcore, beta, hadamard):
+    for module in (scalar, kcore, beta, hadamard, routes):
         for name in ("_alt_recip_sum", "_alt_recip_asymptotic", "digamma", "_digamma", "psi_k"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -158,8 +159,7 @@ def test_psi_k_m_shares_no_kernel_with_the_series_route(monkeypatch):
     def refuse(*args):
         raise AssertionError("the series route's Euler-Maclaurin tail was reached")
 
-    for module in (scalar, kcore):
-        monkeypatch.setattr(module, "_em_power_tail", refuse)
+    monkeypatch.setattr(routes, "_em_power_tail", refuse)
     for m, k, x, value in (call for seen in calls.values() for call in seen):
         assert kspecfun.psi_k_m(k, m, x) == value
 
@@ -190,9 +190,9 @@ def test_duplicate_identity_ids_are_refused(monkeypatch):
 def test_estimate_sides_are_compared_on_their_value():
     # THM5.2's rhs is the library route beta_k_series itself
     entry = get_entry("THM5.2")
-    assert entry.rhs is beta.beta_k_series
+    assert entry.rhs is routes.beta_k_series
     (report,) = run_identity("THM5.2", GridSpec(k_values=(2.0,), x_values=(0.7,)))
-    assert report.rhs == beta.beta_k_series(2.0, 1.4).value
+    assert report.rhs == routes.beta_k_series(2.0, 1.4).value
 
 
 def test_run_identity_deterministic():
