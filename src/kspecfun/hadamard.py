@@ -109,6 +109,12 @@ def hadamard_k(k, x: float) -> float:
     return _h_far(k, x)
 
 
+def _sign(v: float) -> int:
+    # -1, 0 or 1; signs are compared as the product of these, since the
+    # product of two values of g underflows to 0.0 at small k
+    return (v > 0.0) - (v < 0.0)
+
+
 def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi: float) -> int:
     # Sign changes of g between consecutive nodes of the lattice lo,
     # lo + step, ... (accumulated, the last node clamped to hi); a zero at
@@ -132,7 +138,7 @@ def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi:
             prev = ga
             for j in range(a + 1, b + 1):
                 cur = gb if j == b else g(ts[j])
-                if prev == 0.0 or prev * cur < 0.0:
+                if prev == 0.0 or _sign(prev) * _sign(cur) < 0:
                     changes += 1
                 prev = cur
         a, ga = b, gb
@@ -146,7 +152,14 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     polish until |g| < tol or a step is at most 4 eps |x|.  H_k(kt) =
     k^(t-1) H_1(t) gives g_k(kt) = k^(2t-1) g_1(t) for the threshold
     function g, so the bracket ends carry the signs of g_1(1.5) < 0 and
-    g_1(5) > 0 for every k; ends of one sign raise BracketError.
+    g_1(5) > 0 for every k; ends of one sign raise BracketError.  Signs
+    are compared without multiplying two values of g, and the secant step
+    takes the ratio f1/(f1 - f0) first, since at small k such products
+    underflow to 0.0.  Where H_k(2x) at the root is below the normal range
+    (k below about 3.2e-154) g cannot resolve the root, and DomainError is
+    raised.  ``tol`` is absolute, so at small k, where g is of order
+    k^(2t-1), the first secant step already meets it: root/k drifts from
+    its k = 1 value by about 1e-13 |ln k| relative.
     ``sign_changes`` is the number of sign changes of the
     threshold function g between consecutive nodes of the 0.01k lattice
     on the bracket (at least 1), so a non-unique crossing shows as a
@@ -167,7 +180,7 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     hi = 5.0 * k
     glo = g(lo)
     ghi = g(hi)
-    if glo * ghi > 0.0:
+    if _sign(glo) * _sign(ghi) > 0:
         raise BracketError(f"no sign change of the threshold equation on [{lo}, {hi}]")
     changes = max(_count_sign_changes(g, lo, hi, 0.01 * k, glo, ghi), 1)
 
@@ -179,7 +192,7 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
             break  # adjacent floats: 1e-6 k is below the spacing at a
         gm = g(mid)
         iterations += 1
-        if ga * gm <= 0.0:
+        if _sign(ga) * _sign(gm) <= 0:
             b, gb = mid, gm
         else:
             a, ga = mid, gm
@@ -188,7 +201,8 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     for _ in range(60):
         if f1 == f0:
             break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        # the ratio first: f1 (x1 - x0) underflows to 0.0 at small k
+        x2 = x1 - f1 / (f1 - f0) * (x1 - x0)
         if not a <= x2 <= b:
             x2 = 0.5 * (a + b)
         f2 = g(x2)
@@ -201,4 +215,8 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
             break
     if not (settled or abs(f1) < tol):
         raise BracketError(f"threshold solver stalled at residual {f1:.3e}")
+    if hadamard_k(k, 2.0 * x1) < _MIN_NORMAL:
+        # both terms of g are below the normal range at the root, so g
+        # cannot tell the root from its neighbours
+        raise DomainError(f"the threshold function underflows binary64 at its root (k={k})")
     return RootResult(x1, f1, lo, hi, iterations, changes)

@@ -274,8 +274,10 @@ def test_alpha0_solve_ends_where_its_steps_vanish():
             _count_sign_changes(abs, 1.0, 2.0, 1e-17, 1.0, 2.0)
         except DomainError as exc:
             print(exc)
-        res = alpha0_solve(1e-318)
-        print(res.bracket_lo <= res.root <= res.bracket_hi)
+        try:
+            alpha0_solve(1e-318)
+        except DomainError as exc:
+            print(exc)
     """)
     src = str(Path(kspecfun.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
@@ -285,8 +287,40 @@ def test_alpha0_solve_ends_where_its_steps_vanish():
         "sign-change lattice step 0.0 vanishes at 1.5e-322",
         "sign-change lattice step 0.0 vanishes at 1e-323",
         "sign-change lattice step 1e-17 vanishes at 1.0",
-        "True",
+        "the threshold function underflows binary64 at its root (k=1e-318)",
     ]
+
+
+ALPHA0_UNIT = 1.5031760923432764  # alpha0(k)/k, the root of g_1
+
+
+@pytest.mark.parametrize("k,root", [(0.5, 0.7515880461716424), (1.0, 1.5031760923431672),
+                                    (2.0, 3.0063521846860994), (PI, 4.722366968756496)])
+def test_alpha0_roots_on_the_default_grid_are_pinned(k, root):
+    assert alpha0_solve(k, 1e-10).root == root
+
+
+@pytest.mark.parametrize("k", (1e-150, 1e-120, 1e-80, 1e-60, 1e-10))
+def test_alpha0_solve_finds_the_root_at_small_k(k):
+    # g is of order k^(2t-1) there, so the product of two of its values
+    # underflows; the absolute tol is met after one secant step, whose
+    # error grows as |ln k|
+    res = alpha0_solve(k, 1e-10)
+    assert res.bracket_lo < res.root < res.bracket_hi
+    assert abs(res.root / k - ALPHA0_UNIT) <= 2e-13 * abs(math.log(k))
+
+
+@pytest.mark.parametrize("k", (3.2e-154, 1e-200, 1e-300))
+def test_alpha0_solve_refuses_a_root_that_g_cannot_resolve(k):
+    with pytest.raises(DomainError, match=r"underflows binary64 at its root"):
+        alpha0_solve(k, 1e-10)
+
+
+def test_sign_changes_are_counted_where_products_underflow():
+    def g(t):
+        return (t - 2.025) * 1e-200
+
+    assert _count_sign_changes(g, 1.5, 5.0, 0.01, g(1.5), g(5.0)) == 1
 
 
 def test_sign_changes_refine_a_cell_with_same_sign_ends():
