@@ -317,6 +317,10 @@ def _build_entries() -> list[IdentityEntry]:
 
     def lambda_ratio(k, x, **_):
         b = _beta.beta_k(k, x)
+        if b * b < _scalar._MIN_NORMAL:
+            # beta_k'(x) is of the same order and below the normal range too
+            raise DomainError(f"lambda_ratio requires beta_k(x)^2 >= 2^-1022, "
+                              f"got beta_k({x}) = {b} at k={k}")
         return x * _beta.beta_k_deriv(k, 1, x) / (b * b)
 
     def lambda_ratio_next(k, x_next, **_):
@@ -335,6 +339,14 @@ def _build_entries() -> list[IdentityEntry]:
     def furdui_by_thm32_variant(k, m, **_):
         return _furdui.thm32_series(k, m, "sign_variant").value
 
+    def k_to_the_m(rep):
+        # the Furdui fits divide by it, so where it underflows no fit is made
+        power = rep.params["k"] ** rep.params["m"]
+        if power < _scalar._MIN_NORMAL:
+            raise DomainError(f"k^m underflows binary64 at k={rep.params['k']}, "
+                              f"m={rep.params['m']}")
+        return power
+
     def furdui_by_thm34_printed(k, m, n, **_):
         # printed middle term (+(-1)^(n+1) k^m n!/m) in place of -n! k^m/(m (m+1)...(m+n))
         return (_furdui.thm34_recursion(k, m, n).value
@@ -351,7 +363,7 @@ def _build_entries() -> list[IdentityEntry]:
              # (lhs-rhs)(m+1)/(m k^m) constant -2*gamma diagnoses the prefix sign
              fit=FitPlan("offset", None,
                          lambda rep: ((rep.lhs - rep.rhs) * (rep.params["m"] + 1)
-                                      / (rep.params["m"] * rep.params["k"] ** rep.params["m"]), 0.0),
+                                      / (rep.params["m"] * k_to_the_m(rep)), 0.0),
                          lambda _g: -TWO_GAMMA)),
         dict(anchor="I(k,m) with the (ln k + m gamma) prefix",
              tol=1e-7,
@@ -367,7 +379,7 @@ def _build_entries() -> list[IdentityEntry]:
              # (lhs-rhs)/k^m + 1/m constant ln(pi) diagnoses the 3/2 ln x and
              # sign-of-ln(pi/k) coefficients
              fit=FitPlan("offset", None,
-                         lambda rep: ((rep.lhs - rep.rhs) / rep.params["k"] ** rep.params["m"]
+                         lambda rep: ((rep.lhs - rep.rhs) / k_to_the_m(rep)
                                       + 1.0 / rep.params["m"], 0.0),
                          lambda _g: LN_PI)),
         dict(anchor="I(k,m) = -m int x^(m-1) ln Gamma_k(x) dx (expansion bypassed)",
@@ -691,7 +703,10 @@ def _build_entries() -> list[IdentityEntry]:
         return 1.0 / x - LN2 / k
 
     def beta_k_refined_upper_bound(k, x, **_):
-        return beta_k_lower_bound(k, x) + math.pi**2 * x / (12.0 * k ** 2)
+        k2 = k ** 2
+        if k2 < _scalar._MIN_NORMAL:
+            raise DomainError(f"beta_k_refined_upper_bound requires k^2 >= 2^-1022, got k={k}")
+        return beta_k_lower_bound(k, x) + math.pi**2 * x / (12.0 * k2)
 
     add("REMARK5-lower", "1/x - ln2/k < beta_k(x) on (0, k)", "lt", 0.0,
         points=_remark5_points, lhs=beta_k_lower_bound, rhs=_beta.beta_k)
@@ -863,10 +878,12 @@ def fits_for(entry: IdentityEntry, reports: list[IdentityReport]) -> tuple[FitRe
         groups.setdefault(key, []).append(rep)
     records = []
     for key in sorted(groups, key=lambda v: (str(type(v)), v)):
-        pairs = [plan.transform(rep) for rep in groups[key]]
-        if len(pairs) < 3:
+        if len(groups[key]) < 3:
             continue
-        fit = fit_discrepancy(pairs, plan.mode)
+        try:
+            fit = fit_discrepancy([plan.transform(rep) for rep in groups[key]], plan.mode)
+        except DomainError:  # no constant fits this group: a side or k^m at 0.0
+            continue
         label = entry.id if key is None else f"{entry.id}[{plan.group_by}={key!r}]"
         records.append(FitRecord(label, fit, plan.expected(key)))
     return tuple(records)

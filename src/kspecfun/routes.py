@@ -217,6 +217,10 @@ def lerch_alt(a: float) -> Estimate:
     return Estimate(value, err, n0 + used)
 
 
+# (128 k)^6, the smallest power the psi_k_series tail divides by, is normal from here up
+_PSI_SERIES_MIN_K = 2.0**-177
+
+
 def psi_k_series(k, x: float) -> Estimate:
     """Direct series route for psi_k, independent of :func:`psi_k`.
 
@@ -224,10 +228,14 @@ def psi_k_series(k, x: float) -> Estimate:
     Euler-Maclaurin closed-form tail, so the route never touches the
     digamma implementation.  Exists as a cross-check oracle.  It doubles
     the direct terms until the error estimate is at most 1e-12 and raises
-    ConvergenceError where 2^16 terms do not reach that.
+    ConvergenceError where 2^16 terms do not reach that.  The tail divides
+    by (nk)^6, n >= 128, so below k = 2^-177, where that power is not a
+    normal binary64 number, it raises DomainError.
     """
     k = k_value(k)
     x = _positive("psi_k_series", x)
+    if k < _PSI_SERIES_MIN_K:
+        raise DomainError(f"psi_k_series requires k >= 2^-177, got k={k}")
     n_direct = 128
     while True:
         s = 0.0

@@ -184,6 +184,27 @@ def test_verify_reports_where_the_point_generator_fails(tmp_path, capsys):
         "note": "OverflowError: H_k(1e+101) overflows binary64 (k=1e+100)"}]
 
 
+@pytest.mark.parametrize("k", ["1e-300", "1e-100", "1e300"])
+def test_verify_all_writes_a_report_at_extreme_k(tmp_path, k):
+    # each of these k once ended in a ZeroDivisionError traceback; the run
+    # goes in a child process with a 1 GB address-space cap and a timeout
+    path = tmp_path / "report.json"
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from kspecfun.cli import main\n"
+             "main()\n")
+    src = os.path.dirname(os.path.dirname(kspecfun.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "verify", "--id", "ALL", "--k-list", k,
+         "--format", "json", "--out", str(path)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stderr == ""
+    reports = json.loads(path.read_text())
+    assert {r["identity_id"] for r in reports} == set(kspecfun.registry_ids())
+    assert {r["params"]["k"] for r in reports if "k" in r["params"]} == {float(k)}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_verify_skips_reports_with_non_finite_sides(capsys, fmt):
     # at k = 1e-320 each Gamma_k factor is about 1e288, so both sides are inf

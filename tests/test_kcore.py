@@ -150,6 +150,14 @@ def test_beta_k_at_the_smallest_subnormal_overflows(k):
         beta_k(k, 5e-324)
 
 
+@pytest.mark.parametrize("k", (1e-60, 1e-100, 1e-300, 5e-324))
+def test_psi_k_series_refuses_k_where_its_tail_underflows(k):
+    # (128 k)^6 is below the normal range; the route once ended there in a
+    # ZeroDivisionError from x/(nk (nk + x)) or (nk)^-6
+    with pytest.raises(DomainError, match=r"^psi_k_series requires k >= 2\^-177, got k="):
+        psi_k_series(k, k)
+
+
 def test_psi_k_series_values():
     assert psi_k_series(1.0, 1.0).value == pytest.approx(-GAMMA, abs=1e-10)
     assert psi_k_series(2.0, 2.0).value == pytest.approx(0.0579657578292062, abs=1e-10)

@@ -227,6 +227,31 @@ def test_skip_on_convergence_error():
     assert reports[0].note.startswith("ConvergenceError: psi_k_series stalled")
 
 
+@pytest.mark.parametrize("identity_id,k,note", [
+    ("EQ1.2", 1e-300, "DomainError: psi_k_series requires k >= 2^-177, got k=1e-300"),
+    ("SCALING-BETA", 1e-100, "DomainError: psi_k_series requires k >= 2^-177, got k=1e-100"),
+    ("REMARK5-refined", 1e-300,
+     "DomainError: beta_k_refined_upper_bound requires k^2 >= 2^-1022, got k=1e-300"),
+    ("LEM2.7", 1e300, "DomainError: lambda_ratio requires beta_k(x)^2 >= 2^-1022, got beta_k("),
+])
+def test_routes_that_would_divide_by_zero_skip(identity_id, k, note):
+    # each of these points once raised ZeroDivisionError out of run_identity
+    reports = run_identity(identity_id, GridSpec(k_values=(k,)))
+    assert reports
+    assert all(r.verdict == "SKIP" and r.note.startswith(note) for r in reports)
+
+
+@pytest.mark.parametrize("identity_id,k", [
+    ("THM3.2-printed", 1e-100), ("THM3.3-printed", 1e-300), ("EQ4.8-printed", 1e300),
+])
+def test_a_fit_that_does_not_exist_on_the_grid_is_left_out(identity_id, k):
+    # the Furdui fits divide by k^m, which underflows for some m; the ratio fit
+    # of EQ4.8 meets an rhs of 0.0.  Each once ended run_all in an exception
+    reports = run_identity(identity_id, GridSpec(k_values=(k,)))
+    assert any(r.verdict != "SKIP" for r in reports)
+    assert kspecfun.registry.fits_for(get_entry(identity_id), reports) == ()
+
+
 def test_series_entries_report_at_every_k_of_the_sweep():
     # the Furdui series and the beta_k expansions scale once from their k = 1
     # forms, so every k of the contract sweep gives a report per point, and
