@@ -42,6 +42,13 @@ __all__ = [
 ]
 
 
+def _check_quadrature_k(name: str, k: float) -> None:
+    # the quadrature routes integrate over [0, k], and adaptive_quad needs a
+    # half-length k/2 > 0, which k = 5e-324 has not
+    if not 0.5 * k > 0.0:
+        raise DomainError(f"{name} requires k/2 > 0 for its quadrature on [0, k], got k={k}")
+
+
 @lru_cache(maxsize=512)
 def _oracle_cached(k: float, m: int) -> Estimate:
     lnk = math.log(k)
@@ -57,10 +64,11 @@ def furdui_oracle(k, m: int) -> Estimate:
     The integrand is regularised as x^m (psi_k(x) + 1/x) - x^(m-1); the
     bracketed part extends continuously to 0 (psi(z) + 1/z = psi(z+1)),
     so the quadrature sees a smooth function and the singular moment is
-    integrated exactly.
+    integrated exactly.  Where k/2 rounds to 0.0 it raises DomainError.
     """
     k = k_value(k)
     _check_int("furdui_oracle", "m", m, 1)
+    _check_quadrature_k("furdui_oracle", k)
     return _oracle_cached(k, m)
 
 
@@ -204,10 +212,11 @@ def ln_gamma_k_moment(k, m: int) -> Estimate:
     I(k, m) = -m int_0^k x^(m-1) ln Gamma_k(x + k) dx + k^m (ln k - 1/m):
     one quadrature to 1e-10 of a smooth integrand remains, whose panel
     count is reported as ``terms_used``.  A value beyond binary64 raises
-    OverflowError.
+    OverflowError; where k/2 rounds to 0.0 it raises DomainError.
     """
     k = k_value(k)
     _check_int("ln_gamma_k_moment", "m", m, 1)
+    _check_quadrature_k("ln_gamma_k_moment", k)
     if k + k > _MAX_NORMAL:  # x + k leaves binary64; I(k, m) > k (ln k/2 - 1) is far beyond it
         raise _overflow_error("I", f"{k}, {m}")
     try:
