@@ -1,4 +1,4 @@
-"""Nielsen k-beta function beta_k in its independent representations.
+"""Nielsen k-beta function beta_k and its derivatives.
 
 The primary route is the scaling law beta_k(x) = beta(x/k)/k (Diaz and
 Pariguan, Divulgaciones Mat. 15 (2007) 179), with
@@ -9,8 +9,8 @@ calls.  Against mpmath beta(u) is within 6e-16 relative for u in
 beta_k to x <= 0.  The alternating series, the Mellin-type integral on
 [0, 1], the Laplace (cosh) integral and the expansions around x = k and
 x = 0 are the routes that the verification harness plays against it;
-they share no kernel with it and live in :mod:`kspecfun.routes`.  The scanner
-for the paper's open problem on f(x) = x beta_k(x) lives here too: it
+they share no kernel with it and live in :mod:`kspecfun.routes`.  The
+scanner for the paper's open problem on f(x) = x beta_k(x) lives here too: it
 samples the derivatives of f and checks no identity.
 """
 

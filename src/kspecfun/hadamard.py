@@ -159,7 +159,7 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     (k below about 3.2e-154) g cannot resolve the root, and DomainError is
     raised.  ``tol`` is absolute, so at small k, where g is of order
     k^(2t-1), the first secant step already meets it: root/k drifts from
-    its k = 1 value by about 1e-13 |ln k| relative.
+    its k = 1 value by about 1.7e-13 |ln k| relative.
     ``sign_changes`` is the number of sign changes of the
     threshold function g between consecutive nodes of the 0.01k lattice
     on the bracket (at least 1), so a non-unique crossing shows as a
