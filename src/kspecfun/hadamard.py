@@ -110,15 +110,16 @@ def hadamard_k(k, x: float) -> float:
 
 
 def _sign(v: float) -> int:
-    # -1, 0 or 1; signs are compared as the product of these, since the
-    # product of two values of g underflows to 0.0 at small k
+    # -1, 0 or 1; signs are compared through these, since the product of
+    # two values of g underflows to 0.0 at small k
     return (v > 0.0) - (v < 0.0)
 
 
 def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi: float) -> int:
-    # Sign changes of g between consecutive nodes of the lattice lo,
-    # lo + step, ... (accumulated, the last node clamped to hi); a zero at
-    # the left node of a pair counts as a change.  g is evaluated on every
+    # Sign flips of g along the lattice lo, lo + step, ... (accumulated,
+    # the last node clamped to hi): a node counts where its sign is opposite
+    # to the last nonzero sign before it, so zeros, and the run of 0.0
+    # where g underflows at small k, count nothing.  g is evaluated on every
     # tenth node, and a coarse cell [a, b] is walked node by node only
     # when g may cross inside it: min(|g(a)|, |g(b)|) <= |g(b) - g(a)|,
     # which also holds whenever the ends differ in sign or one is zero.
@@ -131,16 +132,18 @@ def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi:
     last = len(ts) - 1
     changes = 0
     a, ga = 0, g_lo
+    seen = _sign(g_lo)  # the last nonzero sign so far, 0 before the first
     while a < last:
         b = min(a + 10, last)
         gb = g_hi if b == last else g(ts[b])
+        # a skipped cell has nonzero ends of the sign seen at a
         if min(abs(ga), abs(gb)) <= abs(gb - ga):
-            prev = ga
             for j in range(a + 1, b + 1):
-                cur = gb if j == b else g(ts[j])
-                if prev == 0.0 or _sign(prev) * _sign(cur) < 0:
-                    changes += 1
-                prev = cur
+                cur = _sign(gb if j == b else g(ts[j]))
+                if cur:
+                    if seen * cur < 0:
+                        changes += 1
+                    seen = cur
         a, ga = b, gb
     return changes
 
@@ -160,10 +163,11 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     raised.  ``tol`` is absolute, so at small k, where g is of order
     k^(2t-1), the first secant step already meets it: root/k drifts from
     its k = 1 value by about 1.7e-13 |ln k| relative.
-    ``sign_changes`` is the number of sign changes of the
-    threshold function g between consecutive nodes of the 0.01k lattice
-    on the bracket (at least 1), so a non-unique crossing shows as a
-    value above 1.  The count evaluates g on every tenth node (a 0.1k
+    ``sign_changes`` is the number of sign flips of the threshold
+    function g along the 0.01k lattice on the bracket (at least 1), so a
+    non-unique crossing shows as a value above 1; a node where g is 0.0
+    (at small k, g underflows to 0.0 on the upper part of the bracket)
+    flips nothing.  The count evaluates g on every tenth node (a 0.1k
     coarse pass) and walks a coarse cell [a, b] on the 0.01k lattice
     only when g may cross inside it, that is when min(|g(a)|, |g(b)|)
     <= |g(b) - g(a)| (in particular when the ends differ in sign).

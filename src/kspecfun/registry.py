@@ -881,9 +881,12 @@ def fits_for(entry: IdentityEntry, reports: list[IdentityReport]) -> tuple[FitRe
         if len(groups[key]) < 3:
             continue
         try:
-            fit = fit_discrepancy([plan.transform(rep) for rep in groups[key]], plan.mode)
-        except DomainError:  # no constant fits this group: a side or k^m at 0.0
+            pairs = [plan.transform(rep) for rep in groups[key]]
+        except DomainError:  # k^m underflows, and the Furdui fits divide by it
             continue
+        if plan.mode == "ratio" and any(r == 0.0 or l / r == 0.0 for l, r in pairs):
+            continue  # a side at 0.0 leaves no ratio to fit
+        fit = fit_discrepancy(pairs, plan.mode)
         label = entry.id if key is None else f"{entry.id}[{plan.group_by}={key!r}]"
         records.append(FitRecord(label, fit, plan.expected(key)))
     return tuple(records)

@@ -230,16 +230,18 @@ def test_alpha0_solve_at_large_k(k):
 
 
 def _lattice_sign_changes(g, lo, hi, step):
-    # reference: g at every node of the 0.01k lattice
+    # reference: g at every node of the 0.01k lattice, flips between the
+    # nonzero values
     changes = 0
     t = lo
-    prev = g(lo)
+    seen = math.copysign(1.0, g(lo)) if g(lo) else 0.0
     while t < hi:
         t = min(t + step, hi)
         cur = g(t)
-        if prev == 0.0 or prev * cur < 0.0:
-            changes += 1
-        prev = cur
+        if cur:
+            if seen * cur < 0.0:
+                changes += 1
+            seen = math.copysign(1.0, cur)
     return changes
 
 
@@ -321,6 +323,22 @@ def test_sign_changes_are_counted_where_products_underflow():
         return (t - 2.025) * 1e-200
 
     assert _count_sign_changes(g, 1.5, 5.0, 0.01, g(1.5), g(5.0)) == 1
+
+    # g underflows to 0.0 from t = 2.7 on, as the threshold function does
+    # on the upper part of the bracket at small k: the zeros flip nothing
+    def g_under(t):
+        return (t - 2.025) * 1e-290 * 1e-30 ** (t - 1.5)
+
+    assert g_under(2.6) > 0.0 and g_under(2.7) == 0.0 and g_under(5.0) == 0.0
+    assert _count_sign_changes(g_under, 1.5, 5.0, 0.01, g_under(1.5), g_under(5.0)) == 1
+    assert _lattice_sign_changes(g_under, 1.5, 5.0, 0.01) == 1
+
+
+@pytest.mark.parametrize("k", (1e-150, 1e-80, 1e-60))
+def test_alpha0_reports_one_crossing_where_g_underflows(k):
+    # g is 0.0 on the upper part of the bracket here; each such node once
+    # counted as a sign change (179 at 1e-60, 247 at 1e-80, 343 at 1e-150)
+    assert alpha0_solve(k, 1e-10).sign_changes == 1
 
 
 def test_sign_changes_refine_a_cell_with_same_sign_ends():

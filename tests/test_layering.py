@@ -114,7 +114,10 @@ def test_series_routes_scale_by_k_once():
     # scale step and the quadrature oracle raise k to a power
     assert _top_level_users("furdui", _is_power_of("k")) <= {"_scaled", "_oracle_cached"}
     assert not _top_level_users("furdui", _is_name("km"))
-    # the beta_k expansions sum in u = x/k and carry no power of k
+    # beta_k and the scan sum in u = x/k and carry no power of k
+    assert not _top_level_users("beta", _is_power_of("k"))
+    assert not _top_level_users("beta", _is_name("kp"))
+    # nor do the beta_k expansions, which sit with the routes
     expansions = {"beta_taylor_54", "_taylor_coeffs", "beta_expansion_55", "_expansion_coeffs"}
     assert expansions <= _top_level_users("routes", lambda node: True)
     assert not _top_level_users("routes", _is_power_of("k")) & expansions

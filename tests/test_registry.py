@@ -252,6 +252,17 @@ def test_a_fit_that_does_not_exist_on_the_grid_is_left_out(identity_id, k):
     assert kspecfun.registry.fits_for(get_entry(identity_id), reports) == ()
 
 
+def test_a_ratio_group_of_mixed_sign_still_raises():
+    # unlike a side at 0.0, a ratio that changes sign within a group is
+    # misprint evidence, and fits_for does not drop it
+    reports = run_identity("EQ4.8-printed", GridSpec(k_values=(1.0,)))
+    assert kspecfun.registry.fits_for(get_entry("EQ4.8-printed"), reports)
+    first = next(i for i, r in enumerate(reports) if r.verdict != "SKIP")
+    reports[first] = reports[first]._replace(lhs=-reports[first].lhs)
+    with pytest.raises(DomainError, match="consistent sign"):
+        kspecfun.registry.fits_for(get_entry("EQ4.8-printed"), reports)
+
+
 def test_series_entries_report_at_every_k_of_the_sweep():
     # the Furdui series and the beta_k expansions scale once from their k = 1
     # forms, so every k of the contract sweep gives a report per point, and
