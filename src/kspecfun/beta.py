@@ -131,6 +131,9 @@ def beta_k_deriv(k, order: int, x: float) -> float:
         if abs(value) > _MAX_NORMAL:
             raise _overflow_error(f"beta_k^({order})", x, k)
         return value
+    if 0.5 * x == 0.0:
+        # x is the least subnormal, and beta_k^(j)(x) is of order j!/x^(j+1)
+        raise _overflow_error(f"beta_k^({order})", x, k)
     # halve before adding, so that x + k cannot overflow; halving is exact
     low = _polygamma_k(order, k, 0.5 * x)
     if abs(low) <= _MAX_NORMAL:

@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alpha = sub.add_parser("alpha0", help="solve the superadditivity threshold")
     p_alpha.add_argument("--k", type=float, required=True)
-    p_alpha.add_argument("--tol", type=float, default=1e-10)
 
     p_scan = sub.add_parser("scan", help="sample the open-problem ratio")
     p_scan.add_argument("--k", type=float, required=True)
@@ -231,7 +230,7 @@ def _cmd_furdui(args) -> int:
 
 
 def _cmd_alpha0(args) -> int:
-    result = alpha0_solve(args.k, args.tol)
+    result = alpha0_solve(args.k)
     print(f"root         {_fmt(result.root)}")
     print(f"residual     {result.residual:.3e}")
     print(f"bracket      [{_fmt(result.bracket_lo)}, {_fmt(result.bracket_hi)}]")

@@ -23,7 +23,7 @@ from collections import namedtuple
 from .beta import _beta_unit
 from .errors import BracketError, DomainError
 from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, k_value
-from .scalar import _EPS, _MIN_NORMAL, _check_tol, _require_finite, _sinpi
+from .scalar import _MIN_NORMAL, _require_finite, _sinpi
 
 __all__ = [
     "RootResult",
@@ -148,21 +148,20 @@ def _count_sign_changes(g, lo: float, hi: float, step: float, g_lo: float, g_hi:
     return changes
 
 
-def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
+def alpha0_solve(k) -> RootResult:
     """Solve H_k(2t) = 2 k^(t/k) H_k(t) on [1.5k, inf).
 
-    Bisection on [1.5k, 5k] down to a 1e-6*k bracket, followed by secant
-    polish until |g| < tol or a step is at most 4 eps |x|.  H_k(kt) =
-    k^(t-1) H_1(t) gives g_k(kt) = k^(2t-1) g_1(t) for the threshold
-    function g, so the bracket ends carry the signs of g_1(1.5) < 0 and
-    g_1(5) > 0 for every k; ends of one sign raise BracketError.  Signs
-    are compared without multiplying two values of g, and the secant step
-    takes the ratio f1/(f1 - f0) first, since at small k such products
-    underflow to 0.0.  Where H_k(2x) at the root is below the normal range
-    (k below about 3.2e-154) g cannot resolve the root, and DomainError is
-    raised.  ``tol`` is absolute, so at small k, where g is of order
-    k^(2t-1), the first secant step already meets it: root/k drifts from
-    its k = 1 value by about 1.7e-13 |ln k| relative.
+    Bisection on the sign of the threshold function g over [1.5k, 5k]
+    until the bracket is two adjacent floats; the end with the smaller
+    |g| is returned.  H_k(kt) = k^(t-1) H_1(t) gives g_k(kt) =
+    k^(2t-1) g_1(t), so the bracket ends carry the signs of
+    g_1(1.5) < 0 and g_1(5) > 0 for every k; ends of one sign raise
+    BracketError.  A sign test does not depend on the scale of g, so
+    root/k is the same constant to rounding at every k.  Signs are
+    compared without multiplying two values of g, since at small k such
+    products underflow to 0.0.  Where H_k(2x) at the root is below the
+    normal range (k below about 3.2e-154) g cannot resolve the root, and
+    DomainError is raised.
     ``sign_changes`` is the number of sign flips of the threshold
     function g along the 0.01k lattice on the bracket (at least 1), so a
     non-unique crossing shows as a value above 1; a node where g is 0.0
@@ -175,7 +174,6 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
     lattice cannot advance, and DomainError is raised.
     """
     k = k_value(k)
-    _check_tol(tol)
 
     def g(t: float) -> float:
         return hadamard_k(k, 2.0 * t) - 2.0 * k ** (t / k) * hadamard_k(k, t)
@@ -190,37 +188,16 @@ def alpha0_solve(k, tol: float = 1e-10) -> RootResult:
 
     iterations = 0
     a, b, ga, gb = lo, hi, glo, ghi
-    while b - a > 1e-6 * k:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break  # adjacent floats: 1e-6 k is below the spacing at a
+    while a < (mid := 0.5 * (a + b)) < b:
         gm = g(mid)
         iterations += 1
         if _sign(ga) * _sign(gm) <= 0:
             b, gb = mid, gm
         else:
             a, ga = mid, gm
-    x0, x1, f0, f1 = a, b, ga, gb
-    settled = False
-    for _ in range(60):
-        if f1 == f0:
-            break
-        # the ratio first: f1 (x1 - x0) underflows to 0.0 at small k
-        x2 = x1 - f1 / (f1 - f0) * (x1 - x0)
-        if not a <= x2 <= b:
-            x2 = 0.5 * (a + b)
-        f2 = g(x2)
-        iterations += 1
-        # g grows with k, so at large k the residual may never drop below
-        # tol; a step at the rounding level of x2 ends the polish too
-        settled = abs(x2 - x1) <= 4.0 * _EPS * abs(x2)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if settled or abs(f1) < tol:
-            break
-    if not (settled or abs(f1) < tol):
-        raise BracketError(f"threshold solver stalled at residual {f1:.3e}")
-    if hadamard_k(k, 2.0 * x1) < _MIN_NORMAL:
+    root, residual = (a, ga) if abs(ga) < abs(gb) else (b, gb)
+    if hadamard_k(k, 2.0 * root) < _MIN_NORMAL:
         # both terms of g are below the normal range at the root, so g
         # cannot tell the root from its neighbours
         raise DomainError(f"the threshold function underflows binary64 at its root (k={k})")
-    return RootResult(x1, f1, lo, hi, iterations, changes)
+    return RootResult(root, residual, lo, hi, iterations, changes)

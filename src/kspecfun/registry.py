@@ -179,14 +179,18 @@ SUPERADD_SLACK = 1e-12
 
 @lru_cache(maxsize=32)
 def _alpha0_root(k: float) -> float:
-    return _hadamard.alpha0_solve(k, 1e-10).root
+    return _hadamard.alpha0_solve(k).root
 
 
 def _k_x_points(grid: GridSpec, units=None, scaled=True):
     units = grid.x_values if units is None else units
     for k in grid.k_values:
         for u in units:
-            yield {"k": k, "x": (u * k) if scaled else u}
+            x = (u * k) if scaled else u
+            if x == 0.0 and u != 0.0:
+                # u k underflows, and the point would sit at x = 0.0 for any nonzero u
+                raise DomainError(f"x = {u} k underflows to 0.0 at k={k}")
+            yield {"k": k, "x": x}
 
 
 def _k_points(grid: GridSpec):
@@ -759,7 +763,7 @@ def _build_entries() -> list[IdentityEntry]:
         lhs=hadamard_1_at_n, rhs=factorial_n_minus_1)
     add("H-SEAM", "continuity of H_k across the evaluation seam at x = k", "abs", 1e-9,
         points=_k_points, lhs=hadamard_k_seam_mean, rhs=hadamard_k_at_k)
-    add("ALPHA0-SCALING", "alpha0(k) = k alpha0(1)", "abs", 1e-8,
+    add("ALPHA0-SCALING", "alpha0(k) = k alpha0(1)", "rel", 1e-15,
         points=lambda g: ({"k": k} for k in g.k_values if k != 1.0),
         lhs=alpha0, rhs=alpha0_by_scaling)
     return e
@@ -820,10 +824,16 @@ def _skip(entry: IdentityEntry, params: dict, exc: Exception) -> IdentityReport:
 
 def _grid_points(entry: IdentityEntry, grid: GridSpec) -> list:
     """The entry's points on the grid as (params, None) pairs.  Where the
-    generator itself raises, the grid is split into its k values, and each
-    k at which it still raises gives one ({"k": k}, exc) pair."""
+    generator itself raises, or a point holds a float that is not finite,
+    the grid is split into its k values, and each k at which that still
+    happens gives one ({"k": k}, exc) pair."""
     try:
-        return [(params, None) for params in entry.points(grid)]
+        points = list(entry.points(grid))
+        for params in points:
+            for name, value in params.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise DomainError(f"point parameter {name} = {value} is not finite")
+        return [(params, None) for params in points]
     except _SKIPPED as exc:
         if len(grid.k_values) > 1:
             return [pair for k in grid.k_values

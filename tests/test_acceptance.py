@@ -196,7 +196,7 @@ def test_criterion_09_hadamard_suite():
 
 
 def test_criterion_10_alpha0_and_superadditivity():
-    res1 = alpha0_solve(1.0, 1e-10)
+    res1 = alpha0_solve(1.0)
     ok = 1.5 < res1.root < 3.0 and abs(res1.residual) < 1e-10
     base = res1.root + 0.01
     thm43 = get_entry("THM4.3-above")
@@ -210,7 +210,7 @@ def test_criterion_10_alpha0_and_superadditivity():
         for j in range(4):
             n_pass += verdict(base + 0.35 * i, base + 0.45 * j) == "PASS"
     below = [verdict(t, t) for t in (1.01, 1.2, 1.35, res1.root - 0.02)]
-    res2 = alpha0_solve(2.0, 1e-10)
+    res2 = alpha0_solve(2.0)
     scaling = abs(res2.root - 2.0 * res1.root)
     ok = ok and n_pass == 20 and "FAIL" in below and scaling < 1e-8
     _criterion(10, ok, f"root {res1.root:.8f} (residual {res1.residual:.1e}); "

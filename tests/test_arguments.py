@@ -28,7 +28,6 @@ POSITIVE_X = {
 CHECKED_TOL = {
     "adaptive_quad": lambda tol: kspecfun.adaptive_quad(math.sin, 0.0, 1.0, tol),
     "gauss_2f1": lambda tol: kspecfun.gauss_2f1(1.0, 1.0, 2.0, -0.5, tol),
-    "alpha0_solve": lambda tol: kspecfun.alpha0_solve(1.0, tol),
 }
 
 

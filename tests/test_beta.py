@@ -100,6 +100,13 @@ def test_beta_k_deriv_where_x_plus_k_overflows():
     assert beta_k_deriv(1e308, 2, 1.5e308) == 0.0
 
 
+def test_beta_k_deriv_at_the_least_subnormal_x():
+    # 0.5 x rounds to 0.0 there; beta_k^(j)(x) is of order j!/x^(j+1)
+    for order in (1, 2):
+        with pytest.raises(OverflowError, match=rf"^beta_k\^\({order}\)\(5e-324\) overflows binary64"):
+            beta_k_deriv(5e-324, order, 5e-324)
+
+
 # ---------------------------------------------------------------- expansions
 def test_taylor_terms_alternate_and_decrease():
     coeffs = _taylor_coeffs(40)  # the k-free coefficients, those of beta_1(x + 1)

@@ -203,7 +203,7 @@ def test_representation_48_corrected_rhs():
 
 # ---------------------------------------------------------------- threshold
 def test_alpha0_solve_k1():
-    res = alpha0_solve(1.0, 1e-10)
+    res = alpha0_solve(1.0)
     assert 1.5 < res.root < 3.0
     assert abs(res.residual) < 1e-10
     assert res.bracket_lo < res.root < res.bracket_hi
@@ -213,20 +213,9 @@ def test_alpha0_solve_k1():
 
 
 def test_alpha0_scaling():
-    r1 = alpha0_solve(1.0, 1e-10).root
-    r2 = alpha0_solve(2.0, 1e-10).root
+    r1 = alpha0_solve(1.0).root
+    r2 = alpha0_solve(2.0).root
     assert r2 == pytest.approx(2.0 * r1, abs=1e-8)
-
-
-@pytest.mark.parametrize("k", (1e4, 1e6, 1e10))
-def test_alpha0_solve_at_large_k(k):
-    res = alpha0_solve(k, 1e-10)
-    assert res.root / k == pytest.approx(1.50317609234328, rel=1e-13)
-    if k < 1e10:
-        # g grows with k, so |g| stays above tol at the root; the secant step
-        # at the rounding level of the root ends the polish instead (at
-        # k = 1e10 the polish happens to land where g is 0.0)
-        assert abs(res.residual) >= 1e-10
 
 
 def _lattice_sign_changes(g, lo, hi, step):
@@ -250,7 +239,7 @@ def test_alpha0_sign_changes_match_full_lattice(k):
     def g(t):
         return hadamard_k(k, 2.0 * t) - 2.0 * k ** (t / k) * hadamard_k(k, t)
 
-    res = alpha0_solve(k, 1e-10)
+    res = alpha0_solve(k)
     lo, hi = res.bracket_lo, res.bracket_hi
     ref = _lattice_sign_changes(g, lo, hi, 0.01 * k)
     assert _count_sign_changes(g, lo, hi, 0.01 * k, g(lo), g(hi)) == ref
@@ -259,9 +248,9 @@ def test_alpha0_sign_changes_match_full_lattice(k):
 
 def test_alpha0_solve_ends_where_its_steps_vanish():
     # at k = 1e-322 the 0.01k lattice step rounds to 0.0 and the lattice
-    # once grew without end, and at k = 1e-318 the 1e-6k bisection width
-    # rounds to 0.0; so the solver runs in a child process with a memory
-    # cap and a timeout
+    # once grew without end, and at k = 1e-318 a bisection down to a 1e-6k
+    # width, which rounds to 0.0, once never ended; so the solver runs in a
+    # child process with a memory cap and a timeout
     child = textwrap.dedent("""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
@@ -296,26 +285,44 @@ def test_alpha0_solve_ends_where_its_steps_vanish():
 ALPHA0_UNIT = 1.5031760923432764  # alpha0(k)/k, the root of g_1
 
 
-@pytest.mark.parametrize("k,root", [(0.5, 0.7515880461716424), (1.0, 1.5031760923431672),
-                                    (2.0, 3.0063521846860994), (PI, 4.722366968756496)])
+@pytest.mark.parametrize("k,root", [(0.5, 0.7515880461716382), (1.0, 1.5031760923432764),
+                                    (2.0, 3.0063521846865533), (PI, 4.722366968757449)])
 def test_alpha0_roots_on_the_default_grid_are_pinned(k, root):
-    assert alpha0_solve(k, 1e-10).root == root
+    assert alpha0_solve(k).root == root
 
 
-@pytest.mark.parametrize("k", (1e-150, 1e-120, 1e-80, 1e-60, 1e-10))
+def _assert_root_at_decade(k):
+    # g_k(kt) = k^(2t-1) g_1(t), so a sign bisection gives the same root/k at
+    # every k, although g's scale spans about 1e-150 to 1e33 over the decades
+    res = alpha0_solve(k)
+    assert abs(res.root / k - ALPHA0_UNIT) <= 2 * math.ulp(ALPHA0_UNIT)
+    assert res.sign_changes == 1
+
+
+@pytest.mark.parametrize("k", [float(f"1e{e}") for e in range(-153, 0)])
 def test_alpha0_solve_finds_the_root_at_small_k(k):
-    # g is of order k^(2t-1) there, so the product of two of its values
-    # underflows; the absolute tol is met after one secant step, whose
-    # error grows as |ln k|
-    res = alpha0_solve(k, 1e-10)
-    assert res.bracket_lo < res.root < res.bracket_hi
-    assert abs(res.root / k - ALPHA0_UNIT) <= 2e-13 * abs(math.log(k))
+    _assert_root_at_decade(k)
+
+
+@pytest.mark.parametrize("k", [float(f"1e{e}") for e in range(0, 34)])
+def test_alpha0_solve_at_large_k(k):
+    _assert_root_at_decade(k)
+
+
+def test_alpha0_solve_beyond_its_decades():
+    for e in range(-154, -324, -1):
+        with pytest.raises(DomainError):
+            alpha0_solve(float(f"1e{e}"))
+    with pytest.raises(DomainError):
+        alpha0_solve(5e-324)
+    with pytest.raises(OverflowError, match=r"^H_k\(1e\+35\) overflows binary64"):
+        alpha0_solve(1e34)
 
 
 @pytest.mark.parametrize("k", (3.2e-154, 1e-200, 1e-300))
 def test_alpha0_solve_refuses_a_root_that_g_cannot_resolve(k):
     with pytest.raises(DomainError, match=r"underflows binary64 at its root"):
-        alpha0_solve(k, 1e-10)
+        alpha0_solve(k)
 
 
 def test_sign_changes_are_counted_where_products_underflow():
@@ -338,7 +345,7 @@ def test_sign_changes_are_counted_where_products_underflow():
 def test_alpha0_reports_one_crossing_where_g_underflows(k):
     # g is 0.0 on the upper part of the bracket here; each such node once
     # counted as a sign change (179 at 1e-60, 247 at 1e-80, 343 at 1e-150)
-    assert alpha0_solve(k, 1e-10).sign_changes == 1
+    assert alpha0_solve(k).sign_changes == 1
 
 
 def test_sign_changes_refine_a_cell_with_same_sign_ends():
@@ -372,7 +379,7 @@ def test_superadditivity_reports():
     assert lhs == pytest.approx(2.0, abs=1e-12)
     assert rhs == pytest.approx(6.0, abs=1e-12)
 
-    root = alpha0_solve(1.0, 1e-10).root
+    root = alpha0_solve(1.0).root
     lhs, rhs = sides("THM4.3-above", k=1.0, x=root + 0.01, y=root + 0.01)
     assert lhs <= rhs + SUPERADD_SLACK
     lhs, rhs = sides("THM4.3-above", k=1.0, x=1.01, y=1.01)

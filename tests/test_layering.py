@@ -170,5 +170,5 @@ def _public_functions_taking(parameter):
 def test_only_the_general_tools_take_an_accuracy_knob():
     # the cross-check routes run at one fixed accuracy; a tol is left only
     # where callers use more than one value or a user sets it
-    assert _public_functions_taking("tol") == {"adaptive_quad", "gauss_2f1", "alpha0_solve"}
+    assert _public_functions_taking("tol") == {"adaptive_quad", "gauss_2f1"}
     assert _public_functions_taking("n_max") == {"openproblem_scan"}

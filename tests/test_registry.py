@@ -280,14 +280,27 @@ def test_series_entries_report_at_every_k_of_the_sweep():
 
 def test_threshold_entries_report_at_large_k():
     # alpha0_solve converges at large k, so the THM4.3 grids and
-    # ALPHA0-SCALING report there; ALPHA0-SCALING's absolute tolerance makes
-    # k = 1e10 a known false FAIL, at a relative difference of 7e-14
-    for k, scaling_verdict in ((1e4, "PASS"), (1e10, "FAIL")):
+    # ALPHA0-SCALING report there; k = 1e10 was a false FAIL under an
+    # absolute 1e-8, and the relative 1e-15 passes it
+    for k in (1e4, 1e10):
         grid = GridSpec(k_values=(k,))
         assert {r.verdict for r in run_identity("THM4.3-above", grid)} == {"PASS"}
         assert {r.verdict for r in run_identity("THM4.3-below", grid)} == {"FAIL"}
         (scaling,) = run_identity("ALPHA0-SCALING", grid)
-        assert scaling.verdict == scaling_verdict
+        assert scaling.verdict == "PASS"
+
+
+def test_points_outside_binary64_skip_their_k():
+    # at k = 1.7e308 the unit 5 scales x to inf, which once reached the JSON
+    # writer; at k = 5e-324 the unit 0.1 scales x to 0.0, where the lower
+    # bound 1/x once raised ZeroDivisionError
+    reports = run_identity("EQ1.1", GridSpec(k_values=(1.0, 1.7e308)))
+    assert [(r.params, r.verdict, r.note) for r in reports if r.params["k"] != 1.0] == [
+        ({"k": 1.7e308}, "SKIP", "DomainError: point parameter x = inf is not finite")]
+    assert reports[:-1] == run_identity("EQ1.1", GridSpec(k_values=(1.0,)))
+    assert [(r.params, r.verdict, r.note)
+            for r in run_identity("REMARK5-lower", GridSpec(k_values=(5e-324,)))] == [
+        ({"k": 5e-324}, "SKIP", "DomainError: x = 0.1 k underflows to 0.0 at k=5e-324")]
 
 
 def test_lem22_passes_at_small_k():
