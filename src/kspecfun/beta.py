@@ -147,6 +147,18 @@ def beta_k_deriv(k, order: int, x: float) -> float:
     return value
 
 
+def _x_beta_k_derivs(k: float, n: int, x: float) -> list[float]:
+    """f(x), f'(x), ..., f^(n)(x) for f(x) = x beta_k(x), x > 0.
+
+    f is taken as 1 - x beta_k(x + k), so that
+    f^(j)(x) = -(x beta_k^(j)(x + k) + j beta_k^(j-1)(x + k)) has no 1/x
+    pole to cancel, as the Leibniz form x beta_k^(j)(x) + j beta_k^(j-1)(x)
+    has.
+    """
+    b = [beta_k_deriv(k, j, x + k) for j in range(n + 1)]
+    return [1.0 - x * b[0]] + [-(x * b[j] + j * b[j - 1]) for j in range(1, n + 1)]
+
+
 class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):
     __slots__ = ()
     n: int
@@ -169,11 +181,7 @@ def openproblem_scan(k, n_max: int, units=(0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)) 
     xs = sorted(u * k for u in units)
     if not xs or not all(0.0 < x < math.inf for x in xs):
         raise DomainError("scan x values must be finite and positive")
-    # f^(j)(x) = x beta_k^(j)(x) + j beta_k^(j-1)(x) for j = 0..n_max + 2, once per x
-    derivs = []
-    for x in xs:
-        b = [beta_k_deriv(k, j, x) for j in range(n_max + 3)]
-        derivs.append([x * b[0]] + [x * b[j] + j * b[j - 1] for j in range(1, n_max + 3)])
+    derivs = [_x_beta_k_derivs(k, n_max + 2, x) for x in xs]
     tables = []
     for n in range(n_max + 1):
         rows = []

@@ -54,8 +54,14 @@ def _oracle_cached(k: float, m: int) -> Estimate:
     lnk = math.log(k)
     # x^m (psi_k(x) + 1/x) = x^m (ln k + psi(x/k + 1)) / k, smooth through 0
     f = lambda x: x**m * (lnk + digamma(x / k + 1.0)) / k
-    q = adaptive_quad(f, 0.0, k, 1e-11)
-    return Estimate(q.value - k**m / m, q.error_estimate, q.terms_used)
+    try:
+        q = adaptive_quad(f, 0.0, k, 1e-11)
+        value = q.value - k**m / m
+    except OverflowError:  # x^m, and so I(k, m), beyond binary64
+        raise _overflow_error("I", f"{k}, {m}") from None
+    if not (math.isfinite(value) and math.isfinite(q.error_estimate)):
+        raise _overflow_error("I", f"{k}, {m}")
+    return Estimate(value, q.error_estimate, q.terms_used)
 
 
 def furdui_oracle(k, m: int) -> Estimate:
@@ -64,7 +70,8 @@ def furdui_oracle(k, m: int) -> Estimate:
     The integrand is regularised as x^m (psi_k(x) + 1/x) - x^(m-1); the
     bracketed part extends continuously to 0 (psi(z) + 1/z = psi(z+1)),
     so the quadrature sees a smooth function and the singular moment is
-    integrated exactly.  Where k/2 rounds to 0.0 it raises DomainError.
+    integrated exactly.  Where k/2 rounds to 0.0 it raises DomainError,
+    and where k^m or I(k, m) is beyond binary64, OverflowError.
     """
     k = k_value(k)
     _check_int("furdui_oracle", "m", m, 1)

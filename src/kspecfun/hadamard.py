@@ -23,7 +23,7 @@ from collections import namedtuple
 from .beta import _beta_unit
 from .errors import BracketError, DomainError
 from .kcore import _LN_MAX, _STIRLING_U, _exp_k, _ln_gamma_k, k_value
-from .scalar import _MIN_NORMAL, _require_finite, _sinpi
+from .scalar import _MAX_NORMAL, _MIN_NORMAL, _overflow_error, _require_finite, _sinpi
 
 __all__ = [
     "RootResult",
@@ -171,7 +171,9 @@ def alpha0_solve(k) -> RootResult:
     only when g may cross inside it, that is when min(|g(a)|, |g(b)|)
     <= |g(b) - g(a)| (in particular when the ends differ in sign).
     Where 0.01k rounds away at 1.5k (k below about 2.5e-322) the
-    lattice cannot advance, and DomainError is raised.
+    lattice cannot advance, and DomainError is raised.  From k = 1e34 up
+    H_k(2t) on the bracket is beyond binary64, and OverflowError is
+    raised.
     """
     k = k_value(k)
 
@@ -180,6 +182,9 @@ def alpha0_solve(k) -> RootResult:
 
     lo = 1.5 * k
     hi = 5.0 * k
+    if 2.0 * hi > _MAX_NORMAL:
+        # g takes H_k(2t), and H_k(3k) = k^2 H_1(3) is beyond binary64 from k = 1e34 up
+        raise _overflow_error("H_k", "3k", k)
     glo = g(lo)
     ghi = g(hi)
     if _sign(glo) * _sign(ghi) > 0:

@@ -1,9 +1,9 @@
 """Independent numerical machinery used to cross-check the evaluators.
 
 Nothing in here knows anything about gamma-family functions: the
-quadrature, differencing and fitting routines take plain callables and
-numbers, so they stay usable as second opinions against every analytic
-route in the package.
+quadrature and fitting routines take plain callables and numbers, so
+they stay usable as second opinions against every analytic route in the
+package.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from .scalar import _EPS, Estimate, _check_tol
 
 __all__ = [
     "DiscrepancyFit",
-    "CmProbeResult",
     "adaptive_quad",
-    "finite_diff",
-    "cm_probe",
     "fit_discrepancy",
 ]
 
@@ -62,19 +59,6 @@ class DiscrepancyFit(namedtuple("DiscrepancyFit", "mode constant residual_rms n_
     constant: float
     residual_rms: float
     n_points: int
-
-
-class CmProbeResult(
-    namedtuple("CmProbeResult", "passed max_order h points_checked first_violation")
-):
-    """Outcome of a finite-difference complete-monotonicity probe."""
-
-    __slots__ = ()
-    passed: bool
-    max_order: int
-    h: float
-    points_checked: int
-    first_violation: tuple[int, float, float] | None  # (order, x, value)
 
 
 def _gk15(f, a, b):
@@ -160,52 +144,6 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> Estimate:
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2, r2, depth + 1))
         seq += 2
     return Estimate(total, total_err, panels)
-
-
-def finite_diff(f, x: float) -> float:
-    """Central finite-difference first derivative at x, step eps^(1/3) |x| (1 at x = 0)."""
-    h = _EPS ** (1.0 / 3.0) * (abs(x) or 1.0)
-    h = (x + h) - x
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def _forward_diffs(values, j):
-    # j-th forward difference at each admissible start index
-    out = list(values)
-    for _ in range(j):
-        out = [out[i + 1] - out[i] for i in range(len(out) - 1)]
-    return out
-
-
-def cm_probe(f, x_lo: float, x_hi: float, h: float, max_order: int) -> CmProbeResult:
-    """Check the sign pattern (-1)^j Delta_h^j f(x) >= 0 for j <= max_order.
-
-    A completely monotone function satisfies it at every order; the
-    probe samples x on a step-h grid over [x_lo, x_hi] and tolerates
-    rounding at the relative level 1e-9 * |f(x)|.  Non-finite x_lo, x_hi
-    or h raise DomainError.
-    """
-    if not all(map(math.isfinite, (x_lo, x_hi, h))):
-        raise DomainError(f"cm_probe requires finite x_lo, x_hi and h, got {x_lo}, {x_hi}, {h}")
-    if h <= 0 or max_order < 0:
-        raise DomainError("cm_probe requires h > 0 and max_order >= 0")
-    if x_lo + max_order * h > x_hi:
-        raise DomainError("x_lo + max_order*h must not exceed x_hi")
-    xs = []
-    x = x_lo
-    while x <= x_hi + 1e-12 * h:
-        xs.append(x)
-        x += h
-    fs = [f(xi) for xi in xs]
-    checked = 0
-    for j in range(max_order + 1):
-        diffs = _forward_diffs(fs, j)
-        sign = 1.0 if j % 2 == 0 else -1.0
-        for i, d in enumerate(diffs):
-            checked += 1
-            if sign * d < -1e-9 * abs(fs[i]):
-                return CmProbeResult(False, max_order, h, checked, (j, xs[i], sign * d))
-    return CmProbeResult(True, max_order, h, checked, None)
 
 
 def fit_discrepancy(pairs, mode: str) -> DiscrepancyFit:

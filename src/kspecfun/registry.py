@@ -26,7 +26,7 @@ from . import kcore as _kcore
 from . import routes as _routes
 from . import scalar as _scalar
 from .errors import ConvergenceError, DomainError, PoleError
-from .oracles import DiscrepancyFit, adaptive_quad, cm_probe, finite_diff, fit_discrepancy
+from .oracles import DiscrepancyFit, adaptive_quad, fit_discrepancy
 
 __all__ = [
     "GridSpec",
@@ -262,8 +262,11 @@ def _build_entries() -> list[IdentityEntry]:
     def pi_over_k_sin(k, x, **_):
         return math.pi / (k * _scalar._sinpi(x / k))
 
-    def ln_gamma_k_derivative(k, x, **_):
-        return finite_diff(lambda t: _kcore.ln_gamma_k(k, t), x)
+    def psi_k_integral(k, x, **_):
+        return adaptive_quad(lambda t: _kcore.psi_k(k, t), 0.5 * x, x, 1e-10)
+
+    def ln_gamma_k_increment(k, x, **_):
+        return _kcore.ln_gamma_k(k, x) - _kcore.ln_gamma_k(k, 0.5 * x)
 
     add("EQ2.1", "Gamma_k(x) = k^(x/k-1) Gamma(x/k)", "rel", 1e-12,
         points=_k_x_points, lhs=_kcore.gamma_k, rhs=gamma_k_by_reduction)
@@ -280,8 +283,9 @@ def _build_entries() -> list[IdentityEntry]:
         points=lambda g: _k_x_points(g, units=(0.1, 0.35, 0.7)),
         lhs=gamma_k_reflection_product,
     )
-    add("LEM2.2", "psi_k is the log-derivative of Gamma_k", "abs", 1e-6,
-        points=_k_x_points, lhs=_kcore.psi_k, rhs=ln_gamma_k_derivative)
+    add("LEM2.2", "psi_k is the log-derivative of Gamma_k: "
+        "int_{x/2}^x psi_k(t) dt = ln Gamma_k(x) - ln Gamma_k(x/2)", "abs", 1e-10,
+        points=_k_x_points, lhs=psi_k_integral, rhs=ln_gamma_k_increment)
 
     def _lem23_points(grid):
         for (a, b, v) in ((1.5, 0.5, 1.0), (3.0, 1.0, 2.0), (2.0, 1.0, 2.5), (3.0, 0.5, 2.0)):
@@ -296,9 +300,14 @@ def _build_entries() -> list[IdentityEntry]:
     def psi_k_step(k, x, **_):
         return _kcore.psi_k(k, x + k) - _kcore.psi_k(k, x)
 
-    def x_beta_k_cm_probe(k, **_):
-        probe = cm_probe(lambda x: x * _beta.beta_k(k, x), 0.2 * k, 5.0 * k, 0.1 * k, 6)
-        return 1.0 if probe.passed else 0.0
+    def x_beta_k_sign_pattern(k, **_):
+        # f_k(x) = x beta_k(x) = f_1(x/k), so f_k^(n)(x) = k^-n f_1^(n)(x/k) has the
+        # sign of f_1^(n) at u = x/k; 1.0 where (-1)^n f^(n) > 0 for n = 1..12
+        for point in _k_x_points(GridSpec((k,))):
+            f = _beta._x_beta_k_derivs(1.0, 12, point["x"] / k)
+            if not all((-1) ** n * f[n] > 0.0 for n in range(1, 13)):
+                return 0.0
+        return 1.0
 
     def beta_k_log_convexity(k, x, **_):
         return (2.0 * _beta.beta_k_deriv(k, 1, x) ** 2
@@ -308,8 +317,9 @@ def _build_entries() -> list[IdentityEntry]:
         points=_lem23_points, lhs=lem23_by_2f1, rhs=lem23_by_quadrature)
     add("LEM2.4", "psi_k(x + k) = psi_k(x) + 1/x", "abs", 1e-11,
         points=_k_x_points, lhs=psi_k_step, rhs=recip_x)
-    add("LEM2.5", "x beta_k(x) is completely monotone (finite-difference probe, order <= 6)",
-        "le", 0.0, points=_k_points, lhs=one, rhs=x_beta_k_cm_probe)
+    add("LEM2.5", "x beta_k(x) is completely monotone (signs of its exact derivatives, "
+        "order <= 12, at the grid's x)",
+        "le", 0.0, points=_k_points, lhs=one, rhs=x_beta_k_sign_pattern)
     add("LEM2.6", "2 beta_k'(x)^2 - beta_k''(x) beta_k(x) > 0", "lt", 0.0,
         points=_k_x_points, lhs=zero, rhs=beta_k_log_convexity)
 
@@ -741,8 +751,9 @@ def _build_entries() -> list[IdentityEntry]:
         return float(math.factorial(n - 1))
 
     def hadamard_k_seam_mean(k, **_):
-        return 0.5 * (_hadamard.hadamard_k(k, k * (1.0 + 1e-5))
-                      + _hadamard.hadamard_k(k, k * (1.0 - 1e-5)))
+        # the geometric mean: H_k(k t) = k^(t-1) H_1(t), so the factors k^(+-1e-5) cancel
+        return (math.sqrt(_hadamard.hadamard_k(k, k * (1.0 + 1e-5)))
+                * math.sqrt(_hadamard.hadamard_k(k, k * (1.0 - 1e-5))))
 
     def alpha0(k, **_):
         # a positional call shares the lru_cache key of the THM4.3 grids

@@ -217,7 +217,7 @@ def lerch_alt(a: float) -> Estimate:
     return Estimate(value, err, n0 + used)
 
 
-# (128 k)^6, the smallest power the psi_k_series tail divides by, is normal from here up
+# below this k psi_k_series fails at once rather than stall (see its docstring)
 _PSI_SERIES_MIN_K = 2.0**-177
 
 
@@ -228,9 +228,12 @@ def psi_k_series(k, x: float) -> Estimate:
     Euler-Maclaurin closed-form tail, so the route never touches the
     digamma implementation.  Exists as a cross-check oracle.  It doubles
     the direct terms until the error estimate is at most 1e-12 and raises
-    ConvergenceError where 2^16 terms do not reach that.  The tail divides
-    by (nk)^6, n >= 128, so below k = 2^-177, where that power is not a
-    normal binary64 number, it raises DomainError.
+    ConvergenceError where 2^16 terms do not reach that.  The rounding
+    part of the error estimate is at least 4 eps/k, so below about
+    k = 9e-4 it cannot meet 1e-12; below k = 2^-177 it raises DomainError
+    at once.  Where (nk)(nk + x) for the last direct term is beyond
+    binary64 (from k about 1e150 up at x of order k), the terms would
+    round to 0.0, and it raises DomainError.
     """
     k = k_value(k)
     x = _positive("psi_k_series", x)
@@ -238,17 +241,22 @@ def psi_k_series(k, x: float) -> Estimate:
         raise DomainError(f"psi_k_series requires k >= 2^-177, got k={k}")
     n_direct = 128
     while True:
+        u = n_direct * k
+        if u * (u + x) > _MAX_NORMAL:
+            raise DomainError(f"psi_k_series requires (nk)(nk + x) within binary64 for "
+                              f"n < {n_direct}, got k={k}, x={x}")
         s = 0.0
         for n in range(n_direct - 1, 0, -1):
             nk = n * k
             s += x / (nk * (nk + x))
-        u = n_direct * k
-        # tail of sum [1/(nk) - 1/(nk+x)] from n = n_direct
+        # tail of sum [1/(nk) - 1/(nk+x)] from n = n_direct; the derivative
+        # terms in n_direct and n_direct + x/k, so that no power of k is formed
         integral = math.log1p(x / u) / k
         g0 = 1.0 / u - 1.0 / (u + x)
-        g1 = -k * (1.0 / u**2 - 1.0 / (u + x) ** 2)
-        g3 = -6.0 * k**3 * (1.0 / u**4 - 1.0 / (u + x) ** 4)
-        g5 = -120.0 * k**5 * (1.0 / u**6 - 1.0 / (u + x) ** 6)
+        nv = n_direct + x / k
+        g1 = -(n_direct**-2 - nv**-2) / k
+        g3 = -6.0 * (n_direct**-4 - nv**-4) / k
+        g5 = -120.0 * (n_direct**-6 - nv**-6) / k
         tail = integral + 0.5 * g0 - g1 / 12.0 + g3 / 720.0 - g5 / 30240.0
         err = abs(g5) / 30240.0 + 8.0 * _EPS * (abs(s) + abs(tail) + 1.0 / x)
         if err <= 1e-12 or n_direct >= 1 << 16:

@@ -64,6 +64,14 @@ def test_oracle_scaling_law(k, m):
     assert abs(lhs - rhs) < 1e-9
 
 
+@pytest.mark.parametrize("k,m", [(1e100, 4), (1e300, 2), (1.7e308, 1)])
+def test_oracle_raises_where_k_to_the_m_leaves_binary64(k, m):
+    # once a bare errno-34 OverflowError from x**m, or inf with a nan estimate
+    with pytest.raises(OverflowError) as raised:
+        furdui_oracle(k, m)
+    assert str(raised.value) == f"I({k}, {m}) overflows binary64"
+
+
 def test_oracle_domain():
     with pytest.raises(DomainError):
         furdui_oracle(1.0, 0)

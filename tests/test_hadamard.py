@@ -317,6 +317,10 @@ def test_alpha0_solve_beyond_its_decades():
         alpha0_solve(5e-324)
     with pytest.raises(OverflowError, match=r"^H_k\(1e\+35\) overflows binary64"):
         alpha0_solve(1e34)
+    # where 2 * 1.5k is inf (from k = 6e307 up) a DomainError for x = inf came back once
+    for k in (4e307, 1e308, 1.7976931348623157e308):
+        with pytest.raises(OverflowError, match=r"^H_k\(3k\) overflows binary64 \(k="):
+            alpha0_solve(k)
 
 
 @pytest.mark.parametrize("k", (3.2e-154, 1e-200, 1e-300))

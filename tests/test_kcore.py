@@ -152,10 +152,20 @@ def test_beta_k_at_the_smallest_subnormal_overflows(k):
 
 @pytest.mark.parametrize("k", (1e-60, 1e-100, 1e-300, 5e-324))
 def test_psi_k_series_refuses_k_where_its_tail_underflows(k):
-    # (128 k)^6 is below the normal range; the route once ended there in a
-    # ZeroDivisionError from x/(nk (nk + x)) or (nk)^-6
+    # the route cannot meet its 1e-12 there, and fails at once; it once ended
+    # there in a ZeroDivisionError from x/(nk (nk + x)) or (nk)^-6
     with pytest.raises(DomainError, match=r"^psi_k_series requires k >= 2\^-177, got k="):
         psi_k_series(k, k)
+
+
+@pytest.mark.parametrize("u", (0.1, 1.0, 5.0))
+def test_psi_k_series_forms_no_power_of_k(u):
+    # the tail once took k**3 and k**5, which overflowed from k = 1e100 up
+    assert psi_k_series(1e100, u * 1e100).value == pytest.approx(psi_k(1e100, u * 1e100),
+                                                                 rel=1e-15)
+    # where the direct terms' denominators leave binary64 they would read 0.0
+    with pytest.raises(DomainError, match=r"^psi_k_series requires \(nk\)\(nk \+ x\) within"):
+        psi_k_series(1e300, u * 1e300)
 
 
 def test_psi_k_series_values():

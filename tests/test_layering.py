@@ -122,6 +122,8 @@ def test_series_routes_scale_by_k_once():
     assert expansions <= _top_level_users("routes", lambda node: True)
     assert not _top_level_users("routes", _is_power_of("k")) & expansions
     assert not _top_level_users("routes", _is_name("kp")) & expansions
+    # psi_k_series' Euler-Maclaurin tail, whose k**3 and k**5 overflowed from k = 1e100 up
+    assert "psi_k_series" not in _top_level_users("routes", _is_power_of("k"))
 
 
 def _calls_one_of(names):

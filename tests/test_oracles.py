@@ -5,14 +5,7 @@ import math
 import pytest
 
 from kspecfun import ConvergenceError, DomainError, QuadratureError
-from kspecfun.beta import beta_k, beta_k_deriv
-from kspecfun.oracles import (
-    adaptive_quad,
-    cm_probe,
-    finite_diff,
-    fit_discrepancy,
-)
-from kspecfun.scalar import digamma
+from kspecfun.oracles import adaptive_quad, fit_discrepancy
 
 
 # ------------------------------------------------------------- quadrature
@@ -62,49 +55,6 @@ def test_adaptive_quad_depth_cap_carries_best_estimate():
     assert err.value is not None and 0.0 < err.value < 100.0
     assert err.error_estimate > 1e-6
     assert err.terms_used >= 50
-
-
-# ------------------------------------------------------------- differencing
-def test_finite_diff_polynomials_exact():
-    assert finite_diff(lambda x: x * x, 3.0) == pytest.approx(6.0, rel=1e-9)
-    assert finite_diff(lambda x: 2.0 * x + 1.0, 0.3) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_finite_diff_special_functions():
-    # the step eps^(1/3) |x| (1 at x = 0) keeps the error relative near 0
-    assert finite_diff(math.log, 1e-4) == pytest.approx(1e4, rel=1e-9)
-    assert finite_diff(math.log, 1e4) == pytest.approx(1e-4, rel=1e-9)
-    assert finite_diff(math.exp, 0.0) == pytest.approx(1.0, rel=1e-9)
-    assert finite_diff(digamma, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-6)
-    assert finite_diff(lambda x: beta_k(1.0, x), 1.0) == pytest.approx(
-        -math.pi**2 / 12.0, abs=1e-6
-    )
-    assert finite_diff(lambda x: beta_k(1.0, x), 1.0) == pytest.approx(
-        beta_k_deriv(1.0, 1, 1.0), abs=1e-6
-    )
-
-
-# ------------------------------------------------------------- cm probe
-def test_cm_probe_exponential_passes():
-    res = cm_probe(lambda x: math.exp(-x), 0.5, 5.0, 0.1, 6)
-    assert res.passed
-    assert res.first_violation is None
-
-
-def test_cm_probe_x_beta_passes():
-    res = cm_probe(lambda x: x * beta_k(1.0, x), 0.2, 5.0, 0.1, 6)
-    assert res.passed
-
-
-def test_cm_probe_square_fails_at_first_order():
-    res = cm_probe(lambda x: x * x, 0.5, 5.0, 0.1, 6)
-    assert not res.passed
-    assert res.first_violation[0] == 1  # increasing, so j = 1 breaks first
-
-
-def test_cm_probe_validation():
-    with pytest.raises(DomainError):
-        cm_probe(math.exp, 0.0, 1.0, 0.5, 6)  # 0 + 6*0.5 > 1
 
 
 # ------------------------------------------------------------- fitting

@@ -12,7 +12,7 @@ import pytest
 import kspecfun
 from kspecfun.errors import DomainError
 from kspecfun.hadamard import RootResult
-from kspecfun.oracles import CmProbeResult, DiscrepancyFit
+from kspecfun.oracles import DiscrepancyFit
 from kspecfun.beta import ScanTable
 from kspecfun.registry import (
     EntrySummary,
@@ -40,11 +40,6 @@ RECORDS = {
     ),
     DiscrepancyFit: (
         (("mode", "offset"), ("constant", 0.5), ("residual_rms", 1e-9), ("n_points", 12)),
-        {},
-    ),
-    CmProbeResult: (
-        (("passed", False), ("max_order", 3), ("h", 1e-3), ("points_checked", 9),
-         ("first_violation", (2, 0.5, -1e-4))),
         {},
     ),
     IdentityReport: (

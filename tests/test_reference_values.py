@@ -438,7 +438,7 @@ def test_beta_k_and_hadamard_k_on_the_default_grid_vs_mpmath(monkeypatch):
     run_all(default_grid())
     monkeypatch.undo()
     assert {name: len(points) for name, points in seen.items()} \
-        == {"beta_k": 362, "hadamard_k": 1319}
+        == {"beta_k": 204, "hadamard_k": 1319}
     worst = {}
     with mpmath.workdps(40):
         for name, ref in (("beta_k", _beta_k_ref), ("hadamard_k", _h_grid_ref)):

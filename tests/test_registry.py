@@ -32,7 +32,6 @@ from kspecfun import (
     run_identity,
 )
 from kspecfun.beta import beta_k, beta_k_deriv
-from kspecfun.oracles import finite_diff
 from kspecfun.registry import IdentityReport
 
 AUDIT_IDS = (
@@ -304,25 +303,21 @@ def test_points_outside_binary64_skip_their_k():
 
 
 def test_lem22_passes_at_small_k():
-    # finite_diff's step scales with x, so ln Gamma_k's curvature 1/x^2 at
-    # x = 1e-4 no longer swamps the difference quotient
-    reports = run_identity("LEM2.2", GridSpec(k_values=(1e-3,)))
-    assert len(reports) == 7 and {r.verdict for r in reports} == {"PASS"}
+    # the integral of psi_k against the ln Gamma_k increment has no step to
+    # scale; the central difference it replaced failed at all 7 points at 1e-10
+    reports = run_identity("LEM2.2", GridSpec(k_values=(1e-3, 1e-10)))
+    assert len(reports) == 14 and {r.verdict for r in reports} == {"PASS"}
+    assert max(r.abs_diff for r in reports) < 1e-12
 
 
 def test_lem25_skips_where_the_probe_range_is_not_finite():
-    # above k = 3.6e307 the probe's upper end 5k overflows to inf; cm_probe
-    # once sampled that range without end, so the check runs in a child
-    # process with a memory cap and a timeout
+    # the signs are read at x = u k for the grid's units; above k = 3.6e307
+    # the unit 5 scales x to inf, and the k is a SKIP.  The check runs in a
+    # child process with a memory cap and a timeout, as extreme-k runs do
     child = textwrap.dedent("""
-        import math, resource
+        import resource
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-        from kspecfun import DomainError, GridSpec, cm_probe, run_identity
-        for bounds in ((-math.inf, 1.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)):
-            try:
-                cm_probe(math.exp, *bounds, 6)
-            except DomainError as exc:
-                print(exc)
+        from kspecfun import GridSpec, run_identity
         for k in (3e307, 4e307, 1.7e308):
             (report,) = run_identity("LEM2.5", GridSpec(k_values=(k,)))
             print(report.verdict, report.note)
@@ -332,10 +327,15 @@ def test_lem25_skips_where_the_probe_range_is_not_finite():
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert all(line.startswith("cm_probe requires finite x_lo, x_hi and h") for line in lines[:3])
-    assert lines[3].startswith("PASS ")
-    assert lines[4:] == [f"SKIP DomainError: cm_probe requires finite x_lo, x_hi and h, got "
-                         f"{0.2 * k}, inf, {0.1 * k}" for k in (4e307, 1.7e308)]
+    assert lines[0].startswith("PASS ")
+    assert lines[1:] == ["SKIP DomainError: x must be finite, got inf"] * 2
+
+
+def test_h_seam_passes_at_large_k():
+    # the geometric mean cancels the factors k^(+-1e-5); the arithmetic mean
+    # was cosh(1e-5 ln k), 2.4e-9 away from 1 at k = 1e3
+    (report,) = run_identity("H-SEAM", GridSpec(k_values=(1e3,)))
+    assert report.verdict == "PASS" and report.abs_diff < 1e-9
 
 
 def test_a_failing_point_generator_skips_only_its_k():
@@ -440,10 +440,13 @@ def test_json_fields(summary):
 # ---------------------------------------------------------------- scanner
 def test_scan_component_derivative():
     # f(x) = x beta_k(x): f'(1) at k = 1 is beta(1) + beta'(1)
+    mpmath = pytest.importorskip("mpmath")
     expected = beta_k(1.0, 1.0) + beta_k_deriv(1.0, 1, 1.0)
     assert expected == pytest.approx(math.log(2.0) - math.pi**2 / 12.0, abs=1e-12)
-    fd = finite_diff(lambda x: x * beta_k(1.0, x), 1.0)
-    assert fd == pytest.approx(expected, abs=1e-6)
+    with mpmath.workdps(30):
+        beta_1 = lambda x: (mpmath.digamma((x + 1) / 2) - mpmath.digamma(x / 2)) / 2
+        ref = float(mpmath.diff(lambda x: x * beta_1(x), 1))
+    assert ref == pytest.approx(expected, abs=1e-15)
 
 
 def test_scan_tables():
@@ -481,7 +484,9 @@ def test_scan_takes_each_beta_derivative_once_per_x(monkeypatch):
         calls.clear()
         openproblem_scan(1.5, n_max, units)
         assert len(calls) == (n_max + 3) * len(units)
-        assert sorted(calls) == sorted((j, u * 1.5) for u in units for j in range(n_max + 3))
+        # f(x) = 1 - x beta_k(x + k): the derivatives are taken at x + k
+        assert sorted(calls) == sorted((j, u * 1.5 + 1.5) for u in units
+                                       for j in range(n_max + 3))
 
 
 def test_scan_validation():
