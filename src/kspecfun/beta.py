@@ -10,14 +10,14 @@ beta_k to x <= 0.  The alternating series, the Mellin-type integral on
 [0, 1], the Laplace (cosh) integral and the expansions around x = k and
 x = 0 are the routes that the verification harness plays against it;
 they share no kernel with it and live in :mod:`kspecfun.routes`.  The
-scanner for the paper's open problem on f(x) = x beta_k(x) lives here too: it
-samples the derivatives of f and checks no identity.
+scanner for the paper's open problem on f(x) = x beta_k(x), which samples
+the derivatives of f and checks no identity, lives in
+:mod:`kspecfun.studies`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .errors import DomainError
 from .kcore import _STIRLING_U, _check_pole, k_value
@@ -27,8 +27,6 @@ from .scalar import (_DIGAMMA_TAIL, _MAX_NORMAL, _MIN_NORMAL, _check_int, _overf
 __all__ = [
     "beta_k",
     "beta_k_deriv",
-    "ScanTable",
-    "openproblem_scan",
 ]
 
 def beta_k(k, x: float) -> float:
@@ -145,70 +143,3 @@ def beta_k_deriv(k, order: int, x: float) -> float:
     if not abs(value) <= _MAX_NORMAL:  # nan where both terms are beyond binary64
         raise _overflow_error(f"beta_k^({order})", x, k)
     return value
-
-
-def _x_beta_k_derivs(k: float, n: int, x: float) -> list[float]:
-    """f(x), f'(x), ..., f^(n)(x) for f(x) = x beta_k(x), x > 0.
-
-    f is taken as 1 - x beta_k(x + k), so that
-    f^(j)(x) = -(x beta_k^(j)(x + k) + j beta_k^(j-1)(x + k)) has no 1/x
-    pole to cancel, as the Leibniz form x beta_k^(j)(x) + j beta_k^(j-1)(x)
-    has.
-    """
-    b = [beta_k_deriv(k, j, x + k) for j in range(n + 1)]
-    return [1.0 - x * b[0]] + [-(x * b[j] + j * b[j - 1]) for j in range(1, n + 1)]
-
-
-class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):
-    __slots__ = ()
-    n: int
-    rows: tuple  # ((x, value_or_None), ...)
-    verdict: str  # 'strictly increasing' | 'strictly decreasing' | 'neither' | 'insufficient data'
-    first_violation: tuple | None  # (x_prev, x, g_prev, g)
-
-
-def openproblem_scan(k, n_max: int, units=(0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)) -> list[ScanTable]:
-    """Sample g_n(x) = f^(n+1) / (f^(n) f^(n+2)) with f(x) = x beta_k(x).
-
-    The sample points are x = u k for the unit values ``units`` (by
-    default the registry's default grid).  Emits a value table and a
-    monotonicity verdict per n in 0..n_max.  This is evidence-gathering
-    for an open monotonicity question, not a proof of anything;
-    near-zero denominators are skipped.
-    """
-    k = k_value(k)
-    _check_int("openproblem_scan", "n_max", n_max, 0, 4)
-    xs = sorted(u * k for u in units)
-    if not xs or not all(0.0 < x < math.inf for x in xs):
-        raise DomainError("scan x values must be finite and positive")
-    derivs = [_x_beta_k_derivs(k, n_max + 2, x) for x in xs]
-    tables = []
-    for n in range(n_max + 1):
-        rows = []
-        for x, f in zip(xs, derivs):
-            num = f[n + 1]
-            den = f[n] * f[n + 2]
-            if abs(den) < 1e-12 * max(1.0, abs(num)):
-                rows.append((x, None))
-            else:
-                rows.append((x, num / den))
-        vals = [(x, g) for x, g in rows if g is not None]
-        verdict = "insufficient data"
-        violation = None
-        if len(vals) >= 2:
-            increasing = all(b > a for (_, a), (_, b) in zip(vals, vals[1:]))
-            decreasing = all(b < a for (_, a), (_, b) in zip(vals, vals[1:]))
-            if increasing:
-                verdict = "strictly increasing"
-            elif decreasing:
-                verdict = "strictly decreasing"
-            else:
-                verdict = "neither"
-                up_first = vals[1][1] > vals[0][1]
-                for (x1, g1), (x2, g2) in zip(vals, vals[1:]):
-                    ok = (g2 > g1) if up_first else (g2 < g1)
-                    if not ok:
-                        violation = (x1, x2, g1, g2)
-                        break
-        tables.append(ScanTable(n, tuple(rows), verdict, violation))
-    return tables

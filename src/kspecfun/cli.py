@@ -16,10 +16,10 @@ import os
 import sys
 
 from . import __version__
-from .beta import beta_k, openproblem_scan
+from .beta import beta_k
 from .errors import BracketError, ConvergenceError, DomainError
 from .furdui import FURDUI_METHODS, furdui_method, furdui_oracle
-from .hadamard import alpha0_solve, hadamard_k
+from .hadamard import hadamard_k
 from .kcore import gamma_k, k_value, psi_k, psi_k_m
 from .registry import (
     GridSpec,
@@ -32,6 +32,7 @@ from .registry import (
     run_identity,
 )
 from .routes import gauss_2f1, zeta_int
+from .studies import alpha0_solve, openproblem_scan
 
 # eval --fn name -> (the options it requires, its evaluator of the parsed arguments)
 EVAL_FUNCTIONS = {

@@ -15,13 +15,12 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .kcore import k_value, ln_gamma_k
-from .oracles import adaptive_quad
+from .oracles import Estimate, adaptive_quad
 from .routes import _alt_recip_sum, gauss_2f1, zeta_minus_1, zeta_tail
 from .scalar import (
     _EPS,
     _MAX_NORMAL,
     CONSTANTS,
-    Estimate,
     _check_int,
     _overflow_error,
     _times_powers,

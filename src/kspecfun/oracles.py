@@ -3,7 +3,8 @@
 Nothing in here knows anything about gamma-family functions: the
 quadrature and fitting routines take plain callables and numbers, so
 they stay usable as second opinions against every analytic route in the
-package.
+package.  :class:`Estimate`, the value-with-error record that the
+quadrature and every series or recursion route return, is defined here.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, QuadratureError
-from .scalar import _EPS, Estimate, _check_tol
+from .scalar import _EPS, _check_tol
 
 __all__ = [
+    "Estimate",
     "DiscrepancyFit",
     "adaptive_quad",
     "fit_discrepancy",
@@ -49,6 +51,36 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+
+
+class Estimate(namedtuple("Estimate", "value error_estimate terms_used")):
+    """Value of a series, recursion or quadrature, with its error estimate and count.
+
+    ``error_estimate`` is a conservative bound on what the route reached;
+    ``tol`` only steers where a route stops, so a caller that needs a
+    bound compares ``error_estimate`` with its own tolerance.
+    ``terms_used`` counts series terms or quadrature panels.
+    """
+
+    __slots__ = ()
+    value: float
+    error_estimate: float
+    terms_used: int
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.error_estimate < 0:
+            raise ValueError("error_estimate must be >= 0")
+        if self.terms_used < 0:
+            raise ValueError("terms_used must be >= 0")
+        return self
+
+    @property
+    def subdivisions(self) -> int:
+        # the only alias: perfbench/tracer.py counts panels by reading
+        # .subdivisions off adaptive_quad results, and the benchmark's files
+        # do not change between the commits it compares
+        return self.terms_used
 
 
 class DiscrepancyFit(namedtuple("DiscrepancyFit", "mode constant residual_rms n_points")):

@@ -25,8 +25,9 @@ from . import hadamard as _hadamard
 from . import kcore as _kcore
 from . import routes as _routes
 from . import scalar as _scalar
+from . import studies as _studies
 from .errors import ConvergenceError, DomainError, PoleError
-from .oracles import DiscrepancyFit, adaptive_quad, fit_discrepancy
+from .oracles import DiscrepancyFit, Estimate, adaptive_quad, fit_discrepancy
 
 __all__ = [
     "GridSpec",
@@ -141,8 +142,8 @@ class IdentityEntry(
     tol: float
     expectation: str  # 'PASS' | 'FAIL'
     points: Callable[[GridSpec], Iterable[dict]]
-    lhs: Callable[..., float | _scalar.Estimate]
-    rhs: Callable[..., float | _scalar.Estimate]
+    lhs: Callable[..., float | Estimate]
+    rhs: Callable[..., float | Estimate]
     fit: FitPlan | None
 
 
@@ -179,7 +180,15 @@ SUPERADD_SLACK = 1e-12
 
 @lru_cache(maxsize=32)
 def _alpha0_root(k: float) -> float:
-    return _hadamard.alpha0_solve(k).root
+    return _studies.alpha0_solve(k).root
+
+
+@lru_cache(maxsize=64)
+def _completely_monotone_at(u: float) -> bool:
+    # (-1)^n f_1^(n)(u) > 0 for n = 1..12, with f_1(u) = u beta(u); cached,
+    # since u = x/k takes the same unit values at every k of a grid
+    f = _studies._x_beta_k_derivs(1.0, 12, u)
+    return all((-1) ** n * f[n] > 0.0 for n in range(1, 13))
 
 
 def _k_x_points(grid: GridSpec, units=None, scaled=True):
@@ -304,8 +313,7 @@ def _build_entries() -> list[IdentityEntry]:
         # f_k(x) = x beta_k(x) = f_1(x/k), so f_k^(n)(x) = k^-n f_1^(n)(x/k) has the
         # sign of f_1^(n) at u = x/k; 1.0 where (-1)^n f^(n) > 0 for n = 1..12
         for point in _k_x_points(GridSpec((k,))):
-            f = _beta._x_beta_k_derivs(1.0, 12, point["x"] / k)
-            if not all((-1) ** n * f[n] > 0.0 for n in range(1, 13)):
+            if not _completely_monotone_at(point["x"] / k):
                 return 0.0
         return 1.0
 
@@ -869,7 +877,7 @@ def run_identity(identity_id: str, grid: GridSpec | None = None) -> list[Identit
             reports.append(_skip(entry, params, failure))
             continue
         try:
-            lhs, rhs = (side.value if isinstance(side, _scalar.Estimate) else side
+            lhs, rhs = (side.value if isinstance(side, Estimate) else side
                         for side in (entry.lhs(**params), entry.rhs(**params)))
         except _SKIPPED as exc:
             reports.append(_skip(entry, params, exc))
@@ -921,11 +929,10 @@ def run_all(grid: GridSpec | None = None) -> RunSummary:
     red (their FAILs are the documented misprint evidence).
     """
     grid = grid or default_grid()
-    all_reports: list[IdentityReport] = []
+    by_id: dict[str, list[IdentityReport]] = {}
     summaries = []
     for entry in _entries().values():
-        reports = run_identity(entry.id, grid)
-        all_reports.extend(reports)
+        reports = by_id[entry.id] = run_identity(entry.id, grid)
         n_pass = sum(r.verdict == "PASS" for r in reports)
         n_fail = sum(r.verdict == "FAIL" for r in reports)
         n_skip = sum(r.verdict == "SKIP" for r in reports)
@@ -938,9 +945,11 @@ def run_all(grid: GridSpec | None = None) -> RunSummary:
             satisfied = n_fail >= 1
         summaries.append(EntrySummary(entry.id, entry.expectation, n_pass, n_fail,
                                       n_skip, worst_abs, worst_rel, fits, satisfied))
-    all_reports.sort(key=_param_key)
+    # each id's reports are in _param_key order already, so joining them in
+    # id order puts the whole run in that order
+    all_reports = tuple(r for rid in sorted(by_id) for r in by_id[rid])
     overall = all(s.satisfied for s in summaries if s.expectation == "PASS")
-    return RunSummary(tuple(summaries), tuple(all_reports), overall)
+    return RunSummary(tuple(summaries), all_reports, overall)
 
 
 def _json_scalar(value) -> str:

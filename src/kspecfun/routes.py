@@ -21,9 +21,9 @@ from functools import lru_cache
 from .errors import ConvergenceError, DomainError, PoleError
 from .hadamard import hadamard_k
 from .kcore import k_value, rgamma_k
-from .oracles import adaptive_quad
-from .scalar import (_BERNOULLI, _EPS, _MAX_NORMAL, _MIN_NORMAL, CONSTANTS, Estimate, _check_int,
-                     _check_tol, _overflow_error, _positive, _require_finite)
+from .oracles import Estimate, adaptive_quad
+from .scalar import (_BERNOULLI, _EPS, _MAX_NORMAL, _MIN_NORMAL, CONSTANTS, _check_int, _check_tol,
+                     _overflow_error, _positive, _require_finite)
 
 __all__ = [
     "zeta_int",
@@ -118,14 +118,17 @@ def _2f1_series(a, b, c, z, tol):
     term = 1.0
     total = 1.0
     n = 0
+    # term n + 1 is term n times (a + n)(b + n) z / ((c + n)(1 + n)); each
+    # ratio is formed once, tested after term n and multiplied into term n + 1
+    ratio = a * b / c * z
     while n < _2F1_MAX_TERMS:
-        ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
         term *= ratio
         total += term
         n += 1
         if term == 0.0:
             return total, 0.0, n
-        nxt = abs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
+        ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
+        nxt = abs(ratio)
         if nxt < 0.95 and abs(term) <= 0.25 * tol * max(1.0, abs(total)):
             r = max(nxt, abs(z))
             err = abs(term) * r / (1.0 - r)

@@ -4,7 +4,9 @@ Everything here is scalar binary64 arithmetic on top of ``math``.  The
 log-gamma comes from libm; digamma and polygamma use the textbook
 recurrence-shift plus Bernoulli asymptotic expansions.  The zeta family,
 the Gauss hypergeometric series and the alternating Lerch sum serve only
-the cross-check routes and live with them in :mod:`kspecfun.routes`.
+the cross-check routes and live with them in :mod:`kspecfun.routes`;
+the ``Estimate`` record that those routes return lives with the
+quadrature in :mod:`kspecfun.oracles`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import DomainError
 __all__ = [
     "CONSTANTS",
     "Constants",
-    "Estimate",
     "rgamma",
     "digamma",
     "polygamma",
@@ -52,36 +53,6 @@ class Constants(
 
 
 CONSTANTS = Constants()
-
-
-class Estimate(namedtuple("Estimate", "value error_estimate terms_used")):
-    """Value of a series, recursion or quadrature, with its error estimate and count.
-
-    ``error_estimate`` is a conservative bound on what the route reached;
-    ``tol`` only steers where a route stops, so a caller that needs a
-    bound compares ``error_estimate`` with its own tolerance.
-    ``terms_used`` counts series terms or quadrature panels.
-    """
-
-    __slots__ = ()
-    value: float
-    error_estimate: float
-    terms_used: int
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be >= 0")
-        if self.terms_used < 0:
-            raise ValueError("terms_used must be >= 0")
-        return self
-
-    @property
-    def subdivisions(self) -> int:
-        # the only alias: perfbench/tracer.py counts panels by reading
-        # .subdivisions off adaptive_quad results, and the benchmark's files
-        # do not change between the commits it compares
-        return self.terms_used
 
 
 def _require_finite(name: str, x: float) -> float:

@@ -221,7 +221,7 @@ def test_x_beta_k_derivatives_vs_mpmath(k, u):
     # f = 1 - x beta_k(x + k) has no 1/x pole to cancel; the Leibniz form
     # x beta_k^(n)(x) + n beta_k^(n-1)(x) was 5.7e-4 off at n <= 12
     mpmath = pytest.importorskip("mpmath")
-    from kspecfun.beta import _x_beta_k_derivs
+    from kspecfun.studies import _x_beta_k_derivs
 
     x = u * k
     with mpmath.workdps(40):

@@ -29,7 +29,7 @@ def test_module_all_resolves(name):
 
 
 LIBRARY = ("errors", "scalar", "oracles", "kcore", "beta", "hadamard", "routes", "furdui",
-           "registry")
+           "studies", "registry")
 
 
 def _fresh(code: str) -> str:
@@ -61,28 +61,33 @@ def test_package_exports_exactly_the_module_all_lists():
     assert out.split() == ["True"] * 5
 
 
+def _loaded_by(code: str) -> list[str]:
+    """The package's modules that a fresh interpreter holds after ``import
+    kspecfun`` and ``code``."""
+    out = _fresh("import sys, kspecfun\n" + textwrap.dedent(code) + "\nprint(*sorted("
+                 "m.partition('.')[2] for m in sys.modules if m.startswith('kspecfun.')))")
+    return out.split()
+
+
+EVALUATORS = ["beta", "errors", "hadamard", "kcore", "scalar"]
+
+
 def test_import_loads_only_the_evaluators():
-    # one call of each evaluator loads no cross-check route; a route's name
-    # loads its module and the oracles it integrates with, not the Furdui
-    # routes or the registry
-    out = _fresh("""
-        import sys, kspecfun
+    # one call of each evaluator loads no other module
+    assert _loaded_by("""
         kspecfun.gamma_k(1.0, 2.5), kspecfun.ln_gamma_k(1.0, 2.5), kspecfun.rgamma_k(1.0, 2.5)
         kspecfun.psi_k(1.0, 2.5), kspecfun.psi_k_m(1.0, 2, 2.5)
-        kspecfun.beta_k(1.0, 2.5), kspecfun.hadamard_k(1.0, 2.5)
-        print(sorted(m for m in sys.modules if m.startswith("kspecfun")))
-        kspecfun.gauss_2f1
-        print(sorted(m for m in sys.modules if m.startswith("kspecfun")))
-        kspecfun.run_all
-        print("kspecfun.registry" in sys.modules)
-    """)
-    assert out.splitlines() == [
-        "['kspecfun', 'kspecfun.beta', 'kspecfun.errors', 'kspecfun.hadamard', "
-        "'kspecfun.kcore', 'kspecfun.scalar']",
-        "['kspecfun', 'kspecfun.beta', 'kspecfun.errors', 'kspecfun.hadamard', "
-        "'kspecfun.kcore', 'kspecfun.oracles', 'kspecfun.routes', 'kspecfun.scalar']",
-        "True",
-    ]
+        kspecfun.digamma(2.5), kspecfun.polygamma(2, 2.5)
+        kspecfun.beta_k(1.0, 2.5), kspecfun.beta_k_deriv(1.0, 2, 2.5)
+        kspecfun.hadamard_k(1.0, 0.5), kspecfun.hadamard_k(1.0, 2.5)
+    """) == EVALUATORS
+    # a name loads its module and what that module imports: the studies no
+    # oracle, route or registry; Estimate nothing else; a route the oracles
+    # it integrates with, not the Furdui routes or the registry
+    for name, loads in (("alpha0_solve", ["studies"]), ("openproblem_scan", ["studies"]),
+                        ("Estimate", ["oracles"]), ("gauss_2f1", ["oracles", "routes"]),
+                        ("run_all", ["furdui", "oracles", "registry", "routes", "studies"])):
+        assert _loaded_by(f"kspecfun.{name}") == sorted(EVALUATORS + loads), name
 
 
 # public names that no module of the package uses, each kept on purpose

@@ -20,7 +20,7 @@ from kspecfun import (
     recursion_47,
     rgamma_k,
 )
-from kspecfun.hadamard import _count_sign_changes
+from kspecfun.studies import _count_sign_changes
 from kspecfun.registry import SUPERADD_SLACK
 
 LN2 = math.log(2.0)
@@ -255,7 +255,7 @@ def test_alpha0_solve_ends_where_its_steps_vanish():
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
         from kspecfun import DomainError, alpha0_solve
-        from kspecfun.hadamard import _count_sign_changes
+        from kspecfun.studies import _count_sign_changes
         for k in (1e-322, 5e-324):
             try:
                 alpha0_solve(k)

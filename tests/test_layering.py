@@ -2,10 +2,10 @@
 
 L0 ``scalar`` (over ``errors``), L1 ``kcore`` and the route-agnostic
 ``oracles``, L2 ``beta``/``hadamard``, the cross-check ``routes`` and
-``furdui``, L3 ``registry``, L4 ``cli``.  A lower layer that imports a
-higher one would let an evaluator depend on the harness that checks it,
-and a route that imported an evaluator kernel would check it against
-itself.
+``furdui`` and the ``studies`` built on the evaluators, L3 ``registry``,
+L4 ``cli``.  A lower layer that imports a higher one would let an
+evaluator depend on the harness that checks it, and a route that
+imported an evaluator kernel would check it against itself.
 """
 
 import ast
@@ -27,6 +27,9 @@ ONLY = {
 }
 # module -> package modules it must not import
 NEVER = {name: {"registry", "cli", "reports"} for name in ("beta", "hadamard", "routes", "furdui")}
+# the paper's numerical studies sit on the evaluators alone: no cross-check
+# machinery is compiled to solve for alpha_0 or to scan the open problem
+NEVER["studies"] = {"routes", "furdui", "oracles", "registry", "cli"}
 # the evaluators and the oracles they may be checked with never load a cross-check route
 EVALUATOR_MODULES = ("scalar", "kcore", "beta", "hadamard", "oracles")
 # the evaluator kernels and their public wrappers
@@ -117,6 +120,10 @@ def test_series_routes_scale_by_k_once():
     # beta_k and the scan sum in u = x/k and carry no power of k
     assert not _top_level_users("beta", _is_power_of("k"))
     assert not _top_level_users("beta", _is_name("kp"))
+    scan = {"openproblem_scan", "_x_beta_k_derivs"}
+    assert scan <= _top_level_users("studies", lambda node: True)
+    assert not _top_level_users("studies", _is_power_of("k")) & scan
+    assert not _top_level_users("studies", _is_name("kp")) & scan
     # nor do the beta_k expansions, which sit with the routes
     expansions = {"beta_taylor_54", "_taylor_coeffs", "beta_expansion_55", "_expansion_coeffs"}
     assert expansions <= _top_level_users("routes", lambda node: True)

@@ -11,9 +11,7 @@ import pytest
 
 import kspecfun
 from kspecfun.errors import DomainError
-from kspecfun.hadamard import RootResult
-from kspecfun.oracles import DiscrepancyFit
-from kspecfun.beta import ScanTable
+from kspecfun.oracles import DiscrepancyFit, Estimate
 from kspecfun.registry import (
     EntrySummary,
     FitPlan,
@@ -23,7 +21,8 @@ from kspecfun.registry import (
     IdentityReport,
     RunSummary,
 )
-from kspecfun.scalar import Constants, Estimate
+from kspecfun.scalar import Constants
+from kspecfun.studies import RootResult, ScanTable
 
 _FIT = DiscrepancyFit("ratio", 2.0, 0.0, 3)
 

@@ -23,6 +23,7 @@ from kspecfun import (
     kcore,
     routes,
     scalar,
+    studies,
     get_entry,
     openproblem_scan,
     registry_ids,
@@ -32,7 +33,7 @@ from kspecfun import (
     run_identity,
 )
 from kspecfun.beta import beta_k, beta_k_deriv
-from kspecfun.registry import IdentityReport
+from kspecfun.registry import IdentityReport, _param_key
 
 AUDIT_IDS = (
     "EQ2.2", "EQ5.5", "THM3.2", "THM3.3", "THM4.4", "THM5.1", "EQ4.8",
@@ -86,7 +87,7 @@ def test_only_thm32_series_takes_a_variant():
     # printed forms are registry routes; thm32_series keeps both prefixes
     # because the CLI method table needs them
     takers = []
-    for name in ("kcore", "beta", "hadamard", "furdui"):
+    for name in ("kcore", "beta", "hadamard", "furdui", "studies"):
         module = importlib.import_module(f"kspecfun.{name}")
         for public in module.__all__:
             fn = getattr(module, public)
@@ -310,6 +311,23 @@ def test_lem22_passes_at_small_k():
     assert max(r.abs_diff for r in reports) < 1e-12
 
 
+def test_lem25_takes_the_derivatives_once_per_unit(monkeypatch):
+    # f_k^(n)(x) has the sign of f_1^(n)(x/k), and x/k is the same unit at
+    # every k of the default grid, so the 4 k values share 7 evaluations
+    real = studies._x_beta_k_derivs
+    units = []
+
+    def spy(k, n, u):
+        units.append(u)
+        return real(k, n, u)
+
+    monkeypatch.setattr(studies, "_x_beta_k_derivs", spy)
+    kspecfun.registry._completely_monotone_at.cache_clear()
+    (report,) = [r for r in run_identity("LEM2.5") if r.params == {"k": 1.0}]
+    assert report.verdict == "PASS"
+    assert sorted(units) == sorted(default_grid().x_values)
+
+
 def test_lem25_skips_where_the_probe_range_is_not_finite():
     # the signs are read at x = u k for the grid's units; above k = 3.6e307
     # the unit 5 scales x to inf, and the k is a SKIP.  The check runs in a
@@ -361,6 +379,13 @@ def test_run_all_green(summary):
         if entry.expectation == "PASS":
             assert entry.n_fail == 0, entry.identity_id
             assert entry.n_pass > 0, entry.identity_id
+
+
+def test_run_all_orders_reports_by_param_key_and_entries_by_registration(summary):
+    # the reports are each id's run_identity lists, joined in id order
+    assert list(summary.reports) == sorted(summary.reports, key=_param_key)
+    assert [entry.identity_id for entry in summary.entries] == registry_ids()
+    assert [entry.identity_id for entry in summary.entries] != sorted(registry_ids())
 
 
 def test_expected_failures_are_documented(summary):
@@ -471,14 +496,15 @@ def test_scan_scaling_consistency():
 
 
 def test_scan_takes_each_beta_derivative_once_per_x(monkeypatch):
-    real = beta.beta_k_deriv
+    # the scanner calls beta_k_deriv through the name its module imports
+    real = studies.beta_k_deriv
     calls = []
 
     def spy(k, order, x):
         calls.append((order, x))
         return real(k, order, x)
 
-    monkeypatch.setattr(beta, "beta_k_deriv", spy)
+    monkeypatch.setattr(studies, "beta_k_deriv", spy)
     units = (0.2, 0.9, 3.0)
     for n_max in (0, 2, 4):
         calls.clear()

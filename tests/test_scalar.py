@@ -1,6 +1,7 @@
 """Tests for the classical scalar functions."""
 
 import math
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from kspecfun import (
     zeta_int,
 )
 from kspecfun.oracles import adaptive_quad
-from kspecfun import scalar
+from kspecfun import routes, scalar
 from kspecfun.scalar import CONSTANTS
 
 GAMMA = CONSTANTS.euler_gamma
@@ -308,6 +309,38 @@ def test_2f1_against_quadrature_oracle():
     oracle = adaptive_quad(lambda x: x**2 / (1.0 + 0.5 * x) ** 2, 0.0, 1.0, 1e-12)
     sv = gauss_2f1(2.0, 3.0, 4.0, -0.5)
     assert sv.value == pytest.approx(3.0 * oracle.value, abs=1e-11)
+
+
+def _2f1_series_forming_each_ratio_twice(a, b, c, z, tol):
+    # the series loop as it was, kept as the reference: the ratio that step n
+    # tests (nxt) is formed again as the ratio that step n + 1 multiplies in
+    term = 1.0
+    total = 1.0
+    n = 0
+    while n < routes._2F1_MAX_TERMS:
+        ratio = (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
+        term *= ratio
+        total += term
+        n += 1
+        if term == 0.0:
+            return total, 0.0, n
+        nxt = abs((a + n) * (b + n) / ((c + n) * (1.0 + n)) * z)
+        if nxt < 0.95 and abs(term) <= 0.25 * tol * max(1.0, abs(total)):
+            r = max(nxt, abs(z))
+            err = abs(term) * r / (1.0 - r)
+            return total, err, n
+    raise AssertionError("the reference series did not converge")
+
+
+def test_2f1_series_forms_each_ratio_once_to_the_same_estimate(monkeypatch):
+    # both branches (direct for z >= -0.5, Pfaff below) over seeded points
+    rng = random.Random(2)
+    points = [(rng.uniform(-4.0, 8.0), rng.uniform(-4.0, 8.0), rng.uniform(-2.5, 10.0),
+               -rng.random()) for _ in range(2000)]
+    points += [(1.0, 1.0, 2.0, -1.0), (-2.0, 3.0, 1.5, -0.25), (0.0, 1.0, 2.0, -0.75)]
+    carried = [gauss_2f1(*p) for p in points]
+    monkeypatch.setattr(routes, "_2f1_series", _2f1_series_forming_each_ratio_twice)
+    assert [gauss_2f1(*p) for p in points] == carried
 
 
 @pytest.mark.parametrize("z", [-1.0, -0.9, -0.6, -0.45, -0.3, -0.12, -0.04])
