@@ -333,17 +333,19 @@ def _build_entries() -> list[IdentityEntry]:
 
     def _lem27_points(grid):
         for k in grid.k_values:
-            xs = sorted(u * k for u in grid.x_values)
+            xs = sorted({u * k for u in grid.x_values})  # x that round together are no step
             for x1, x2 in zip(xs, xs[1:]):
                 yield {"k": k, "x": x1, "x_next": x2}
 
     def lambda_ratio(k, x, **_):
-        b = _beta.beta_k(k, x)
+        # x beta_k'(x)/beta_k(x)^2 = k (u beta'(u)/beta(u)^2) forms no beta_k^2; beta'(u)
+        # is of the order of beta(u)^2, so both leave the normal range together
+        u = x / k
+        b = _beta.beta_k(1.0, u)
         if b * b < _scalar._MIN_NORMAL:
-            # beta_k'(x) is of the same order and below the normal range too
-            raise DomainError(f"lambda_ratio requires beta_k(x)^2 >= 2^-1022, "
-                              f"got beta_k({x}) = {b} at k={k}")
-        return x * _beta.beta_k_deriv(k, 1, x) / (b * b)
+            raise DomainError(f"lambda_ratio requires beta(x/k)^2 >= 2^-1022, "
+                              f"got beta({u}) = {b} at k={k}")
+        return k * (u * _beta.beta_k_deriv(1.0, 1, u) / (b * b))
 
     def lambda_ratio_next(k, x_next, **_):
         return lambda_ratio(k, x_next)

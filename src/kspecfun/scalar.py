@@ -212,6 +212,12 @@ _POLYGAMMA_BINADES = 1075
 _POLYGAMMA_PLANS: dict[int, tuple] = {}
 
 
+def _check_polygamma_order(m: int) -> None:
+    if m > _POLYGAMMA_MAX_ORDER:
+        raise DomainError(f"polygamma orders above {_POLYGAMMA_MAX_ORDER} "
+                          f"are not supported, got {m}")
+
+
 def _polygamma_plan(m: int) -> tuple:
     """Constants of the order-m polygamma kernel, built on first use of m.
 
@@ -228,10 +234,7 @@ def _polygamma_plan(m: int) -> tuple:
     plan = _POLYGAMMA_PLANS.get(m)
     if plan is not None:
         return plan
-    if m > _POLYGAMMA_MAX_ORDER:
-        raise DomainError(
-            f"polygamma orders above {_POLYGAMMA_MAX_ORDER} are not supported, got {m}"
-        )
+    _check_polygamma_order(m)
     threshold = 10.0 + m
     mf = float(math.factorial(m))
     fm1 = float(math.factorial(m - 1))

@@ -15,6 +15,7 @@ from kspecfun import (
     beta_k_series,
     beta_taylor_54,
     get_entry,
+    psi_k_m,
 )
 from kspecfun.routes import _taylor_coeffs
 
@@ -92,6 +93,22 @@ def test_beta_k_deriv_values():
     assert beta_k_deriv(2.0, 0, 1.5) == beta_k(2.0, 1.5)
     with pytest.raises(DomainError):
         beta_k_deriv(1.0, -1, 1.0)
+    with pytest.raises(DomainError, match="^polygamma orders above 150 are not supported, got 151$"):
+        beta_k_deriv(1.0, 151, 1.0)
+
+
+@pytest.mark.parametrize("k", (1e-3, 0.5, 1.0, 3.0, 1e3))
+@pytest.mark.parametrize("j", (1, 2, 3, 5, 12))
+def test_beta_k_deriv_agrees_with_the_polygamma_difference(k, j):
+    # beta_k^(j)(x) = 2^-(j+1) [psi_k^(j)((x+k)/2) - psi_k^(j)(x/2)], from the
+    # polygamma kernel, which beta_k_deriv does not reach; for u <= 10 the
+    # difference cancels at most one digit, and each psi_k^(j) value is within
+    # 6e-16 (under 3 * 2^-52) relative
+    for u in (1e-3, 0.1, 0.35, 0.7, 1.0, 2.5, 5.0, 7.3, 10.0):
+        x = u * k
+        high, low = psi_k_m(k, j, 0.5 * x + 0.5 * k), psi_k_m(k, j, 0.5 * x)
+        bound = 4.0 * 2.0**-52 * 0.5 ** (j + 1) * (abs(high) + abs(low))
+        assert abs(beta_k_deriv(k, j, x) - 0.5 ** (j + 1) * (high - low)) <= bound, (k, j, u)
 
 
 def test_beta_k_deriv_where_x_plus_k_overflows():

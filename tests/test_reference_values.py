@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -364,29 +365,42 @@ def test_beta_k_by_scaling_vs_mpmath(k, x):
 
 
 def _beta_k_deriv_ref(k, j, x):
+    # the psi^(j) difference cancels about log10(u) digits, u = x/k
     k, x = mpmath.mpf(k), mpmath.mpf(x)
-    u = x / k
-    return (mpmath.polygamma(j, (u + 1) / 2) - mpmath.polygamma(j, u / 2)) / (2 * k) ** (j + 1)
+    with mpmath.workdps(40 + max(0, int(mpmath.log10(x / k)))):
+        u = x / k
+        return (mpmath.polygamma(j, (u + 1) / 2) - mpmath.polygamma(j, u / 2)) / (2 * k) ** (j + 1)
 
 
-@pytest.mark.parametrize("k,j,x", [(1.0, 1, 1e17), (1e-300, 1, 3.16e-3), (1.0, 2, 1e20),
-                                   (2.0, 5, 1e18)])
-def test_beta_k_deriv_where_the_arguments_round_together_vs_mpmath(k, j, x):
-    # x/k >= 2^53: (x + k)/2 and x/2 are one binary64 number, and the
-    # psi_k^(j) difference would be exactly 0.0
-    with mpmath.workdps(40 + int(math.log10(x / k))):
-        ref = _beta_k_deriv_ref(k, j, x)
-    assert beta_k_deriv(k, j, x) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
-
-
-@pytest.mark.parametrize("k,j,x", [(1.0, 1, 1.2e-154), (1e-3, 1, 1.2e-154), (1.0, 2, 2.5e-103)])
-def test_beta_k_deriv_where_psi_k_of_half_x_overflows_vs_mpmath(k, j, x):
+@pytest.mark.parametrize("k,j,x", [
+    # x/k >= 2^53, where (x + k)/2 and x/2 are one binary64 number
+    (1.0, 1, 1e17), (1e-300, 1, 3.16e-3), (1.0, 2, 1e20), (2.0, 5, 1e18),
     # psi_k^(j)(x/2) is beyond binary64 although beta_k^(j)(x), 2^(j+1) times smaller, is not
-    with mpmath.workdps(40):
-        ref = _beta_k_deriv_ref(k, j, x)
-        assert abs(mpmath.polygamma(j, mpmath.mpf(x) / (2 * k))) / k ** (j + 1) \
-            > sys.float_info.max
-    assert beta_k_deriv(k, j, x) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
+    (1.0, 1, 1.2e-154), (1e-3, 1, 1.2e-154), (1.0, 2, 2.5e-103),
+    # the far field, where the psi_k^(j) difference cancels 9, 12 and 6 digits
+    (1.0, 1, 1e9), (1.0, 3, 1e12), (1.0, 1, 1e6),
+    # both psi_2k^(1) terms, or 2k itself, are beyond binary64, although beta_k' is not
+    (2.0**-525, 1, 1e4 * 2.0**-525), (2.0**-512, 1, 2.0**-512), (1.7e308, 1, 1e-154),
+])
+def test_beta_k_deriv_vs_mpmath(k, j, x):
+    ref = float(_beta_k_deriv_ref(k, j, x))
+    assert beta_k_deriv(k, j, x) == pytest.approx(ref, rel=4e-16, abs=0.0)
+
+
+def test_beta_k_deriv_on_a_seeded_map_vs_mpmath():
+    # the bound of beta_k_deriv's docstring: 4 ulp for j <= 12, k in [1e-6, 1e6]
+    # and u in [1e-8, 1e15], wherever the value is normal
+    rng = random.Random(20090501)
+    checked = 0
+    for _ in range(400):
+        j = rng.randint(1, 12)
+        k = 10.0 ** rng.uniform(-6.0, 6.0)
+        x = 10.0 ** rng.uniform(-8.0, 15.0) * k
+        ref = float(_beta_k_deriv_ref(k, j, x))
+        if sys.float_info.min <= abs(ref) <= sys.float_info.max:
+            checked += 1
+            assert abs(beta_k_deriv(k, j, x) - ref) <= 4 * math.ulp(ref), (k, j, x)
+    assert checked > 300
 
 
 @pytest.mark.parametrize("k,j,x", [(1.0, 1, 1e-155), (1.0, 2, 2e-103), (1e-300, 1, 1e-310)])

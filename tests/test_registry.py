@@ -137,8 +137,8 @@ def test_beta_k_and_hadamard_k_share_no_kernel_with_the_cross_check_routes(monke
 def test_psi_k_m_shares_no_kernel_with_the_series_route(monkeypatch):
     # psi_k_m_series (EQ1.3's rhs) and zeta_tail (THM3.4's lhs) close their
     # sums with _em_power_tail; the polygamma kernel never reaches it, so
-    # every k-polygamma value that EQ1.3, LEM2.6, LEM2.7 and THM3.4 read on
-    # the default grid comes out the same with that tail refused
+    # every k-polygamma value that EQ1.3 and THM3.4 read on the default
+    # grid comes out the same with that tail refused
     calls = {}
     real = scalar._polygamma_k
 
@@ -149,9 +149,9 @@ def test_psi_k_m_shares_no_kernel_with_the_series_route(monkeypatch):
 
     furdui._thm34_sum.cache_clear()  # so that THM3.4 reaches polygamma
     with monkeypatch.context() as patch:
-        for module in (scalar, kcore, beta):
+        for module in (scalar, kcore):
             patch.setattr(module, "_polygamma_k", record)
-        for identity_id in ("EQ1.3", "LEM2.6", "LEM2.7", "THM3.4-corrected"):
+        for identity_id in ("EQ1.3", "THM3.4-corrected"):
             calls[identity_id] = []
             run_identity(identity_id)
     assert all(calls.values())
@@ -232,13 +232,28 @@ def test_skip_on_convergence_error():
     ("SCALING-BETA", 1e-100, "DomainError: psi_k_series requires k >= 2^-177, got k=1e-100"),
     ("REMARK5-refined", 1e-300,
      "DomainError: beta_k_refined_upper_bound requires k^2 >= 2^-1022, got k=1e-300"),
-    ("LEM2.7", 1e300, "DomainError: lambda_ratio requires beta_k(x)^2 >= 2^-1022, got beta_k("),
 ])
 def test_routes_that_would_divide_by_zero_skip(identity_id, k, note):
     # each of these points once raised ZeroDivisionError out of run_identity
     reports = run_identity(identity_id, GridSpec(k_values=(k,)))
     assert reports
     assert all(r.verdict == "SKIP" and r.note.startswith(note) for r in reports)
+
+
+def test_lem27_skips_where_beta_squared_leaves_the_normal_range():
+    # at u = x/k near 1e200, beta(u)^2 and beta'(u) both underflow to 0.0,
+    # and 0.0/0.0 once raised ZeroDivisionError out of run_identity
+    reports = run_identity("LEM2.7", GridSpec(k_values=(1.0,), x_values=(1e200, 2e200)))
+    assert [r.verdict for r in reports] == ["SKIP"]
+    assert reports[0].note.startswith("DomainError: lambda_ratio requires beta(x/k)^2 >= 2^-1022")
+
+
+@pytest.mark.parametrize("k", [1e-320, 1e-300, 1e200, 1e300])
+def test_lem27_holds_where_beta_k_squared_leaves_the_normal_range(k):
+    # lambda_ratio takes beta and beta' at k = 1 and u = x/k and scales once
+    # by k, so it forms no beta_k^2; at 1e300 it once gave six SKIPs
+    reports = run_identity("LEM2.7", GridSpec(k_values=(k,)))
+    assert [r.verdict for r in reports] == ["PASS"] * 6
 
 
 @pytest.mark.parametrize("identity_id,k", [
