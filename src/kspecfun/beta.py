@@ -18,8 +18,9 @@ import math
 
 from .errors import DomainError
 from .kcore import _STIRLING_U, _check_pole, k_value
-from .scalar import (_BERNOULLI, _DIGAMMA_TAIL, _MAX_NORMAL, _MIN_NORMAL, _check_int,
-                     _check_polygamma_order, _overflow_error, _positive, _times_powers)
+from .scalar import (_BERNOULLI, _MAX_NORMAL, _MIN_NORMAL, _T1, _T2, _T3, _T4, _T5, _T6, _T7,
+                     _check_int, _check_polygamma_order, _overflow_error, _positive,
+                     _times_powers)
 
 __all__ = [
     "beta_k",
@@ -40,6 +41,9 @@ def beta_k(k, x: float) -> float:
     if not (0.0 < (k := float(k)) < math.inf and 0.0 < (x := float(x)) < math.inf):
         k_value(k)
         _positive("beta_k", x)
+    # _beta's normal-range branch without its frame; _beta takes the edges and raises
+    if _MIN_NORMAL <= (u := x / k) < _STIRLING_U and (value := _beta_unit(u) / k) <= _MAX_NORMAL:
+        return value
     return _beta(k, x)
 
 
@@ -67,7 +71,7 @@ def _beta_unit(u: float) -> float:
     u -> u + 2, taken until u >= 20 (at most 10 steps).  There the
     asymptotic series of psi gives
     psi(a) - psi(b) = ln(1 + 1/u) + 1/u - 1/(u+1) - (P(a) - P(b)), with
-    P(z) = sum B_2n/(2n z^2n) from ``scalar._DIGAMMA_TAIL``.
+    P(z) = sum B_2n/(2n z^2n) in straight-line Horner form over ``scalar._T1`` .. ``_T7``.
     """
     acc = 0.0
     while u < 20.0:
@@ -77,10 +81,8 @@ def _beta_unit(u: float) -> float:
     a = b + 0.5
     va = 1.0 / (a * a)
     vb = 1.0 / (b * b)
-    pa = pb = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
-        pa = (pa + c) * va
-        pb = (pb + c) * vb
+    pa = ((((((_T7 * va + _T6) * va + _T5) * va + _T4) * va + _T3) * va + _T2) * va + _T1) * va
+    pb = ((((((_T7 * vb + _T6) * vb + _T5) * vb + _T4) * vb + _T3) * vb + _T2) * vb + _T1) * vb
     return acc + 0.5 * (math.log1p(1.0 / u) + 1.0 / (u * (u + 1.0)) - (pa - pb))
 
 

@@ -16,8 +16,8 @@ from .scalar import (
     _MIN_NORMAL,
     CONSTANTS,
     _check_int,
+    _T1, _T2, _T3, _T4, _T5, _T6, _T7,
     _digamma,
-    _digamma_minus_log,
     _overflow_error,
     _polygamma_k,
     _positive,
@@ -60,8 +60,7 @@ def _is_pole(u: float) -> bool:
 
 
 def _check_pole(k: float, x: float):
-    if x > POLE_GUARD * k:
-        return
+    # for x <= POLE_GUARD k; callers take x > POLE_GUARD k, never a pole, themselves
     u = x / k
     if not _is_pole(u):
         u = round(u)
@@ -119,9 +118,9 @@ def gamma_k(k, x: float) -> float:
     if not (0.0 < (k := float(k)) < math.inf and -math.inf < (x := float(x)) < math.inf):
         k_value(k)
         _require_finite("x", x)
-    _check_pole(k, x)
-    if x > 0.0:
+    if x > POLE_GUARD * k:
         return _exp_k(_ln_gamma_k(k, x), "Gamma_k", k, x)
+    _check_pole(k, x)  # raises for every x in (0, POLE_GUARD k] too
     u = x / k  # finite: _check_pole raised where x/k overflows to -inf
     try:
         value = k ** (u - 1.0) / _rgamma(u)
@@ -159,8 +158,9 @@ def psi_k(k, x: float) -> float:
     """k-digamma psi_k(x) = (ln k + psi(x/k)) / k for x > 0.
 
     Where u = x/k >= 10 it is (ln x + (psi(u) - ln u)) / k, with
-    psi(u) - ln u taken straight from the asymptotic series, so ln k and
-    psi(u) never cancel (psi_k(1e-300, 1) is -0.5), and where x/k
+    psi(u) - ln u = -1/(2u) - sum B_2n/(2n u^2n) taken straight from the
+    asymptotic series (the Horner form of :func:`scalar._digamma`), so ln k
+    and psi(u) never cancel (psi_k(1e-300, 1) is -0.5), and where x/k
     overflows the value is ln x / k.  A value beyond binary64 raises
     OverflowError.
     """
@@ -168,8 +168,10 @@ def psi_k(k, x: float) -> float:
         k_value(k)
         _positive("psi_k", x)
     u = x / k
-    if u >= 10.0:
-        value = (math.log(x) + _digamma_minus_log(u)) / k
+    if u >= 10.0:  # u = +inf included
+        v = 1.0 / (u * u)
+        p = ((((((_T7 * v + _T6) * v + _T5) * v + _T4) * v + _T3) * v + _T2) * v + _T1) * v
+        value = (math.log(x) + (-0.5 / u - p)) / k
     elif u >= _MIN_NORMAL:
         value = (math.log(k) + _digamma(u)) / k
     else:
@@ -183,7 +185,8 @@ def psi_k(k, x: float) -> float:
 def psi_k_m(k, m: int, x: float) -> float:
     """k-polygamma psi_k^(m)(x) = psi^(m)(x/k) / k^(m+1), 1 <= m <= 150, x > 0.
 
-    One kernel, :func:`scalar._polygamma_k`, works in x and k: it sums
+    One kernel, :func:`scalar._polygamma_k`, works in x and k: it tests the
+    far field x >= (10 + m) k first, which needs no shift, sums
     (x + ik)^-(m+1) below (10 + m) k, smallest term first, and closes with
     the Bernoulli tail P(k/y) / (k y^m), whose number of terms a per-order
     plan gives for each binade of y/k, so neither x/k nor k^(m+1) is

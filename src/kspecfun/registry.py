@@ -318,8 +318,10 @@ def _build_entries() -> list[IdentityEntry]:
         return 1.0
 
     def beta_k_log_convexity(k, x, **_):
-        return (2.0 * _beta.beta_k_deriv(k, 1, x) ** 2
-                - _beta.beta_k_deriv(k, 2, x) * _beta.beta_k(k, x))
+        # the square as a product, which is inf beyond binary64 (float ** raises a
+        # bare errno OverflowError there), so the side ends in the "non-finite" SKIP
+        d1 = _beta.beta_k_deriv(k, 1, x)
+        return 2.0 * (d1 * d1) - _beta.beta_k_deriv(k, 2, x) * _beta.beta_k(k, x)
 
     add("LEM2.3", "int_0^u x^(a-1)/(1+bx)^v dx = (u^a/a) 2F1(v,a;1+a;-bu)", "rel", 1e-7,
         points=_lem23_points, lhs=lem23_by_2f1, rhs=lem23_by_quadrature)

@@ -2,7 +2,9 @@
 
 Everything here is scalar binary64 arithmetic on top of ``math``.  The
 log-gamma comes from libm; digamma and polygamma use the textbook
-recurrence-shift plus Bernoulli asymptotic expansions.  The zeta family,
+recurrence-shift plus Bernoulli asymptotic expansions, the seven-term psi
+tail as one straight-line Horner form over ``_T1`` .. ``_T7`` wherever it
+is taken (also ``kcore.psi_k`` and ``beta._beta_unit``).  The zeta family,
 the Gauss hypergeometric series and the alternating Lerch sum serve only
 the cross-check routes and live with them in :mod:`kspecfun.routes`;
 the ``Estimate`` record that those routes return lives with the
@@ -153,6 +155,7 @@ _DIGAMMA_TAIL = (
     -691.0 / 32760.0,
     1.0 / 12.0,
 )
+_T1, _T2, _T3, _T4, _T5, _T6, _T7 = _DIGAMMA_TAIL  # for the straight-line Horner forms
 
 # Bernoulli numbers B_2 .. B_20
 _BERNOULLI = (
@@ -186,19 +189,8 @@ def _digamma(x: float) -> float:
         acc -= 1.0 / x
         x += 1.0
     u = 1.0 / (x * x)
-    p = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
-        p = (p + c) * u
+    p = ((((((_T7 * u + _T6) * u + _T5) * u + _T4) * u + _T3) * u + _T2) * u + _T1) * u
     return acc + math.log(x) - 0.5 / x - p
-
-
-def _digamma_minus_log(x: float) -> float:
-    """psi(x) - ln x = -1/(2x) - sum B_2n/(2n x^2n) for x >= 10 (+inf included), without ln x."""
-    u = 1.0 / (x * x)
-    p = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
-        p = (p + c) * u
-    return -0.5 / x - p
 
 
 # Above order 150 the last Bernoulli coefficient overflows, so the plans
@@ -210,6 +202,7 @@ _POLYGAMMA_TAIL_CUT = 2.0**-60
 _POLYGAMMA_BINADES = 1075
 # order m -> the plan of _polygamma_plan(m), filled on first use of m
 _POLYGAMMA_PLANS: dict[int, tuple] = {}
+_frexp = math.frexp  # bound once: the polygamma kernel reads a binade on every call
 
 
 def _check_polygamma_order(m: int) -> None:
@@ -283,7 +276,7 @@ def _polygamma_asymptotic(m: int, v: float) -> float:
     _, _, _, fm1, half_mf, _, _, tails = _polygamma_plan(m)
     v2 = v * v
     q = 0.0
-    for c in tails[-math.frexp(v)[1]]:
+    for c in tails[-_frexp(v)[1]]:
         q = (q + c) * v2
     return fm1 + (half_mf * v + q)
 
@@ -311,8 +304,9 @@ def _polygamma_k(m: int, k: float, x: float) -> float:
     """psi^(m)(x/k) / k^(m+1) for an integer 1 <= m <= 150 and checked k, x > 0.
 
     The one polygamma kernel, taken in x and k without forming
-    psi^(m)(x/k) or k^(m+1): (-1)^(m+1) [m! sum (x + ik)^-(m+1) + P(k/y) / (k y^m)],
-    with the shift running over i = 0 .. n-1, n = ceil(10 + m - x/k), and
+    psi^(m)(x/k) or k^(m+1): (-1)^(m+1) [m! sum (x + ik)^-(m+1) + P(k/y) / (k y^m)].
+    The far field x/k >= 10 + m is tested first and takes no shift (y = x);
+    below it the shift runs over i = 0 .. n-1, n = ceil(10 + m - x/k), and
     y = x + nk (DLMF 5.15.8 scaled by k).  Each x + ik is formed directly
     and the shift is summed from its smallest term; P is the polynomial of
     :func:`_polygamma_asymptotic`, in Horner form in v^2 with as many
@@ -324,33 +318,33 @@ def _polygamma_k(m: int, k: float, x: float) -> float:
     """
     plan = _POLYGAMMA_PLANS.get(m) or _polygamma_plan(m)
     sign, threshold, mf, fm1, half_mf, order, power, tails = plan
+    u = x / k
     s = 0.0
-    t = 1.0  # the smallest shift term
+    y = x
     try:
-        n = math.ceil(threshold - x / k)  # shift terms; raises where x/k overflows
-        if n > 0:
+        if not threshold <= u <= _MAX_NORMAL:  # the far field, tested first, takes no shift
+            n = math.ceil(threshold - u)  # n >= 1 shift terms; raises where x/k overflows
             # x + ik for each i, not y += k, whose roundings would add up; and
             # the smallest term first, so no rounding is taken at the largest
             i = n - 1.0
-            t = (x + i * k) ** power
-            s = t
+            s = (x + i * k) ** power
+            if s < _MIN_NORMAL:  # the smallest shift term
+                return _polygamma_scaled(m, k, x, u)
             while i > 0.0:
                 i -= 1.0
                 s += (x + i * k) ** power
             y = x + n * k
-        else:
-            y = x
         d = k * y**order
-        if t >= _MIN_NORMAL and _MIN_NORMAL <= d <= _MAX_NORMAL:
+        if _MIN_NORMAL <= d <= _MAX_NORMAL:
             v = k / y
             v2 = v * v
             q = 0.0
-            for c in tails[-math.frexp(v)[1]]:
+            for c in tails[-_frexp(v)[1]]:
                 q = (q + c) * v2
             return sign * (mf * s + (fm1 + (half_mf * v + q)) / d)
     except OverflowError:
         pass
-    return _polygamma_scaled(m, k, x, x / k)
+    return _polygamma_scaled(m, k, x, u)
 
 
 def polygamma(m: int, x: float) -> float:

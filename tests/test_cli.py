@@ -108,6 +108,16 @@ def test_verify_grid_overrides(capsys):
     assert out.count("PASS") == 2
 
 
+def test_verify_lem26_skips_with_a_documented_note_at_tiny_k(capsys):
+    # at k = 1e-100 beta_k'(x)^2 is beyond binary64; squared with float ** it
+    # raised a bare "(34, 'Numerical result out of range')" at all 7 points
+    code, out, _ = run(capsys, "verify", "--id", "LEM2.6", "--k-list", "1e-100",
+                       "--format", "json")
+    reports = json.loads(out)
+    assert code == 0 and len(reports) == 7
+    assert {(r["verdict"], r["note"]) for r in reports} == {("SKIP", "non-finite rhs")}
+
+
 @pytest.mark.parametrize("flags", [("--k-list", "nan"), ("--x-list", "inf"),
                                    ("--x-list", "inf", "--format", "json")])
 def test_verify_rejects_non_finite_grid_values(capsys, flags):

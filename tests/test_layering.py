@@ -34,7 +34,7 @@ NEVER["studies"] = {"routes", "furdui", "oracles", "registry", "cli"}
 EVALUATOR_MODULES = ("scalar", "kcore", "beta", "hadamard", "oracles")
 # the evaluator kernels and their public wrappers
 KERNELS = {
-    "_digamma", "_digamma_minus_log", "_polygamma_k", "_polygamma_scaled", "_rgamma",
+    "_digamma", "_polygamma_k", "_polygamma_scaled", "_rgamma",
     "_ln_gamma_k", "_beta", "_beta_unit",
     "digamma", "psi_k", "lerch_one_diff", "polygamma", "psi_k_m", "rgamma", "gamma_k",
     "ln_gamma_k", "rgamma_k", "beta_k", "beta_k_deriv", "hadamard_k",
@@ -169,6 +169,18 @@ def test_call_table_reads_the_calls():
     assert _top_level_users("hadamard", _calls_one_of({"_beta_unit"})) == {"_h_base", "_h_far"}
     assert {"beta_k", "beta_k_deriv", "_beta_step"} \
         <= _top_level_users("beta", _calls_one_of({"_beta"}))
+    # valid input skips one helper frame: beta_k reaches the one-pass kernel
+    # itself, and gamma_k tests x > POLE_GUARD k before it calls the pole check
+    assert _top_level_users("beta", _calls_one_of({"_beta_unit"})) == {"beta_k", "_beta"}
+    assert _top_level_users("kcore", _calls_one_of({"_check_pole"})) == {"gamma_k"}
+    # route independence: beta's one-pass psi difference reaches no digamma kernel
+    assert not _top_level_users("beta", _calls_one_of({"_digamma"}))
+
+
+@pytest.mark.parametrize("name", ("scalar", "kcore", "beta"))
+def test_no_function_loops_over_the_psi_tail(name):
+    # the seven-term tail is written out over _T1 .. _T7 wherever it is taken
+    assert _top_level_users(name, _is_name("_DIGAMMA_TAIL")) <= {"<module>"}
 
 
 def _public_functions_taking(parameter):

@@ -445,12 +445,20 @@ def test_beta_k_and_hadamard_k_on_the_default_grid_vs_mpmath(monkeypatch):
             return real(k, x)
         return call
 
+    # beta_k takes its normal range itself and the rest through _beta, which
+    # beta_k_deriv and the continuation call too; the registry binds beta_k
+    # when it is built, so it is built again around the spies
+    monkeypatch.setattr(beta, "beta_k", spy("beta_k", beta.beta_k))
     monkeypatch.setattr(beta, "_beta", spy("beta_k", beta._beta))
     monkeypatch.setattr(hadamard, "_h_base", spy("hadamard_k", hadamard._h_base))
     monkeypatch.setattr(hadamard, "_h_far", spy("hadamard_k", hadamard._h_far))
     registry._alpha0_root.cache_clear()  # its H_k calls count too
-    run_all(default_grid())
-    monkeypatch.undo()
+    registry._entries.cache_clear()
+    try:
+        run_all(default_grid())
+    finally:
+        monkeypatch.undo()
+        registry._entries.cache_clear()
     assert {name: len(points) for name, points in seen.items()} \
         == {"beta_k": 204, "hadamard_k": 1319}
     worst = {}

@@ -14,6 +14,7 @@ from kspecfun import (
     lerch_one_diff,
     ln_gamma_k,
     polygamma,
+    psi_k_m,
     rgamma,
     zeta_int,
 )
@@ -157,28 +158,28 @@ def _polygamma_per_call_loop(m, x):
 _TABLE_XS = tuple(10 ** (-8 + 28 * i / 599) for i in range(600))  # [1e-8, 1e20]
 
 
-def _polygamma_kernel_per_call(m, x):
-    # the kernel's evaluation at k = 1 without the per-order table: every
-    # constant and the tail length recomputed on each call, the same
-    # operations in the same order
+def _polygamma_kernel_per_call(m, x, k=1.0):
+    # the kernel's evaluation without the per-order table: every constant
+    # and the tail length recomputed on each call, the shift count taken
+    # before the far field is told apart, the same operations in the same order
     mf = float(math.factorial(m))
     fm1 = float(math.factorial(m - 1))
     sign = 1.0 if m % 2 == 1 else -1.0
     threshold = 10.0 + m
     power = -1.0 - m
     s = 0.0
-    n = math.ceil(threshold - x)
+    n = math.ceil(threshold - x / k)
     if n > 0:
         i = n - 1.0
-        s = (x + i) ** power
+        s = (x + i * k) ** power
         while i > 0.0:
             i -= 1.0
-            s += (x + i) ** power
-        y = x + n
+            s += (x + i * k) ** power
+        y = x + n * k
     else:
         y = x
-    d = y ** float(m)
-    v = 1.0 / y
+    d = k * y ** float(m)
+    v = k / y
     coeffs = [
         b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
         for j, b2j in enumerate(_B2J, start=1)
@@ -200,6 +201,10 @@ def _polygamma_kernel_per_call(m, x):
 def test_polygamma_table_is_bit_identical_to_per_call_loop(m):
     for x in _TABLE_XS:
         assert polygamma(m, x) == _polygamma_kernel_per_call(m, x), x
+    # away from k = 1 too, where the far field x >= (10 + m) k is tested first
+    for k in (0.01, 0.37, 10.0):
+        for x in _TABLE_XS:
+            assert psi_k_m(k, m, x) == _polygamma_kernel_per_call(m, x, k), (k, x)
 
 
 def test_polygamma_on_the_table_points_vs_mpmath():
