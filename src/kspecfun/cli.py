@@ -244,15 +244,16 @@ def _cmd_scan(args) -> int:
     k = k_value(args.k)
     if args.n > 4 or args.n < 0:
         return _usage_error("scan derivative index --n must be in 0..4")
-    units = default_grid().x_values
-    if args.x_lo is not None or args.x_hi is not None:
-        if args.x_lo is None or args.x_hi is None or args.x_lo >= args.x_hi:
-            return _usage_error("provide both --x-lo < --x-hi")
-        if args.points < 2:
-            return _usage_error("--points must be >= 2")
+    if args.x_lo is None and args.x_hi is None:
+        tables = openproblem_scan(k, args.n)
+    elif args.x_lo is None or args.x_hi is None or args.x_lo >= args.x_hi:
+        return _usage_error("provide both --x-lo < --x-hi")
+    elif args.points < 2:
+        return _usage_error("--points must be >= 2")
+    else:
         step = (args.x_hi - args.x_lo) / (args.points - 1)
         units = tuple((args.x_lo + i * step) / k for i in range(args.points))
-    tables = openproblem_scan(k, args.n, units)
+        tables = openproblem_scan(k, args.n, units)
     for table in tables:
         print(f"n={table.n}: ratio of derivative orders ({table.n + 1}) vs ({table.n})*({table.n + 2})")
         for x, g in table.rows:

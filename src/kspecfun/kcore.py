@@ -191,12 +191,14 @@ def psi_k_m(k, m: int, x: float) -> float:
     the Bernoulli tail P(k/y) / (k y^m), whose number of terms a per-order
     plan gives for each binade of y/k, so neither x/k nor k^(m+1) is
     rounded into the result.  At k = 1 it is :func:`scalar.polygamma` bit
-    for bit.  Where a partial result leaves the normal range every power
-    is split into mantissa and exponent instead
-    (:func:`scalar._polygamma_scaled`).  For m <= 12, k in [0.01, 10] and
-    x/k in [1e-8, 1e15] the error is at most 6e-16 relative against
-    mpmath.  Values below binary64 underflow to 0.0; values beyond it
-    raise OverflowError.
+    for bit.  Where a partial result leaves the normal range the same
+    kernel runs at (k, x) 2^-e and the value is scaled back by
+    2^-e(m+1) (:func:`scalar._polygamma_edge`).  For m <= 12 and x/k in
+    [1e-8, 1e15] the error is at most 6e-16 relative against mpmath at
+    every k where the value is normal: the sums at (k, x) 2^-e are those
+    at (k, x) scaled exactly, so k in [0.01, 10] covers every binade.
+    Values below binary64 underflow to 0.0; values beyond it raise
+    OverflowError.
     """
     if not (0.0 < (k := float(k)) < math.inf and type(m) is int and m >= 1
             and 0.0 < (x := float(x)) < math.inf):

@@ -51,7 +51,7 @@ class GridSpec(
     namedtuple(
         "GridSpec",
         "k_values x_values",
-        defaults=((0.5, 1.0, 2.0, math.pi), (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)),
+        defaults=((0.5, 1.0, 2.0, math.pi), _studies.DEFAULT_UNITS),
     )
 ):
     """Evaluation grid: k values and unit x values (scaled by k where the

@@ -268,36 +268,35 @@ def _times_powers(c: float, *factors: tuple[float, int]) -> float:
         return math.copysign(math.inf, f)
 
 
-def _polygamma_asymptotic(m: int, v: float) -> float:
-    """P(v) = |psi^(m)(x)| x^m = (m-1)! + m! v/2 + sum_j c_j v^(2j) at v = 1/x <= 1/(10 + m).
+def _polygamma_edge(m: int, k: float, x: float) -> float:
+    """:func:`_polygamma_k` where its sums leave the normal range, rerun at (k', x') = (k, x) 2^-e.
 
-    The polynomial and truncation of :func:`_polygamma_k`'s tail, from the same plan.
+    psi_{ck}^(m)(cx) = c^-(m+1) psi_k^(m)(x) is exact for c = 2^-e while ck
+    and cx stay normal.  In the far field e = floor((e_k + m e_x)/(m+1))
+    puts k' x'^m near 1; below it e centres log2 of m! n x'^-(m+1) (above
+    m! times every partial sum) and of y'^-(m+1) (below the smallest term)
+    in the exponent range, so the rerun takes no edge.  Two cases fit no
+    scale and are truncated: x/k >= 2^70 (inf included) gives
+    (m-1)!/(k x^m), and a second shift term below 2^-64 of the first gives
+    m! x^-(m+1).  Returns +-inf where the value is beyond binary64.
     """
-    _, _, _, fm1, half_mf, _, _, tails = _polygamma_plan(m)
-    v2 = v * v
-    q = 0.0
-    for c in tails[-_frexp(v)[1]]:
-        q = (q + c) * v2
-    return fm1 + (half_mf * v + q)
-
-
-def _polygamma_scaled(m: int, k: float, x: float, u: float) -> float:
-    """psi^(m)(u) / k^(m+1) for u = x/k, with every power split into mantissa and exponent.
-
-    The shift and tail of :func:`_polygamma_k`, with the shifted arguments
-    written k (u + i) and the unshifted ones as x, so neither u nor
-    k^(m+1) need be a normal binary64 number (u may be 0.0 or inf).
-    """
-    sign, threshold, mf = _polygamma_plan(m)[:3]
+    sign, threshold, mf, fm1 = _polygamma_plan(m)[:4]
+    u = x / k
+    if u >= 2.0**70:
+        return sign * _times_powers(fm1, (k, -1), (x, -m))
     if u >= threshold:
-        return sign * _times_powers(_polygamma_asymptotic(m, k / x), (k, -1), (x, -m))
-    total = _times_powers(mf, (x, -(m + 1)))
-    w = u + 1.0
-    while w < threshold:
-        total += _times_powers(mf, (k, -(m + 1)), (w, -(m + 1)))
-        w += 1.0
-    far = _times_powers(_polygamma_asymptotic(m, 1.0 / w), (k, -(m + 1)), (w, -m))
-    return sign * (total + far)
+        e = (_frexp(k)[1] + m * _frexp(x)[1]) // (m + 1)
+    elif (u / (u + 1.0)) ** (m + 1) < 2.0**-64:
+        return sign * _times_powers(mf, (x, -(m + 1)))
+    else:
+        n = math.ceil(threshold - u)
+        log_y = math.log2(k) + math.log2(u + n)
+        e = round((math.log2(x) + log_y - math.log2(mf * n) / (m + 1)) / 2.0)
+    value = _polygamma_k(m, math.ldexp(k, -e), math.ldexp(x, -e))
+    try:
+        return math.ldexp(value, -e * (m + 1))
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def _polygamma_k(m: int, k: float, x: float) -> float:
@@ -308,13 +307,12 @@ def _polygamma_k(m: int, k: float, x: float) -> float:
     The far field x/k >= 10 + m is tested first and takes no shift (y = x);
     below it the shift runs over i = 0 .. n-1, n = ceil(10 + m - x/k), and
     y = x + nk (DLMF 5.15.8 scaled by k).  Each x + ik is formed directly
-    and the shift is summed from its smallest term; P is the polynomial of
-    :func:`_polygamma_asymptotic`, in Horner form in v^2 with as many
-    terms as the plan gives the binade of v = k/y, and m! is applied once.
-    Where x/k overflows, or a shift term or k y^m leaves the normal range
-    (so also where y overflows), the same sums are taken by
-    :func:`_polygamma_scaled` instead.  Returns +-inf where the value is
-    beyond binary64; callers raise.
+    and the shift is summed from its smallest term; P(v) = (m-1)! + m! v/2
+    + sum c_j v^(2j) is taken in Horner form in v^2 with as many terms as
+    the plan gives the binade of v = k/y, and m! is applied once.  Where
+    x/k overflows, or a shift term or k y^m leaves the normal range,
+    :func:`_polygamma_edge` reruns it at a power-of-two rescaled (k, x).
+    Returns +-inf where the value is beyond binary64; callers raise.
     """
     plan = _POLYGAMMA_PLANS.get(m) or _polygamma_plan(m)
     sign, threshold, mf, fm1, half_mf, order, power, tails = plan
@@ -329,7 +327,7 @@ def _polygamma_k(m: int, k: float, x: float) -> float:
             i = n - 1.0
             s = (x + i * k) ** power
             if s < _MIN_NORMAL:  # the smallest shift term
-                return _polygamma_scaled(m, k, x, u)
+                return _polygamma_edge(m, k, x)
             while i > 0.0:
                 i -= 1.0
                 s += (x + i * k) ** power
@@ -344,7 +342,7 @@ def _polygamma_k(m: int, k: float, x: float) -> float:
             return sign * (mf * s + (fm1 + (half_mf * v + q)) / d)
     except OverflowError:
         pass
-    return _polygamma_scaled(m, k, x, u)
+    return _polygamma_edge(m, k, x)
 
 
 def polygamma(m: int, x: float) -> float:
@@ -353,9 +351,9 @@ def polygamma(m: int, x: float) -> float:
     :func:`_polygamma_k` shifts x upward past 10 + m, then applies the
     Bernoulli asymptotic expansion of the m-th derivative with as many
     terms as the per-order plan gives the binade of 1/y (down to 2^-60 of
-    the leading term, at most ten).  Where a power of x would leave
-    binary64 the same sums are taken with every power split into
-    mantissa and exponent, so a large x gives a small or underflowing
+    the leading term, at most ten).  Where a term would leave the normal
+    range the same kernel runs at a power-of-two rescaled (k, x)
+    (:func:`_polygamma_edge`), so a large x gives a small or underflowing
     value, not an overflow.  For m <= 12 and 1e-8 <= x <= 1e300 the error
     is at most 1e-15 * max(|psi^(m)(x)|, 2.2e-308) against mpmath (the
     worst measured is 2.5e-16): values below the normal range underflow

@@ -27,6 +27,9 @@ __all__ = [
     "openproblem_scan",
 ]
 
+# the unit x values (x = u k) of the scan and of the registry's default grid
+DEFAULT_UNITS = (0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)
+
 
 class RootResult(
     namedtuple(
@@ -165,14 +168,14 @@ class ScanTable(namedtuple("ScanTable", "n rows verdict first_violation")):
     first_violation: tuple | None  # (x_prev, x, g_prev, g)
 
 
-def openproblem_scan(k, n_max: int, units=(0.1, 0.35, 0.7, 1.0, 1.5, 2.5, 5.0)) -> list[ScanTable]:
+def openproblem_scan(k, n_max: int, units=DEFAULT_UNITS) -> list[ScanTable]:
     """Sample g_n(x) = f^(n+1) / (f^(n) f^(n+2)) with f(x) = x beta_k(x).
 
     The sample points are x = u k for the unit values ``units`` (by
-    default the registry's default grid).  Emits a value table and a
-    monotonicity verdict per n in 0..n_max.  This is evidence-gathering
-    for an open monotonicity question, not a proof of anything;
-    near-zero denominators are skipped.
+    default :data:`DEFAULT_UNITS`, the registry's default grid).  Emits a
+    value table and a monotonicity verdict per n in 0..n_max.  This is
+    evidence-gathering for an open monotonicity question, not a proof of
+    anything; near-zero denominators are skipped.
     """
     k = k_value(k)
     _check_int("openproblem_scan", "n_max", n_max, 0, 4)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import kspecfun
+from kspecfun import studies
 from kspecfun.cli import _atomic_write, run_cli
 from kspecfun.registry import IdentityReport, _json_chunks, reports_to_json, run_all
 
@@ -116,6 +117,16 @@ def test_verify_lem26_skips_with_a_documented_note_at_tiny_k(capsys):
     reports = json.loads(out)
     assert code == 0 and len(reports) == 7
     assert {(r["verdict"], r["note"]) for r in reports} == {("SKIP", "non-finite rhs")}
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--k-list", "1,two"), "could not parse k list '1,two'"),
+    (("--x-list", " , "), "empty x list"),
+])
+def test_verify_rejects_grid_lists_it_cannot_read(capsys, flags, message):
+    code, out, err = run(capsys, "verify", "--id", "EQ1.1", *flags)
+    assert code == 2 and out == ""
+    assert err == f"ksf: error: {message}\n"
 
 
 @pytest.mark.parametrize("flags", [("--k-list", "nan"), ("--x-list", "inf"),
@@ -264,6 +275,8 @@ def test_furdui_unknown_method(capsys):
                    "thm32_printed, thm32_variant, thm33_printed, thm33_variant, thm34\n")
     code, _, err = run(capsys, "furdui", "--k", "1", "--m", "2", "--methods", "eq310")
     assert code == 2 and "eq310" in err
+    code, out, err = run(capsys, "furdui", "--k", "1", "--m", "2", "--methods", ",")
+    assert (code, out, err) == (2, "", "ksf: error: empty --methods list\n")
 
 
 def test_furdui_prints_nothing_when_the_reference_fails(capsys):
@@ -299,6 +312,43 @@ def test_scan_command(capsys):
                        "--x-lo", "0.5", "--x-hi", "5", "--points", "8")
     assert code == 0
     assert "n=0" in out and "n=1" in out and "verdict" in out
+
+
+def test_scan_without_a_range_samples_the_default_units(capsys):
+    code, out, _ = run(capsys, "scan", "--k", "2", "--n", "0")
+    assert code == 0
+    xs = [float(x) for x in re.findall(r"^  x=\s*(\S+)", out, re.MULTILINE)]
+    assert xs == [2.0 * u for u in studies.DEFAULT_UNITS]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--x-lo", "1"), "provide both --x-lo < --x-hi"),
+    (("--x-hi", "2"), "provide both --x-lo < --x-hi"),
+    (("--x-lo", "2", "--x-hi", "1"), "provide both --x-lo < --x-hi"),
+    (("--x-lo", "1", "--x-hi", "2", "--points", "1"), "--points must be >= 2"),
+])
+def test_scan_usage_errors(capsys, flags, message):
+    code, out, err = run(capsys, "scan", "--k", "1", "--n", "1", *flags)
+    assert (code, out, err) == (2, "", f"ksf: error: {message}\n")
+
+
+def _rise_then_fall(k, n, x):
+    # f = 1 and f'' = 1, so g_0 = f'; f' rises up to x = 1 and falls after it
+    return [1.0, x if x <= 1.0 else 1.0 / x] + [1.0] * (n - 1)
+
+
+def test_scan_names_the_first_violation_of_neither(monkeypatch, capsys):
+    # no grid of the real f reaches this verdict, so f is faked
+    monkeypatch.setattr(studies, "_x_beta_k_derivs", _rise_then_fall)
+    (table,) = studies.openproblem_scan(1.0, 0)
+    assert table.verdict == "neither"
+    assert table.first_violation == (1.0, 1.5, 1.0, 1.0 / 1.5)
+    code, out, _ = run(capsys, "scan", "--k", "1", "--n", "0")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "  verdict: neither",
+        "  first violation between x=1 (g=1) and x=1.5 (g=0.6666666667)",
+    ]
 
 
 def test_scan_caps_n(capsys):

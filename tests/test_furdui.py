@@ -119,6 +119,11 @@ def test_thm32_sign_variant_matches_oracle():
         assert abs(s.value - o.value) < 1e-8
 
 
+def test_thm32_rejects_an_unknown_variant():
+    with pytest.raises(DomainError, match="^unknown variant 'corrected'$"):
+        thm32_series(1.0, 1, "corrected")
+
+
 def test_thm32_printed_fails_against_oracle():
     s = thm32_series(1.0, 1, "as_printed")
     o = furdui_oracle(1.0, 1)

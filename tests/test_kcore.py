@@ -17,6 +17,7 @@ from kspecfun import (
     psi_k_m_series,
     psi_k_series,
     rgamma_k,
+    scalar,
 )
 from kspecfun.scalar import CONSTANTS
 
@@ -210,10 +211,30 @@ def test_psi_k_m_returns_a_value_or_the_documented_overflow():
                     assert math.isfinite(value), (k, m, x)
 
 
+def test_the_polygamma_edge_never_nests(monkeypatch):
+    # over the extreme grid above, each rescaled rerun of the kernel stays
+    # on the normal range, so no edge call is made from inside another
+    depth, deepest, calls = 0, 0, 0
+    edge = scalar._polygamma_edge
+
+    def spy(m, k, x):
+        nonlocal depth, deepest, calls
+        depth, calls = depth + 1, calls + 1
+        deepest = max(deepest, depth)
+        try:
+            return edge(m, k, x)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(scalar, "_polygamma_edge", spy)
+    test_psi_k_m_returns_a_value_or_the_documented_overflow()
+    assert (calls, deepest) == (32235, 1)
+
+
 def test_psi_k_m_domain():
     with pytest.raises(DomainError):
         psi_k_m(1.0, 0, 1.0)
-    for k, x in ((1.0, 1.0), (1e-300, 1e10)):  # through polygamma and the scaled route
+    for k, x in ((1.0, 1.0), (1e-300, 1e10)):  # the order is checked before any route
         with pytest.raises(DomainError, match="above 150"):
             psi_k_m(k, 151, x)
     with pytest.raises(DomainError):

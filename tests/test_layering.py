@@ -34,7 +34,7 @@ NEVER["studies"] = {"routes", "furdui", "oracles", "registry", "cli"}
 EVALUATOR_MODULES = ("scalar", "kcore", "beta", "hadamard", "oracles")
 # the evaluator kernels and their public wrappers
 KERNELS = {
-    "_digamma", "_polygamma_k", "_polygamma_scaled", "_rgamma",
+    "_digamma", "_polygamma_k", "_polygamma_edge", "_rgamma",
     "_ln_gamma_k", "_beta", "_beta_unit",
     "digamma", "psi_k", "lerch_one_diff", "polygamma", "psi_k_m", "rgamma", "gamma_k",
     "ln_gamma_k", "rgamma_k", "beta_k", "beta_k_deriv", "hadamard_k",
@@ -165,7 +165,12 @@ def test_call_table_reads_the_calls():
     assert _top_level_users("kcore", _calls_one_of({"_polygamma_k"})) == {"psi_k_m"}
     # beta_k_deriv sums the alternating series itself and reaches no polygamma kernel
     assert not _top_level_users("beta", _calls_one_of({"_polygamma_k", "_polygamma_plan"}))
-    assert _top_level_users("scalar", _calls_one_of({"_polygamma_k"})) == {"polygamma"}
+    # the edge reruns the one kernel at a rescaled (k, x) and keeps no second copy of its sums
+    assert _top_level_users("scalar", _calls_one_of({"_polygamma_k"})) \
+        == {"polygamma", "_polygamma_edge"}
+    assert _top_level_users("scalar", _calls_one_of({"_polygamma_edge"})) == {"_polygamma_k"}
+    assert _top_level_users("scalar", _is_name("tails")) == {"_polygamma_plan", "_polygamma_k"}
+    assert _top_level_users("scalar", _calls_one_of({"_times_powers"})) == {"_polygamma_edge"}
     assert _top_level_users("hadamard", _calls_one_of({"_beta_unit"})) == {"_h_base", "_h_far"}
     assert {"beta_k", "beta_k_deriv", "_beta_step"} \
         <= _top_level_users("beta", _calls_one_of({"_beta"}))

@@ -92,3 +92,5 @@ def test_fit_discrepancy_degenerate_inputs():
         fit_discrepancy([(1.0, 0.0), (2.0, 2.0), (3.0, 3.0)], "ratio")
     with pytest.raises(DomainError):
         fit_discrepancy([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], "median")
+    with pytest.raises(DomainError, match="^ratio mode requires lhs != 0 at every pair$"):
+        fit_discrepancy([(1.0, 1.0), (0.0, 2.0), (3.0, 3.0)], "ratio")

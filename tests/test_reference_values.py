@@ -34,6 +34,7 @@ from kspecfun import (
     registry,
     rgamma_k,
     run_all,
+    scalar,
     zeta_int,
 )
 from kspecfun.routes import zeta_minus_1, zeta_tail
@@ -103,7 +104,7 @@ _POLYGAMMA_MAP_X = tuple(10 ** (e / 8) for e in range(-64, 241)) + tuple(
 @pytest.mark.parametrize("m", range(1, 13))
 def test_polygamma_accuracy_map(m):
     # the bound stated in polygamma's docstring; past x ~ 1e22 (m = 12) to
-    # 1e102 (m = 1) the powers of x leave binary64 and the scaled sums run
+    # 1e102 (m = 1) the powers of x leave binary64 and the kernel reruns at x 2^-e
     tiny = mpmath.mpf(sys.float_info.min)
     with mpmath.workdps(30):
         for x in _POLYGAMMA_MAP_X:
@@ -172,6 +173,116 @@ def test_psi_k_m_underflow_vs_mpmath():
     assert mpmath.mpf("-1e-697") < ref < 0  # -7.26e-698, far below binary64
     value = psi_k_m(1e100, 6, 1e100)  # k^7 overflows
     assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+
+@pytest.fixture
+def edge_routes(monkeypatch):
+    """One entry per call of the polygamma edge: "truncated", or "rescaled" for a rerun kernel."""
+    routes = []
+    edge, times_powers = scalar._polygamma_edge, scalar._times_powers
+
+    def spy_edge(m, k, x):
+        routes.append("rescaled")
+        return edge(m, k, x)
+
+    def spy_times_powers(*args):
+        routes[-1] = "truncated"  # in scalar only the edge's two truncations split powers
+        return times_powers(*args)
+
+    monkeypatch.setattr(scalar, "_polygamma_edge", spy_edge)
+    monkeypatch.setattr(scalar, "_times_powers", spy_times_powers)
+    return routes
+
+
+def _ulps(value, ref):
+    # relative error in units of 2^-52, the spacing of binary64 in [1, 2)
+    return float(abs((value - ref) / ref)) / 2.0**-52
+
+
+def _edge_points(edge_routes, seed, orders, count):
+    """(k, m, x, psi_k_m(k, m, x)) at seeded points that take the edge and give a normal value."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        m = rng.choice(orders)
+        k = 2.0 ** rng.uniform(-1070, 1020)
+        x = k * 2.0 ** rng.uniform(-40, 80)
+        if not sys.float_info.min <= x < math.inf:
+            continue
+        edge_routes.clear()
+        try:
+            value = psi_k_m(k, m, x)
+        except OverflowError:
+            continue
+        if edge_routes and abs(value) >= sys.float_info.min:
+            points.append((k, m, x, value))
+    return points
+
+
+@pytest.mark.parametrize("orders,bound", [
+    # psi_k_m's stated bound: the worst of 3,000 points over 15 seeds was 1.2 ulp
+    (range(1, 13), 6e-16 / 2.0**-52),
+    # measured: the worst of 3,000 points over 15 seeds was 8.8 ulp (m = 128,
+    # u = 81.6), as large as the kernel's own error on the normal range
+    (range(13, 151), 10.0),
+])
+def test_psi_k_m_edge_accuracy_map(edge_routes, orders, bound):
+    points = _edge_points(edge_routes, 0, orders, 200)
+    with mpmath.workdps(40):
+        for k, m, x, value in points:
+            assert _ulps(value, _psi_k_m_ref(k, m, x)) <= bound, (k, m, x)
+
+
+def _cut_window(u):
+    """u and its four binary64 neighbours on each side."""
+    below, above = [u], [u]
+    for _ in range(4):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("k,m,cut", [
+    # a second shift term 2^-64 of the first, (u/(u+1))^(m+1) = 2^-64; the
+    # smallest shift term is subnormal at these k
+    (2.0**532, 1, 1.0 / (2.0**32 - 1.0)),
+    (2.0**75, 12, 1.0 / (2.0 ** (64 / 13) - 1.0)),
+    (1.0, 150, 1.0 / (2.0 ** (64 / 151) - 1.0)),
+    # u = 2^70; k y^m leaves the normal range and (m-1)! brings the value back
+    (2.0**15, 12, 2.0**70),
+    (2.0**-60, 150, 2.0**70),
+])
+def test_psi_k_m_is_continuous_across_the_edge_truncations(edge_routes, k, m, cut):
+    routes = set()
+    with mpmath.workdps(40):
+        for u in _cut_window(cut):
+            x = u * k  # exact: k is a power of two
+            edge_routes.clear()
+            value = psi_k_m(k, m, x)
+            assert _ulps(value, _psi_k_m_ref(k, m, x)) <= (2.0 if m <= 12 else 10.0), u
+            routes.update(edge_routes)
+    assert routes == {"truncated", "rescaled"}
+
+
+@pytest.mark.parametrize("k,m,x", [
+    (1e300, 1, 1e-30),  # x/k underflows to 0.0: m! x^-(m+1)
+    (1e300, 3, 1e-20),
+    (5e-324, 1, 1e300),  # x/k overflows to inf: (m-1)!/(k x^m)
+    (5e-324, 2, 1e300),
+])
+def test_psi_k_m_at_u_zero_and_u_inf_vs_mpmath(edge_routes, k, m, x):
+    value = psi_k_m(k, m, x)
+    assert edge_routes == ["truncated"]
+    with mpmath.workdps(40):
+        assert _ulps(value, _psi_k_m_ref(k, m, x)) <= 1.0
+
+
+def test_polygamma_of_order_150_at_one_takes_the_edge(edge_routes):
+    # psi^(150)(1) = 150! zeta(151); the smallest shift term is subnormal at k = 1
+    value = polygamma(150, 1.0)
+    assert edge_routes == ["truncated"]
+    with mpmath.workdps(40):
+        assert _ulps(value, mpmath.polygamma(150, 1)) <= 1.0
 
 
 @pytest.mark.parametrize("s", [2, 3, 7, 19, 50, 255, 300])
