@@ -2,6 +2,7 @@
 
 Evaluation reduces everything to the classical functions through
 Gamma_k(x) = k^(x/k - 1) Gamma(x/k) and psi_k(x) = (ln k + psi(x/k))/k.
+:func:`_gamma_k_pow` forms c Gamma_k(x)^(+-1) for the Gamma_k family and H_k.
 The direct series routes that cross-check psi_k and psi_k^(m) live in
 :mod:`kspecfun.routes`.
 """
@@ -12,6 +13,7 @@ import math
 
 from .errors import DomainError, PoleError
 from .scalar import (
+    _LN_MAX,
     _MAX_NORMAL,
     _MIN_NORMAL,
     CONSTANTS,
@@ -22,7 +24,6 @@ from .scalar import (
     _polygamma_k,
     _positive,
     _require_finite,
-    _rgamma,
     _sinpi,
 )
 
@@ -37,7 +38,6 @@ __all__ = [
 POLE_GUARD = 1e-8  # relative (in units of k) pole exclusion radius
 _TINY_U = 2.0**-26
 _STIRLING_U = 2.0**53
-_LN_MAX = math.log(_MAX_NORMAL)
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _PI2_12 = math.pi**2 / 12.0  # zeta(2)/2
 
@@ -69,13 +69,6 @@ def _check_pole(k: float, x: float):
     raise PoleError(f"Gamma_k pole at x = {u * k} (k={k}, x={x})")
 
 
-def _exp_k(log_value: float, what: str, k: float, x: float) -> float:
-    """exp(log_value): beyond binary64 raises OverflowError, below it underflows to 0.0."""
-    if not log_value <= _LN_MAX:
-        raise _overflow_error(what, x, k)
-    return math.exp(log_value)
-
-
 def _ln_gamma_k(k: float, x: float) -> float:
     """ln |Gamma_k(x)| off the poles; +-inf beyond binary64.
 
@@ -92,6 +85,35 @@ def _ln_gamma_k(k: float, x: float) -> float:
     ln_x = math.log(x)
     lead = u * (ln_x - 1.0) if u < math.inf else x * (ln_x - 1.0) / k
     return lead - 0.5 * (ln_x + math.log(k)) + _HALF_LN_2PI
+
+
+def _gamma_k_pow(k: float, x: float, p: int, c: float, what: str, at: float) -> float:
+    """c Gamma_k(x)^p for p = 1 or -1, x off the poles and a finite nonzero c.
+
+    The product c k^(u-1) Gamma(u), or c over k^(u-1) Gamma(u), with u = x/k,
+    wherever |u| < 171 and each factor, their product and the result are
+    normal numbers; elsewhere exp(p ln|Gamma_k(x)| + ln|c|) with the sign of
+    c Gamma(u).  A value beyond binary64 raises OverflowError for what(at);
+    one below it underflows to 0.0.
+    """
+    u = x / k
+    if -171.0 < u < 171.0:
+        try:
+            scale = k ** (u - 1.0)
+            g = math.gamma(u)  # raises where u is below about 5.6e-309
+        except OverflowError:
+            scale = g = 0.0
+        prod = scale * g
+        if _MIN_NORMAL <= scale and _MIN_NORMAL <= abs(g) and _MIN_NORMAL <= abs(prod):
+            value = prod * c if p > 0 else c / prod
+            if _MIN_NORMAL <= abs(value) < math.inf:
+                return value
+    log_value = p * _ln_gamma_k(k, x) + math.log(abs(c))
+    if not log_value <= _LN_MAX:
+        raise _overflow_error(what, at, k)
+    # Gamma(u) has the sign of sin(pi u) for u < 0
+    value = math.copysign(math.exp(log_value), c)
+    return -value if u < 0.0 and _sinpi(u) < 0.0 else value
 
 
 def ln_gamma_k(k, x: float) -> float:
@@ -111,47 +133,33 @@ def ln_gamma_k(k, x: float) -> float:
 def gamma_k(k, x: float) -> float:
     """Gamma_k(x) = k^(x/k - 1) Gamma(x/k) away from the poles 0, -k, -2k, ...
 
-    x < 0 uses k^(x/k - 1) / rgamma(x/k) where that is a normal number,
-    otherwise the log form.  A value beyond binary64 raises OverflowError;
-    one below it underflows to 0.0.
+    That product where it and both factors are normal numbers, otherwise
+    exp(ln|Gamma_k(x)|) with the sign of Gamma(x/k): against mpmath at the
+    binary64 x/k, a median error of about 1 ulp for k in [1e-3, 1e3] and x/k
+    in (-169, 170), and up to about |ln Gamma_k(x)| ulp on the log form.
+    A value beyond binary64 raises OverflowError; one below it underflows to 0.0.
     """
     if not (0.0 < (k := float(k)) < math.inf and -math.inf < (x := float(x)) < math.inf):
         k_value(k)
         _require_finite("x", x)
-    if x > POLE_GUARD * k:
-        return _exp_k(_ln_gamma_k(k, x), "Gamma_k", k, x)
-    _check_pole(k, x)  # raises for every x in (0, POLE_GUARD k] too
-    u = x / k  # finite: _check_pole raised where x/k overflows to -inf
-    try:
-        value = k ** (u - 1.0) / _rgamma(u)
-    except OverflowError:
-        value = 0.0
-    if _MIN_NORMAL <= abs(value) < math.inf:
-        return value
-    # Gamma(u) has the sign of sin(pi u) for u < 0
-    return math.copysign(_exp_k(_ln_gamma_k(k, x), "Gamma_k", k, x), _sinpi(u))
+    if x <= POLE_GUARD * k:
+        _check_pole(k, x)  # raises for every x in (0, POLE_GUARD k] too
+    return _gamma_k_pow(k, x, 1, 1.0, "Gamma_k", x)
 
 
 def rgamma_k(k, x: float) -> float:
     """1/Gamma_k(x) as a total function: exactly 0.0 at the poles.
 
-    k^(1 - x/k) rgamma(x/k) where that is a normal number, otherwise the
-    log form; beyond and below binary64 as :func:`gamma_k`.
+    1/(k^(x/k - 1) Gamma(x/k)) where that and both factors are normal
+    numbers, otherwise exp(-ln|Gamma_k(x)|) with the sign of Gamma(x/k);
+    accuracy, and values beyond and below binary64, as :func:`gamma_k`.
     """
     if not (0.0 < (k := float(k)) < math.inf and -math.inf < (x := float(x)) < math.inf):
         k_value(k)
         _require_finite("x", x)
-    u = x / k
-    if _is_pole(u):  # u = -inf included
+    if _is_pole(x / k):  # x/k = -inf included
         return 0.0
-    try:
-        value = k ** (1.0 - u) * _rgamma(u) if u < math.inf else 0.0
-    except OverflowError:
-        value = 0.0
-    if _MIN_NORMAL <= abs(value) < math.inf:
-        return value
-    sign = 1.0 if u > 0.0 else _sinpi(u)
-    return math.copysign(_exp_k(-_ln_gamma_k(k, x), "1/Gamma_k", k, x), sign)
+    return _gamma_k_pow(k, x, -1, 1.0, "1/Gamma_k", x)
 
 
 def psi_k(k, x: float) -> float:

@@ -260,7 +260,10 @@ def _build_entries() -> list[IdentityEntry]:
 
     # ---- section 2: reductions, reflection, the 2F1 integral -------------
     def gamma_k_by_reduction(k, x, **_):
-        return k ** (x / k - 1.0) * math.gamma(x / k)
+        # in log form, so that math.gamma stays on the lhs and lgamma on this side
+        u = x / k
+        sign = _scalar._sinpi(u) if u < 0.0 else 1.0
+        return math.copysign(math.exp((u - 1.0) * math.log(k) + math.lgamma(u)), sign)
 
     def gamma_k_reflection_product(k, x, **_):
         return _kcore.gamma_k(k, x) * _kcore.gamma_k(k, k - x)

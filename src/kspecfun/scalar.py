@@ -120,11 +120,7 @@ def rgamma(x: float) -> float:
     value below about 1e-308 underflows to 0.0; a value beyond binary64
     (x below -171) raises OverflowError.
     """
-    return _rgamma(_require_finite("x", x))
-
-
-def _rgamma(x: float) -> float:
-    """:func:`rgamma` for an x already checked finite."""
+    x = _require_finite("x", x)
     if x > 0.5:
         try:
             lg = math.lgamma(x)

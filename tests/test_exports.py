@@ -94,8 +94,8 @@ def test_import_loads_only_the_evaluators():
 UNUSED_BY_THE_PACKAGE = {
     # the library's JSON writer; the streamed ``ksf verify`` report must equal its bytes
     "reports_to_json",
-    # the classical 1/Gamma of L0; gamma_k and rgamma_k call its kernel _rgamma,
-    # which skips the check they have made already
+    # the classical 1/Gamma of L0; gamma_k and rgamma_k form k^(x/k - 1)
+    # Gamma(x/k) from math.gamma, or take the log form, and never call it
     "rgamma",
 }
 

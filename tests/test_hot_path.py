@@ -1,11 +1,13 @@
 """The evaluators' hot paths against the loop and helper forms they inline, bit for bit.
 
 The seven-term psi tail is written out as straight-line Horner forms, and
-gamma_k and beta_k take their valid input past one helper frame.  Each
-reference below keeps the earlier form (the tail as a loop over
-``scalar._DIGAMMA_TAIL``, the helper called), with the same operations in
-the same order, so every value must agree exactly: on a seeded table and at
-the floats next to each seam the evaluators branch on.
+beta_k takes its valid input past one helper frame.  Each reference below
+keeps the earlier form (the tail as a loop over ``scalar._DIGAMMA_TAIL``,
+the helper called), with the same operations in the same order, so every
+value must agree exactly: on a seeded table and at the floats next to each
+seam the evaluators branch on.  gamma_k, rgamma_k and hadamard_k are their
+argument checks and one call of the Gamma_k kernel, and are checked the
+same way.
 """
 
 import math
@@ -14,10 +16,10 @@ import sys
 
 import pytest
 
-from kspecfun import PoleError, beta_k, digamma, gamma_k, psi_k
-from kspecfun.beta import _beta
-from kspecfun.kcore import _LN_MAX, POLE_GUARD, _ln_gamma_k
-from kspecfun.scalar import _DIGAMMA_TAIL
+from kspecfun import PoleError, beta_k, digamma, gamma_k, hadamard_k, psi_k, rgamma_k
+from kspecfun.beta import _beta, _beta_unit
+from kspecfun.kcore import POLE_GUARD, _check_pole, _gamma_k_pow, _is_pole
+from kspecfun.scalar import _DIGAMMA_TAIL, _sinpi
 
 _MIN_NORMAL = sys.float_info.min
 # u = 10 and 20 end the digamma and beta shifts, 10 + m the polygamma shift;
@@ -68,8 +70,34 @@ def _beta_unit_loop(u):
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
-    except OverflowError as exc:
-        return f"OverflowError: {exc}"
+    except (OverflowError, PoleError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _gamma_k_by_kernel(k, x):
+    if x <= POLE_GUARD * k:
+        _check_pole(k, x)
+    return _gamma_k_pow(k, x, 1, 1.0, "Gamma_k", x)
+
+
+def _rgamma_k_by_kernel(k, x):
+    return 0.0 if _is_pole(x / k) else _gamma_k_pow(k, x, -1, 1.0, "1/Gamma_k", x)
+
+
+def _hadamard_k_by_kernel(k, x):
+    # the bracket of (4.8) times Gamma_k(x) above the seam, beta_k(z) / Gamma_k(z)
+    # with z = k - x below it
+    if x >= k:
+        u = x / k
+        bracket = 1.0 - _sinpi(u) * _beta_unit(u) / math.pi if u < 2.0**53 else 1.0
+        return _gamma_k_pow(k, x, 1, bracket, "H_k", x)
+    z = k - x
+    try:
+        c = beta_k(k, z)
+    except OverflowError:  # beta_k(z) is beyond binary64: w beta(w) / Gamma_k(z + k)
+        w = z / k
+        return _gamma_k_pow(k, z + k, -1, w * _beta_unit(w), "H_k", x)
+    return _gamma_k_pow(k, z, -1, c, "H_k", x)
 
 
 def test_digamma_tail_is_bit_identical_to_the_loop():
@@ -103,16 +131,15 @@ def test_beta_at_unit_k_is_bit_identical_to_the_loop():
             assert repr(beta_k(1.0, u)) == repr(ref), u
 
 
-def test_gamma_k_is_exp_of_its_log_off_the_poles():
+def test_the_gamma_k_family_is_its_kernel():
+    # one kernel forms c Gamma_k(x)^(+-1) for gamma_k, rgamma_k and both
+    # sides of hadamard_k, on both sides of x = 0
+    forms = ((gamma_k, _gamma_k_by_kernel), (rgamma_k, _rgamma_k_by_kernel),
+             (hadamard_k, _hadamard_k_by_kernel))
     for k, x in _TABLE:
-        if x <= POLE_GUARD * k:
-            with pytest.raises(PoleError):
-                gamma_k(k, x)
-        elif (lg := _ln_gamma_k(k, x)) > _LN_MAX:
-            with pytest.raises(OverflowError, match="overflows binary64"):
-                gamma_k(k, x)
-        else:
-            assert repr(gamma_k(k, x)) == repr(math.exp(lg)), (k, x)
+        for y in (x, -x):
+            for fn, by_kernel in forms:
+                assert _outcome(fn, k, y) == _outcome(by_kernel, k, y), (fn.__name__, k, y)
 
 
 def test_beta_k_is_its_kernel():

@@ -34,8 +34,8 @@ NEVER["studies"] = {"routes", "furdui", "oracles", "registry", "cli"}
 EVALUATOR_MODULES = ("scalar", "kcore", "beta", "hadamard", "oracles")
 # the evaluator kernels and their public wrappers
 KERNELS = {
-    "_digamma", "_polygamma_k", "_polygamma_edge", "_rgamma",
-    "_ln_gamma_k", "_beta", "_beta_unit",
+    "_digamma", "_polygamma_k", "_polygamma_edge",
+    "_ln_gamma_k", "_gamma_k_pow", "_beta", "_beta_unit",
     "digamma", "psi_k", "lerch_one_diff", "polygamma", "psi_k_m", "rgamma", "gamma_k",
     "ln_gamma_k", "rgamma_k", "beta_k", "beta_k_deriv", "hadamard_k",
 }
@@ -160,7 +160,14 @@ def test_evaluators_check_their_arguments_once(name):
 
 def test_call_table_reads_the_calls():
     # the kernels the checked-once functions reach, seen through the same reader
-    assert _top_level_users("kcore", _calls_one_of({"_rgamma"})) == {"gamma_k", "rgamma_k"}
+    # one kernel forms c Gamma_k(x)^(+-1), and only it takes the log form
+    # for the Gamma_k family and H_k
+    assert _top_level_users("kcore", _calls_one_of({"_gamma_k_pow"})) == {"gamma_k", "rgamma_k"}
+    assert _top_level_users("hadamard", _calls_one_of({"_gamma_k_pow"})) == {"_h_base", "_h_far"}
+    assert _top_level_users("kcore", _calls_one_of({"_ln_gamma_k"})) \
+        == {"ln_gamma_k", "_gamma_k_pow"}
+    assert not _top_level_users("hadamard", _calls_one_of({"_ln_gamma_k", "exp", "gamma"}))
+    assert _top_level_users("kcore", _calls_one_of({"gamma", "exp"})) == {"_gamma_k_pow"}
     assert _top_level_users("kcore", _calls_one_of({"_digamma"})) == {"psi_k"}
     assert _top_level_users("kcore", _calls_one_of({"_polygamma_k"})) == {"psi_k_m"}
     # beta_k_deriv sums the alternating series itself and reaches no polygamma kernel

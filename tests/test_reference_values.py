@@ -701,6 +701,40 @@ def test_gamma_k_and_rgamma_k_beyond_the_product_form_vs_mpmath(name, k, x):
             assert got(k, x) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
+def test_rgamma_k_where_k_to_the_1_minus_x_over_k_is_subnormal_vs_mpmath():
+    # k^(1 - x/k) = 5e-324 while 1/Gamma_k(x) is normal: the product form,
+    # checked on its result alone, returned -1.239957557342096e-83
+    assert rgamma_k(0.005126169343719818, -0.7182289130599071) == pytest.approx(
+        -1.6901009751843136e-83, rel=1e-14, abs=0.0)
+
+
+# 99th percentiles of the earlier Gamma_k family on the sample below, in ulp:
+# gamma_k as exp(ln Gamma_k) for x > 0, rgamma_k as k^(1 - x/k) rgamma(x/k)
+_GAMMA_K_MAP_P99 = {"gamma_k": 925.0, "rgamma_k": 943.1}
+
+
+def test_gamma_k_and_rgamma_k_accuracy_map():
+    # k log-uniform in [1e-3, 1e3] and x/k uniform in (-169, 170), against
+    # mpmath at the binary64 u = x/k, wherever the value is normal: a few
+    # ulp on the product form, |ln Gamma_k| ulp where the log form is taken
+    rng = random.Random(31)
+    errors = {"gamma_k": [], "rgamma_k": []}
+    with mpmath.workdps(30):
+        for _ in range(6000):
+            k = 10.0 ** rng.uniform(-3.0, 3.0)
+            x = rng.uniform(-169.0, 170.0) * k
+            u = mpmath.mpf(x / k)
+            ref = mpmath.mpf(k) ** (u - 1) * mpmath.gamma(u)
+            for name, fn, value in (("gamma_k", gamma_k, ref), ("rgamma_k", rgamma_k, 1 / ref)):
+                if sys.float_info.min <= abs(value) <= sys.float_info.max:
+                    errors[name].append(float(abs(fn(k, x) - value)) / math.ulp(float(value)))
+    for name, errs in errors.items():
+        errs.sort()
+        assert len(errs) > 4000, name
+        assert errs[len(errs) // 2] <= 2.0, name
+        assert errs[99 * len(errs) // 100] <= _GAMMA_K_MAP_P99[name], name
+
+
 def _perfbench_inputs():
     # the benchmark's own generator, loaded read-only from its file
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"

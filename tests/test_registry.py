@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from kspecfun import (
     default_grid,
     furdui,
     kcore,
+    registry,
     routes,
     scalar,
     studies,
@@ -162,6 +164,31 @@ def test_psi_k_m_shares_no_kernel_with_the_series_route(monkeypatch):
     monkeypatch.setattr(routes, "_em_power_tail", refuse)
     for m, k, x, value in (call for seen in calls.values() for call in seen):
         assert kspecfun.psi_k_m(k, m, x) == value
+
+
+def _math_without(name):
+    """The math module's names with ``name`` refused, for one module's ``math`` global."""
+    def refuse(*args):
+        raise AssertionError(f"math.{name} was reached")
+
+    names = {attr: getattr(math, attr) for attr in dir(math) if not attr.startswith("_")}
+    names[name] = refuse
+    return types.SimpleNamespace(**names)
+
+
+def test_eq21_sides_share_no_gamma_kernel(monkeypatch):
+    # EQ2.1's lhs, gamma_k, takes the product k^(x/k - 1) Gamma(x/k) from
+    # math.gamma on the default grid; its rhs takes the log form from
+    # math.lgamma.  Each side gives the same values with the other's refused.
+    entry = get_entry("EQ2.1")
+    points = list(entry.points(default_grid()))
+    lhs = [entry.lhs(**params) for params in points]
+    rhs = [entry.rhs(**params) for params in points]
+    with monkeypatch.context() as patch:
+        patch.setattr(kcore, "math", _math_without("lgamma"))
+        assert [entry.lhs(**params) for params in points] == lhs
+    monkeypatch.setattr(registry, "math", _math_without("gamma"))
+    assert [entry.rhs(**params) for params in points] == rhs
 
 
 def test_comparisons_and_expectations_are_known():
