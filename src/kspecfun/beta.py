@@ -3,9 +3,12 @@
 beta_k(x) = beta(u)/k (Diaz and Pariguan, Divulgaciones Mat. 15 (2007) 179),
 with beta(u) = (psi((u+1)/2) - psi(u/2))/2 taken in one pass by
 :func:`_beta_unit`, within 6e-16 relative for u in [1e-8, 1e15]: no ln k, no
-psi_k and no digamma difference.  beta_k(x) = 1/x - beta_k(x + k) continues
-it to x <= 0.  :func:`beta_k_deriv` sums the alternating series of
-beta^(j)(u) with a tail of its own and applies x^-(j+1) once.  The
+psi_k and no digamma difference.  It is defined for x > 0 only: H_k takes
+beta_k(k - x) at k - x > 0, and the continuation below 0, beta(u) =
+Phi(-1, 1, u) at u < 0, is the alternating Lerch sum of the cross-check
+route :func:`kspecfun.routes.lerch_alt`.  :func:`beta_k_deriv` sums the
+alternating series of beta^(j)(u) with a tail of its own and applies
+x^-(j+1) once.  The
 cross-check routes (the alternating series, the Mellin-type and Laplace
 integrals, the expansions around x = k and x = 0) share no kernel with either
 and live in :mod:`kspecfun.routes`; the scanner for the paper's open problem
@@ -16,8 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
-from .kcore import _STIRLING_U, _check_pole, k_value
+from .kcore import _STIRLING_U, k_value
 from .scalar import (_BERNOULLI, _MAX_NORMAL, _MIN_NORMAL, _T1, _T2, _T3, _T4, _T5, _T6, _T7,
                      _check_int, _check_polygamma_order, _overflow_error, _positive,
                      _times_powers)
@@ -84,23 +86,6 @@ def _beta_unit(u: float) -> float:
     pa = ((((((_T7 * va + _T6) * va + _T5) * va + _T4) * va + _T3) * va + _T2) * va + _T1) * va
     pb = ((((((_T7 * vb + _T6) * vb + _T5) * vb + _T4) * vb + _T3) * vb + _T2) * vb + _T1) * vb
     return acc + 0.5 * (math.log1p(1.0 / u) + 1.0 / (u * (u + 1.0)) - (pa - pb))
-
-
-def _beta_step(k: float, z: float, depth: int = 0) -> float:
-    """beta_k(z) = 1/z - beta_k(z + k) for z < k, z off the poles of Gamma_k.
-
-    For z <= 0 the step repeats (at most 64 times) until z + k > 0, which
-    continues beta_k analytically.
-    """
-    if depth >= 64:
-        raise DomainError("beta_k continuation recursed too deeply")
-    if z <= 0.0:
-        _check_pole(k, z)
-    inv = 1.0 / z
-    if math.isinf(inv):
-        raise _overflow_error("beta_k", z, k)
-    y = z + k
-    return inv - (_beta(k, y) if y > 0.0 else _beta_step(k, y, depth + 1))
 
 
 _DERIV_TAILS: dict[int, tuple] = {}  # order j -> beta_k_deriv's tail c_10 .. c_1, on first use

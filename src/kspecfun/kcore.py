@@ -2,7 +2,8 @@
 
 Evaluation reduces everything to the classical functions through
 Gamma_k(x) = k^(x/k - 1) Gamma(x/k) and psi_k(x) = (ln k + psi(x/k))/k.
-:func:`_gamma_k_pow` forms c Gamma_k(x)^(+-1) for the Gamma_k family and H_k.
+:func:`_gamma_k_pow` forms c Gamma_k(x)^(+-1) for the Gamma_k family and H_k;
+the classical 1/Gamma, :func:`rgamma`, is :func:`rgamma_k` at k = 1.
 The direct series routes that cross-check psi_k and psi_k^(m) live in
 :mod:`kspecfun.routes`.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "gamma_k",
     "ln_gamma_k",
     "rgamma_k",
+    "rgamma",
     "psi_k",
     "psi_k_m",
 ]
@@ -153,13 +155,26 @@ def rgamma_k(k, x: float) -> float:
     1/(k^(x/k - 1) Gamma(x/k)) where that and both factors are normal
     numbers, otherwise exp(-ln|Gamma_k(x)|) with the sign of Gamma(x/k);
     accuracy, and values beyond and below binary64, as :func:`gamma_k`.
+    Where x > 0 and x/k underflows to 0.0 the value is x to rounding.
     """
     if not (0.0 < (k := float(k)) < math.inf and -math.inf < (x := float(x)) < math.inf):
         k_value(k)
         _require_finite("x", x)
-    if _is_pole(x / k):  # x/k = -inf included
-        return 0.0
+    if _is_pole(x / k):  # x/k = -inf included; 0.0 is a pole only for x <= 0
+        return x if x > 0.0 else 0.0
     return _gamma_k_pow(k, x, -1, 1.0, "1/Gamma_k", x)
+
+
+def rgamma(x: float) -> float:
+    """Reciprocal gamma 1/Gamma(x) for every finite real x: :func:`rgamma_k` at k = 1.
+
+    Exactly 0.0 at the poles x = 0, -1, -2, ...; 1/Gamma(x) from libm's
+    Gamma(x) where it and the result are normal numbers, otherwise
+    exp(-ln|Gamma(x)|) with the sign of Gamma(x).  A value below binary64
+    (x above about 171.6) underflows to 0.0; one beyond it (x below
+    about -171) raises OverflowError.
+    """
+    return rgamma_k(1.0, x)
 
 
 def psi_k(k, x: float) -> float:
@@ -205,8 +220,11 @@ def psi_k_m(k, m: int, x: float) -> float:
     [1e-8, 1e15] the error is at most 6e-16 relative against mpmath at
     every k where the value is normal: the sums at (k, x) 2^-e are those
     at (k, x) scaled exactly, so k in [0.01, 10] covers every binade.
-    Values below binary64 underflow to 0.0; values beyond it raise
-    OverflowError.
+    For 13 <= m <= 150 each rounded x + ik is raised to the power m + 1,
+    and the error is at most (m + 1)/2 + 4 ulp for k in [e^-5, e^5] and
+    x/k in [0.5, 10 + m] (the worst measured is 44 ulp, at m = 139 and x
+    just below 1024).  Values below binary64 underflow to 0.0; values
+    beyond it raise OverflowError.
     """
     if not (0.0 < (k := float(k)) < math.inf and type(m) is int and m >= 1
             and 0.0 < (x := float(x)) < math.inf):

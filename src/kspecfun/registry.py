@@ -468,16 +468,15 @@ def _build_entries() -> list[IdentityEntry]:
 
     def h_shifted_by_continued_beta(k, x, **_):
         # H_k(x + k) = beta_k(-x)/Gamma_k(-x), with beta_k continued to -x < 0
-        # through beta_k(z) = 1/z - beta_k(z + k); hadamard_k(k, x + k) where
-        # x <= 0 or -x is a pole.  Never the recurrence step at x.
-        y = x + k
+        # as Phi(-1, 1, -x/k)/k, the alternating Lerch sum of the routes, so
+        # this side reaches no beta kernel of hadamard_k; hadamard_k(k, x + k)
+        # where x <= 0 or -x/k is a pole.  Never the recurrence step at x.
         if x > 0.0:
-            z = k - y
             try:
-                return _beta._beta_step(k, z) * _kcore.rgamma_k(k, z)
+                return _routes.lerch_alt(-x / k).value / k * _kcore.rgamma_k(k, -x)
             except PoleError:
                 pass
-        return _hadamard.hadamard_k(k, y)
+        return _hadamard.hadamard_k(k, x + k)
 
     def h_recurrence_step(k, x, **_):
         return x * _hadamard.hadamard_k(k, x) + _kcore.rgamma_k(k, k - x)

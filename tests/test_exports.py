@@ -94,8 +94,7 @@ def test_import_loads_only_the_evaluators():
 UNUSED_BY_THE_PACKAGE = {
     # the library's JSON writer; the streamed ``ksf verify`` report must equal its bytes
     "reports_to_json",
-    # the classical 1/Gamma of L0; gamma_k and rgamma_k form k^(x/k - 1)
-    # Gamma(x/k) from math.gamma, or take the log form, and never call it
+    # the classical 1/Gamma, rgamma_k at k = 1; the evaluators call rgamma_k itself
     "rgamma",
 }
 

@@ -179,14 +179,30 @@ def test_call_table_reads_the_calls():
     assert _top_level_users("scalar", _is_name("tails")) == {"_polygamma_plan", "_polygamma_k"}
     assert _top_level_users("scalar", _calls_one_of({"_times_powers"})) == {"_polygamma_edge"}
     assert _top_level_users("hadamard", _calls_one_of({"_beta_unit"})) == {"_h_base", "_h_far"}
-    assert {"beta_k", "beta_k_deriv", "_beta_step"} \
-        <= _top_level_users("beta", _calls_one_of({"_beta"}))
+    assert _top_level_users("beta", _calls_one_of({"_beta"})) == {"beta_k", "beta_k_deriv"}
+    # the classical 1/Gamma is the Gamma_k kernel at k = 1, as polygamma is the polygamma one
+    assert _top_level_users("kcore", _calls_one_of({"rgamma_k"})) == {"rgamma"}
+    assert "rgamma" not in _top_level_users("scalar", lambda node: True)
     # valid input skips one helper frame: beta_k reaches the one-pass kernel
     # itself, and gamma_k tests x > POLE_GUARD k before it calls the pole check
     assert _top_level_users("beta", _calls_one_of({"_beta_unit"})) == {"beta_k", "_beta"}
     assert _top_level_users("kcore", _calls_one_of({"_check_pole"})) == {"gamma_k"}
     # route independence: beta's one-pass psi difference reaches no digamma kernel
     assert not _top_level_users("beta", _calls_one_of({"_digamma"}))
+
+
+def test_only_kcore_calls_libm_gamma():
+    # one Gamma kernel: the evaluators reach math.gamma and math.lgamma only through kcore
+    libm_gamma = _calls_one_of({"gamma", "lgamma"})
+    assert {name for name in ("scalar", "kcore", "beta", "hadamard")
+            if _top_level_users(name, libm_gamma)} == {"kcore"}
+
+
+def test_beta_holds_no_continuation_below_zero():
+    # beta_k is taken for x > 0 only; beta_k(z) = 1/z - beta_k(z + k) continued
+    # to z <= 0 would meet the Gamma_k poles, and beta names none of them
+    assert not _top_level_users("beta", lambda node: isinstance(node, ast.Name)
+                                and node.id in ("_check_pole", "PoleError"))
 
 
 @pytest.mark.parametrize("name", ("scalar", "kcore", "beta"))

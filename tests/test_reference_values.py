@@ -26,12 +26,14 @@ from kspecfun import (
     hadamard,
     hadamard_k,
     lerch_alt,
+    lerch_one_diff,
     ln_gamma_k,
     polygamma,
     psi_k,
     psi_k_m,
     recursion_47,
     registry,
+    rgamma,
     rgamma_k,
     run_all,
     scalar,
@@ -97,6 +99,55 @@ def test_digamma_accuracy_map():
             assert err <= 1e-15, (x, err)
 
 
+def test_digamma_stated_bound_on_a_seeded_map():
+    # 2e-15 max(1, |psi|), the bound in digamma's docstring, on x uniform in
+    # (0.01, 10], where the shift sums cancel; 0.857357179453047 is 1.28e-15 off
+    rng = random.Random(12)
+    xs = [rng.uniform(0.01, 10.0) for _ in range(6000)] + [0.857357179453047]
+    with mpmath.workdps(40):
+        errs = [float(abs(digamma(x) - ref) / max(1, abs(ref)))
+                for x in xs for ref in [mpmath.digamma(x)]]
+    assert max(errs) <= 2e-15
+    assert errs[-1] > 1e-15
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 5.5e-309])
+def test_digamma_beyond_binary64_raises(x):
+    # psi(x) = -1/x - gamma + O(x) is beyond binary64
+    with mpmath.workdps(40):
+        assert abs(mpmath.digamma(x)) > sys.float_info.max
+    with pytest.raises(OverflowError, match=r"^psi\(.*\) overflows binary64$"):
+        digamma(x)
+
+
+@pytest.mark.parametrize("a,b", [
+    (5e-324, 5e-324),  # 0.0, while both psi are beyond binary64
+    (5.5e-309, 5.6e-309),  # psi(a) is beyond binary64, the difference is 3.2e306
+    (1e-310, 2e-310),  # 5e309, beyond binary64
+    (5e-324, 1.0),
+    (1.0, 5e-324),
+    (1e-310, 1e300),
+    (2.5e-309, 0.75),
+])
+def test_lerch_one_diff_where_a_psi_is_beyond_binary64_vs_mpmath(a, b):
+    with mpmath.workdps(40):
+        ref = mpmath.digamma(b) - mpmath.digamma(a)
+    if abs(ref) > sys.float_info.max:
+        with pytest.raises(OverflowError, match=r"\) overflows binary64$"):
+            lerch_one_diff(a, b)
+    elif ref == 0:
+        assert lerch_one_diff(a, b) == 0.0
+    else:
+        assert lerch_one_diff(a, b) == pytest.approx(float(ref), rel=4e-16, abs=0.0)
+
+
+def test_lerch_one_diff_is_the_digamma_difference_where_both_are_finite():
+    rng = random.Random(4)
+    for _ in range(2000):
+        a, b = (10.0 ** rng.uniform(-308, 300) for _ in range(2))
+        assert lerch_one_diff(a, b) == digamma(b) - digamma(a), (a, b)
+
+
 _POLYGAMMA_MAP_X = tuple(10 ** (e / 8) for e in range(-64, 241)) + tuple(
     10.0**e for e in range(31, 301))  # [1e-8, 1e300]
 
@@ -144,6 +195,46 @@ def test_psi_k_m_accuracy_map(m):
                 ref = _psi_k_m_ref(k, m, x)
                 err = float(abs((psi_k_m(k, m, x) - ref) / ref))
                 assert err <= 6e-16, (k, u, err)
+
+
+def _high_order_bound(m):
+    # the bound in the docstrings of polygamma and psi_k_m for 13 <= m <= 150:
+    # the rounding of each x + ik, raised to the power m + 1, and 4 ulp more
+    return (m + 1) / 2 + 4.0
+
+
+# adversarial points for the bound, x just below a power of two, where every
+# x + ik rounds in the binade above x: 44.3 ulp for psi_k_m and 36.1 for
+# polygamma, and 11.0 ulp at order 24
+_HIGH_ORDER_NEEDLES = [(7.057285037608823, 139, 1021.9024945147584),
+                       (7.600728209681166, 141, 1023.9267185361215),
+                       (0.5396612191082113, 26, 15.737654144270325),
+                       (1.0, 118, 127.1235855769756), (1.0, 24, 31.967025275825453)]
+
+
+def test_psi_k_m_and_polygamma_of_orders_13_to_150_on_a_seeded_sample():
+    # k log-uniform in [e^-5, e^5], u uniform in [0.5, 9 + m], against mpmath at
+    # 60 digits wherever the value is normal; polygamma is the same draw at k = 1.
+    # The worst sample point is psi_k_m(0.11995694993619879, 127, 15.991903857290302),
+    # 29.5 ulp
+    rng = random.Random(7)
+    points = _HIGH_ORDER_NEEDLES[:]
+    for _ in range(300):
+        m = rng.randint(13, 150)
+        k = math.exp(rng.uniform(-5.0, 5.0))
+        u = rng.uniform(0.5, 9.0 + m)
+        points += [(k, m, u * k), (1.0, m, u)]
+    worst = 0.0
+    with mpmath.workdps(60):
+        for k, m, x in points:
+            ref = _psi_k_m_ref(k, m, x)
+            if not sys.float_info.min <= abs(ref) <= sys.float_info.max:
+                continue
+            got = polygamma(m, x) if k == 1.0 else psi_k_m(k, m, x)
+            err = float(abs(got - ref)) / math.ulp(float(ref))
+            assert err <= _high_order_bound(m), (k, m, x, err)
+            worst = max(worst, err)
+    assert worst > 29.0
 
 
 def _psi_k_m_ref(k, m, x):
@@ -557,7 +648,7 @@ def test_beta_k_and_hadamard_k_on_the_default_grid_vs_mpmath(monkeypatch):
         return call
 
     # beta_k takes its normal range itself and the rest through _beta, which
-    # beta_k_deriv and the continuation call too; the registry binds beta_k
+    # beta_k_deriv calls too; the registry binds beta_k
     # when it is built, so it is built again around the spies
     monkeypatch.setattr(beta, "beta_k", spy("beta_k", beta.beta_k))
     monkeypatch.setattr(beta, "_beta", spy("beta_k", beta._beta))
@@ -571,7 +662,7 @@ def test_beta_k_and_hadamard_k_on_the_default_grid_vs_mpmath(monkeypatch):
         monkeypatch.undo()
         registry._entries.cache_clear()
     assert {name: len(points) for name, points in seen.items()} \
-        == {"beta_k": 204, "hadamard_k": 1319}
+        == {"beta_k": 145, "hadamard_k": 1319}
     worst = {}
     with mpmath.workdps(40):
         for name, ref in (("beta_k", _beta_k_ref), ("hadamard_k", _h_grid_ref)):
@@ -733,6 +824,28 @@ def test_gamma_k_and_rgamma_k_accuracy_map():
         assert len(errs) > 4000, name
         assert errs[len(errs) // 2] <= 2.0, name
         assert errs[99 * len(errs) // 100] <= _GAMMA_K_MAP_P99[name], name
+
+
+def test_rgamma_accuracy_map():
+    # x uniform in (-170, 170), where libm's Gamma(x) is a normal number, against
+    # mpmath: the product form of the Gamma_k kernel, within 8 ulp
+    rng = random.Random("rgamma")
+    with mpmath.workdps(40):
+        errs = sorted(float(abs(rgamma(x) - ref)) / math.ulp(float(ref))
+                      for x in (rng.uniform(-170.0, 170.0) for _ in range(4000))
+                      for ref in [mpmath.rgamma(x)])
+    assert errs[len(errs) // 2] <= 1.0
+    assert errs[-1] <= 8.0
+
+
+@pytest.mark.parametrize("k,x", [(1e300, 1e-30), (1e200, 1e-130), (1.0, 5e-324), (1e10, 5e-324),
+                                 (1.7e308, 1e-10)])
+def test_rgamma_k_where_x_over_k_underflows_vs_mpmath(k, x):
+    # x/k rounds to 0.0 (or is subnormal) for an x > 0, which is no pole:
+    # 1/Gamma_k(x) is x to rounding
+    with mpmath.workdps(60):
+        ref = 1 / (mpmath.mpf(k) ** (mpmath.mpf(x) / k - 1) * mpmath.gamma(mpmath.mpf(x) / k))
+    assert rgamma_k(k, x) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
 
 def _perfbench_inputs():

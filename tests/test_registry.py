@@ -108,9 +108,9 @@ def test_thm41_lhs_never_takes_the_recurrence_step(monkeypatch):
         seen.append(x)
         return real(k, x)
 
+    entry = get_entry("THM4.1")  # built first: EQ4.7 binds recursion_47
     monkeypatch.setattr(hadamard, "hadamard_k", spy)
     monkeypatch.delattr(routes, "recursion_47")
-    entry = get_entry("THM4.1")
     for params in entry.points(default_grid()):
         seen.clear()
         entry.lhs(**params)
@@ -189,6 +189,26 @@ def test_eq21_sides_share_no_gamma_kernel(monkeypatch):
         assert [entry.lhs(**params) for params in points] == lhs
     monkeypatch.setattr(registry, "math", _math_without("gamma"))
     assert [entry.rhs(**params) for params in points] == rhs
+
+
+def test_thm41_lhs_reaches_no_beta_kernel_of_the_rhs(monkeypatch):
+    # THM4.1's rhs, x H_k(x) + 1/Gamma_k(k - x), takes beta(u) from
+    # beta._beta_unit through hadamard_k.  Its lhs continues beta_k below 0
+    # through routes.lerch_alt, so at every x > 0 it gives the same values with
+    # that kernel refused; at x <= 0 it is hadamard_k at x + k.
+    entry = get_entry("THM4.1")
+    points = [params for params in entry.points(default_grid()) if params["x"] > 0.0]
+    assert len(points) == 120
+    lhs = [entry.lhs(**params) for params in points]
+
+    def refuse(*args):
+        raise AssertionError("beta._beta_unit was reached")
+
+    monkeypatch.setattr(beta, "_beta_unit", refuse)
+    monkeypatch.setattr(hadamard, "_beta_unit", refuse)
+    assert [entry.lhs(**params) for params in points] == lhs
+    with pytest.raises(AssertionError, match="_beta_unit was reached"):
+        entry.rhs(**points[0])
 
 
 def test_comparisons_and_expectations_are_known():

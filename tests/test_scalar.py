@@ -16,6 +16,7 @@ from kspecfun import (
     polygamma,
     psi_k_m,
     rgamma,
+    rgamma_k,
     zeta_int,
 )
 from kspecfun.oracles import adaptive_quad
@@ -63,6 +64,30 @@ def test_rgamma_vs_libm(x):
 
 def test_rgamma_underflows_to_zero_for_large_x():
     assert rgamma(400.0) == 0.0
+
+
+def _rgamma_outcome(fn, x):
+    try:
+        return fn(x)
+    except (OverflowError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def test_rgamma_is_rgamma_k_at_k_one():
+    # one 1/Gamma: the poles, subnormal x, |x| above 171 and a seeded sample,
+    # with the same value or the same error bit for bit
+    rng = random.Random(32)
+    table = [0.0, -0.0, -1.0, -2.0, -170.0, -2.0**52, -1e300, 5e-324, -5e-324, 1e-310,
+             -1e-310, 171.5, 171.7, 180.0, 1e300, 1.7e308, -171.2, -171.5, -200.5, -1e10 + 0.5,
+             math.inf, math.nan]
+    table += [rng.uniform(-175.0, 175.0) for _ in range(2000)]
+    table += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) * rng.choice((1, -1))
+              for _ in range(500)]
+    for x in table:
+        assert repr(_rgamma_outcome(rgamma, x)) \
+            == repr(_rgamma_outcome(lambda x: rgamma_k(1.0, x), x)), x
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        rgamma(-200.5)
 
 
 # ---------------------------------------------------------------- digamma
