@@ -100,8 +100,9 @@ def beta_k_deriv(k, order: int, x: float) -> float:
     tail as (u/w)^(j+1) [1/2 + sum_i c_i w^(1-2i)], c_i = (4^i - 1) B_2i (2i+j-1)!/((2i)! j!)
     (Borwein, Calkin and Manna, Amer. Math. Monthly 116 (2009) 387).  x^-(j+1) is
     applied once, split into mantissa and exponent, so u = 0.0 (R = 1) and u = inf
-    (R = 1/2) take the same code.  For 1 <= j <= 12 the error is at most 4 ulp against
-    mpmath over k in [1e-6, 1e6] and u in [1e-8, 1e15]; j runs to 150.  A value
+    (R = 1/2) take the same code.  For 1 <= j <= 12 the error is at most 6 ulp against
+    mpmath over k in [1e-6, 1e6] and u in [1e-8, 1e15] (4 ulp over 52,000 seeded
+    points, 5 ulp at two points found apart from them); j runs to 150.  A value
     beyond binary64 raises OverflowError; one below it underflows towards 0.0.
     """
     k = k_value(k)

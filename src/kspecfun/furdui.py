@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 
 from .errors import DomainError
-from .kcore import k_value, ln_gamma_k
+from .kcore import digamma, k_value, ln_gamma_k, polygamma
 from .oracles import Estimate, adaptive_quad
 from .routes import _alt_recip_sum, gauss_2f1, zeta_minus_1, zeta_tail
 from .scalar import (
@@ -24,8 +24,6 @@ from .scalar import (
     _check_int,
     _overflow_error,
     _times_powers,
-    digamma,
-    polygamma,
 )
 
 __all__ = [

@@ -2,10 +2,13 @@
 
 Evaluation reduces everything to the classical functions through
 Gamma_k(x) = k^(x/k - 1) Gamma(x/k) and psi_k(x) = (ln k + psi(x/k))/k.
-:func:`_gamma_k_pow` forms c Gamma_k(x)^(+-1) for the Gamma_k family and H_k;
-the classical 1/Gamma, :func:`rgamma`, is :func:`rgamma_k` at k = 1.
-The direct series routes that cross-check psi_k and psi_k^(m) live in
-:mod:`kspecfun.routes`.
+:func:`_gamma_k_pow` forms c Gamma_k(x)^(+-1) for the Gamma_k family and H_k.
+The classical functions are the k-functions at k = 1: 1/Gamma,
+:func:`rgamma`, is :func:`rgamma_k`; psi, :func:`digamma`, is :func:`psi_k`,
+which holds the one psi shift and tail; psi^(m), :func:`polygamma`, is
+:func:`psi_k_m`.  :func:`lerch_one_diff`, the digamma difference of THM4.4,
+is two calls of :func:`psi_k` at k = 1.  The direct series routes that
+cross-check psi_k and psi_k^(m) live in :mod:`kspecfun.routes`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .scalar import (
     CONSTANTS,
     _check_int,
     _T1, _T2, _T3, _T4, _T5, _T6, _T7,
-    _digamma,
     _overflow_error,
     _polygamma_k,
     _positive,
@@ -34,7 +36,10 @@ __all__ = [
     "rgamma_k",
     "rgamma",
     "psi_k",
+    "digamma",
+    "lerch_one_diff",
     "psi_k_m",
+    "polygamma",
 ]
 
 POLE_GUARD = 1e-8  # relative (in units of k) pole exclusion radius
@@ -94,9 +99,12 @@ def _gamma_k_pow(k: float, x: float, p: int, c: float, what: str, at: float) -> 
 
     The product c k^(u-1) Gamma(u), or c over k^(u-1) Gamma(u), with u = x/k,
     wherever |u| < 171 and each factor, their product and the result are
-    normal numbers; elsewhere exp(p ln|Gamma_k(x)| + ln|c|) with the sign of
-    c Gamma(u).  A value beyond binary64 raises OverflowError for what(at);
-    one below it underflows to 0.0.
+    normal numbers.  For u in (-171.6, -170), where libm's Gamma(u) can be
+    subnormal, the same with 1/Gamma(u) = (sin(pi u)/pi) Gamma(-u) (-u) by
+    reflection, and k^(u-1) Gamma(u) formed as the quotient of k^(u-1) by it.
+    Elsewhere exp(p ln|Gamma_k(x)| + ln|c|) with the sign of c Gamma(u).  A
+    value beyond binary64 raises OverflowError for what(at); one below it
+    underflows to 0.0.
     """
     u = x / k
     if -171.0 < u < 171.0:
@@ -110,6 +118,18 @@ def _gamma_k_pow(k: float, x: float, p: int, c: float, what: str, at: float) -> 
             value = prod * c if p > 0 else c / prod
             if _MIN_NORMAL <= abs(value) < math.inf:
                 return value
+    if -171.6 < u < -170.0:
+        try:
+            scale = k ** (u - 1.0)
+        except OverflowError:
+            scale = 0.0
+        r = _sinpi(u) / math.pi * math.gamma(-u) * -u  # 1/Gamma(u); Gamma(-u) < 1.6e308
+        if _MIN_NORMAL <= scale and _MIN_NORMAL <= abs(r) < math.inf:
+            rprod = r / scale
+            if _MIN_NORMAL <= abs(rprod) < math.inf:
+                value = c * rprod if p < 0 else c / rprod
+                if _MIN_NORMAL <= abs(value) < math.inf:
+                    return value
     log_value = p * _ln_gamma_k(k, x) + math.log(abs(c))
     if not log_value <= _LN_MAX:
         raise _overflow_error(what, at, k)
@@ -182,10 +202,12 @@ def psi_k(k, x: float) -> float:
 
     Where u = x/k >= 10 it is (ln x + (psi(u) - ln u)) / k, with
     psi(u) - ln u = -1/(2u) - sum B_2n/(2n u^2n) taken straight from the
-    asymptotic series (the Horner form of :func:`scalar._digamma`), so ln k
-    and psi(u) never cancel (psi_k(1e-300, 1) is -0.5), and where x/k
-    overflows the value is ln x / k.  A value beyond binary64 raises
-    OverflowError.
+    asymptotic series, so ln k and psi(u) never cancel (psi_k(1e-300, 1) is
+    -0.5), and where x/k overflows the value is ln x / k.  Below 10, psi(u)
+    is the same series at w = u + n >= 10 less the n reciprocals of the
+    upward shift psi(w) = psi(w + 1) - 1/w; where u is below the normal
+    range, -1/u would be beyond binary64, so the shift starts from u + 1
+    and -1/x is added last.  A value beyond binary64 raises OverflowError.
     """
     if not (0.0 < (k := float(k)) < math.inf and 0.0 < (x := float(x)) < math.inf):
         k_value(k)
@@ -195,13 +217,52 @@ def psi_k(k, x: float) -> float:
         v = 1.0 / (u * u)
         p = ((((((_T7 * v + _T6) * v + _T5) * v + _T4) * v + _T3) * v + _T2) * v + _T1) * v
         value = (math.log(x) + (-0.5 / u - p)) / k
-    elif u >= _MIN_NORMAL:
-        value = (math.log(k) + _digamma(u)) / k
     else:
-        # digamma(u) would form -1/u beyond binary64; psi(u) = psi(u + 1) - 1/u
-        value = (math.log(k) + _digamma(u + 1.0)) / k - 1.0 / x
+        w = u if u >= _MIN_NORMAL else u + 1.0
+        acc = 0.0
+        while w < 10.0:
+            acc -= 1.0 / w
+            w += 1.0
+        v = 1.0 / (w * w)
+        p = ((((((_T7 * v + _T6) * v + _T5) * v + _T4) * v + _T3) * v + _T2) * v + _T1) * v
+        value = (math.log(k) + (acc + math.log(w) - 0.5 / w - p)) / k
+        if u < _MIN_NORMAL:
+            value -= 1.0 / x
     if abs(value) > _MAX_NORMAL:
         raise _overflow_error("psi_k", x, k)
+    return value
+
+
+def digamma(x: float) -> float:
+    """psi(x) for x > 0: :func:`psi_k` at k = 1.
+
+    For 1e-8 <= x <= 1e30 the error is at most 2e-15 * max(1, |psi(x)|)
+    against mpmath (the worst measured is 1.62e-15, near x = 0.8, where
+    the shift sums cancel).  Below about 5.6e-309, where -1/x is beyond
+    binary64, it raises OverflowError.
+    """
+    return psi_k(1.0, _positive("digamma", x))
+
+
+def lerch_one_diff(a: float, b: float) -> float:
+    """sum_{n>=0} [1/(n+a) - 1/(n+b)] = psi(b) - psi(a), for a, b > 0, by :func:`psi_k` at k = 1.
+
+    Exactly 0.0 where a == b.  Where psi(a) or psi(b) is beyond binary64
+    (a or b below about 5.6e-309) the n = 0 term is taken apart,
+    psi(b + 1) - psi(a + 1) + (b - a)/(a b), and a value beyond binary64
+    raises OverflowError.
+    """
+    a = _require_finite("a", a)
+    b = _require_finite("b", b)
+    if a <= 0.0 or b <= 0.0:
+        raise DomainError(f"lerch_one_diff requires a, b > 0, got a={a}, b={b}")
+    try:
+        return psi_k(1.0, b) - psi_k(1.0, a)
+    except OverflowError:
+        pass
+    value = psi_k(1.0, b + 1.0) - psi_k(1.0, a + 1.0) + (b - a) / a / b
+    if abs(value) > _MAX_NORMAL:
+        raise _overflow_error(f"psi({b}) - psi", a)
     return value
 
 
@@ -211,20 +272,24 @@ def psi_k_m(k, m: int, x: float) -> float:
     One kernel, :func:`scalar._polygamma_k`, works in x and k: it tests the
     far field x >= (10 + m) k first, which needs no shift, sums
     (x + ik)^-(m+1) below (10 + m) k, smallest term first, and closes with
-    the Bernoulli tail P(k/y) / (k y^m), whose number of terms a per-order
-    plan gives for each binade of y/k, so neither x/k nor k^(m+1) is
-    rounded into the result.  At k = 1 it is :func:`scalar.polygamma` bit
-    for bit.  Where a partial result leaves the normal range the same
-    kernel runs at (k, x) 2^-e and the value is scaled back by
-    2^-e(m+1) (:func:`scalar._polygamma_edge`).  For m <= 12 and x/k in
-    [1e-8, 1e15] the error is at most 6e-16 relative against mpmath at
-    every k where the value is normal: the sums at (k, x) 2^-e are those
-    at (k, x) scaled exactly, so k in [0.01, 10] covers every binade.
-    For 13 <= m <= 150 each rounded x + ik is raised to the power m + 1,
-    and the error is at most (m + 1)/2 + 4 ulp for k in [e^-5, e^5] and
-    x/k in [0.5, 10 + m] (the worst measured is 44 ulp, at m = 139 and x
-    just below 1024).  Values below binary64 underflow to 0.0; values
-    beyond it raise OverflowError.
+    the Bernoulli tail P(k/y) / (k y^m), with as many terms (at most ten,
+    down to 2^-60 of the leading one) as a per-order plan gives the binade
+    of y/k, so neither x/k nor k^(m+1) is rounded into the result;
+    :func:`polygamma` is this function at k = 1.  Where a partial result
+    leaves the normal range the same kernel runs at (k, x) 2^-e and the
+    value is scaled back by 2^-e(m+1) (:func:`scalar._polygamma_edge`), so
+    a large x gives a small or underflowing value, not an overflow.
+    For m <= 12 and x/k in [1e-8, 1e15] the error is at most 1e-15
+    relative against mpmath at every k where the value is normal (the
+    worst measured is 8.3e-16, in the shift region, over 90,000 seeded
+    points with k in [e^-5, e^5]): the sums at (k, x) 2^-e are those at
+    (k, x) scaled exactly, so a range of k one binade wide covers every k.
+    At k = 1 it is at most 1e-15 * max(|psi^(m)(x)|, 2.2e-308) for x in
+    [1e-8, 1e300].  For 13 <= m <= 150 each rounded x + ik is raised to
+    the power m + 1, and the error is at most (m + 1)/2 + 4 ulp for k in
+    [e^-5, e^5] and x/k in [0.5, 10 + m] (the worst measured is 44 ulp,
+    at m = 139 and x just below 1024).  Values below binary64 underflow to
+    0.0; values beyond it raise OverflowError.
     """
     if not (0.0 < (k := float(k)) < math.inf and type(m) is int and m >= 1
             and 0.0 < (x := float(x)) < math.inf):
@@ -237,3 +302,10 @@ def psi_k_m(k, m: int, x: float) -> float:
     return value
 
 
+def polygamma(m: int, x: float) -> float:
+    """psi^{(m)}(x) for integer 1 <= m <= 150 and x > 0: :func:`psi_k_m` at k = 1.
+
+    Accuracy, and values beyond and below binary64, as :func:`psi_k_m`.
+    """
+    _check_int("polygamma", "m", m, 1)
+    return psi_k_m(1.0, m, _positive("polygamma", x))

@@ -592,13 +592,13 @@ def _build_entries() -> list[IdentityEntry]:
         return 2.0 * x * _routes.lerch_alt(-x).value
 
     def lerch_one_diff_410_as_printed(x, **_):
-        return _scalar.lerch_one_diff(1.0 - 0.5 * x, 0.5 - 0.5 * x)
+        return _kcore.lerch_one_diff(1.0 - 0.5 * x, 0.5 - 0.5 * x)
 
     def lerch_alt_410(x, **_):
         return 2.0 * _routes.lerch_alt(1.0 - x).value
 
     def lerch_one_diff_410(x, **_):
-        return _scalar.lerch_one_diff(0.5 - 0.5 * x, 1.0 - 0.5 * x)
+        return _kcore.lerch_one_diff(0.5 - 0.5 * x, 1.0 - 0.5 * x)
 
     add_audit(
         "THM4.4",

@@ -201,7 +201,8 @@ def lerch_alt(a: float) -> Estimate:
     For a > 0 consecutive terms are summed in pairs and the smooth tail
     is taken from the Laplace-representation expansion; for negative
     non-integer a the finitely many negative-denominator terms are added
-    explicitly first.
+    explicitly first.  Where the value is beyond binary64 (a within about
+    5.6e-309 of 0) it raises OverflowError.
     """
     a = _require_finite("a", a)
     if a <= 0.0 and a == math.floor(a):
@@ -216,7 +217,10 @@ def lerch_alt(a: float) -> Estimate:
             head += (-1.0) ** n / (n + a)
     tail, err, used = _alt_recip_sum(a + n0)
     value = head + (tail if n0 % 2 == 0 else -tail)
-    err += 4.0 * _EPS * (abs(head) + abs(value))
+    if abs(value) > _MAX_NORMAL:  # 1/a is beyond binary64
+        raise _overflow_error("lerch_alt", a)
+    # each part scaled first: |head| + |value| can be beyond binary64 where value is not
+    err += 4.0 * _EPS * abs(head) + 4.0 * _EPS * abs(value)
     return Estimate(value, err, n0 + used)
 
 

@@ -1,16 +1,17 @@
-"""Classical (k = 1) special functions that the k-deformed family reduces to.
+"""Constants, argument rules and kernels under the k-deformed family.
 
-Everything here is scalar binary64 arithmetic on top of ``math``.  Gamma,
-its log and its reciprocal are not here: the one Gamma_k kernel of
-:mod:`kspecfun.kcore` takes them from libm, and ``rgamma`` is that kernel
-at k = 1.  Digamma and polygamma use the textbook
-recurrence-shift plus Bernoulli asymptotic expansions, the seven-term psi
-tail as one straight-line Horner form over ``_T1`` .. ``_T7`` wherever it
-is taken (also ``kcore.psi_k`` and ``beta._beta_unit``).  The zeta family,
-the Gauss hypergeometric series and the alternating Lerch sum serve only
-the cross-check routes and live with them in :mod:`kspecfun.routes`;
-the ``Estimate`` record that those routes return lives with the
-quadrature in :mod:`kspecfun.oracles`.
+Everything here is scalar binary64 arithmetic on top of ``math``, and no
+function here is public.  Gamma, psi and their derivatives are evaluated in
+:mod:`kspecfun.kcore`, whose ``rgamma``, ``digamma`` and ``polygamma`` are
+its Gamma_k, psi_k and psi_k^(m) at k = 1.  This module keeps what the
+layers above share: the argument checks, the one message for a value
+beyond binary64, the constants of the seven-term psi tail (written out as one
+straight-line Horner form over ``_T1`` .. ``_T7`` wherever it is taken, in
+``kcore.psi_k`` and ``beta._beta_unit``), and the one polygamma kernel that
+``kcore.psi_k_m`` calls.  The zeta family, the Gauss hypergeometric series
+and the alternating Lerch sum serve only the cross-check routes and live
+with them in :mod:`kspecfun.routes`; the ``Estimate`` record that those
+routes return lives with the quadrature in :mod:`kspecfun.oracles`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .errors import DomainError
 __all__ = [
     "CONSTANTS",
     "Constants",
-    "digamma",
-    "polygamma",
-    "lerch_one_diff",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -138,33 +136,6 @@ _BERNOULLI = (
     43867.0 / 798.0,
     -174611.0 / 330.0,
 )
-
-
-def digamma(x: float) -> float:
-    """psi(x) for x > 0.
-
-    Upward recurrence to x >= 10, then the Bernoulli asymptotic series
-    ln x - 1/(2x) - sum B_{2n}/(2n x^{2n}).  For 1e-8 <= x <= 1e30 the
-    error is at most 2e-15 * max(1, |psi(x)|) against mpmath (the worst
-    measured is 1.62e-15, near x = 0.8, where the shift sums cancel).
-    Below about 5.6e-309, where -1/x is beyond binary64, it raises
-    OverflowError.
-    """
-    value = _digamma(_positive("digamma", x))
-    if value == -math.inf:
-        raise _overflow_error("psi", x)
-    return value
-
-
-def _digamma(x: float) -> float:
-    """:func:`digamma` for an x already checked finite and > 0."""
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    u = 1.0 / (x * x)
-    p = ((((((_T7 * u + _T6) * u + _T5) * u + _T4) * u + _T3) * u + _T2) * u + _T1) * u
-    return acc + math.log(x) - 0.5 / x - p
 
 
 # Above order 150 the last Bernoulli coefficient overflows, so the plans
@@ -317,50 +288,3 @@ def _polygamma_k(m: int, k: float, x: float) -> float:
     except OverflowError:
         pass
     return _polygamma_edge(m, k, x)
-
-
-def polygamma(m: int, x: float) -> float:
-    """psi^{(m)}(x) for integer 1 <= m <= 150 and x > 0: the kernel at k = 1.
-
-    :func:`_polygamma_k` shifts x upward past 10 + m, then applies the
-    Bernoulli asymptotic expansion of the m-th derivative with as many
-    terms as the per-order plan gives the binade of 1/y (down to 2^-60 of
-    the leading term, at most ten).  Where a term would leave the normal
-    range the same kernel runs at a power-of-two rescaled (k, x)
-    (:func:`_polygamma_edge`), so a large x gives a small or underflowing
-    value, not an overflow.  For m <= 12 and 1e-8 <= x <= 1e300 the error
-    is at most 1e-15 * max(|psi^(m)(x)|, 2.2e-308) against mpmath (the
-    worst measured is 2.5e-16): values below the normal range underflow
-    towards 0.0.  For 13 <= m <= 150 and 0.5 <= x <= 10 + m each rounded
-    x + i is raised to the power m + 1, and the error is at most
-    (m + 1)/2 + 4 ulp (the worst measured is 36 ulp, at m = 118 and x
-    just below 128).  Raises OverflowError where |psi^(m)(x)| exceeds
-    binary64.
-    """
-    _check_int("polygamma", "m", m, 1)
-    x = _positive("polygamma", x)
-    value = _polygamma_k(m, 1.0, x)
-    if abs(value) > _MAX_NORMAL:
-        raise _overflow_error(f"psi^({m})", x)
-    return value
-
-
-def lerch_one_diff(a: float, b: float) -> float:
-    """sum_{n>=0} [1/(n+a) - 1/(n+b)] = psi(b) - psi(a), for a, b > 0.
-
-    Exactly 0.0 where a == b.  Where psi(a) or psi(b) is beyond binary64
-    (a or b below about 5.6e-309) the n = 0 term is taken apart,
-    psi(b + 1) - psi(a + 1) + (b - a)/(a b), and a value beyond binary64
-    raises OverflowError.
-    """
-    a = _require_finite("a", a)
-    b = _require_finite("b", b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"lerch_one_diff requires a, b > 0, got a={a}, b={b}")
-    value = _digamma(b) - _digamma(a)
-    if abs(value) <= _MAX_NORMAL:  # both psi finite; nan and +-inf fail the test
-        return value
-    value = _digamma(b + 1.0) - _digamma(a + 1.0) + (b - a) / a / b
-    if abs(value) > _MAX_NORMAL:
-        raise _overflow_error(f"psi({b}) - psi", a)
-    return value

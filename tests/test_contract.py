@@ -1,7 +1,9 @@
 """The evaluator contract, swept over one (k, x) lattice and one k sweep.
 
-Every call of a Gamma_k-family evaluator, or of the classical ``rgamma``,
-``digamma`` and ``polygamma``, returns a finite float, raises
+Every call of a Gamma_k-family evaluator, of the classical ``rgamma``,
+``digamma`` and ``polygamma``, or of the Lerch sums ``lerch_alt`` and
+``lerch_one_diff``, returns a finite float (an Estimate with a finite
+value and error estimate, for ``lerch_alt``), raises
 DomainError (PoleError included), or raises the OverflowError whose
 message says the value overflows binary64.  A raw ValueError, a bare
 OverflowError from ``**`` or libm, nan and inf all break it.  Calls that
@@ -73,6 +75,21 @@ def test_every_evaluator_keeps_the_contract_on_the_lattice():
     assert len(calls) == 1152
     broken = {call for call in calls + sorted(KNOWN_VIOLATIONS) if _breaks_contract(*call)}
     assert broken == KNOWN_VIOLATIONS
+
+
+# the Lerch sums of THM4.4's two sides, at each x value of the lattice and at
+# each ordered pair of them
+LERCH_KNOWN_VIOLATIONS = set()
+
+
+def test_the_lerch_sums_keep_the_contract_on_the_lattice_values():
+    xs = sorted({x for _, x in _lattice()})
+    calls = [("lerch_alt", (a,)) for a in xs]
+    calls += [("lerch_one_diff", (a, b)) for a in xs for b in xs]
+    assert len(calls) == 72 + 5184
+    broken = {(name, args) for name, args in calls
+              if _breaks(lambda: getattr(kspecfun, name)(*args))}
+    assert broken == LERCH_KNOWN_VIOLATIONS
 
 
 # k from the smallest subnormal to the largest finite float

@@ -17,10 +17,10 @@ from kspecfun import (
     thm34_recursion,
 )
 from kspecfun import furdui, run_identity
-from kspecfun.kcore import psi_k
+from kspecfun.kcore import polygamma, psi_k
 from kspecfun.oracles import adaptive_quad
 from kspecfun.routes import gauss_2f1, zeta_tail
-from kspecfun.scalar import _EPS, CONSTANTS, polygamma
+from kspecfun.scalar import _EPS, CONSTANTS
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)

@@ -1,9 +1,10 @@
 """The evaluators' hot paths against the loop and helper forms they inline, bit for bit.
 
-The seven-term psi tail is written out as straight-line Horner forms, and
-beta_k takes its valid input past one helper frame.  Each reference below
-keeps the earlier form (the tail as a loop over ``scalar._DIGAMMA_TAIL``,
-the helper called), with the same operations in the same order, so every
+The seven-term psi tail is written out as straight-line Horner forms, psi_k
+holds the psi shift that a helper of its own took before, and beta_k takes
+its valid input past one helper frame.  Each reference below keeps the
+earlier form (the tail as a loop over ``scalar._DIGAMMA_TAIL``, the helper
+called), with the same operations in the same order, so every
 value must agree exactly: on a seeded table and at the floats next to each
 seam the evaluators branch on.  gamma_k, rgamma_k and hadamard_k are their
 argument checks and one call of the Gamma_k kernel, and are checked the
@@ -56,6 +57,17 @@ def _digamma_loop(x):
     return acc + math.log(x) - 0.5 / x - _tail_loop(1.0 / (x * x))
 
 
+def _psi_k_loop(k, x):
+    # psi_k with the tail as the loop: the far field from u = 10 up; below it the
+    # shift, from u + 1 where -1/u would be beyond binary64
+    u = x / k
+    if u >= 10.0:
+        return (math.log(x) + (-0.5 / u - _tail_loop(1.0 / (u * u)))) / k
+    if u < _MIN_NORMAL:
+        return (math.log(k) + _digamma_loop(u + 1.0)) / k - 1.0 / x
+    return (math.log(k) + _digamma_loop(u)) / k
+
+
 def _beta_unit_loop(u):
     acc = 0.0
     while u < 20.0:
@@ -101,8 +113,23 @@ def _hadamard_k_by_kernel(k, x):
 
 
 def test_digamma_tail_is_bit_identical_to_the_loop():
+    # digamma is psi_k at k = 1: the far-field form from 10 up, the shift below it
     for u in _UNITS + _DIGAMMA_ZERO:
-        assert repr(digamma(u)) == repr(_digamma_loop(u)), u
+        assert repr(digamma(u)) == repr(_psi_k_loop(1.0, u)), u
+
+
+def test_psi_k_shift_is_bit_identical_to_the_loop():
+    checked = 0
+    for k, x in _TABLE:
+        if x / k < 10.0:
+            checked += 1
+            ref = _psi_k_loop(k, x)
+            if math.isinf(ref):
+                with pytest.raises(OverflowError, match="overflows binary64"):
+                    psi_k(k, x)
+            else:
+                assert repr(psi_k(k, x)) == repr(ref), (k, x)
+    assert checked > 9000
 
 
 def test_psi_k_far_field_tail_is_bit_identical_to_the_loop():

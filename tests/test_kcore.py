@@ -1,6 +1,7 @@
 """Tests for the k-deformed gamma/digamma family."""
 
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from kspecfun import (
     gamma_k,
     get_entry,
     ln_gamma_k,
+    polygamma,
     psi_k,
     psi_k_m,
     psi_k_m_series,
@@ -113,6 +115,35 @@ def test_psi_k_values():
     assert psi_k(2.0, 2.0) == pytest.approx((LN2 - GAMMA) / 2.0, abs=1e-13)
     assert psi_k(2.0, 4.0) == pytest.approx((LN2 - GAMMA) / 2.0 + 0.5, abs=1e-13)
     assert psi_k(1.0, 3.5) == pytest.approx(digamma(3.5), abs=1e-15)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (OverflowError, DomainError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_rng = random.Random(33)
+# subnormal, tiny and huge x, the shift seams, and a log-uniform sweep of binary64
+_K_ONE_XS = (5e-324, 1e-320, 1e-310, 5.5e-309, 5.6e-309, 2.2250738585072014e-308, 1e-300,
+             1e-8, 9.999999999999998, 10.0, 10.000000000000002, 1e300, 1.7976931348623157e308,
+             *(10.0 ** _rng.uniform(-323.0, 308.0) for _ in range(400)),
+             *(_rng.uniform(0.0, 200.0) for _ in range(400)))
+
+
+def test_digamma_and_polygamma_are_psi_k_and_psi_k_m_at_k_one():
+    # one psi body: the classical functions are the k-functions at k = 1, bit
+    # for bit, and raise the same errors beyond binary64
+    for x in _K_ONE_XS:
+        assert _outcome(digamma, x) == _outcome(psi_k, 1.0, x), x
+    raised = 0
+    for m in range(1, 151):
+        for x in _K_ONE_XS[:13] + _K_ONE_XS[13 + m::7]:
+            outcome = _outcome(polygamma, m, x)
+            assert outcome == _outcome(psi_k_m, 1.0, m, x), (m, x)
+            raised += outcome.startswith("OverflowError")
+    assert _outcome(digamma, 5e-324).startswith("OverflowError") and raised > 1000
 
 
 @pytest.mark.parametrize("k", K_GRID)

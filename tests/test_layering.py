@@ -34,7 +34,7 @@ NEVER["studies"] = {"routes", "furdui", "oracles", "registry", "cli"}
 EVALUATOR_MODULES = ("scalar", "kcore", "beta", "hadamard", "oracles")
 # the evaluator kernels and their public wrappers
 KERNELS = {
-    "_digamma", "_polygamma_k", "_polygamma_edge",
+    "_polygamma_k", "_polygamma_edge",
     "_ln_gamma_k", "_gamma_k_pow", "_beta", "_beta_unit",
     "digamma", "psi_k", "lerch_one_diff", "polygamma", "psi_k_m", "rgamma", "gamma_k",
     "ln_gamma_k", "rgamma_k", "beta_k", "beta_k_deriv", "hadamard_k",
@@ -168,27 +168,28 @@ def test_call_table_reads_the_calls():
         == {"ln_gamma_k", "_gamma_k_pow"}
     assert not _top_level_users("hadamard", _calls_one_of({"_ln_gamma_k", "exp", "gamma"}))
     assert _top_level_users("kcore", _calls_one_of({"gamma", "exp"})) == {"_gamma_k_pow"}
-    assert _top_level_users("kcore", _calls_one_of({"_digamma"})) == {"psi_k"}
     assert _top_level_users("kcore", _calls_one_of({"_polygamma_k"})) == {"psi_k_m"}
     # beta_k_deriv sums the alternating series itself and reaches no polygamma kernel
     assert not _top_level_users("beta", _calls_one_of({"_polygamma_k", "_polygamma_plan"}))
     # the edge reruns the one kernel at a rescaled (k, x) and keeps no second copy of its sums
-    assert _top_level_users("scalar", _calls_one_of({"_polygamma_k"})) \
-        == {"polygamma", "_polygamma_edge"}
+    assert _top_level_users("scalar", _calls_one_of({"_polygamma_k"})) == {"_polygamma_edge"}
     assert _top_level_users("scalar", _calls_one_of({"_polygamma_edge"})) == {"_polygamma_k"}
     assert _top_level_users("scalar", _is_name("tails")) == {"_polygamma_plan", "_polygamma_k"}
     assert _top_level_users("scalar", _calls_one_of({"_times_powers"})) == {"_polygamma_edge"}
     assert _top_level_users("hadamard", _calls_one_of({"_beta_unit"})) == {"_h_base", "_h_far"}
     assert _top_level_users("beta", _calls_one_of({"_beta"})) == {"beta_k", "beta_k_deriv"}
-    # the classical 1/Gamma is the Gamma_k kernel at k = 1, as polygamma is the polygamma one
+    # the classical 1/Gamma, psi and psi^(m) are the k-functions at k = 1, and the
+    # digamma difference is two calls of psi_k
     assert _top_level_users("kcore", _calls_one_of({"rgamma_k"})) == {"rgamma"}
-    assert "rgamma" not in _top_level_users("scalar", lambda node: True)
+    assert _top_level_users("kcore", _calls_one_of({"psi_k"})) == {"digamma", "lerch_one_diff"}
+    assert _top_level_users("kcore", _calls_one_of({"psi_k_m"})) == {"polygamma"}
+    assert not {"rgamma", "digamma", "polygamma"} & _top_level_users("scalar", lambda node: True)
     # valid input skips one helper frame: beta_k reaches the one-pass kernel
     # itself, and gamma_k tests x > POLE_GUARD k before it calls the pole check
     assert _top_level_users("beta", _calls_one_of({"_beta_unit"})) == {"beta_k", "_beta"}
     assert _top_level_users("kcore", _calls_one_of({"_check_pole"})) == {"gamma_k"}
     # route independence: beta's one-pass psi difference reaches no digamma kernel
-    assert not _top_level_users("beta", _calls_one_of({"_digamma"}))
+    assert not _top_level_users("beta", _calls_one_of({"psi_k", "digamma"}))
 
 
 def test_only_kcore_calls_libm_gamma():
@@ -203,6 +204,28 @@ def test_beta_holds_no_continuation_below_zero():
     # to z <= 0 would meet the Gamma_k poles, and beta names none of them
     assert not _top_level_users("beta", lambda node: isinstance(node, ast.Name)
                                 and node.id in ("_check_pole", "PoleError"))
+
+
+def test_scalar_holds_no_evaluator():
+    # scalar keeps constants, argument rules and the polygamma kernel; no function
+    # there is public, and none takes the psi tail (_T1 .. _T7)
+    assert kspecfun.scalar.__all__ == ["CONSTANTS", "Constants"]
+    tail = {f"_T{i}" for i in range(1, 8)}
+    assert not _top_level_users("scalar", lambda node: isinstance(node, ast.Name)
+                                and node.id in tail) - {"<module>"}
+
+
+def _is_shift_to_ten(node):
+    # the upward psi shift: a while loop that runs until its argument reaches 10
+    return isinstance(node, ast.While) and any(
+        isinstance(c, ast.Constant) and c.value == 10.0 for c in ast.walk(node.test))
+
+
+def test_only_psi_k_holds_the_psi_shift():
+    # one psi body: digamma and lerch_one_diff take psi from psi_k at k = 1
+    users = {name: _top_level_users(name, _is_shift_to_ten)
+             for name in ("scalar", "kcore", "beta", "hadamard", "routes", "furdui", "studies")}
+    assert {name: found for name, found in users.items() if found} == {"kcore": {"psi_k"}}
 
 
 @pytest.mark.parametrize("name", ("scalar", "kcore", "beta"))

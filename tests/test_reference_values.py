@@ -40,7 +40,7 @@ from kspecfun import (
     zeta_int,
 )
 from kspecfun.routes import zeta_minus_1, zeta_tail
-from kspecfun.scalar import CONSTANTS
+from kspecfun.scalar import _T1, _T2, _T3, _T4, _T5, _T6, _T7, CONSTANTS
 
 mp.dps = 30
 
@@ -111,13 +111,41 @@ def test_digamma_stated_bound_on_a_seeded_map():
     assert errs[-1] > 1e-15
 
 
+def _psi_tail_form(x):
+    # digamma's own form for x >= 10 before it was psi_k at k = 1: ln x - 1/(2x)
+    # less the tail, where psi_k takes ln x + (-1/(2x) - tail)
+    v = 1.0 / (x * x)
+    p = ((((((_T7 * v + _T6) * v + _T5) * v + _T4) * v + _T3) * v + _T2) * v + _T1) * v
+    return 0.0 + math.log(x) - 0.5 / x - p
+
+
+def test_digamma_above_ten_moves_toward_mpmath():
+    # 20,000 x log-uniform in [10, 1e8]: where psi_k's far-field form and the
+    # earlier one differ, psi_k's is closer to mpmath more often than farther,
+    # and its worst error over the map is no larger
+    rng = random.Random(33)
+    closer = farther = 0
+    worst = worst_before = 0.0
+    with mpmath.workdps(40):
+        for x in (10.0 ** rng.uniform(1.0, 8.0) for _ in range(20000)):
+            ref = mpmath.digamma(x)
+            value, before = digamma(x), _psi_tail_form(x)
+            err, err_before = (float(abs((v - ref) / ref)) for v in (value, before))
+            closer += err < err_before
+            farther += err > err_before
+            worst, worst_before = max(worst, err), max(worst_before, err_before)
+    assert closer > farther > 1000
+    assert worst <= worst_before
+
+
 @pytest.mark.parametrize("x", [5e-324, 1e-310, 5.5e-309])
 def test_digamma_beyond_binary64_raises(x):
     # psi(x) = -1/x - gamma + O(x) is beyond binary64
     with mpmath.workdps(40):
         assert abs(mpmath.digamma(x)) > sys.float_info.max
-    with pytest.raises(OverflowError, match=r"^psi\(.*\) overflows binary64$"):
+    with pytest.raises(OverflowError) as info:
         digamma(x)
+    assert str(info.value) == f"psi_k({x}) overflows binary64 (k=1.0)"
 
 
 @pytest.mark.parametrize("a,b", [
@@ -195,6 +223,34 @@ def test_psi_k_m_accuracy_map(m):
                 ref = _psi_k_m_ref(k, m, x)
                 err = float(abs((psi_k_m(k, m, x) - ref) / ref))
                 assert err <= 6e-16, (k, u, err)
+
+
+# two points beyond the 6e-16 that psi_k_m's docstring stated before it stated 1e-15
+_PSI_K_M_NEEDLES = [(11.64197775860474, 12, 243.54708562485632),  # 6.21e-16
+                    (0.008906440872318955, 11, 0.11658063344095028)]  # 7.21e-16
+
+
+def test_psi_k_m_stated_bound_on_a_seeded_map():
+    # 1e-15 relative for m <= 12 and x/k in [1e-8, 1e15] at every k: k
+    # log-uniform in [e^-5, e^5], two thirds of u uniform in the shift region
+    # [1e-3, m + 12], where the error is largest, and a third log-uniform over
+    # the whole range, wherever the value is normal
+    rng = random.Random(11)
+    points = []
+    for i in range(6000):
+        m = rng.randint(1, 12)
+        k = math.exp(rng.uniform(-5.0, 5.0))
+        u = rng.uniform(1e-3, m + 12.0) if i % 3 else 10.0 ** rng.uniform(-8.0, 15.0)
+        points.append((k, m, u * k))
+    errs = []
+    with mpmath.workdps(40):
+        for k, m, x in points + _PSI_K_M_NEEDLES:
+            ref = _psi_k_m_ref(k, m, x)
+            if sys.float_info.min <= abs(ref) <= sys.float_info.max:
+                errs.append(float(abs((psi_k_m(k, m, x) - ref) / ref)))
+    assert len(errs) > 5900
+    assert max(errs) <= 1e-15
+    assert min(errs[-2:]) > 6e-16
 
 
 def _high_order_bound(m):
@@ -605,6 +661,26 @@ def test_beta_k_deriv_on_a_seeded_map_vs_mpmath():
     assert checked > 300
 
 
+def test_beta_k_deriv_stated_bound_on_a_seeded_map():
+    # 6 ulp for j <= 12, k in [1e-6, 1e6] and u in [1e-8, 1e15], wherever the value
+    # is normal, by the measure of the 400-point map above; the two needles were
+    # 5 ulp off where the docstring stated 4
+    rng = random.Random(2009)
+    points = [(10.0 ** rng.uniform(-6.0, 6.0), rng.randint(1, 12), 10.0 ** rng.uniform(-8.0, 15.0))
+              for _ in range(6000)]
+    points = [(k, j, u * k) for k, j, u in points]
+    points += [(0.832074025142674, 3, 11.183090398295281),
+               (2.6114560474452886, 11, 98.74110500888469)]
+    errs = []
+    for k, j, x in points:
+        ref = float(_beta_k_deriv_ref(k, j, x))
+        if sys.float_info.min <= abs(ref) <= sys.float_info.max:
+            errs.append(abs(beta_k_deriv(k, j, x) - ref) / math.ulp(ref))
+    assert len(errs) > 5900
+    assert max(errs) <= 6.0
+    assert errs[-2:] == [5.0, 5.0]
+
+
 @pytest.mark.parametrize("k,j,x", [(1.0, 1, 1e-155), (1.0, 2, 2e-103), (1e-300, 1, 1e-310)])
 def test_beta_k_deriv_beyond_binary64_raises(k, j, x):
     with mpmath.workdps(40):
@@ -836,6 +912,23 @@ def test_rgamma_accuracy_map():
                       for ref in [mpmath.rgamma(x)])
     assert errs[len(errs) // 2] <= 1.0
     assert errs[-1] <= 8.0
+
+
+def test_rgamma_where_libm_gamma_is_subnormal_vs_mpmath():
+    # x uniform in (-171.8, -170) where libm's Gamma(x) is subnormal and 1/Gamma(x)
+    # is a normal number: the reflection form of the Gamma_k kernel, within 8 ulp.
+    # The log form took these x before, at up to 1,541 ulp (916 at the needle)
+    rng = random.Random("rgamma-subnormal")
+    xs = [x for x in (rng.uniform(-171.8, -170.0) for _ in range(3400))
+          if abs(math.gamma(x)) < sys.float_info.min]
+    errs = []
+    with mpmath.workdps(40):
+        for x in xs + [-170.8924195333828]:
+            ref = mpmath.rgamma(x)
+            if abs(ref) <= sys.float_info.max:
+                errs.append(float(abs(rgamma(x) - ref)) / math.ulp(float(ref)))
+    assert len(errs) > 700
+    assert max(errs) <= 8.0
 
 
 @pytest.mark.parametrize("k,x", [(1e300, 1e-30), (1e200, 1e-130), (1.0, 5e-324), (1e10, 5e-324),
