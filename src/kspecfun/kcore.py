@@ -100,8 +100,8 @@ def _gamma_k_pow(k: float, x: float, p: int, c: float, what: str, at: float) -> 
     The product c k^(u-1) Gamma(u), or c over k^(u-1) Gamma(u), with u = x/k,
     wherever |u| < 171 and each factor, their product and the result are
     normal numbers.  For u in (-171.6, -170), where libm's Gamma(u) can be
-    subnormal, the same with 1/Gamma(u) = (sin(pi u)/pi) Gamma(-u) (-u) by
-    reflection, and k^(u-1) Gamma(u) formed as the quotient of k^(u-1) by it.
+    subnormal, the same with 1/Gamma_k(x) = (sin(pi u)/pi) (Gamma(-u)/k^(u-1)) (-u)
+    by reflection, Gamma(-u) divided by k^(u-1) before the product.
     Elsewhere exp(p ln|Gamma_k(x)| + ln|c|) with the sign of c Gamma(u).  A
     value beyond binary64 raises OverflowError for what(at); one below it
     underflows to 0.0.
@@ -123,11 +123,11 @@ def _gamma_k_pow(k: float, x: float, p: int, c: float, what: str, at: float) -> 
             scale = k ** (u - 1.0)
         except OverflowError:
             scale = 0.0
-        r = _sinpi(u) / math.pi * math.gamma(-u) * -u  # 1/Gamma(u); Gamma(-u) < 1.6e308
-        if _MIN_NORMAL <= scale and _MIN_NORMAL <= abs(r) < math.inf:
-            rprod = r / scale
-            if _MIN_NORMAL <= abs(rprod) < math.inf:
-                value = c * rprod if p < 0 else c / rprod
+        if _MIN_NORMAL <= scale:
+            # Gamma(-u) < 1.6e308 over k^(u-1) first: 1/Gamma(u) may be beyond binary64
+            r = _sinpi(u) / math.pi * (math.gamma(-u) / scale) * -u
+            if _MIN_NORMAL <= abs(r) < math.inf:
+                value = c * r if p < 0 else c / r
                 if _MIN_NORMAL <= abs(value) < math.inf:
                     return value
     log_value = p * _ln_gamma_k(k, x) + math.log(abs(c))

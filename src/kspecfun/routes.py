@@ -210,9 +210,7 @@ def lerch_alt(a: float) -> Estimate:
     head = 0.0
     n0 = 0
     if a <= 0.0:
-        n0 = int(math.ceil(-a))
-        if float(n0) + a <= 0.0:  # guard against ceil landing on the pole side
-            n0 += 1
+        n0 = int(math.ceil(-a))  # n0 + a is exact or at least 1/2, never <= 0
         for n in range(n0):
             head += (-1.0) ** n / (n + a)
     tail, err, used = _alt_recip_sum(a + n0)
@@ -224,59 +222,45 @@ def lerch_alt(a: float) -> Estimate:
     return Estimate(value, err, n0 + used)
 
 
-# below this k psi_k_series fails at once rather than stall (see its docstring)
-_PSI_SERIES_MIN_K = 2.0**-177
-
-
 def psi_k_series(k, x: float) -> Estimate:
     """Direct series route for psi_k, independent of :func:`psi_k`.
 
-    Sums (ln k - gamma)/k - 1/x + sum_{n>=1} x/(nk(nk+x)) with an
-    Euler-Maclaurin closed-form tail, so the route never touches the
-    digamma implementation.  Exists as a cross-check oracle.  It doubles
-    the direct terms until the error estimate is at most 1e-12 and raises
-    ConvergenceError where 2^16 terms do not reach that.  The rounding
-    part of the error estimate is at least 4 eps/k, so below about
-    k = 9e-4 it cannot meet 1e-12; below k = 2^-177 it raises DomainError
-    at once.  Where (nk)(nk + x) for the last direct term is beyond
-    binary64 (from k about 1e150 up at x of order k), the terms would
-    round to 0.0, and it raises DomainError.
+    Sums (ln k - gamma)/k - 1/x + sum_{n>=1} x/(nk(nk+x)) in one pass, the
+    terms n < 128 directly and the rest by an Euler-Maclaurin closed-form
+    tail, so the route never touches the digamma implementation.  Its error
+    estimate is the last tail term plus 8 eps times the magnitude of every
+    part; above 1e-12 max(1, |value|) (near a zero of psi_k at small k, where
+    the parts cancel) it raises ConvergenceError.  Where (nk)(nk + x) leaves
+    the normal range for some n <= 128 it raises DomainError.
     """
     k = k_value(k)
     x = _positive("psi_k_series", x)
-    if k < _PSI_SERIES_MIN_K:
-        raise DomainError(f"psi_k_series requires k >= 2^-177, got k={k}")
     n_direct = 128
-    while True:
-        u = n_direct * k
-        if u * (u + x) > _MAX_NORMAL:
-            raise DomainError(f"psi_k_series requires (nk)(nk + x) within binary64 for "
-                              f"n < {n_direct}, got k={k}, x={x}")
-        s = 0.0
-        for n in range(n_direct - 1, 0, -1):
-            nk = n * k
-            s += x / (nk * (nk + x))
-        # tail of sum [1/(nk) - 1/(nk+x)] from n = n_direct; the derivative
-        # terms in n_direct and n_direct + x/k, so that no power of k is formed
-        integral = math.log1p(x / u) / k
-        g0 = 1.0 / u - 1.0 / (u + x)
-        nv = n_direct + x / k
-        g1 = -(n_direct**-2 - nv**-2) / k
-        g3 = -6.0 * (n_direct**-4 - nv**-4) / k
-        g5 = -120.0 * (n_direct**-6 - nv**-6) / k
-        tail = integral + 0.5 * g0 - g1 / 12.0 + g3 / 720.0 - g5 / 30240.0
-        err = abs(g5) / 30240.0 + 8.0 * _EPS * (abs(s) + abs(tail) + 1.0 / x)
-        if err <= 1e-12 or n_direct >= 1 << 16:
-            value = (math.log(k) - CONSTANTS.euler_gamma) / k - 1.0 / x + s + tail
-            if err > 1e-12:
-                raise ConvergenceError(
-                    f"psi_k_series stalled at error {err:.3e} above 1e-12",
-                    value=value,
-                    error_estimate=err,
-                    terms_used=n_direct,
-                )
-            return Estimate(value, err, n_direct)
-        n_direct *= 2
+    u = n_direct * k
+    if not (_MIN_NORMAL <= k * (k + x) and u * (u + x) <= _MAX_NORMAL):
+        raise DomainError(f"psi_k_series requires (nk)(nk + x) within the normal range for "
+                          f"1 <= n <= {n_direct}, got k={k}, x={x}")
+    s = 0.0
+    for n in range(n_direct - 1, 0, -1):
+        nk = n * k
+        s += x / (nk * (nk + x))
+    # tail of sum [1/(nk) - 1/(nk+x)] from n = n_direct; the derivative
+    # terms in n_direct and n_direct + x/k, so that no power of k is formed
+    integral = math.log1p(x / u) / k
+    g0 = 1.0 / u - 1.0 / (u + x)
+    nv = n_direct + x / k
+    g1 = -(n_direct**-2 - nv**-2) / k
+    g3 = -6.0 * (n_direct**-4 - nv**-4) / k
+    g5 = -120.0 * (n_direct**-6 - nv**-6) / k
+    tail = integral + 0.5 * g0 - g1 / 12.0 + g3 / 720.0 - g5 / 30240.0
+    lead = (math.log(k) - CONSTANTS.euler_gamma) / k
+    value = lead - 1.0 / x + s + tail
+    err = abs(g5) / 30240.0 + 8.0 * _EPS * (abs(lead) + 1.0 / x + abs(s) + abs(tail))
+    # an inf part makes the target inf, which no estimate may meet
+    if not err <= 1e-12 * max(1.0, abs(value)) < math.inf:
+        raise ConvergenceError(f"psi_k_series error {err:.3e} exceeds 1e-12 max(1, |value|)",
+                               value=value, error_estimate=err, terms_used=n_direct)
+    return Estimate(value, err, n_direct)
 
 
 def psi_k_m_series(k, m: int, x: float) -> Estimate:
@@ -324,12 +308,18 @@ def beta_k_series(k, x: float) -> Estimate:
 
     Paired-term summation with the Laplace-representation tail; never
     touches the digamma reduction, so it serves as an independent
-    cross-check for :func:`beta_k`.
+    cross-check for :func:`beta_k`.  An x/k below the normal range raises
+    DomainError, and a value beyond binary64 OverflowError.
     """
     k = k_value(k)
     x = _positive("beta_k_series", x)
-    raw, raw_err, used = _alt_recip_sum(x / k)
+    u = x / k
+    if u < _MIN_NORMAL:
+        raise DomainError(f"beta_k_series requires x/k >= 2^-1022, got x={x}, k={k}")
+    raw, raw_err, used = _alt_recip_sum(u)
     value = raw / k
+    if value == math.inf:
+        raise _overflow_error("beta_k_series", x, k)
     err = raw_err / k + 4.0 * _EPS * abs(value)
     return Estimate(value, err, used)
 
@@ -339,13 +329,16 @@ def beta_k_integral(k, x: float) -> Estimate:
 
     For x < 1 the endpoint singularity is removed exactly by the
     substitution t = s^(1/x), which turns the integrand into
-    (1/x) / (1 + s^(k/x)).
+    (1/x) / (1 + s^(k/x)).  Where 1/x is beyond binary64 it raises
+    OverflowError: beta_k(x) > 1/(2x) is then at least 9e307.
     """
     k = k_value(k)
     x = _positive("beta_k_integral", x)
     if x < 1.0:
         p = k / x
         inv = 1.0 / x
+        if inv == math.inf:
+            raise _overflow_error("beta_k_integral", x, k)
         return adaptive_quad(lambda s: inv / (1.0 + s**p), 0.0, 1.0, 1e-9)
     return adaptive_quad(lambda t: t ** (x - 1.0) / (1.0 + t**k), 0.0, 1.0, 1e-9)
 

@@ -53,6 +53,14 @@ def test_beta_k_series_values():
     assert beta_k_series(1.0, 3.0).value == pytest.approx(LN2 - 0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("k,x", [(1e300, 1e-30), (1e10, 1e-300)])
+def test_beta_k_series_refuses_x_over_k_below_the_normal_range(k, x):
+    # beta_k is about 1/x there, but the first pair 1/(u(u + 1)) overflowed, and
+    # at x/k = 0.0 it raised ZeroDivisionError
+    with pytest.raises(DomainError, match=r"^beta_k_series requires x/k >= 2\^-1022"):
+        beta_k_series(k, x)
+
+
 def test_beta_k_integral_values():
     assert beta_k_integral(1.0, 1.0).value == pytest.approx(LN2, abs=1e-9)
     assert beta_k_integral(2.0, 1.0).value == pytest.approx(PI / 4.0, abs=1e-9)

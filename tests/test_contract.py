@@ -138,11 +138,7 @@ CROSS_CHECK_ROUTES = {
 }
 
 # (route, k) -> the u or m at which the call breaks the contract today
-CROSS_CHECK_KNOWN_VIOLATIONS = {
-    # inf where beta_k is beyond binary64, or a nan error estimate
-    ("beta_k_series", 5e-324): (0.7, 1.0, 2.5, 5.0),
-    ("beta_k_integral", 5e-324): (0.7, 1.0, 2.5, 5.0),
-}
+CROSS_CHECK_KNOWN_VIOLATIONS = {}
 
 
 def test_every_cross_check_route_keeps_the_contract_over_the_k_sweep():
@@ -154,4 +150,3 @@ def test_every_cross_check_route_keeps_the_contract_over_the_k_sweep():
         if _breaks(lambda: CROSS_CHECK_ROUTES[name][0](k, p), (DomainError, ConvergenceError)):
             broken.setdefault((name, k), []).append(p)
     assert broken == {key: list(params) for key, params in CROSS_CHECK_KNOWN_VIOLATIONS.items()}
-    assert sum(map(len, broken.values())) == 8

@@ -182,11 +182,13 @@ def test_beta_k_at_the_smallest_subnormal_overflows(k):
         beta_k(k, 5e-324)
 
 
-@pytest.mark.parametrize("k", (1e-60, 1e-100, 1e-300, 5e-324))
+@pytest.mark.parametrize("k", (2.0**-512, 1e-300, 5e-324))
 def test_psi_k_series_refuses_k_where_its_tail_underflows(k):
-    # the route cannot meet its 1e-12 there, and fails at once; it once ended
-    # there in a ZeroDivisionError from x/(nk (nk + x)) or (nk)^-6
-    with pytest.raises(DomainError, match=r"^psi_k_series requires k >= 2\^-177, got k="):
+    # k(k + x) = 2k^2 is below 2^-1022, so the first direct term's denominator leaves
+    # the normal range; the route once ended there in a ZeroDivisionError
+    # from x/(nk (nk + x)) or (nk)^-6
+    with pytest.raises(DomainError, match=r"^psi_k_series requires \(nk\)\(nk \+ x\) within "
+                                          r"the normal range for 1 <= n <= 128, got k="):
         psi_k_series(k, k)
 
 

@@ -37,6 +37,7 @@ from kspecfun import (
     rgamma_k,
     run_all,
     scalar,
+    studies,
     zeta_int,
 )
 from kspecfun.routes import zeta_minus_1, zeta_tail
@@ -471,7 +472,11 @@ def test_gauss_2f1_vs_mpmath(a, b, c, z):
     assert gauss_2f1(a, b, c, z).value == pytest.approx(ref, rel=1e-11, abs=1e-12)
 
 
-@pytest.mark.parametrize("a", [0.25, 1.0, 2.5, 17.0, -0.4, -2.3])
+# the last five just past a pole, the first of them by 1e-300 and the others
+# by an ulp: ceil(-a) + a is exact or at least 1/2, so the tail starts at a
+# positive argument
+@pytest.mark.parametrize("a", [0.25, 1.0, 2.5, 17.0, -0.4, -2.3, -1e-300, -(1.0 - 2.0**-53),
+                               -(1.0 + 2.0**-52), -(3.0 - 2.0**-51), -(40.0 + 2.0**-47)])
 def test_lerch_alt_vs_mpmath(a):
     ref = float(mpmath.lerchphi(-1, 1, a))
     assert lerch_alt(a).value == pytest.approx(ref, abs=1e-12, rel=1e-12)
@@ -559,6 +564,21 @@ def test_beta_k_and_hadamard_at_huge_k_vs_mpmath():
 def _psi_k_ref(k, x):
     k, x = mpmath.mpf(k), mpmath.mpf(x)
     return (mpmath.log(k) + mpmath.digamma(x / k)) / k
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e-10, 1e-60, 1e-100, 2.0**-511])
+def test_psi_k_series_at_small_k_vs_mpmath(k):
+    # one pass with a relative stop: at these k the route once stalled against an
+    # absolute 1e-12 (1e-3, 1e-10) or refused k below 2^-177; at 2^-511,
+    # k(k + x) is just inside the normal range
+    for u in studies.DEFAULT_UNITS:
+        x = u * k
+        est = kspecfun.psi_k_series(k, x)
+        with mpmath.workdps(40):
+            ref = float(_psi_k_ref(k, x))
+        assert est.terms_used == 128
+        assert abs(est.value - ref) <= 1e-15 * abs(ref), u
+        assert est.error_estimate <= 1e-12 * abs(ref), u
 
 
 @pytest.mark.parametrize("name,k,x", [
@@ -928,6 +948,26 @@ def test_rgamma_where_libm_gamma_is_subnormal_vs_mpmath():
             if abs(ref) <= sys.float_info.max:
                 errs.append(float(abs(rgamma(x) - ref)) / math.ulp(float(ref)))
     assert len(errs) > 700
+    assert max(errs) <= 8.0
+
+
+@pytest.mark.parametrize("k", [0.125, 0.5])
+def test_gamma_k_and_rgamma_k_in_the_reflection_band_vs_mpmath(k):
+    # u = x/k in (-171.6, -170), where Gamma_k(x) = k^(u-1) Gamma(u) is normal but
+    # 1/Gamma(u) can be beyond binary64: Gamma(-u) is divided by k^(u-1) before the
+    # reflection's product.  The log form took the points where 1/Gamma(u)
+    # overflowed, at up to 1,692 ulp on this map
+    rng = random.Random(f"reflection-band-{k}")
+    errs = []
+    with mpmath.workdps(40):
+        for _ in range(600):
+            x = rng.uniform(-171.6, -170.0) * k
+            u = mpmath.mpf(x) / k
+            ref = mpmath.mpf(k) ** (u - 1) * mpmath.gamma(u)
+            for fn, value in ((gamma_k, ref), (rgamma_k, 1 / ref)):
+                if sys.float_info.min <= abs(value) <= sys.float_info.max:
+                    errs.append(float(abs(fn(k, x) - value)) / math.ulp(float(value)))
+    assert len(errs) > 1000
     assert max(errs) <= 8.0
 
 
