@@ -6,7 +6,7 @@ Gamma_k(x) = k^(x/k - 1) Gamma(x/k) and psi_k(x) = (ln k + psi(x/k))/k.
 The classical functions are the k-functions at k = 1: 1/Gamma,
 :func:`rgamma`, is :func:`rgamma_k`; psi, :func:`digamma`, is :func:`psi_k`,
 which holds the one psi shift and tail; psi^(m), :func:`polygamma`, is
-:func:`psi_k_m`.  :func:`lerch_one_diff`, the digamma difference of THM4.4,
+:func:`psi_k_m`, which holds the one polygamma shift and Bernoulli tail.  :func:`lerch_one_diff`, the digamma difference of THM4.4,
 is two calls of :func:`psi_k` at k = 1.  The direct series routes that
 cross-check psi_k and psi_k^(m) live in :mod:`kspecfun.routes`.
 """
@@ -17,17 +17,19 @@ import math
 
 from .errors import DomainError, PoleError
 from .scalar import (
+    _BERNOULLI,
     _LN_MAX,
     _MAX_NORMAL,
     _MIN_NORMAL,
     CONSTANTS,
     _check_int,
+    _check_polygamma_order,
     _T1, _T2, _T3, _T4, _T5, _T6, _T7,
     _overflow_error,
-    _polygamma_k,
     _positive,
     _require_finite,
     _sinpi,
+    _times_powers,
 )
 
 __all__ = [
@@ -47,6 +49,8 @@ _TINY_U = 2.0**-26
 _STIRLING_U = 2.0**53
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _PI2_12 = math.pi**2 / 12.0  # zeta(2)/2
+# order m -> the plan of _polygamma_plan(m), filled on first use of m
+_POLYGAMMA_PLANS: dict[int, tuple] = {}
 
 
 def k_value(k) -> float:
@@ -266,19 +270,73 @@ def lerch_one_diff(a: float, b: float) -> float:
     return value
 
 
+def _polygamma_plan(m: int) -> tuple:
+    """Constants of the order-m polygamma kernel, built on first use of m.
+
+    (sign, 10 + m, m!, (m-1)!, m!/2, m, -(m+1), c_1, ..., c_10), with sign
+    (-1)^(m+1), the powers as floats and c_j = B_2j (2j+m-1)!/(2j)! the
+    coefficients of the Bernoulli tail.  The plan is kept in
+    ``_POLYGAMMA_PLANS``, which :func:`psi_k_m` reads first, so a warm
+    order costs no call.
+    """
+    _check_polygamma_order(m)
+    mf = float(math.factorial(m))
+    plan = (1.0 if m % 2 == 1 else -1.0, 10.0 + m, mf, float(math.factorial(m - 1)), 0.5 * mf,
+            float(m), -1.0 - m,
+            *(b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
+              for j, b2j in enumerate(_BERNOULLI, start=1)))
+    _POLYGAMMA_PLANS[m] = plan
+    return plan
+
+
+def _polygamma_edge(m: int, k: float, x: float) -> float:
+    """:func:`psi_k_m` where its sums leave the normal range, rerun at (k', x') = (k, x) 2^-e.
+
+    psi_{ck}^(m)(cx) = c^-(m+1) psi_k^(m)(x) is exact for c = 2^-e while ck
+    and cx stay normal.  In the far field e = floor((e_k + m e_x)/(m+1))
+    puts k' x'^m near 1; below it e centres log2 of m! n x'^-(m+1) (above
+    m! times every partial sum) and of y'^-(m+1) (below the smallest term)
+    in the exponent range, so the rerun returns a normal value and takes
+    no edge.  Two cases fit no scale and are truncated: x/k >= 2^70 (inf
+    included) gives (m-1)!/(k x^m), and a second shift term below 2^-64 of
+    the first gives m! x^-(m+1).  Returns +-inf where the value is beyond
+    binary64.
+    """
+    sign, threshold, mf, fm1 = _POLYGAMMA_PLANS[m][:4]
+    u = x / k
+    if u >= 2.0**70:
+        return sign * _times_powers(fm1, (k, -1), (x, -m))
+    if u >= threshold:
+        e = (math.frexp(k)[1] + m * math.frexp(x)[1]) // (m + 1)
+    elif (u / (u + 1.0)) ** (m + 1) < 2.0**-64:
+        return sign * _times_powers(mf, (x, -(m + 1)))
+    else:
+        n = math.ceil(threshold - u)
+        log_y = math.log2(k) + math.log2(u + n)
+        e = round((math.log2(x) + log_y - math.log2(mf * n) / (m + 1)) / 2.0)
+    value = psi_k_m(math.ldexp(k, -e), m, math.ldexp(x, -e))
+    try:
+        return math.ldexp(value, -e * (m + 1))
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def psi_k_m(k, m: int, x: float) -> float:
     """k-polygamma psi_k^(m)(x) = psi^(m)(x/k) / k^(m+1), 1 <= m <= 150, x > 0.
 
-    One kernel, :func:`scalar._polygamma_k`, works in x and k: it tests the
-    far field x >= (10 + m) k first, which needs no shift, sums
-    (x + ik)^-(m+1) below (10 + m) k, smallest term first, and closes with
-    the Bernoulli tail P(k/y) / (k y^m), with as many terms (at most ten,
-    down to 2^-60 of the leading one) as a per-order plan gives the binade
-    of y/k, so neither x/k nor k^(m+1) is rounded into the result;
-    :func:`polygamma` is this function at k = 1.  Where a partial result
-    leaves the normal range the same kernel runs at (k, x) 2^-e and the
-    value is scaled back by 2^-e(m+1) (:func:`scalar._polygamma_edge`), so
-    a large x gives a small or underflowing value, not an overflow.
+    Taken in x and k without forming psi^(m)(x/k) or k^(m+1), as
+    (-1)^(m+1) [m! sum (x + ik)^-(m+1) + P(k/y) / (k y^m)] (DLMF 5.15.8
+    scaled by k); :func:`polygamma` is this function at k = 1.  The far
+    field x >= (10 + m) k is tested first and takes no shift (y = x); below
+    it the shift runs over i = 0 .. n-1, n = ceil(10 + m - x/k), and
+    y = x + nk.  Each x + ik is formed directly and the shift is summed
+    from its smallest term.  The Bernoulli tail
+    P(v) = (m-1)! + m! v/2 + sum_{j<=10} c_j v^(2j) is one straight-line
+    Horner form in v^2 over all ten c_j of the order's plan, and m! is
+    applied once.  Where x/k overflows, or a shift term or k y^m leaves the
+    normal range, :func:`_polygamma_edge` runs the same function at
+    (k, x) 2^-e and scales the value back by 2^-e(m+1), so a large x gives
+    a small or underflowing value, not an overflow.
     For m <= 12 and x/k in [1e-8, 1e15] the error is at most 1e-15
     relative against mpmath at every k where the value is normal (the
     worst measured is 8.3e-16, in the shift region, over 90,000 seeded
@@ -296,7 +354,37 @@ def psi_k_m(k, m: int, x: float) -> float:
         k_value(k)
         _check_int("psi_k_m", "m", m, 1)
         _positive("psi_k_m", x)
-    value = _polygamma_k(m, k, x)
+    sign, threshold, mf, fm1, half_mf, order, power, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = \
+        _POLYGAMMA_PLANS.get(m) or _polygamma_plan(m)
+    u = x / k
+    s = 0.0
+    y = x
+    d = 0.0  # k y^m; left at 0.0, which takes the edge, where a sum leaves the normal range
+    try:
+        if threshold <= u <= _MAX_NORMAL:  # the far field, tested first, takes no shift
+            d = k * x**order
+        else:
+            n = math.ceil(threshold - u)  # n >= 1 shift terms; raises where x/k overflows
+            # x + ik for each i, not y += k, whose roundings would add up; and
+            # the smallest term first, so no rounding is taken at the largest
+            i = n - 1.0
+            s = (x + i * k) ** power
+            if s >= _MIN_NORMAL:  # the smallest shift term
+                while i > 0.0:
+                    i -= 1.0
+                    s += (x + i * k) ** power
+                y = x + n * k
+                d = k * y**order
+    except OverflowError:
+        pass
+    if _MIN_NORMAL <= d <= _MAX_NORMAL:
+        v = k / y
+        v2 = v * v
+        q = (((((((((c10 * v2 + c9) * v2 + c8) * v2 + c7) * v2 + c6) * v2 + c5) * v2 + c4)
+                * v2 + c3) * v2 + c2) * v2 + c1) * v2
+        value = sign * (mf * s + (fm1 + (half_mf * v + q)) / d)
+    else:
+        value = _polygamma_edge(m, k, x)
     if abs(value) > _MAX_NORMAL:
         raise _overflow_error(f"psi_k^({m})", x, k)
     return value

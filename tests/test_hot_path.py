@@ -1,8 +1,9 @@
 """The evaluators' hot paths against the loop and helper forms they inline, bit for bit.
 
 The seven-term psi tail is written out as straight-line Horner forms, psi_k
-holds the psi shift that a helper of its own took before, and beta_k takes
-its valid input past one helper frame.  Each reference below keeps the
+holds the psi shift that a helper of its own took before, psi_k_m holds the
+polygamma shift and its ten-term Bernoulli tail the same way, and beta_k
+takes its valid input past one helper frame.  Each reference below keeps the
 earlier form (the tail as a loop over ``scalar._DIGAMMA_TAIL``, the helper
 called), with the same operations in the same order, so every
 value must agree exactly: on a seeded table and at the floats next to each
@@ -17,10 +18,11 @@ import sys
 
 import pytest
 
-from kspecfun import PoleError, beta_k, digamma, gamma_k, hadamard_k, psi_k, rgamma_k
+from kspecfun import PoleError, beta_k, digamma, gamma_k, hadamard_k, psi_k, psi_k_m, rgamma_k
 from kspecfun.beta import _beta, _beta_unit
 from kspecfun.kcore import POLE_GUARD, _check_pole, _gamma_k_pow, _is_pole
 from kspecfun.scalar import _DIGAMMA_TAIL, _sinpi
+from test_scalar import _polygamma_kernel_per_call
 
 _MIN_NORMAL = sys.float_info.min
 # u = 10 and 20 end the digamma and beta shifts, 10 + m the polygamma shift;
@@ -174,3 +176,52 @@ def test_beta_k_is_its_kernel():
     # overflow raise stay in _beta
     for k, x in _TABLE:
         assert _outcome(beta_k, k, x) == _outcome(_beta, k, x), (k, x)
+
+
+def _python_calls(fn, *args):
+    """fn(*args) and the names of the Python functions it calls, as a profiler sees them."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        value = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return value, names[1:]  # the first call is fn itself
+
+
+def test_psi_k_m_is_its_kernel():
+    # psi_k_m runs its shift and ten-term tail in its own frame wherever
+    # every sum is normal: bit for bit the per-call loop of test_scalar,
+    # with no Python-level call once the order is warm; only the edge calls
+    # out, and there the loop's smallest shift term or k y^m is not normal
+    orders = range(1, 13)
+    for m in orders:
+        psi_k_m(1.0, m, 1.0)
+    seams = tuple(
+        (k, v * k) for k in _KS for m in orders
+        for v in (math.nextafter(10.0 + m, 0.0), 10.0 + m, math.nextafter(10.0 + m, math.inf)))
+    inline = 0
+    for i, (k, x) in enumerate(_TABLE[::7] + seams):
+        m = orders[i % len(orders)]
+        try:
+            value, calls = _python_calls(psi_k_m, k, m, x)
+        except OverflowError:
+            continue
+        if calls:
+            assert calls[0] == "_polygamma_edge", (k, m, x, calls)
+            n = math.ceil(10.0 + m - x / k) if x / k < 10.0 + m else 0
+            try:
+                smallest = (x + (n - 1.0) * k) ** (-1.0 - m) if n else 1.0
+                d = k * (x + n * k) ** float(m)
+            except OverflowError:
+                continue
+            assert not (_MIN_NORMAL <= smallest and _MIN_NORMAL <= d <= sys.float_info.max)
+        else:
+            inline += 1
+            assert value == _polygamma_kernel_per_call(m, x, k), (k, m, x)
+    assert inline > 3000

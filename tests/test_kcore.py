@@ -18,8 +18,8 @@ from kspecfun import (
     psi_k_m,
     psi_k_m_series,
     psi_k_series,
+    kcore,
     rgamma_k,
-    scalar,
 )
 from kspecfun.scalar import CONSTANTS
 
@@ -248,7 +248,7 @@ def test_the_polygamma_edge_never_nests(monkeypatch):
     # over the extreme grid above, each rescaled rerun of the kernel stays
     # on the normal range, so no edge call is made from inside another
     depth, deepest, calls = 0, 0, 0
-    edge = scalar._polygamma_edge
+    edge = kcore._polygamma_edge
 
     def spy(m, k, x):
         nonlocal depth, deepest, calls
@@ -259,7 +259,7 @@ def test_the_polygamma_edge_never_nests(monkeypatch):
         finally:
             depth -= 1
 
-    monkeypatch.setattr(scalar, "_polygamma_edge", spy)
+    monkeypatch.setattr(kcore, "_polygamma_edge", spy)
     test_psi_k_m_returns_a_value_or_the_documented_overflow()
     assert (calls, deepest) == (32235, 1)
 

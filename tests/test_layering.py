@@ -34,7 +34,7 @@ NEVER["studies"] = {"routes", "furdui", "oracles", "registry", "cli"}
 EVALUATOR_MODULES = ("scalar", "kcore", "beta", "hadamard", "oracles")
 # the evaluator kernels and their public wrappers
 KERNELS = {
-    "_polygamma_k", "_polygamma_edge",
+    "_polygamma_edge",
     "_ln_gamma_k", "_gamma_k_pow", "_beta", "_beta_unit",
     "digamma", "psi_k", "lerch_one_diff", "polygamma", "psi_k_m", "rgamma", "gamma_k",
     "ln_gamma_k", "rgamma_k", "beta_k", "beta_k_deriv", "hadamard_k",
@@ -168,21 +168,22 @@ def test_call_table_reads_the_calls():
         == {"ln_gamma_k", "_gamma_k_pow"}
     assert not _top_level_users("hadamard", _calls_one_of({"_ln_gamma_k", "exp", "gamma"}))
     assert _top_level_users("kcore", _calls_one_of({"gamma", "exp"})) == {"_gamma_k_pow"}
-    assert _top_level_users("kcore", _calls_one_of({"_polygamma_k"})) == {"psi_k_m"}
     # beta_k_deriv sums the alternating series itself and reaches no polygamma kernel
-    assert not _top_level_users("beta", _calls_one_of({"_polygamma_k", "_polygamma_plan"}))
-    # the edge reruns the one kernel at a rescaled (k, x) and keeps no second copy of its sums
-    assert _top_level_users("scalar", _calls_one_of({"_polygamma_k"})) == {"_polygamma_edge"}
-    assert _top_level_users("scalar", _calls_one_of({"_polygamma_edge"})) == {"_polygamma_k"}
-    assert _top_level_users("scalar", _is_name("tails")) == {"_polygamma_plan", "_polygamma_k"}
-    assert _top_level_users("scalar", _calls_one_of({"_times_powers"})) == {"_polygamma_edge"}
+    assert not _top_level_users("beta", _calls_one_of({"psi_k_m", "_polygamma_plan"}))
+    # psi_k_m holds the one shift and Bernoulli tail; the edge reruns it at a
+    # rescaled (k, x) and keeps no second copy of its sums
+    assert _top_level_users("kcore", _calls_one_of({"_polygamma_edge"})) == {"psi_k_m"}
+    assert _top_level_users("kcore", _calls_one_of({"_polygamma_plan"})) == {"psi_k_m"}
+    assert _top_level_users("kcore", _is_name("c10")) == {"psi_k_m"}
+    assert _top_level_users("kcore", _calls_one_of({"_times_powers"})) == {"_polygamma_edge"}
+    assert not _top_level_users("scalar", _calls_one_of({"_times_powers", "psi_k_m"}))
     assert _top_level_users("hadamard", _calls_one_of({"_beta_unit"})) == {"_h_base", "_h_far"}
     assert _top_level_users("beta", _calls_one_of({"_beta"})) == {"beta_k", "beta_k_deriv"}
     # the classical 1/Gamma, psi and psi^(m) are the k-functions at k = 1, and the
     # digamma difference is two calls of psi_k
     assert _top_level_users("kcore", _calls_one_of({"rgamma_k"})) == {"rgamma"}
     assert _top_level_users("kcore", _calls_one_of({"psi_k"})) == {"digamma", "lerch_one_diff"}
-    assert _top_level_users("kcore", _calls_one_of({"psi_k_m"})) == {"polygamma"}
+    assert _top_level_users("kcore", _calls_one_of({"psi_k_m"})) == {"polygamma", "_polygamma_edge"}
     assert not {"rgamma", "digamma", "polygamma"} & _top_level_users("scalar", lambda node: True)
     # valid input skips one helper frame: beta_k reaches the one-pass kernel
     # itself, and gamma_k tests x > POLE_GUARD k before it calls the pole check

@@ -25,6 +25,7 @@ from kspecfun import (
     gauss_2f1,
     hadamard,
     hadamard_k,
+    kcore,
     lerch_alt,
     lerch_one_diff,
     ln_gamma_k,
@@ -36,7 +37,6 @@ from kspecfun import (
     rgamma,
     rgamma_k,
     run_all,
-    scalar,
     studies,
     zeta_int,
 )
@@ -327,18 +327,18 @@ def test_psi_k_m_underflow_vs_mpmath():
 def edge_routes(monkeypatch):
     """One entry per call of the polygamma edge: "truncated", or "rescaled" for a rerun kernel."""
     routes = []
-    edge, times_powers = scalar._polygamma_edge, scalar._times_powers
+    edge, times_powers = kcore._polygamma_edge, kcore._times_powers
 
     def spy_edge(m, k, x):
         routes.append("rescaled")
         return edge(m, k, x)
 
     def spy_times_powers(*args):
-        routes[-1] = "truncated"  # in scalar only the edge's two truncations split powers
+        routes[-1] = "truncated"  # in kcore only the edge's two truncations split powers
         return times_powers(*args)
 
-    monkeypatch.setattr(scalar, "_polygamma_edge", spy_edge)
-    monkeypatch.setattr(scalar, "_times_powers", spy_times_powers)
+    monkeypatch.setattr(kcore, "_polygamma_edge", spy_edge)
+    monkeypatch.setattr(kcore, "_times_powers", spy_times_powers)
     return routes
 
 

@@ -138,24 +138,27 @@ def test_beta_k_and_hadamard_k_share_no_kernel_with_the_cross_check_routes(monke
 
 def test_psi_k_m_shares_no_kernel_with_the_series_route(monkeypatch):
     # psi_k_m_series (EQ1.3's rhs) and zeta_tail (THM3.4's lhs) close their
-    # sums with _em_power_tail; the polygamma kernel never reaches it, so
-    # every k-polygamma value that EQ1.3 and THM3.4 read on the default
-    # grid comes out the same with that tail refused
+    # sums with _em_power_tail; the polygamma kernel, psi_k_m itself, never
+    # reaches it, so every k-polygamma value that EQ1.3 and THM3.4 read on
+    # the default grid comes out the same with that tail refused.  The
+    # registry holds psi_k_m by reference, so its returns are read off a
+    # profiler rather than a patched name.
     calls = {}
-    real = scalar._polygamma_k
+    kernel = kcore.psi_k_m.__code__
 
-    def record(m, k, x):
-        value = real(m, k, x)
-        calls[identity_id].append((m, k, x, value))
-        return value
+    def record(frame, event, arg):
+        if event == "return" and frame.f_code is kernel and arg is not None:
+            args = frame.f_locals
+            calls[identity_id].append((args["m"], args["k"], args["x"], arg))
 
     furdui._thm34_sum.cache_clear()  # so that THM3.4 reaches polygamma
-    with monkeypatch.context() as patch:
-        for module in (scalar, kcore):
-            patch.setattr(module, "_polygamma_k", record)
-        for identity_id in ("EQ1.3", "THM3.4-corrected"):
-            calls[identity_id] = []
+    for identity_id in ("EQ1.3", "THM3.4-corrected"):
+        calls[identity_id] = []
+        sys.setprofile(record)
+        try:
             run_identity(identity_id)
+        finally:
+            sys.setprofile(None)
     assert all(calls.values())
 
     def refuse(*args):

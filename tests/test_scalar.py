@@ -20,7 +20,7 @@ from kspecfun import (
     zeta_int,
 )
 from kspecfun.oracles import adaptive_quad
-from kspecfun import routes, scalar
+from kspecfun import kcore, routes
 from kspecfun.scalar import CONSTANTS
 
 GAMMA = CONSTANTS.euler_gamma
@@ -184,9 +184,10 @@ _TABLE_XS = tuple(10 ** (-8 + 28 * i / 599) for i in range(600))  # [1e-8, 1e20]
 
 
 def _polygamma_kernel_per_call(m, x, k=1.0):
-    # the kernel's evaluation without the per-order table: every constant
-    # and the tail length recomputed on each call, the shift count taken
-    # before the far field is told apart, the same operations in the same order
+    # the kernel's evaluation without the per-order plan: every constant
+    # recomputed on each call, the shift count taken before the far field
+    # is told apart, the Bernoulli tail as a loop over all ten terms, the
+    # same operations in the same order
     mf = float(math.factorial(m))
     fm1 = float(math.factorial(m - 1))
     sign = 1.0 if m % 2 == 1 else -1.0
@@ -209,15 +210,9 @@ def _polygamma_kernel_per_call(m, x, k=1.0):
         b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
         for j, b2j in enumerate(_B2J, start=1)
     ]
-    # the tail stops where its next term is below 2^-60 (m-1)! anywhere in
-    # the binade of v, capped at v = 1/threshold
-    v2_max = min(2.0 ** math.frexp(v)[1], 1.0 / threshold) ** 2
-    terms = len(coeffs)
-    while terms and abs(coeffs[terms - 1]) * v2_max**terms < 2.0**-60 * fm1:
-        terms -= 1
     v2 = v * v
     q = 0.0
-    for c in reversed(coeffs[:terms]):
+    for c in reversed(coeffs):
         q = (q + c) * v2
     return sign * (mf * s + (fm1 + (0.5 * mf * v + q)) / d)
 
@@ -272,7 +267,7 @@ def test_polygamma_table_needs_no_factorials_once_warm(monkeypatch):
 
 def test_polygamma_table_is_keyed_on_order_only(monkeypatch):
     plans = {}
-    monkeypatch.setattr(scalar, "_POLYGAMMA_PLANS", plans)
+    monkeypatch.setattr(kcore, "_POLYGAMMA_PLANS", plans)
     orders = (1, 2, 6)
     for m in orders:
         for x in _TABLE_XS[::20]:
