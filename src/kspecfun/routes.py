@@ -231,7 +231,8 @@ def psi_k_series(k, x: float) -> Estimate:
     estimate is the last tail term plus 8 eps times the magnitude of every
     part; above 1e-12 max(1, |value|) (near a zero of psi_k at small k, where
     the parts cancel) it raises ConvergenceError.  Where (nk)(nk + x) leaves
-    the normal range for some n <= 128 it raises DomainError.
+    the normal range for some n <= 128 it raises DomainError, and where 1/x
+    is beyond binary64, and so psi_k, OverflowError.
     """
     k = k_value(k)
     x = _positive("psi_k_series", x)
@@ -240,13 +241,18 @@ def psi_k_series(k, x: float) -> Estimate:
     if not (_MIN_NORMAL <= k * (k + x) and u * (u + x) <= _MAX_NORMAL):
         raise DomainError(f"psi_k_series requires (nk)(nk + x) within the normal range for "
                           f"1 <= n <= {n_direct}, got k={k}, x={x}")
+    inv_x = 1.0 / x
+    if inv_x == math.inf:
+        raise _overflow_error("psi_k_series", x, k)
     s = 0.0
     for n in range(n_direct - 1, 0, -1):
         nk = n * k
         s += x / (nk * (nk + x))
     # tail of sum [1/(nk) - 1/(nk+x)] from n = n_direct; the derivative
     # terms in n_direct and n_direct + x/k, so that no power of k is formed
-    integral = math.log1p(x / u) / k
+    r = x / u
+    # ln(1 + x/u) as ln x - ln u + ln(1 + u/x) where x/u overflows
+    integral = (math.log1p(r) if r < math.inf else math.log(x) - math.log(u) + math.log1p(u / x)) / k
     g0 = 1.0 / u - 1.0 / (u + x)
     nv = n_direct + x / k
     g1 = -(n_direct**-2 - nv**-2) / k
@@ -254,8 +260,8 @@ def psi_k_series(k, x: float) -> Estimate:
     g5 = -120.0 * (n_direct**-6 - nv**-6) / k
     tail = integral + 0.5 * g0 - g1 / 12.0 + g3 / 720.0 - g5 / 30240.0
     lead = (math.log(k) - CONSTANTS.euler_gamma) / k
-    value = lead - 1.0 / x + s + tail
-    err = abs(g5) / 30240.0 + 8.0 * _EPS * (abs(lead) + 1.0 / x + abs(s) + abs(tail))
+    value = lead - inv_x + s + tail
+    err = abs(g5) / 30240.0 + 8.0 * _EPS * (abs(lead) + inv_x + abs(s) + abs(tail))
     # an inf part makes the target inf, which no estimate may meet
     if not err <= 1e-12 * max(1.0, abs(value)) < math.inf:
         raise ConvergenceError(f"psi_k_series error {err:.3e} exceeds 1e-12 max(1, |value|)",

@@ -581,6 +581,30 @@ def test_psi_k_series_at_small_k_vs_mpmath(k):
         assert est.error_estimate <= 1e-12 * abs(ref), u
 
 
+@pytest.mark.parametrize("k,x", [
+    (1e-300, 1e300), (1e-300, 1e20), (1e-250, 1e100), (1e-200, 1e200), (1e-100, 1.7e308),
+])
+def test_psi_k_series_where_x_over_128k_overflows_vs_mpmath(k, x):
+    # ln(1 + x/u) with u = 128k is taken without forming x/u, which once
+    # made the tail inf and the route raise ConvergenceError
+    assert x / (128.0 * k) == math.inf
+    est = kspecfun.psi_k_series(k, x)
+    with mpmath.workdps(40):
+        ref = float(_psi_k_ref(k, x))
+    assert abs(est.value - ref) <= est.error_estimate <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("k,x", [(1.0, 5.5e-309), (1.0, 5e-324), (3.0, 1e-309), (1e-150, 1e-309)])
+def test_psi_k_series_beyond_binary64_raises(k, x):
+    # -1/x is beyond binary64, and psi_k with it
+    with mpmath.workdps(40):
+        assert abs(_psi_k_ref(k, x)) > sys.float_info.max
+    with pytest.raises(OverflowError, match=r"^psi_k_series\(.*\) overflows binary64"):
+        kspecfun.psi_k_series(k, x)
+    with pytest.raises(OverflowError, match="overflows binary64"):
+        psi_k(k, x)
+
+
 @pytest.mark.parametrize("name,k,x", [
     ("psi_k", 1.7e308, 0.5),
     ("psi_k", 1e300, 1e-10),
