@@ -6,9 +6,11 @@ Gamma_k(x) = k^(x/k - 1) Gamma(x/k) and psi_k(x) = (ln k + psi(x/k))/k.
 The classical functions are the k-functions at k = 1: 1/Gamma,
 :func:`rgamma`, is :func:`rgamma_k`; psi, :func:`digamma`, is :func:`psi_k`,
 which holds the one psi shift and tail; psi^(m), :func:`polygamma`, is
-:func:`psi_k_m`, which holds the one polygamma shift and Bernoulli tail.  :func:`lerch_one_diff`, the digamma difference of THM4.4,
-is two calls of :func:`psi_k` at k = 1.  The direct series routes that
-cross-check psi_k and psi_k^(m) live in :mod:`kspecfun.routes`.
+:func:`psi_k_m`, which holds the one polygamma shift and its Bernoulli
+tails, ten terms in the far field and sixteen below it.
+:func:`lerch_one_diff`, the digamma difference of THM4.4, is two calls of
+:func:`psi_k` at k = 1.  The direct series routes that cross-check psi_k
+and psi_k^(m) live in :mod:`kspecfun.routes`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _PI2_12 = math.pi**2 / 12.0  # zeta(2)/2
 # order m -> the plan of _polygamma_plan(m), filled on first use of m
 _POLYGAMMA_PLANS: dict[int, tuple] = {}
+# order m -> (T_m, cut, c_11, ..., c_16), read only below the far field
+_POLYGAMMA_SHIFTS: dict[int, tuple] = {}
+# B_22 .. B_34 as (numerator, denominator): B_22 .. B_32 give the coefficients
+# c_11 .. c_16 of the tail below the far field, and B_34 the first term it drops
+_BERNOULLI_22_34 = ((854513, 138), (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+                    (8615841276005, 14322), (-7709321041217, 510), (2577687858367, 6))
 
 
 def k_value(k) -> float:
@@ -277,7 +285,13 @@ def _polygamma_plan(m: int) -> tuple:
     (-1)^(m+1), the powers as floats and c_j = B_2j (2j+m-1)!/(2j)! the
     coefficients of the Bernoulli tail.  The plan is kept in
     ``_POLYGAMMA_PLANS``, which :func:`psi_k_m` reads first, so a warm
-    order costs no call.
+    order costs no call.  Below the far field the kernel also reads
+    ``_POLYGAMMA_SHIFTS[m]`` = (T_m, cut, c_11, ..., c_16): T_m is the least
+    integer y with |c_17| y^-34 < 2^-58 (m-1)!, decided in exact integers, so
+    the first term that the sixteen-term tail drops is below 2^-58 of its
+    first; below cut = 1/(2^(64/(m+1)) - 1) the second shift term is below
+    2^-64 of the first.  c_11 .. c_16 are correctly rounded from the exact
+    B_22 .. B_32.
     """
     _check_polygamma_order(m)
     mf = float(math.factorial(m))
@@ -285,6 +299,15 @@ def _polygamma_plan(m: int) -> tuple:
             float(m), -1.0 - m,
             *(b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
               for j, b2j in enumerate(_BERNOULLI, start=1)))
+    *near, (p34, q34) = _BERNOULLI_22_34
+    dropped = abs(p34) * math.factorial(33 + m) << 58  # |c_17| 2^58 q34 34!
+    scale = q34 * math.factorial(34) * math.factorial(m - 1)
+    t = 1
+    while scale * t**34 <= dropped:
+        t += 1
+    _POLYGAMMA_SHIFTS[m] = (float(t), 1.0 / (2.0 ** (64 / (m + 1)) - 1.0),
+                            *(p * math.factorial(2 * j + m - 1) / (q * math.factorial(2 * j))
+                              for j, (p, q) in enumerate(near, start=11)))
     _POLYGAMMA_PLANS[m] = plan
     return plan
 
@@ -293,25 +316,27 @@ def _polygamma_edge(m: int, k: float, x: float) -> float:
     """:func:`psi_k_m` where its sums leave the normal range, rerun at (k', x') = (k, x) 2^-e.
 
     psi_{ck}^(m)(cx) = c^-(m+1) psi_k^(m)(x) is exact for c = 2^-e while ck
-    and cx stay normal.  In the far field e = floor((e_k + m e_x)/(m+1))
-    puts k' x'^m near 1; below it e centres log2 of m! n x'^-(m+1) (above
-    m! times every partial sum) and of y'^-(m+1) (below the smallest term)
-    in the exponent range, so the rerun returns a normal value and takes
-    no edge.  Two cases fit no scale and are truncated: x/k >= 2^70 (inf
-    included) gives (m-1)!/(k x^m), and a second shift term below 2^-64 of
-    the first gives m! x^-(m+1).  Returns +-inf where the value is beyond
-    binary64.
+    and cx stay normal.  From x/k >= T_m up, where the kernel takes no
+    shift, e = floor((e_k + m e_x)/(m+1)) puts k' x'^m near 1; below it e
+    centres log2 of m! n x'^-(m+1) (above m! times every partial sum) and of
+    y'^-(m+1) (below the smallest term) in the exponent range, so the rerun
+    returns a normal value and takes no edge.  Two cases fit no scale and
+    are truncated: x/k >= 2^70 (inf included) gives (m-1)!/(k x^m), and
+    x/k below the order's cut, where the second shift term is below 2^-64
+    of the first and :func:`psi_k_m` comes here by the same test, gives
+    m! x^-(m+1).  Returns +-inf where the value is beyond binary64.
     """
-    sign, threshold, mf, fm1 = _POLYGAMMA_PLANS[m][:4]
+    sign, _, mf, fm1 = _POLYGAMMA_PLANS[m][:4]
+    t, cut = _POLYGAMMA_SHIFTS[m][:2]
     u = x / k
     if u >= 2.0**70:
         return sign * _times_powers(fm1, (k, -1), (x, -m))
-    if u >= threshold:
+    if u >= t:
         e = (math.frexp(k)[1] + m * math.frexp(x)[1]) // (m + 1)
-    elif (u / (u + 1.0)) ** (m + 1) < 2.0**-64:
+    elif u < cut:
         return sign * _times_powers(mf, (x, -(m + 1)))
     else:
-        n = math.ceil(threshold - u)
+        n = math.ceil(t - u)
         log_y = math.log2(k) + math.log2(u + n)
         e = round((math.log2(x) + log_y - math.log2(mf * n) / (m + 1)) / 2.0)
     value = psi_k_m(math.ldexp(k, -e), m, math.ldexp(x, -e))
@@ -327,26 +352,32 @@ def psi_k_m(k, m: int, x: float) -> float:
     Taken in x and k without forming psi^(m)(x/k) or k^(m+1), as
     (-1)^(m+1) [m! sum (x + ik)^-(m+1) + P(k/y) / (k y^m)] (DLMF 5.15.8
     scaled by k); :func:`polygamma` is this function at k = 1.  The far
-    field x >= (10 + m) k is tested first and takes no shift (y = x); below
-    it the shift runs over i = 0 .. n-1, n = ceil(10 + m - x/k), and
-    y = x + nk.  Each x + ik is formed directly and the shift is summed
-    from its smallest term.  The Bernoulli tail
-    P(v) = (m-1)! + m! v/2 + sum_{j<=10} c_j v^(2j) is one straight-line
-    Horner form in v^2 over all ten c_j of the order's plan, and m! is
+    field x >= (10 + m) k is tested first and takes no shift (y = x), with
+    the ten-term tail P(v) = (m-1)! + m! v/2 + sum_{j<=10} c_j v^(2j), one
+    straight-line Horner form in v^2 over the c_j of the order's plan.
+    Below it the shift runs only up to the order's T_m (8 at m = 1, 15 at
+    m = 12, 89 at m = 150; never above 10 + m): over i = 0 .. n-1,
+    n = ceil(T_m - x/k), with y = x + nk, and not at all from x/k >= T_m
+    up.  Each x + ik is formed directly and the shift is summed from its
+    smallest term.  There the tail has sixteen terms: c_11 .. c_16 are
+    folded into c_10 by a six-step Horner head ahead of the same ten-step
+    form, and the first term dropped is below 2^-58 of (m-1)!.  m! is
     applied once.  Where x/k overflows, or a shift term or k y^m leaves the
     normal range, :func:`_polygamma_edge` runs the same function at
     (k, x) 2^-e and scales the value back by 2^-e(m+1), so a large x gives
-    a small or underflowing value, not an overflow.
+    a small or underflowing value, not an overflow; where x/k is below
+    the order's cut, so that the second shift term is below 2^-64 of the
+    first, the edge returns m! x^-(m+1).
     For m <= 12 and x/k in [1e-8, 1e15] the error is at most 1e-15
     relative against mpmath at every k where the value is normal (the
-    worst measured is 8.3e-16, in the shift region, over 90,000 seeded
+    worst measured is 6.5e-16, in the shift region, over 150,000 seeded
     points with k in [e^-5, e^5]): the sums at (k, x) 2^-e are those at
     (k, x) scaled exactly, so a range of k one binade wide covers every k.
     At k = 1 it is at most 1e-15 * max(|psi^(m)(x)|, 2.2e-308) for x in
     [1e-8, 1e300].  For 13 <= m <= 150 each rounded x + ik is raised to
     the power m + 1, and the error is at most (m + 1)/2 + 4 ulp for k in
-    [e^-5, e^5] and x/k in [0.5, 10 + m] (the worst measured is 44 ulp,
-    at m = 139 and x just below 1024).  Values below binary64 underflow to
+    [e^-5, e^5] and x/k in [0.5, 10 + m] (the worst measured is 21 ulp,
+    at m = 148 and x just below 2048).  Values below binary64 underflow to
     0.0; values beyond it raise OverflowError.
     """
     if not (0.0 < (k := float(k)) < math.inf and type(m) is int and m >= 1
@@ -363,23 +394,32 @@ def psi_k_m(k, m: int, x: float) -> float:
     try:
         if threshold <= u <= _MAX_NORMAL:  # the far field, tested first, takes no shift
             d = k * x**order
-        else:
-            n = math.ceil(threshold - u)  # n >= 1 shift terms; raises where x/k overflows
-            # x + ik for each i, not y += k, whose roundings would add up; and
-            # the smallest term first, so no rounding is taken at the largest
-            i = n - 1.0
-            s = (x + i * k) ** power
-            if s >= _MIN_NORMAL:  # the smallest shift term
-                while i > 0.0:
-                    i -= 1.0
-                    s += (x + i * k) ** power
-                y = x + n * k
-                d = k * y**order
+            v = k / x
+            v2 = v * v
+        elif u < threshold:  # below the far field; u = inf, where x/k overflows, takes the edge
+            t, cut, c11, c12, c13, c14, c15, c16 = _POLYGAMMA_SHIFTS[m]
+            if cut <= u:  # below cut the edge truncates after the first shift term
+                if u < t:  # n >= 1 shift terms up to y = x + nk >= T_m k
+                    n = math.ceil(t - u)
+                    # x + ik for each i, not y += k, whose roundings would add up; and
+                    # the smallest term first, so no rounding is taken at the largest
+                    i = n - 1.0
+                    s = (x + i * k) ** power
+                    if s >= _MIN_NORMAL:  # the smallest shift term
+                        while i > 0.0:
+                            i -= 1.0
+                            s += (x + i * k) ** power
+                        y = x + n * k
+                        d = k * y**order
+                else:
+                    d = k * x**order
+                v = k / y
+                v2 = v * v
+                # c_11 .. c_16 folded into c_10 ahead of the ten-term form
+                c10 += (((((c16 * v2 + c15) * v2 + c14) * v2 + c13) * v2 + c12) * v2 + c11) * v2
     except OverflowError:
         pass
     if _MIN_NORMAL <= d <= _MAX_NORMAL:
-        v = k / y
-        v2 = v * v
         q = (((((((((c10 * v2 + c9) * v2 + c8) * v2 + c7) * v2 + c6) * v2 + c5) * v2 + c4)
                 * v2 + c3) * v2 + c2) * v2 + c1) * v2
         value = sign * (mf * s + (fm1 + (half_mf * v + q)) / d)

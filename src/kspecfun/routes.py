@@ -335,17 +335,22 @@ def beta_k_integral(k, x: float) -> Estimate:
 
     For x < 1 the endpoint singularity is removed exactly by the
     substitution t = s^(1/x), which turns the integrand into
-    (1/x) / (1 + s^(k/x)).  Where 1/x is beyond binary64 it raises
-    OverflowError: beta_k(x) > 1/(2x) is then at least 9e307.
+    (1/x) / (1 + s^(k/x)).  Where 1/x is beyond binary64 the integral of
+    1/(1 + s^(k/x)), to the same 1e-9, is divided by x once, and a value
+    beyond binary64 raises OverflowError.
     """
     k = k_value(k)
     x = _positive("beta_k_integral", x)
     if x < 1.0:
         p = k / x
         inv = 1.0 / x
-        if inv == math.inf:
+        if inv < math.inf:
+            return adaptive_quad(lambda s: inv / (1.0 + s**p), 0.0, 1.0, 1e-9)
+        est = adaptive_quad(lambda s: 1.0 / (1.0 + s**p), 0.0, 1.0, 1e-9)
+        value = est.value / x
+        if value == math.inf:
             raise _overflow_error("beta_k_integral", x, k)
-        return adaptive_quad(lambda s: inv / (1.0 + s**p), 0.0, 1.0, 1e-9)
+        return Estimate(value, est.error_estimate / x, est.terms_used)
     return adaptive_quad(lambda t: t ** (x - 1.0) / (1.0 + t**k), 0.0, 1.0, 1e-9)
 
 

@@ -7,8 +7,9 @@ its Gamma_k, psi_k and psi_k^(m) at k = 1.  This module keeps what the
 layers above share: the argument checks, the one message for a value
 beyond binary64, the constants of the seven-term psi tail (written out as one
 straight-line Horner form over ``_T1`` .. ``_T7`` wherever it is taken, in
-``kcore.psi_k`` and ``beta._beta_unit``), the Bernoulli numbers and order
-limit of the polygamma tails, and :func:`_times_powers`, which rounds a
+``kcore.psi_k`` and ``beta._beta_unit``), the Bernoulli numbers B_2 .. B_20
+that the polygamma tails and the series routes share, the polygamma order
+limit, and :func:`_times_powers`, which rounds a
 product of powers into binary64 once.  The zeta family, the Gauss hypergeometric series
 and the alternating Lerch sum serve only the cross-check routes and live
 with them in :mod:`kspecfun.routes`; the ``Estimate`` record that those
@@ -139,8 +140,9 @@ _BERNOULLI = (
 )
 
 
-# Above order 150 the last Bernoulli coefficient overflows, so psi_k_m's
-# plans never number more than 150.
+# Above order 150 the last coefficient of psi_k_m's sixteen-term tail,
+# c_16 = B_32 (m+31)!/32!, overflows (2.1e306 at m = 150, beyond binary64
+# at 151), so its plans never number more than 150.
 _POLYGAMMA_MAX_ORDER = 150
 
 

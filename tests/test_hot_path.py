@@ -2,7 +2,7 @@
 
 The seven-term psi tail is written out as straight-line Horner forms, psi_k
 holds the psi shift that a helper of its own took before, psi_k_m holds the
-polygamma shift and its ten-term Bernoulli tail the same way, and beta_k
+polygamma shift and its Bernoulli tails the same way, and beta_k
 takes its valid input past one helper frame.  Each reference below keeps the
 earlier form (the tail as a loop over ``scalar._DIGAMMA_TAIL``, the helper
 called), with the same operations in the same order, so every
@@ -22,10 +22,10 @@ from kspecfun import PoleError, beta_k, digamma, gamma_k, hadamard_k, psi_k, psi
 from kspecfun.beta import _beta, _beta_unit
 from kspecfun.kcore import POLE_GUARD, _check_pole, _gamma_k_pow, _is_pole
 from kspecfun.scalar import _DIGAMMA_TAIL, _sinpi
-from test_scalar import _polygamma_kernel_per_call
+from test_scalar import _polygamma_kernel_per_call, shift_end, truncation_cut
 
 _MIN_NORMAL = sys.float_info.min
-# u = 10 and 20 end the digamma and beta shifts, 10 + m the polygamma shift;
+# u = 10 and 20 end the digamma and beta shifts, 10 + m the polygamma far field;
 # 2^53 and the least normal number bound beta_k's one-pass range
 _SEAMS = (10.0, 20.0, 2.0**53, _MIN_NORMAL) + tuple(10.0 + m for m in range(1, 13))
 _rng = random.Random(29)
@@ -195,16 +195,19 @@ def _python_calls(fn, *args):
 
 
 def test_psi_k_m_is_its_kernel():
-    # psi_k_m runs its shift and ten-term tail in its own frame wherever
+    # psi_k_m runs its shift and Bernoulli tail in its own frame wherever
     # every sum is normal: bit for bit the per-call loop of test_scalar,
     # with no Python-level call once the order is warm; only the edge calls
-    # out, and there the loop's smallest shift term or k y^m is not normal
+    # out, and there u is below the truncation cut, or the loop's smallest
+    # shift term or k y^m is not normal.  The seams are 10 + m, where the
+    # ten-term far field starts, and T_m, where the shift stops.
     orders = range(1, 13)
+    ends = {m: shift_end(m) for m in orders}
     for m in orders:
         psi_k_m(1.0, m, 1.0)
     seams = tuple(
-        (k, v * k) for k in _KS for m in orders
-        for v in (math.nextafter(10.0 + m, 0.0), 10.0 + m, math.nextafter(10.0 + m, math.inf)))
+        (k, v * k) for k in _KS for m in orders for s in (10.0 + m, float(ends[m]))
+        for v in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)))
     inline = 0
     for i, (k, x) in enumerate(_TABLE[::7] + seams):
         m = orders[i % len(orders)]
@@ -214,7 +217,10 @@ def test_psi_k_m_is_its_kernel():
             continue
         if calls:
             assert calls[0] == "_polygamma_edge", (k, m, x, calls)
-            n = math.ceil(10.0 + m - x / k) if x / k < 10.0 + m else 0
+            u = x / k
+            if u < truncation_cut(m):
+                continue
+            n = math.ceil(ends[m] - u) if u < ends[m] else 0
             try:
                 smallest = (x + (n - 1.0) * k) ** (-1.0 - m) if n else 1.0
                 d = k * (x + n * k) ** float(m)

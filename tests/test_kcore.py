@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,8 +21,11 @@ from kspecfun import (
     psi_k_series,
     kcore,
     rgamma_k,
+    routes,
+    scalar,
 )
 from kspecfun.scalar import CONSTANTS
+from test_scalar import bernoulli_numbers
 
 GAMMA = CONSTANTS.euler_gamma
 LN2 = math.log(2.0)
@@ -261,7 +265,36 @@ def test_the_polygamma_edge_never_nests(monkeypatch):
 
     monkeypatch.setattr(kcore, "_polygamma_edge", spy)
     test_psi_k_m_returns_a_value_or_the_documented_overflow()
-    assert (calls, deepest) == (32235, 1)
+    assert (calls, deepest) == (33652, 1)
+
+
+def test_polygamma_shift_plan_is_derived():
+    # below the far field psi_k_m shifts to T_m and closes with c_1 .. c_16;
+    # T_m, c_11 .. c_16 and the truncation cut are rebuilt here from B_22 .. B_34
+    # recomputed exactly, at every order up to the limit
+    b = bernoulli_numbers(34)
+    assert [Fraction(p, q) for p, q in kcore._BERNOULLI_22_34] == b[22::2]
+    ends = {}
+    for m in range(1, 151):
+        plan = kcore._POLYGAMMA_PLANS.get(m) or kcore._polygamma_plan(m)
+        t, cut, *near = kcore._POLYGAMMA_SHIFTS[m]
+        c = [b[2 * j] * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
+             for j in range(11, 18)]
+        assert near == [float(cj) for cj in c[:6]], m
+        assert all(math.isfinite(cj) for cj in plan[7:] + tuple(near)), m
+        # T_m is the least integer y where the first dropped term, |c_17| y^-34,
+        # is below 2^-58 of the first, (m-1)!
+        bound = Fraction(math.factorial(m - 1), 2**58)
+        assert t == int(t) and abs(c[6]) / Fraction(int(t)) ** 34 < bound, m
+        assert abs(c[6]) / Fraction(int(t) - 1) ** 34 >= bound, m
+        assert t <= 10 + m
+        # below cut the second shift term, (u/(u+1))^(m+1), is below 2^-64 of the first
+        assert cut < t and (cut / (cut + 1.0)) ** (m + 1) == pytest.approx(2.0**-64, rel=1e-12)
+        ends[m] = int(t)
+    assert [ends[m] for m in range(1, 7)] == [8, 8, 9, 10, 10, 11]
+    assert (ends[12], ends[150]) == (15, 89)
+    # c_11 .. c_16 stay out of the shared ten-term tuple that the series route enumerates
+    assert len(scalar._BERNOULLI) == 10 and len(routes._EM_COEFFS) == 10
 
 
 def test_psi_k_m_domain():

@@ -215,7 +215,7 @@ _PSI_K_M_MAP_U = tuple(10 ** (e / 4) for e in range(-32, 61))  # [1e-8, 1e15]
 @pytest.mark.parametrize("m", range(1, 13))
 def test_psi_k_m_accuracy_map(m):
     # the bound stated in psi_k_m's docstring; the worst point of the map
-    # is 4.4e-16 (m = 8, k = pi, u = 17.8), where the per-call form that
+    # is 3.8e-16 (m = 3, k = 1, u = 3.2), where the per-call form that
     # divided psi^(m)(x/k) by k^(m+1) reached 1.3e-15 (m = 12, k = 10)
     with mpmath.workdps(40):
         for k in _PSI_K_M_MAP_K:
@@ -226,9 +226,11 @@ def test_psi_k_m_accuracy_map(m):
                 assert err <= 6e-16, (k, u, err)
 
 
-# two points beyond the 6e-16 that psi_k_m's docstring stated before it stated 1e-15
-_PSI_K_M_NEEDLES = [(11.64197775860474, 12, 243.54708562485632),  # 6.21e-16
-                    (0.008906440872318955, 11, 0.11658063344095028)]  # 7.21e-16
+# two points beyond the 6e-16 that psi_k_m's docstring stated before it stated
+# 1e-15, the worst of a seeded search (seed 101, 150,000 points: k and u as in
+# the map below, half of them with x just below a power of two)
+_PSI_K_M_NEEDLES = [(4.536820177973738, 12, 63.965478813706845),  # 6.52e-16
+                    (0.009817053717849118, 12, 0.1422507118558088)]  # 6.45e-16
 
 
 def test_psi_k_m_stated_bound_on_a_seeded_map():
@@ -261,19 +263,21 @@ def _high_order_bound(m):
 
 
 # adversarial points for the bound, x just below a power of two, where every
-# x + ik rounds in the binade above x: 44.3 ulp for psi_k_m and 36.1 for
-# polygamma, and 11.0 ulp at order 24
-_HIGH_ORDER_NEEDLES = [(7.057285037608823, 139, 1021.9024945147584),
-                       (7.600728209681166, 141, 1023.9267185361215),
-                       (0.5396612191082113, 26, 15.737654144270325),
-                       (1.0, 118, 127.1235855769756), (1.0, 24, 31.967025275825453)]
+# x + ik rounds in the binade above x: the worst of a seeded search (seeds 201
+# and 202, 70,000 points at orders 13 to 150, half of them with x just below
+# 2^e; seed 203, 12,000 at orders 13 to 30), 21.1 and 20.4 ulp for psi_k_m,
+# 19.6 and 19.2 for polygamma, and 7.3 ulp at order 26
+_HIGH_ORDER_NEEDLES = [(23.66869052699211, 148, 2047.674446187659),
+                       (0.39675352143639525, 135, 31.981688959323026),
+                       (1.0, 104, 63.93900887084771), (1.0, 112, 63.96130668241519),
+                       (0.09755070999618763, 26, 1.9999667683498872)]
 
 
 def test_psi_k_m_and_polygamma_of_orders_13_to_150_on_a_seeded_sample():
     # k log-uniform in [e^-5, e^5], u uniform in [0.5, 9 + m], against mpmath at
     # 60 digits wherever the value is normal; polygamma is the same draw at k = 1.
-    # The worst sample point is psi_k_m(0.11995694993619879, 127, 15.991903857290302),
-    # 29.5 ulp
+    # The worst sample point is 8.7 ulp; psi_k_m(0.11995694993619879, 127,
+    # 15.991903857290302), 29.5 ulp while the shift ran to 10 + m, is 0.5
     rng = random.Random(7)
     points = _HIGH_ORDER_NEEDLES[:]
     for _ in range(300):
@@ -291,7 +295,7 @@ def test_psi_k_m_and_polygamma_of_orders_13_to_150_on_a_seeded_sample():
             err = float(abs(got - ref)) / math.ulp(float(ref))
             assert err <= _high_order_bound(m), (k, m, x, err)
             worst = max(worst, err)
-    assert worst > 29.0
+    assert worst > 21.0
 
 
 def _psi_k_m_ref(k, m, x):
@@ -392,10 +396,11 @@ def _cut_window(u):
 
 @pytest.mark.parametrize("k,m,cut", [
     # a second shift term 2^-64 of the first, (u/(u+1))^(m+1) = 2^-64; the
-    # smallest shift term is subnormal at these k
+    # smallest shift term is subnormal at these k (at order 150 from k = 2 up,
+    # since the shift stops at T_150 = 89)
     (2.0**532, 1, 1.0 / (2.0**32 - 1.0)),
     (2.0**75, 12, 1.0 / (2.0 ** (64 / 13) - 1.0)),
-    (1.0, 150, 1.0 / (2.0 ** (64 / 151) - 1.0)),
+    (2.0, 150, 1.0 / (2.0 ** (64 / 151) - 1.0)),
     # u = 2^70; k y^m leaves the normal range and (m-1)! brings the value back
     (2.0**15, 12, 2.0**70),
     (2.0**-60, 150, 2.0**70),
@@ -426,7 +431,8 @@ def test_psi_k_m_at_u_zero_and_u_inf_vs_mpmath(edge_routes, k, m, x):
 
 
 def test_polygamma_of_order_150_at_one_takes_the_edge(edge_routes):
-    # psi^(150)(1) = 150! zeta(151); the smallest shift term is subnormal at k = 1
+    # psi^(150)(1) = 150! zeta(151); u = 1 is below the truncation cut, 2.93 at
+    # order 150, so the kernel hands it to the edge before it shifts
     value = polygamma(150, 1.0)
     assert edge_routes == ["truncated"]
     with mpmath.workdps(40):
@@ -664,6 +670,26 @@ def _beta_k_ref(k, x):
 ])
 def test_beta_k_by_scaling_vs_mpmath(k, x):
     assert beta_k(k, x) == pytest.approx(float(_beta_k_ref(k, x)), rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("k,x", [(5e-309, 5e-309), (1e-310, 4e-309), (4e-309, 5.5e-309),
+                                 (5e-324, 2.9e-309)])
+def test_beta_k_integral_where_one_over_x_is_beyond_binary64_vs_mpmath(k, x):
+    # 1/x is inf and beta_k is not: the route integrates 1/(1 + s^(k/x)) and
+    # divides by x once, where it once raised "overflows binary64"
+    assert 1.0 / x == math.inf
+    est = kspecfun.beta_k_integral(k, x)
+    ref = float(_beta_k_ref(k, x))
+    assert abs(est.value - ref) <= est.error_estimate <= 1e-9 / x  # the quadrature's 1e-9, over x
+    assert beta_k(k, x) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+def test_beta_k_integral_beyond_binary64_raises():
+    k, x = 2e-309, 3e-309
+    assert _beta_k_ref(k, x) > sys.float_info.max  # 2.15e308
+    for fn in (kspecfun.beta_k_integral, beta_k):
+        with pytest.raises(OverflowError, match="overflows binary64"):
+            fn(k, x)
 
 
 def _beta_k_deriv_ref(k, j, x):
