@@ -29,6 +29,9 @@ __all__ = [
     "beta_k_deriv",
 ]
 
+_BETA_FAR = 51.0  # U_beta: from here up _beta_unit's psi tails take five terms
+
+
 def beta_k(k, x: float) -> float:
     """beta_k(x) = beta(x/k)/k for x > 0, with beta(u) = (psi((u+1)/2) - psi(u/2))/2.
 
@@ -73,7 +76,12 @@ def _beta_unit(u: float) -> float:
     u -> u + 2, taken until u >= 20 (at most 10 steps).  There the
     asymptotic series of psi gives
     psi(a) - psi(b) = ln(1 + 1/u) + 1/u - 1/(u+1) - (P(a) - P(b)), with
-    P(z) = sum B_2n/(2n z^2n) in straight-line Horner form over ``scalar._T1`` .. ``_T7``.
+    P(z) = sum B_2n/(2n z^2n) in straight-line Horner form: over ``scalar._T1``
+    .. ``_T7`` below U_beta = 51 (``_BETA_FAR``), and over _T1 .. _T5 from
+    there up.  U_beta is the least integer u with
+    |B_12/12| (b^-12 - a^-12)/2 < 2^-58/(2u), and beta(u) > 1/(2u), so from
+    there the first difference that the five-term tails drop is below 2^-58
+    of the value.
     """
     acc = 0.0
     while u < 20.0:
@@ -83,8 +91,12 @@ def _beta_unit(u: float) -> float:
     a = b + 0.5
     va = 1.0 / (a * a)
     vb = 1.0 / (b * b)
-    pa = ((((((_T7 * va + _T6) * va + _T5) * va + _T4) * va + _T3) * va + _T2) * va + _T1) * va
-    pb = ((((((_T7 * vb + _T6) * vb + _T5) * vb + _T4) * vb + _T3) * vb + _T2) * vb + _T1) * vb
+    if u < _BETA_FAR:
+        pa = ((((((_T7 * va + _T6) * va + _T5) * va + _T4) * va + _T3) * va + _T2) * va + _T1) * va
+        pb = ((((((_T7 * vb + _T6) * vb + _T5) * vb + _T4) * vb + _T3) * vb + _T2) * vb + _T1) * vb
+    else:
+        pa = ((((_T5 * va + _T4) * va + _T3) * va + _T2) * va + _T1) * va
+        pb = ((((_T5 * vb + _T4) * vb + _T3) * vb + _T2) * vb + _T1) * vb
     return acc + 0.5 * (math.log1p(1.0 / u) + 1.0 / (u * (u + 1.0)) - (pa - pb))
 
 

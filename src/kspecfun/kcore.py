@@ -7,7 +7,7 @@ The classical functions are the k-functions at k = 1: 1/Gamma,
 :func:`rgamma`, is :func:`rgamma_k`; psi, :func:`digamma`, is :func:`psi_k`,
 which holds the one psi shift and tail; psi^(m), :func:`polygamma`, is
 :func:`psi_k_m`, which holds the one polygamma shift and its Bernoulli
-tails, ten terms in the far field and sixteen below it.
+tails, six terms in the far field and sixteen below it.
 :func:`lerch_one_diff`, the digamma difference of THM4.4, is two calls of
 :func:`psi_k` at k = 1.  The direct series routes that cross-check psi_k
 and psi_k^(m) live in :mod:`kspecfun.routes`.
@@ -53,7 +53,7 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _PI2_12 = math.pi**2 / 12.0  # zeta(2)/2
 # order m -> the plan of _polygamma_plan(m), filled on first use of m
 _POLYGAMMA_PLANS: dict[int, tuple] = {}
-# order m -> (T_m, cut, c_11, ..., c_16), read only below the far field
+# order m -> (T_m, cut, c_7, ..., c_16), read only below the far field
 _POLYGAMMA_SHIFTS: dict[int, tuple] = {}
 # B_22 .. B_34 as (numerator, denominator): B_22 .. B_32 give the coefficients
 # c_11 .. c_16 of the tail below the far field, and B_34 the first term it drops
@@ -278,34 +278,52 @@ def lerch_one_diff(a: float, b: float) -> float:
     return value
 
 
+def _least_root(num: int, den: int, p: int) -> int:
+    """The least integer y with num < den y^p, for positive integers num and den.
+
+    A float p-th root seeds y within one of the answer; the exact integer
+    tests at y and at y - 1 then decide it.
+    """
+    y = math.ceil((num / den) ** (1.0 / p))
+    while num >= den * y**p:
+        y += 1
+    while num < den * (y - 1) ** p:
+        y -= 1
+    return y
+
+
 def _polygamma_plan(m: int) -> tuple:
     """Constants of the order-m polygamma kernel, built on first use of m.
 
-    (sign, 10 + m, m!, (m-1)!, m!/2, m, -(m+1), c_1, ..., c_10), with sign
+    (sign, F_m, m!, (m-1)!, m!/2, m, -(m+1), c_1, ..., c_6), with sign
     (-1)^(m+1), the powers as floats and c_j = B_2j (2j+m-1)!/(2j)! the
-    coefficients of the Bernoulli tail.  The plan is kept in
-    ``_POLYGAMMA_PLANS``, which :func:`psi_k_m` reads first, so a warm
-    order costs no call.  Below the far field the kernel also reads
-    ``_POLYGAMMA_SHIFTS[m]`` = (T_m, cut, c_11, ..., c_16): T_m is the least
-    integer y with |c_17| y^-34 < 2^-58 (m-1)!, decided in exact integers, so
-    the first term that the sixteen-term tail drops is below 2^-58 of its
-    first; below cut = 1/(2^(64/(m+1)) - 1) the second shift term is below
-    2^-64 of the first.  c_11 .. c_16 are correctly rounded from the exact
+    coefficients of the Bernoulli tail.  F_m, where the far field starts,
+    is the least integer y with |c_7| y^-14 < 2^-58 (m-1)!: from there the
+    first term that the six-term tail drops is below 2^-58 of its first
+    (18, 22, 26, 29, 32, 35 at m = 1 .. 6, 54 at m = 12, 463 at m = 150).
+    The plan is kept in ``_POLYGAMMA_PLANS``, which :func:`psi_k_m` reads
+    first, so a warm order costs no call.  Below the far field the kernel
+    also reads ``_POLYGAMMA_SHIFTS[m]`` = (T_m, cut, c_7, ..., c_16): T_m is
+    the least integer y with |c_17| y^-34 < 2^-58 (m-1)!, so the first term
+    that the sixteen-term tail drops is below 2^-58 of its first; below
+    cut = 1/(2^(64/(m+1)) - 1) the second shift term is below 2^-64 of the
+    first.  F_m and T_m are decided in exact integers by
+    :func:`_least_root`.  c_11 .. c_16 are correctly rounded from the exact
     B_22 .. B_32.
     """
     _check_polygamma_order(m)
     mf = float(math.factorial(m))
-    plan = (1.0 if m % 2 == 1 else -1.0, 10.0 + m, mf, float(math.factorial(m - 1)), 0.5 * mf,
-            float(m), -1.0 - m,
-            *(b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
-              for j, b2j in enumerate(_BERNOULLI, start=1)))
+    fm1 = math.factorial(m - 1)
+    coeffs = tuple(b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
+                   for j, b2j in enumerate(_BERNOULLI, start=1))
+    # |c_7| y^-14 < 2^-58 (m-1)! as 7 (13+m)! 2^58 < 6 14! (m-1)! y^14, with B_14 = 7/6
+    far = _least_root(7 * math.factorial(13 + m) << 58, 6 * math.factorial(14) * fm1, 14)
+    plan = (1.0 if m % 2 == 1 else -1.0, float(far), mf, float(fm1), 0.5 * mf,
+            float(m), -1.0 - m, *coeffs[:6])
     *near, (p34, q34) = _BERNOULLI_22_34
-    dropped = abs(p34) * math.factorial(33 + m) << 58  # |c_17| 2^58 q34 34!
-    scale = q34 * math.factorial(34) * math.factorial(m - 1)
-    t = 1
-    while scale * t**34 <= dropped:
-        t += 1
-    _POLYGAMMA_SHIFTS[m] = (float(t), 1.0 / (2.0 ** (64 / (m + 1)) - 1.0),
+    # |c_17| y^-34 < 2^-58 (m-1)! as |p_34| (33+m)! 2^58 < q_34 34! (m-1)! y^34
+    t = _least_root(abs(p34) * math.factorial(33 + m) << 58, q34 * math.factorial(34) * fm1, 34)
+    _POLYGAMMA_SHIFTS[m] = (float(t), 1.0 / (2.0 ** (64 / (m + 1)) - 1.0), *coeffs[6:],
                             *(p * math.factorial(2 * j + m - 1) / (q * math.factorial(2 * j))
                               for j, (p, q) in enumerate(near, start=11)))
     _POLYGAMMA_PLANS[m] = plan
@@ -352,15 +370,17 @@ def psi_k_m(k, m: int, x: float) -> float:
     Taken in x and k without forming psi^(m)(x/k) or k^(m+1), as
     (-1)^(m+1) [m! sum (x + ik)^-(m+1) + P(k/y) / (k y^m)] (DLMF 5.15.8
     scaled by k); :func:`polygamma` is this function at k = 1.  The far
-    field x >= (10 + m) k is tested first and takes no shift (y = x), with
-    the ten-term tail P(v) = (m-1)! + m! v/2 + sum_{j<=10} c_j v^(2j), one
-    straight-line Horner form in v^2 over the c_j of the order's plan.
+    field x >= F_m k is tested first and takes no shift (y = x), with the
+    six-term tail P(v) = (m-1)! + m! v/2 + sum_{j<=6} c_j v^(2j), one
+    straight-line Horner form in v^2 over the c_j of the order's plan; F_m
+    (18 at m = 1, 35 at m = 6, 54 at m = 12, 463 at m = 150) is the least
+    integer from which the first term it drops is below 2^-58 of (m-1)!.
     Below it the shift runs only up to the order's T_m (8 at m = 1, 15 at
     m = 12, 89 at m = 150; never above 10 + m): over i = 0 .. n-1,
     n = ceil(T_m - x/k), with y = x + nk, and not at all from x/k >= T_m
-    up.  Each x + ik is formed directly and the shift is summed from its
-    smallest term.  There the tail has sixteen terms: c_11 .. c_16 are
-    folded into c_10 by a six-step Horner head ahead of the same ten-step
+    up to F_m.  Each x + ik is formed directly and the shift is summed from
+    its smallest term.  There the tail has sixteen terms: c_7 .. c_16 are
+    folded into c_6 by a ten-step Horner head ahead of the same six-step
     form, and the first term dropped is below 2^-58 of (m-1)!.  m! is
     applied once.  Where x/k overflows, or a shift term or k y^m leaves the
     normal range, :func:`_polygamma_edge` runs the same function at
@@ -376,16 +396,17 @@ def psi_k_m(k, m: int, x: float) -> float:
     At k = 1 it is at most 1e-15 * max(|psi^(m)(x)|, 2.2e-308) for x in
     [1e-8, 1e300].  For 13 <= m <= 150 each rounded x + ik is raised to
     the power m + 1, and the error is at most (m + 1)/2 + 4 ulp for k in
-    [e^-5, e^5] and x/k in [0.5, 10 + m] (the worst measured is 21 ulp,
-    at m = 148 and x just below 2048).  Values below binary64 underflow to
-    0.0; values beyond it raise OverflowError.
+    [e^-5, e^5] and x/k in [0.5, 4 F_m], which holds the shift region,
+    the band from 10 + m to F_m and the far field above it (the worst
+    measured is 21 ulp, at m = 148 and x just below 2048).  Values below
+    binary64 underflow to 0.0; values beyond it raise OverflowError.
     """
     if not (0.0 < (k := float(k)) < math.inf and type(m) is int and m >= 1
             and 0.0 < (x := float(x)) < math.inf):
         k_value(k)
         _check_int("psi_k_m", "m", m, 1)
         _positive("psi_k_m", x)
-    sign, threshold, mf, fm1, half_mf, order, power, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = \
+    sign, threshold, mf, fm1, half_mf, order, power, c1, c2, c3, c4, c5, c6 = \
         _POLYGAMMA_PLANS.get(m) or _polygamma_plan(m)
     u = x / k
     s = 0.0
@@ -397,7 +418,7 @@ def psi_k_m(k, m: int, x: float) -> float:
             v = k / x
             v2 = v * v
         elif u < threshold:  # below the far field; u = inf, where x/k overflows, takes the edge
-            t, cut, c11, c12, c13, c14, c15, c16 = _POLYGAMMA_SHIFTS[m]
+            t, cut, c7, c8, c9, c10, c11, c12, c13, c14, c15, c16 = _POLYGAMMA_SHIFTS[m]
             if cut <= u:  # below cut the edge truncates after the first shift term
                 if u < t:  # n >= 1 shift terms up to y = x + nk >= T_m k
                     n = math.ceil(t - u)
@@ -415,13 +436,13 @@ def psi_k_m(k, m: int, x: float) -> float:
                     d = k * x**order
                 v = k / y
                 v2 = v * v
-                # c_11 .. c_16 folded into c_10 ahead of the ten-term form
-                c10 += (((((c16 * v2 + c15) * v2 + c14) * v2 + c13) * v2 + c12) * v2 + c11) * v2
+                # c_7 .. c_16 folded into c_6 ahead of the six-term form
+                c6 += (((((((((c16 * v2 + c15) * v2 + c14) * v2 + c13) * v2 + c12) * v2 + c11)
+                          * v2 + c10) * v2 + c9) * v2 + c8) * v2 + c7) * v2
     except OverflowError:
         pass
     if _MIN_NORMAL <= d <= _MAX_NORMAL:
-        q = (((((((((c10 * v2 + c9) * v2 + c8) * v2 + c7) * v2 + c6) * v2 + c5) * v2 + c4)
-                * v2 + c3) * v2 + c2) * v2 + c1) * v2
+        q = (((((c6 * v2 + c5) * v2 + c4) * v2 + c3) * v2 + c2) * v2 + c1) * v2
         value = sign * (mf * s + (fm1 + (half_mf * v + q)) / d)
     else:
         value = _polygamma_edge(m, k, x)

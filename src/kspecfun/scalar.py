@@ -5,9 +5,10 @@ function here is public.  Gamma, psi and their derivatives are evaluated in
 :mod:`kspecfun.kcore`, whose ``rgamma``, ``digamma`` and ``polygamma`` are
 its Gamma_k, psi_k and psi_k^(m) at k = 1.  This module keeps what the
 layers above share: the argument checks, the one message for a value
-beyond binary64, the constants of the seven-term psi tail (written out as one
-straight-line Horner form over ``_T1`` .. ``_T7`` wherever it is taken, in
-``kcore.psi_k`` and ``beta._beta_unit``), the Bernoulli numbers B_2 .. B_20
+beyond binary64, the constants of the psi tail (written out as straight-line
+Horner forms over ``_T1`` .. ``_T7`` wherever it is taken: seven terms in
+``kcore.psi_k``, and in ``beta._beta_unit`` seven below U_beta = 51 and five
+from there), the Bernoulli numbers B_2 .. B_20
 that the polygamma tails and the series routes share, the polygamma order
 limit, and :func:`_times_powers`, which rounds a
 product of powers into binary64 once.  The zeta family, the Gauss hypergeometric series

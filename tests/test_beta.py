@@ -1,6 +1,7 @@
 """Tests for the Nielsen k-beta function and its representations."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,9 @@ from kspecfun import (
     get_entry,
     psi_k_m,
 )
+from kspecfun.beta import _BETA_FAR
 from kspecfun.routes import _taylor_coeffs
+from kspecfun.scalar import _DIGAMMA_TAIL
 
 LN2 = math.log(2.0)
 PI = math.pi
@@ -103,6 +106,25 @@ def test_beta_k_deriv_values():
         beta_k_deriv(1.0, -1, 1.0)
     with pytest.raises(DomainError, match="^polygamma orders above 150 are not supported, got 151$"):
         beta_k_deriv(1.0, 151, 1.0)
+
+
+def test_beta_unit_far_field_is_derived():
+    # U_beta is the least integer u where the first difference that _beta_unit's
+    # five-term psi tails drop, |B_12/12| (b^-12 - a^-12)/2 with b = u/2 and
+    # a = b + 1/2, is below 2^-58/(2u), itself below 2^-58 beta(u) since
+    # beta(u) > 1/(2u); decided here in exact arithmetic
+    t6 = Fraction(-691, 32760)  # B_12/12
+    assert float(t6) == _DIGAMMA_TAIL[5]
+
+    def dropped_is_below(u):
+        b = Fraction(u, 2)
+        a = b + Fraction(1, 2)
+        return abs(t6) * (b**-12 - a**-12) / 2 < Fraction(1, 2**59 * u)
+
+    assert _BETA_FAR == 51.0
+    assert dropped_is_below(51) and not dropped_is_below(50)
+    # beta(u) > 1/(2u), so the bound is below 2^-58 of the value
+    assert all(beta_k(1.0, u) > 0.5 / u for u in (20.0, 50.5, 51.0, 1e4))
 
 
 @pytest.mark.parametrize("k", (1e-3, 0.5, 1.0, 3.0, 1e3))

@@ -1,6 +1,7 @@
 """The evaluators' hot paths against the loop and helper forms they inline, bit for bit.
 
-The seven-term psi tail is written out as straight-line Horner forms, psi_k
+The psi tail, seven terms and five in beta's far field, is written out as
+straight-line Horner forms, psi_k
 holds the psi shift that a helper of its own took before, psi_k_m holds the
 polygamma shift and its Bernoulli tails the same way, and beta_k
 takes its valid input past one helper frame.  Each reference below keeps the
@@ -19,22 +20,25 @@ import sys
 import pytest
 
 from kspecfun import PoleError, beta_k, digamma, gamma_k, hadamard_k, psi_k, psi_k_m, rgamma_k
-from kspecfun.beta import _beta, _beta_unit
+from kspecfun.beta import _BETA_FAR, _beta, _beta_unit
 from kspecfun.kcore import POLE_GUARD, _check_pole, _gamma_k_pow, _is_pole
 from kspecfun.scalar import _DIGAMMA_TAIL, _sinpi
-from test_scalar import _polygamma_kernel_per_call, shift_end, truncation_cut
+from test_scalar import _polygamma_kernel_per_call, far_end, shift_end, truncation_cut
 
 _MIN_NORMAL = sys.float_info.min
-# u = 10 and 20 end the digamma and beta shifts, 10 + m the polygamma far field;
-# 2^53 and the least normal number bound beta_k's one-pass range
-_SEAMS = (10.0, 20.0, 2.0**53, _MIN_NORMAL) + tuple(10.0 + m for m in range(1, 13))
+# u = 10 and 20 end the digamma and beta shifts, U_beta = 51 beta's seven-term
+# tails, 10 + m the polygamma far field before F_m; 2^53 and the least normal
+# number bound beta_k's one-pass range
+_SEAMS = (10.0, 20.0, _BETA_FAR, 2.0**53, _MIN_NORMAL) + tuple(10.0 + m for m in range(1, 13))
 _rng = random.Random(29)
 # a tail's last bits reach a result only in part, so the table is dense where
-# they reach it most: u in [1, 40], on both sides of the seams 10 and 20
+# they reach it most: u in [1, 40], on both sides of the seams 10 and 20, and
+# u in [40, 70], on both sides of U_beta
 _UNITS = tuple(sorted(
     [v for s in _SEAMS for v in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf))]
     + [math.exp(_rng.uniform(-25.0, 40.0)) for _ in range(1000)]
-    + [_rng.uniform(1.0, 40.0) for _ in range(3000)]))
+    + [_rng.uniform(1.0, 40.0) for _ in range(3000)]
+    + [_rng.uniform(40.0, 70.0) for _ in range(500)]))
 _KS = (1e-300, 1e-30, 0.01, 0.37, 1.0, 10.0, 1e30, 1e300)
 _TABLE = tuple((k, x) for k in _KS for u in _UNITS if 0.0 < (x := u * k) < math.inf)
 # digamma near its zero 1.4616..., and psi_k near its zero x = e^(1/(2u)) for
@@ -44,9 +48,9 @@ _PSI_K_ZERO = tuple((x / u, x) for u in (_rng.uniform(10.0, 20.0) for _ in range
                     for x in [math.exp(0.5 / u)])
 
 
-def _tail_loop(v):
+def _tail_loop(v, terms=7):
     p = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
+    for c in reversed(_DIGAMMA_TAIL[:terms]):
         p = (p + c) * v
     return p
 
@@ -77,7 +81,8 @@ def _beta_unit_loop(u):
         u += 2.0
     b = 0.5 * u
     a = b + 0.5
-    pa, pb = _tail_loop(1.0 / (a * a)), _tail_loop(1.0 / (b * b))
+    terms = 5 if u >= _BETA_FAR else 7  # the first two terms from U_beta up
+    pa, pb = _tail_loop(1.0 / (a * a), terms), _tail_loop(1.0 / (b * b), terms)
     return acc + 0.5 * (math.log1p(1.0 / u) + 1.0 / (u * (u + 1.0)) - (pa - pb))
 
 
@@ -199,18 +204,20 @@ def test_psi_k_m_is_its_kernel():
     # every sum is normal: bit for bit the per-call loop of test_scalar,
     # with no Python-level call once the order is warm; only the edge calls
     # out, and there u is below the truncation cut, or the loop's smallest
-    # shift term or k y^m is not normal.  The seams are 10 + m, where the
-    # ten-term far field starts, and T_m, where the shift stops.
+    # shift term or k y^m is not normal.  The seams, each at its own order,
+    # are F_m, where the six-term far field starts, T_m, where the shift
+    # stops, and 10 + m between them.
     orders = range(1, 13)
     ends = {m: shift_end(m) for m in orders}
     for m in orders:
         psi_k_m(1.0, m, 1.0)
+    table = tuple((k, orders[i % len(orders)], x) for i, (k, x) in enumerate(_TABLE[::7]))
     seams = tuple(
-        (k, v * k) for k in _KS for m in orders for s in (10.0 + m, float(ends[m]))
+        (k, m, v * k) for k in _KS for m in orders
+        for s in (float(far_end(m)), 10.0 + m, float(ends[m]))
         for v in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)))
     inline = 0
-    for i, (k, x) in enumerate(_TABLE[::7] + seams):
-        m = orders[i % len(orders)]
+    for k, m, x in table + seams:
         try:
             value, calls = _python_calls(psi_k_m, k, m, x)
         except OverflowError:

@@ -269,32 +269,54 @@ def test_the_polygamma_edge_never_nests(monkeypatch):
 
 
 def test_polygamma_shift_plan_is_derived():
-    # below the far field psi_k_m shifts to T_m and closes with c_1 .. c_16;
-    # T_m, c_11 .. c_16 and the truncation cut are rebuilt here from B_22 .. B_34
-    # recomputed exactly, at every order up to the limit
+    # the far field starts at F_m and closes with c_1 .. c_6; below it psi_k_m
+    # shifts to T_m and closes with c_1 .. c_16.  F_m, T_m, c_7 .. c_16 and the
+    # truncation cut are rebuilt here, F_m from B_14 and T_m and c_11 .. c_16 from
+    # B_22 .. B_34 recomputed exactly, at every order up to the limit
     b = bernoulli_numbers(34)
     assert [Fraction(p, q) for p, q in kcore._BERNOULLI_22_34] == b[22::2]
-    ends = {}
+    assert Fraction(scalar._BERNOULLI[6]).limit_denominator(10) == b[14]
+    fars, ends = {}, {}
     for m in range(1, 151):
         plan = kcore._POLYGAMMA_PLANS.get(m) or kcore._polygamma_plan(m)
+        f, coeffs = plan[1], plan[7:]
         t, cut, *near = kcore._POLYGAMMA_SHIFTS[m]
+        # c_1 .. c_10 as the parent formed them, from the binary64 B_2 .. B_20
+        mid = [b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
+               for j, b2j in enumerate(scalar._BERNOULLI, start=1)]
         c = [b[2 * j] * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
-             for j in range(11, 18)]
-        assert near == [float(cj) for cj in c[:6]], m
-        assert all(math.isfinite(cj) for cj in plan[7:] + tuple(near)), m
-        # T_m is the least integer y where the first dropped term, |c_17| y^-34,
-        # is below 2^-58 of the first, (m-1)!
+             for j in range(7, 18)]
+        assert list(coeffs) == mid[:6] and near[:4] == mid[6:], m
+        assert near[4:] == [float(cj) for cj in c[4:10]], m
+        assert all(math.isfinite(cj) for cj in coeffs + tuple(near)), m
         bound = Fraction(math.factorial(m - 1), 2**58)
-        assert t == int(t) and abs(c[6]) / Fraction(int(t)) ** 34 < bound, m
-        assert abs(c[6]) / Fraction(int(t) - 1) ** 34 >= bound, m
-        assert t <= 10 + m
+        # F_m is the least integer y where the first term that the far field's
+        # six-term tail drops, |c_7| y^-14, is below 2^-58 of the first, (m-1)!
+        assert f == int(f) and abs(c[0]) / Fraction(int(f)) ** 14 < bound, m
+        assert abs(c[0]) / Fraction(int(f) - 1) ** 14 >= bound, m
+        # T_m is the least integer y where the sixteen-term tail's first dropped
+        # term, |c_17| y^-34, is below 2^-58 of the first
+        assert t == int(t) and abs(c[10]) / Fraction(int(t)) ** 34 < bound, m
+        assert abs(c[10]) / Fraction(int(t) - 1) ** 34 >= bound, m
+        assert t <= 10 + m < f
         # below cut the second shift term, (u/(u+1))^(m+1), is below 2^-64 of the first
         assert cut < t and (cut / (cut + 1.0)) ** (m + 1) == pytest.approx(2.0**-64, rel=1e-12)
-        ends[m] = int(t)
+        fars[m], ends[m] = int(f), int(t)
+    assert [fars[m] for m in range(1, 7)] == [18, 22, 26, 29, 32, 35]
+    assert (fars[12], fars[150]) == (54, 463)
     assert [ends[m] for m in range(1, 7)] == [8, 8, 9, 10, 10, 11]
     assert (ends[12], ends[150]) == (15, 89)
     # c_11 .. c_16 stay out of the shared ten-term tuple that the series route enumerates
     assert len(scalar._BERNOULLI) == 10 and len(routes._EM_COEFFS) == 10
+
+
+def test_least_root_decides_at_the_float_seed():
+    # the seed is the float root rounded up, and the exact tests at y and y - 1
+    # decide it, also where the float root lands next to an integer
+    for num, den, p in ((1, 1, 14), (2**14, 1, 14), (2**14 + 1, 1, 14), (2**14 - 1, 1, 14),
+                        (3**34, 1, 34), (3**34 - 1, 1, 34), (7, 6, 14), (10**60, 3, 34)):
+        y = kcore._least_root(num, den, p)
+        assert num < den * y**p and (y == 1 or num >= den * (y - 1) ** p), (num, den, p)
 
 
 def test_psi_k_m_domain():

@@ -41,7 +41,9 @@ from kspecfun import (
     zeta_int,
 )
 from kspecfun.routes import zeta_minus_1, zeta_tail
+from kspecfun.beta import _BETA_FAR
 from kspecfun.scalar import _T1, _T2, _T3, _T4, _T5, _T6, _T7, CONSTANTS
+from test_scalar import far_end
 
 mp.dps = 30
 
@@ -233,11 +235,28 @@ _PSI_K_M_NEEDLES = [(4.536820177973738, 12, 63.965478813706845),  # 6.52e-16
                     (0.009817053717849118, 12, 0.1422507118558088)]  # 6.45e-16
 
 
+def _far_field_band(rng, orders, n):
+    # n points with u = x/k uniform in [10 + m, 4 F_m]: the sixteen-term tail
+    # runs unshifted up to F_m and the six-term far field from there; and the
+    # floats around F_m, at k = 1 and at a k log-uniform in [e^-5, e^5]
+    points = []
+    for _ in range(n):
+        m = rng.choice(orders)
+        k = math.exp(rng.uniform(-5.0, 5.0))
+        points.append((k, m, rng.uniform(10.0 + m, 4.0 * far_end(m)) * k))
+    for m in orders:
+        f = float(far_end(m))
+        for k in (1.0, math.exp(rng.uniform(-5.0, 5.0))):
+            points += [(k, m, v * k) for v in (math.nextafter(f, 0.0), f, math.nextafter(f, 99.0 * f))]
+    return points
+
+
 def test_psi_k_m_stated_bound_on_a_seeded_map():
     # 1e-15 relative for m <= 12 and x/k in [1e-8, 1e15] at every k: k
     # log-uniform in [e^-5, e^5], two thirds of u uniform in the shift region
     # [1e-3, m + 12], where the error is largest, and a third log-uniform over
-    # the whole range, wherever the value is normal
+    # the whole range, wherever the value is normal; then 1,500 points in the
+    # band [10 + m, 4 F_m] and the seams at F_m
     rng = random.Random(11)
     points = []
     for i in range(6000):
@@ -245,13 +264,14 @@ def test_psi_k_m_stated_bound_on_a_seeded_map():
         k = math.exp(rng.uniform(-5.0, 5.0))
         u = rng.uniform(1e-3, m + 12.0) if i % 3 else 10.0 ** rng.uniform(-8.0, 15.0)
         points.append((k, m, u * k))
+    band = _far_field_band(random.Random(12), range(1, 13), 1500)
     errs = []
     with mpmath.workdps(40):
-        for k, m, x in points + _PSI_K_M_NEEDLES:
+        for k, m, x in points + band + _PSI_K_M_NEEDLES:
             ref = _psi_k_m_ref(k, m, x)
             if sys.float_info.min <= abs(ref) <= sys.float_info.max:
                 errs.append(float(abs((psi_k_m(k, m, x) - ref) / ref)))
-    assert len(errs) > 5900
+    assert len(errs) > 7400
     assert max(errs) <= 1e-15
     assert min(errs[-2:]) > 6e-16
 
@@ -277,7 +297,9 @@ def test_psi_k_m_and_polygamma_of_orders_13_to_150_on_a_seeded_sample():
     # k log-uniform in [e^-5, e^5], u uniform in [0.5, 9 + m], against mpmath at
     # 60 digits wherever the value is normal; polygamma is the same draw at k = 1.
     # The worst sample point is 8.7 ulp; psi_k_m(0.11995694993619879, 127,
-    # 15.991903857290302), 29.5 ulp while the shift ran to 10 + m, is 0.5
+    # 15.991903857290302), 29.5 ulp while the shift ran to 10 + m, is 0.5.
+    # Then 150 points in the band [10 + m, 4 F_m] and the seams at F_m of a
+    # few orders, k = 1 among them
     rng = random.Random(7)
     points = _HIGH_ORDER_NEEDLES[:]
     for _ in range(300):
@@ -285,6 +307,7 @@ def test_psi_k_m_and_polygamma_of_orders_13_to_150_on_a_seeded_sample():
         k = math.exp(rng.uniform(-5.0, 5.0))
         u = rng.uniform(0.5, 9.0 + m)
         points += [(k, m, u * k), (1.0, m, u)]
+    points += _far_field_band(random.Random(8), (13, 20, 40, 80, 120, 150), 150)
     worst = 0.0
     with mpmath.workdps(60):
         for k, m, x in points:
@@ -670,6 +693,36 @@ def _beta_k_ref(k, x):
 ])
 def test_beta_k_by_scaling_vs_mpmath(k, x):
     assert beta_k(k, x) == pytest.approx(float(_beta_k_ref(k, x)), rel=4e-16, abs=0.0)
+
+
+def test_beta_k_stated_bound_on_a_seeded_map():
+    # beta(u) = beta_k(1, u) within 6e-16 relative for u in [1e-8, 1e15], and
+    # beta_k(k, x) one rounding more for the division by k: a third of u
+    # log-uniform over the whole range, the rest in [20, 1e4], where _beta_unit
+    # takes its tails unshifted (seven terms up to U_beta = 51, five from there),
+    # half of it log-uniform and half uniform in [20, 120]; and the floats around
+    # U_beta and 20; k log-uniform in [e^-5, e^5]
+    rng = random.Random(13)
+    units = []
+    for i in range(3000):
+        if i % 3 == 0:
+            units.append(10.0 ** rng.uniform(-8.0, 15.0))
+        elif i % 3 == 1:
+            units.append(10.0 ** rng.uniform(math.log10(20.0), 4.0))
+        else:
+            units.append(rng.uniform(20.0, 120.0))
+    for s in (20.0, _BETA_FAR):
+        units += [math.nextafter(s, 0.0), s, math.nextafter(s, 99.0 * s)]
+    worst = 0.0
+    for u in units:
+        ref = _beta_k_ref(1.0, u)
+        err = float(abs((beta_k(1.0, u) - ref) / ref))
+        assert err <= 6e-16, (u, err)
+        worst = max(worst, err)
+        k = math.exp(rng.uniform(-5.0, 5.0))
+        ref = _beta_k_ref(k, u * k)
+        assert float(abs((beta_k(k, u * k) - ref) / ref)) <= 6e-16 + 2.0**-53, (k, u * k)
+    assert worst > 2e-16
 
 
 @pytest.mark.parametrize("k,x", [(5e-309, 5e-309), (1e-310, 4e-309), (4e-309, 5.5e-309),

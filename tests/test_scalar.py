@@ -208,6 +208,18 @@ def shift_end(m):
     return t
 
 
+def far_end(m):
+    """F_m, the least integer y with |c_7| y^-14 < 2^-58 (m-1)!, in exact arithmetic."""
+    c7 = Fraction(7, 6) * math.factorial(13 + m) / math.factorial(14)  # B_14 = 7/6
+    bound = Fraction(math.factorial(m - 1), 2**58)
+    y = math.ceil((c7 / bound) ** (1.0 / 14.0))  # a float seed, decided exactly below
+    while c7 / y**14 >= bound:
+        y += 1
+    while c7 / (y - 1) ** 14 < bound:
+        y -= 1
+    return y
+
+
 def truncation_cut(m):
     # below it the second shift term, (u/(u+1))^(m+1), is below 2^-64 of the first
     return 1.0 / (2.0 ** (64 / (m + 1)) - 1.0)
@@ -215,14 +227,13 @@ def truncation_cut(m):
 
 def _polygamma_kernel_per_call(m, x, k=1.0):
     # the kernel's evaluation without the per-order plan: every coefficient
-    # recomputed on each call, the ten-term tail from u = x/k = 10 + m up,
+    # recomputed on each call, the six-term tail from u = x/k = F_m up,
     # below it the shift to T_m (none from T_m up) and the Bernoulli tail
     # as a loop over all sixteen terms, and below the truncation cut
     # m! x^-(m+1); the same operations in the same order
     mf = float(math.factorial(m))
     fm1 = float(math.factorial(m - 1))
     sign = 1.0 if m % 2 == 1 else -1.0
-    threshold = 10.0 + m
     power = -1.0 - m
     coeffs = [
         b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
@@ -231,7 +242,9 @@ def _polygamma_kernel_per_call(m, x, k=1.0):
     u = x / k
     s = 0.0
     y = x
-    if u < threshold:
+    if u >= far_end(m):
+        coeffs = coeffs[:6]
+    else:
         if u < truncation_cut(m):
             return sign * _times_powers(mf, (x, -(m + 1)))
         coeffs += [float(b2j * math.factorial(2 * j + m - 1) / math.factorial(2 * j))
@@ -258,7 +271,7 @@ def _polygamma_kernel_per_call(m, x, k=1.0):
 def test_polygamma_table_is_bit_identical_to_per_call_loop(m):
     for x in _TABLE_XS:
         assert polygamma(m, x) == _polygamma_kernel_per_call(m, x), x
-    # away from k = 1 too, where the far field x >= (10 + m) k is tested first
+    # away from k = 1 too, where the far field x >= F_m k is tested first
     for k in (0.01, 0.37, 10.0):
         for x in _TABLE_XS:
             assert psi_k_m(k, m, x) == _polygamma_kernel_per_call(m, x, k), (k, x)
